@@ -137,8 +137,12 @@ def random_eopp_instance(rng: np.random.Generator, max_atoms: int = 32) -> tuple
     positive rate is identical across groups by construction.
 
     Every group keeps strictly positive positive-mass so the corrupted
-    mixture also has positives in each group for any alpha < 1.
+    mixture also has positives in each group for any alpha < 1. Each group
+    needs room for up to four positive atoms plus one negative, so
+    ``max_atoms`` must be at least 10.
     """
+    if max_atoms < 10:
+        raise InputError(f"max_atoms must be at least 10, got {max_atoms}")
     r_a = float(rng.uniform(0.2, 0.8))
     masses = {"A": r_a, "B": 1.0 - r_a}
     target_tpr = float(rng.uniform(0.1, 0.9))

@@ -29,7 +29,13 @@ from .errors import ContractError, InputError
 from .repair import RepairWitness, best_response, dp_repair, eopp_repair, option_grid
 from .attacks import AttackSpec
 
-SWEEP_FAMILIES = ("dp_worked", "eopp_needle", "eodds_duplicate", "calibration_drift")
+#: Sweep family -> the one notion it sweeps.
+SWEEP_FAMILIES = {
+    "dp_worked": "dp",
+    "eopp_needle": "eopp",
+    "eodds_duplicate": "eodds",
+    "calibration_drift": "calibration",
+}
 VERDICTS = ("linear", "sqrt", "constant", "unclassified")
 
 #: smallest beta still considered "bounded away from zero" for a constant verdict
@@ -51,11 +57,18 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.family not in SWEEP_FAMILIES:
-            raise InputError(f"unknown family {self.family!r}; expected one of {SWEEP_FAMILIES}")
+            raise InputError(
+                f"unknown family {self.family!r}; expected one of {tuple(SWEEP_FAMILIES)}"
+            )
         if not self.alphas:
             raise InputError("alpha grid is empty")
-        if list(self.alphas) != sorted(self.alphas):
-            raise InputError("alpha grid must be sorted ascending")
+        if self.notion != SWEEP_FAMILIES[self.family]:
+            raise InputError(
+                f"family {self.family!r} sweeps notion {SWEEP_FAMILIES[self.family]!r}, "
+                f"got {self.notion!r}"
+            )
+        if any(a >= b for a, b in zip(self.alphas, self.alphas[1:])):
+            raise InputError("alpha grid must be strictly increasing")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise InputError(f"alpha {a!r} outside (0, 1)")

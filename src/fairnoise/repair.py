@@ -13,7 +13,6 @@ bounds (its grid minimum is what any repair strategy could achieve).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,6 +177,10 @@ def _compose(h: BaseClassifier | PQClassifier, params: dict[str, tuple[float, fl
 # ---------------------------------------------------------------------------
 
 
+#: Largest accepted grid resolution; the option arrays grow as grid_n ** 2.
+MAX_GRID_N = 1001
+
+
 def option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """All (u, v) acceptance pairs with 0 <= v <= u <= 1 on a grid_n grid.
 
@@ -187,6 +190,8 @@ def option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
+    if grid_n > MAX_GRID_N:
+        raise InputError(f"grid_n must be at most {MAX_GRID_N}")
     g = np.linspace(0.0, 1.0, grid_n)
     rows, cols = np.triu_indices(grid_n)
     return g[cols], g[rows]  # u, v with v <= u
@@ -198,6 +203,13 @@ def params_from_uv(u: float, v: float) -> tuple[float, float]:
     return (min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
 
 
+#: B options per block of the 2-D scan, which bounds its temporaries.
+_PAIR_CHUNK = 512
+#: Far above the rounding of statistics in [0, 1], so the 2-D prefilter can
+#: only over-include.
+_PAIR_PAD = 1e-9
+
+
 def pair_min_1d(
     stat_a: np.ndarray,
     err_a: np.ndarray,
@@ -207,34 +219,44 @@ def pair_min_1d(
 ) -> tuple[float, int, int] | None:
     """Min of err_a[i] + err_b[j] over |stat_a[i] - stat_b[j]| <= tol.
 
-    Sliding-window minimum over both sides sorted by statistic; exact and
-    O(n log n). Returns (total, i, j) in the original indexing, or None.
+    Exact and O(n log n). With both sides sorted by statistic, the A options
+    within tol of each B option form one window of sorted A, found by binary
+    search with the same comparisons a sliding window makes, and a sparse
+    table gives each window's minimum. The first B option in sorted order
+    with the smallest total wins, paired with the last minimum of its window.
+    Returns (total, i, j) in the original indexing, or None.
     """
     order_a = np.argsort(stat_a, kind="stable")
     sa = stat_a[order_a]
     ea = err_a[order_a]
     order_b = np.argsort(stat_b, kind="stable")
+    sb = stat_b[order_b]
 
-    best: tuple[float, int, int] | None = None
-    lo = hi = 0
-    window: deque[int] = deque()  # indices into sorted a, err increasing
-    for jb in order_b:
-        s = stat_b[jb]
-        while hi < len(sa) and sa[hi] <= s + tol:
-            while window and ea[window[-1]] >= ea[hi]:
-                window.pop()
-            window.append(hi)
-            hi += 1
-        while lo < hi and sa[lo] < s - tol:
-            if window and window[0] == lo:
-                window.popleft()
-            lo += 1
-        if window:
-            ia = window[0]
-            total = float(ea[ia] + err_b[jb])
-            if best is None or total < best[0]:
-                best = (total, int(order_a[ia]), int(jb))
-    return best
+    hi = np.searchsorted(sa, sb + tol, side="right")  # first sa > s + tol
+    lo = np.minimum(np.searchsorted(sa, sb - tol, side="left"), hi)  # first sa >= s - tol
+    js = np.flatnonzero(lo < hi)
+    if not len(js):
+        return None
+    lo, hi = lo[js], hi[js]
+
+    # table[k, i]: min of ea over [i, i + 2**k); entries past n - 2**k are never read.
+    n = len(ea)
+    table = np.full((n.bit_length(), n), np.inf)
+    table[0] = ea
+    for k in range(1, len(table)):
+        w = 2 ** (k - 1)
+        np.minimum(table[k - 1, :-w], table[k - 1, w:], out=table[k, :-w])
+
+    length = hi - lo
+    level = np.zeros_like(length)
+    for k in range(1, len(table)):
+        level += length >= 2**k
+    window_min = np.minimum(table[level, lo], table[level, hi - 2**level])
+    totals = window_min + err_b[order_b[js]]
+    first = int(np.argmin(totals))
+    # the sliding window keeps the last of tied minima
+    ia = hi[first] - 1 - int(np.argmin(ea[lo[first] : hi[first]][::-1]))
+    return float(totals[first]), int(order_a[ia]), int(order_b[js[first]])
 
 
 def pair_min_2d(
@@ -243,26 +265,46 @@ def pair_min_2d(
     stats_b: tuple[np.ndarray, np.ndarray],
     err_b: np.ndarray,
     tol: float,
-    chunk: int = 512,
 ) -> tuple[float, int, int] | None:
-    """Two-constraint variant of :func:`pair_min_1d`, chunked brute force."""
+    """Min of err_a[i] + err_b[j] over |ta[i] - tb[j]| <= tol and
+    |fa[i] - fb[j]| <= tol, the two-constraint variant of :func:`pair_min_1d`.
+
+    Exact. B is scanned in blocks sorted by its first statistic. Each block
+    meets only the A options inside the block's range of both statistics,
+    widened by tol and a small pad, so this prefilter can only over-include;
+    the elementwise test above then decides feasibility. Ties go to the
+    lowest j, then the lowest i. Returns (total, i, j), or None.
+    """
     ta, fa = stats_a
     tb, fb = stats_b
-    best: tuple[float, int, int] | None = None
-    for start in range(0, len(tb), chunk):
-        sl = slice(start, min(start + chunk, len(tb)))
-        mask = (np.abs(ta[None, :] - tb[sl, None]) <= tol) & (
-            np.abs(fa[None, :] - fb[sl, None]) <= tol
-        )
-        if not mask.any():
+    order_a = np.argsort(ta, kind="stable")
+    sorted_ta = ta[order_a]
+    order_b = np.argsort(tb, kind="stable")
+    reach = tol + _PAIR_PAD
+
+    best: tuple[float, int, int] | None = None  # (total, j, i)
+    for start in range(0, len(order_b), _PAIR_CHUNK):
+        jb = order_b[start : start + _PAIR_CHUNK]
+        t, f = tb[jb], fb[jb]
+        lo = np.searchsorted(sorted_ta, t[0] - reach, side="left")
+        hi = np.searchsorted(sorted_ta, t[-1] + reach, side="right")
+        ia = order_a[lo:hi]
+        ia = ia[(fa[ia] >= f.min() - reach) & (fa[ia] <= f.max() + reach)]
+        if not len(ia):
             continue
-        totals = np.where(mask, err_a[None, :] + err_b[sl, None], np.inf)
-        flat = int(np.argmin(totals))
-        ib, ia = divmod(flat, totals.shape[1])
-        val = float(totals[ib, ia])
-        if math.isfinite(val) and (best is None or val < best[0]):
-            best = (val, ia, start + ib)
-    return best
+        mask = (np.abs(ta[None, ia] - t[:, None]) <= tol) & (
+            np.abs(fa[None, ia] - f[:, None]) <= tol
+        )
+        totals = np.where(mask, err_a[None, ia] + err_b[jb, None], np.inf)
+        val = float(totals.min())
+        if not math.isfinite(val):
+            continue
+        rows, cols = np.nonzero(totals == val)
+        j = int(jb[rows].min())
+        i = int(ia[cols][jb[rows] == j].min())
+        if best is None or (val, j, i) < best:
+            best = (val, j, i)
+    return None if best is None else (best[0], best[2], best[1])
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,9 @@ class TestCertify:
     def test_requires_flags(self):
         assert main(["certify", "--notion", "eopp"]) == 2
 
+    def test_grid_above_cap_is_bad_input(self):
+        assert main(["certify", "--notion", "eopp", "--alpha", "0.04", "--grid", "5001"]) == 2
+
 
 class TestMinimaxAndReport:
     def test_minimax_prints_json(self, capsys):

@@ -29,10 +29,21 @@ class TestExperimentConfig:
             config(alphas=(0.0, 0.5))
         with pytest.raises(InputError):
             config(alphas=())
+        with pytest.raises(InputError):
+            config(alphas=(0.01, 0.02, 0.02, 0.04))
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InputError):
             config(family="astrology")
+        for family, notion in (
+            ("dp_worked", "eodds"),
+            ("eopp_needle", "dp"),
+            ("eodds_duplicate", "eopp"),
+            ("calibration_drift", "dp"),
+            ("dp_worked", "astrology"),
+        ):
+            with pytest.raises(InputError):
+                config(family=family, notion=notion)
 
     def test_json_round_trip_and_hash(self):
         c = config()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairnoise import families
+from fairnoise import families, repair
 from fairnoise.classifiers import (
     GAP_TOL,
     BaseClassifier,
@@ -18,6 +18,7 @@ from fairnoise.classifiers import (
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InfeasibleError, InputError
 from fairnoise.repair import (
+    MAX_GRID_N,
     RepairWitness,
     _match_params,
     best_response,
@@ -142,6 +143,11 @@ class TestOptionGrid:
         with pytest.raises(InputError):
             option_grid(1)
 
+    def test_rejects_grid_above_cap(self):
+        assert len(option_grid(MAX_GRID_N)[0]) == MAX_GRID_N * (MAX_GRID_N + 1) // 2
+        with pytest.raises(InputError):
+            option_grid(MAX_GRID_N + 1)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_uv_round_trip(self, u, v):
@@ -184,7 +190,8 @@ class TestPairMin:
             assert abs(sa[i] - sb[j]) <= tol
             assert_close(total, expected, 1e-12)
 
-    def test_2d_matches_brute_force(self, rng):
+    def test_2d_matches_brute_force(self, rng, monkeypatch):
+        monkeypatch.setattr(repair, "_PAIR_CHUNK", 7)  # exercise several blocks
         n, m = 40, 35
         ta, fa, tb, fb = (rng.uniform(size=k) for k in (n, n, m, m))
         ea, eb = rng.uniform(size=n), rng.uniform(size=m)
@@ -194,7 +201,7 @@ class TestPairMin:
             if abs(ta[i] - tb[j]) <= tol and abs(fa[i] - fb[j]) <= tol:
                 t = ea[i] + eb[j]
                 best = t if best is None else min(best, t)
-        found = pair_min_2d((ta, fa), ea, (tb, fb), eb, tol, chunk=7)
+        found = pair_min_2d((ta, fa), ea, (tb, fb), eb, tol)
         assert found is not None and best is not None
         assert_close(found[0], best, 1e-12)
 

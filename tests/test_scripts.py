@@ -1,0 +1,49 @@
+"""The two scripts' outputs, pinned byte for byte."""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+#: SHA-256 of each report.json that run_all_sweeps.py writes at its defaults
+#: (grid 41, seed 0).
+REPORT_SHA256 = {
+    "calibration_drift": "b3d514fb1c0db0d2b91f2aa36f0d3da274669952310d69ed999850a191a5cedd",
+    "dp_worked": "34b4cf0ea7446946b5fd7059f09d7cf3b8c2d0fbbc29e96142a8fa11a287a645",
+    "eodds_duplicate": "a13891b5a8a5c9a4bc2fee3acc0c91bbeedacc4347bed64b56e3d25c43142735",
+    "eopp_needle": "b93a22399fabee03e8c59095f7d0f34655595be21062a791bad5febdb6e6e24e",
+}
+
+CERTIFY_OUTPUT = """\
+eopp                 alpha=0.04   floor=0.097000 claimed=0.100000 pass=True
+eopp                 alpha=0.01   floor=0.047250 claimed=0.050000 pass=True
+eodds                alpha=0.1    floor=0.448400 claimed=0.409500 pass=True
+predictive_parity    alpha=0.1    floor=0.439075 claimed=0.200000 pass=True
+parity_calibration   alpha=0.1    floor=0.500000 claimed=0.200000 pass=True
+minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=0.1 feasible=False
+"""
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_reports_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["run_all_sweeps.py", str(tmp_path)])
+    load_script("run_all_sweeps").main()
+    digests = {
+        family: hashlib.sha256((tmp_path / family / "report.json").read_bytes()).hexdigest()
+        for family in REPORT_SHA256
+    }
+    assert digests == REPORT_SHA256
+
+
+def test_certify_bounds_output(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["certify_bounds.py"])
+    assert load_script("certify_bounds").main() == 0
+    assert capsys.readouterr().out == CERTIFY_OUTPUT
