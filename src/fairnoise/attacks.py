@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .classifiers import BaseClassifier, PQClassifier, as_pq, fairness_gap, group_stats
+from .classifiers import BaseClassifier, PQClassifier, as_pq, group_stats, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import ContractError, InputError
 from .repair import best_response
@@ -77,12 +77,8 @@ def drift_bound_dp(alpha: float, r_z: float) -> float:
     return alpha / denom if denom > 0.0 else 0.0
 
 
-def drift_bound_tpr(alpha: float, r_z_plus: float) -> float:
-    """Worst-case shift of a group's true positive rate."""
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= r_z_plus <= 1.0:
-        raise InputError("alpha and r_z_plus must lie in [0, 1]")
-    denom = (1.0 - alpha) * r_z_plus + alpha
-    return alpha / denom if denom > 0.0 else 0.0
+#: The TPR drift bound is the rate bound with r_z+ in place of r_z.
+drift_bound_tpr = drift_bound_dp
 
 
 def duplicate_flip_attack(
@@ -233,20 +229,16 @@ def decompose_corruption(
     1e-9, which is what makes this a checker rather than a formula.
     """
     pq = as_pq(h)
+    table = mass_table(pq, contamination)
     alpha_z: dict[str, float] = {}
     e_z: dict[str, float] = {}
     e_z_plus: dict[str, float] = {}
     for g in dist.groups:
-        q_atoms = [a for a in contamination.atoms if a.group == g]
-        alpha_z[g] = alpha * math.fsum(a.mass for a in q_atoms)
-        e_z[g] = alpha * math.fsum(
-            a.mass * pq.accept_prob(a.point, a.group, a.feature) for a in q_atoms
-        )
-        e_z_plus[g] = alpha * math.fsum(
-            a.mass * pq.accept_prob(a.point, a.group, a.feature)
-            for a in q_atoms
-            if a.label == 1
-        )
+        m1p, m1n, m0p, m0n = table.get(g, (0.0, 0.0, 0.0, 0.0))
+        u, v = pq.uv(g)
+        alpha_z[g] = alpha * math.fsum((m1p, m1n, m0p, m0n))
+        e_z[g] = alpha * math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
+        e_z_plus[g] = alpha * math.fsum((u * m1p, v * m0p))
 
     corrupted = mix(dist, contamination, alpha)
     clean_stats = group_stats(h, dist)

@@ -11,7 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from .attacks import duplicate_flip_attack
-from .classifiers import GAP_TOL
+from .classifiers import GAP_TOL, BaseClassifier, error_terms, mass_table
 from .distributions import Atom, Distribution, make_distribution
 from .errors import InputError
 from .repair import option_grid, pair_min_1d
@@ -179,15 +179,6 @@ def l1_error(h: BinnedPredictor, dist: Distribution) -> float:
     return math.fsum(a.mass * abs(a.label - h.value(a.point, a.group)) for a in dist.atoms)
 
 
-def threshold_error(h: BinnedPredictor, dist: Distribution, threshold: float = 0.5) -> float:
-    """Classification error of the predictor thresholded at ``threshold``."""
-    terms = []
-    for a in dist.atoms:
-        pred = int(h.value(a.point, a.group) >= threshold)
-        terms.append(a.mass * (pred != a.label))
-    return math.fsum(terms)
-
-
 def parity_calibration_check(
     h: BinnedPredictor, dist: Distribution
 ) -> tuple[bool, float]:
@@ -213,11 +204,9 @@ def parity_calibration_check(
 # ---------------------------------------------------------------------------
 
 
-def duplication_instance(
-    alpha: float, r_b: float
-) -> tuple[Distribution, Distribution, dict[str, int]]:
-    """Two balanced groups, the small one of mass r_b, labels washed out by
-    duplicate-flip; returns (clean, corrupted, perfect-table)."""
+def balanced_instance(r_b: float) -> tuple[Distribution, BaseClassifier]:
+    """Two groups, each half positive, the small one of mass r_b, and the
+    perfect base classifier."""
     if not 0.0 < r_b < 1.0:
         raise InputError("r_b must lie in (0, 1)")
     r_a = 1.0 - r_b
@@ -229,9 +218,17 @@ def duplication_instance(
             Atom("bN", 0, "B", r_b / 2.0),
         ]
     )
+    return dist, BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0})
+
+
+def duplication_instance(
+    alpha: float, r_b: float
+) -> tuple[Distribution, Distribution, dict[str, int]]:
+    """The balanced instance with the small group's labels washed out by
+    duplicate-flip; returns (clean, corrupted, perfect-table)."""
+    dist, h = balanced_instance(r_b)
     _, corrupted = duplicate_flip_attack(dist, "B", alpha)
-    table = {"aP": 1, "aN": 0, "bP": 1, "bN": 0}
-    return dist, corrupted, table
+    return dist, corrupted, dict(h.table or {})
 
 
 def predictive_parity_attack_certify(
@@ -249,46 +246,23 @@ def predictive_parity_attack_certify(
         raise InputError("alpha must lie in (0, 1)")
     if r_b is None:
         r_b = 0.9 * alpha
-    r_a = 1.0 - r_b
-    dist = make_distribution(
-        [
-            Atom("aP", 1, "A", r_a / 2.0),
-            Atom("aN", 0, "A", r_a / 2.0),
-            Atom("bP", 1, "B", r_b / 2.0),
-            Atom("bN", 0, "B", r_b / 2.0),
-        ]
-    )
+    dist, h = balanced_instance(r_b)
     try:
         _, corrupted = duplicate_flip_attack(dist, "B", alpha)
     except InputError:
         corrupted = dist  # no-attack control: budget cannot wash the group out
 
-    table = {"aP": 1, "aN": 0, "bP": 1, "bN": 0}
+    dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
     uu, vv = option_grid(grid_n)
     tol = 2.0 / grid_n
 
     def group_arrays(group: str):
-        p1 = n1 = p0 = n0 = 0.0  # corrupted masses split by base prediction
-        d1p = d1n = d0p = d0n = 0.0  # clean masses likewise
-        for a in corrupted.atoms:
-            if a.group != group:
-                continue
-            if table[a.point] == 1:
-                p1, n1 = (p1 + a.mass, n1) if a.label == 1 else (p1, n1 + a.mass)
-            else:
-                p0, n0 = (p0 + a.mass, n0) if a.label == 1 else (p0, n0 + a.mass)
-        for a in dist.atoms:
-            if a.group != group:
-                continue
-            if table[a.point] == 1:
-                d1p, d1n = (d1p + a.mass, d1n) if a.label == 1 else (d1p, d1n + a.mass)
-            else:
-                d0p, d0n = (d0p + a.mass, d0n) if a.label == 1 else (d0p, d0n + a.mass)
-        accepted = uu * (p1 + n1) + vv * (p0 + n0)
-        accepted_pos = uu * p1 + vv * p0
+        c1p, c1n, c0p, c0n = dirty[group]
+        accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
+        accepted_pos = uu * c1p + vv * c0p
         valid = accepted > 0.0  # precision requires some positive predictions
         ppv = np.where(valid, accepted_pos / np.where(valid, accepted, 1.0), np.nan)
-        err = (1.0 - uu) * d1p + uu * d1n + (1.0 - vv) * d0p + vv * d0n
+        err = sum(error_terms(clean[group], uu, vv))
         return ppv[valid], err[valid]
 
     ppv_a, err_a = group_arrays("A")

@@ -109,26 +109,6 @@ class BaseClassifier:
 
 
 @dataclass(frozen=True)
-class HypothesisClass:
-    members: tuple[BaseClassifier, ...]
-    designated_optimum: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise InputError("hypothesis class must be non-empty")
-        if self.designated_optimum is not None and not (
-            0 <= self.designated_optimum < len(self.members)
-        ):
-            raise InputError("designated optimum index out of range")
-
-    @property
-    def optimum(self) -> BaseClassifier | None:
-        if self.designated_optimum is None:
-            return None
-        return self.members[self.designated_optimum]
-
-
-@dataclass(frozen=True)
 class PQClassifier:
     """A base classifier overridden, per group, by an independent coin.
 
@@ -144,10 +124,15 @@ class PQClassifier:
             if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
                 raise InputError(f"(p, q) for group {group!r} must lie in [0, 1]^2, got {(p, q)}")
 
-    def accept_prob(self, point: str, group: str, feature: float | None = None) -> float:
+    def uv(self, group: str) -> tuple[float, float]:
+        """Acceptance probabilities (u, v) = (1 - p + p q, p q) of the
+        group's base-positive and base-negative points."""
         p, q = self.params.get(group, (0.0, 0.0))
-        base = self.base.predict(point, group, feature)
-        return (1.0 - p) * base + p * q
+        return 1.0 - p + p * q, p * q
+
+    def accept_prob(self, point: str, group: str, feature: float | None = None) -> float:
+        u, v = self.uv(group)
+        return u if self.base.predict(point, group, feature) == 1 else v
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,37 +177,56 @@ class GroupStats:
     overall_error: float
 
 
-def error(h: BaseClassifier | PQClassifier, dist: Distribution) -> float:
-    """Exact misclassification probability over the atoms."""
-    pq = as_pq(h)
-    terms = []
+def mass_table(
+    h: BaseClassifier | PQClassifier, dist: Distribution
+) -> dict[str, tuple[float, ...]]:
+    """Per group, the mass of each (base prediction, label) cell, ordered
+    (m1p, m1n, m0p, m0n): base-positive positives, base-positive negatives,
+    base-negative positives, base-negative negatives.
+
+    Every statistic of a per-group (p, q) classifier is linear or
+    linear-fractional in this table, and ``mix`` acts on it linearly.
+    """
+    base = as_pq(h).base
+    cells: dict[str, tuple[list[float], ...]] = {g: ([], [], [], []) for g in dist.groups}
     for a in dist.atoms:
-        acc = pq.accept_prob(a.point, a.group, a.feature)
-        terms.append(a.mass * ((1.0 - acc) if a.label == 1 else acc))
-    return math.fsum(terms)
+        pred = base.predict(a.point, a.group, a.feature)
+        cells[a.group][2 * (1 - pred) + (1 - a.label)].append(a.mass)
+    return {g: tuple(math.fsum(c) for c in by_cell) for g, by_cell in cells.items()}
+
+
+def error_terms(cells, u, v):
+    """Misclassified mass of each cell when base-positive points are accepted
+    with probability u and base-negative ones with v; u and v may be arrays."""
+    m1p, m1n, m0p, m0n = cells
+    return (1.0 - u) * m1p, u * m1n, (1.0 - v) * m0p, v * m0n
+
+
+def error(h: BaseClassifier | PQClassifier, dist: Distribution) -> float:
+    """Exact misclassification probability."""
+    pq = as_pq(h)
+    table = mass_table(pq, dist)
+    return math.fsum(t for g, cells in table.items() for t in error_terms(cells, *pq.uv(g)))
 
 
 def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupStats:
     pq = as_pq(h)
-    acc_of = {a.key: pq.accept_prob(a.point, a.group, a.feature) for a in dist.atoms}
-
     rate: dict[str, float] = {}
     tpr: dict[str, float | None] = {}
     fpr: dict[str, float | None] = {}
     ppv: dict[str, float | None] = {}
     group_error: dict[str, float] = {}
     err_terms = []
-    for g in dist.groups:
-        atoms = [a for a in dist.atoms if a.group == g]
-        r = math.fsum(a.mass for a in atoms)
-        pos = math.fsum(a.mass for a in atoms if a.label == 1)
+    for g, cells in mass_table(pq, dist).items():
+        m1p, m1n, m0p, m0n = cells
+        u, v = pq.uv(g)
+        r = math.fsum(cells)
+        pos = math.fsum((m1p, m0p))
         neg = r - pos
-        acc_mass = math.fsum(a.mass * acc_of[a.key] for a in atoms)
-        acc_pos = math.fsum(a.mass * acc_of[a.key] for a in atoms if a.label == 1)
+        acc_mass = math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
+        acc_pos = math.fsum((u * m1p, v * m0p))
         acc_neg = acc_mass - acc_pos
-        err = math.fsum(
-            a.mass * ((1.0 - acc_of[a.key]) if a.label == 1 else acc_of[a.key]) for a in atoms
-        )
+        err = math.fsum(error_terms(cells, u, v))
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None

@@ -77,11 +77,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         doc["alphas"] = sorted(args.alpha)
     if args.notion:
         doc["notion"] = args.notion
-    if args.grid:
+    if args.grid is not None:
         doc["grid_n"] = args.grid
     if args.seed is not None:
         doc["seed"] = args.seed
-    if args.jobs:
+    if args.jobs is not None:
         doc["jobs"] = args.jobs
     config = harness.ExperimentConfig.from_json_dict(doc)
     report = harness.run_sweep(config)
@@ -154,7 +154,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if not args.notion or not args.alpha:
         raise InputError("certify requires --notion and --alpha")
-    grid_n = args.grid or 201
+    grid_n = 201 if args.grid is None else args.grid
     worst_exit = 0
     for alpha in args.alpha:
         floor, claimed, ok = harness.certify_lower_bound(args.notion, alpha, grid_n=grid_n)
@@ -173,7 +173,7 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     gamma = None
     if args.config is not None:
         gamma = _load_config(args).get("gamma")
-    grid_n = args.grid or 101
+    grid_n = 101 if args.grid is None else args.grid
     for alpha in args.alpha:
         report = harness.minimax_demo(alpha, gamma=gamma, grid_n=grid_n)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     except FairnoiseError as exc:  # pragma: no cover - defensive catch-all
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
 

@@ -110,19 +110,6 @@ class Distribution:
         return Distribution.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class GroupMassProfile:
-    """Per-group mass bookkeeping: r_z, positive mass within z, and the
-    smallest integer c with positives >= r_z / c for every group."""
-
-    r: dict[str, float]
-    r_plus: dict[str, float]
-    c_bound: float  # math.inf when some group has no positives
-
-    def positives_fraction(self, group: str) -> float:
-        return self.r_plus[group] / self.r[group]
-
-
 def make_distribution(atoms: Iterable[Atom], groups: Iterable[str] | None = None) -> Distribution:
     """Merge, validate, normalize, and canonically order a list of atoms.
 
@@ -164,38 +151,6 @@ def make_distribution(atoms: Iterable[Atom], groups: Iterable[str] | None = None
     # An explicit group list may legitimately include groups the support
     # misses (e.g. a contamination targeting one group of a larger universe).
     return Distribution(atoms=canonical, groups=group_tuple)
-
-
-def group_profile(dist: Distribution) -> GroupMassProfile:
-    """Exact r_z and r_z+ per group, plus the positives-fraction bound c.
-
-    A group with no positives is reported with r_plus = 0 and an infinite
-    c_bound; it is not rejected here (the check is advisory).
-    """
-    r = {g: dist.group_mass(g) for g in dist.groups}
-    r_plus = {g: dist.positive_mass(g) for g in dist.groups}
-    c = 0.0
-    for g in dist.groups:
-        if r_plus[g] <= 0.0:
-            c = math.inf
-            break
-        c = max(c, math.ceil(r[g] / r_plus[g]))
-    return GroupMassProfile(r=r, r_plus=r_plus, c_bound=c)
-
-
-def conditional(dist: Distribution, group: str) -> Distribution:
-    """The conditional distribution given membership in ``group``."""
-    if group not in dist.groups:
-        raise InputError(f"group {group!r} not in {dist.groups}")
-    r = dist.group_mass(group)
-    if r <= 0.0:
-        raise InputError(f"group {group!r} has zero mass; conditional undefined")
-    atoms = [
-        Atom(point=a.point, label=a.label, group=a.group, mass=a.mass / r, feature=a.feature)
-        for a in dist.atoms
-        if a.group == group
-    ]
-    return make_distribution(atoms, groups=(group,))
 
 
 def mix(dist: Distribution, contamination: Distribution, alpha: float) -> Distribution:

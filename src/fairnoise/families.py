@@ -9,13 +9,12 @@ is exact, not sampled), so the repair preconditions always hold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import NeedleInstance, duplicate_flip_attack, needle_eopp_attack
-from .calibration import BinnedPredictor, duplication_instance
+from .calibration import BinnedPredictor, balanced_instance
 from .classifiers import BaseClassifier
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError
@@ -68,9 +67,9 @@ def eodds_duplicate(alpha: float, r_b: float | None = None) -> Instance:
     """
     if r_b is None:
         r_b = 0.045
-    dist, corrupted, table = duplication_instance(alpha, r_b)
-    contamination, _ = duplicate_flip_attack(dist, "B", alpha)
-    return Instance(dist, contamination, corrupted, BaseClassifier.from_table(table), alpha)
+    dist, h_star = balanced_instance(r_b)
+    contamination, corrupted = duplicate_flip_attack(dist, "B", alpha)
+    return Instance(dist, contamination, corrupted, h_star, alpha)
 
 
 def calibration_drift(alpha: float) -> tuple[Distribution, Distribution, BinnedPredictor]:
@@ -211,9 +210,3 @@ def random_calibrated_instance(
     predictor = BinnedPredictor(assignment=assignment, group_values=group_values)
     return make_distribution(atoms), predictor
 
-
-FAMILY_BUILDERS = {
-    "dp_worked": dp_worked,
-    "eopp_needle": lambda alpha: eopp_needle(alpha)[0],
-    "eodds_duplicate": eodds_duplicate,
-}

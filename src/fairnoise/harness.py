@@ -16,18 +16,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import families
+from .attacks import AttackSpec, duplicate_flip_attack
 from .calibration import (
+    balanced_instance,
     calibration_report,
     parity_calibration_attack_certify,
     predictive_parity_attack_certify,
     recalibrate_per_group,
     value_shift,
 )
-from .classifiers import GAP_TOL, error
-from .distributions import Distribution
+from .classifiers import GAP_TOL, error, error_terms, mass_table
 from .errors import ContractError, InputError
-from .repair import RepairWitness, best_response, dp_repair, eopp_repair, option_grid
-from .attacks import AttackSpec
+from .repair import MAX_GRID_N, best_response, dp_repair, eopp_repair, option_grid
 
 #: Sweep family -> the one notion it sweeps.
 SWEEP_FAMILIES = {
@@ -36,7 +36,6 @@ SWEEP_FAMILIES = {
     "eodds_duplicate": "eodds",
     "calibration_drift": "calibration",
 }
-VERDICTS = ("linear", "sqrt", "constant", "unclassified")
 
 #: smallest beta still considered "bounded away from zero" for a constant verdict
 CONSTANT_FLOOR = 1e-3
@@ -74,6 +73,8 @@ class ExperimentConfig:
                 raise InputError(f"alpha {a!r} outside (0, 1)")
         if self.jobs < 1:
             raise InputError("jobs must be >= 1")
+        if not 11 <= self.grid_n <= MAX_GRID_N:
+            raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {self.grid_n}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -351,6 +352,8 @@ def certify_lower_bound(
         raise InputError(f"certify_lower_bound supports {CERT_NOTIONS}, got {notion!r}")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
+    if not 11 <= grid_n <= MAX_GRID_N:
+        raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {grid_n}")
     slack = 2.0 / grid_n
 
     if notion == "eopp":
@@ -395,40 +398,16 @@ def minimax_demo(
         raise InputError("alpha must lie in [0, 1)")
     if r_b is None:
         r_b = 0.9 * alpha if alpha > 0.0 else 0.1
-    if alpha > 0.0:
-        inst = families.eodds_duplicate(alpha, r_b=r_b)
-        dist, corrupted, h = inst.dist, inst.corrupted, inst.h_star
-    else:
-        from .calibration import duplication_instance
-        from .classifiers import BaseClassifier
-
-        dist, _, table = duplication_instance(0.5, r_b)  # alpha here only shapes Q, unused
-        corrupted = dist
-        h = BaseClassifier.from_table(table)
+    dist, h = balanced_instance(r_b)
+    corrupted = duplicate_flip_attack(dist, "B", alpha)[1] if alpha > 0.0 else dist
 
     uu, vv = option_grid(grid_n)
+    dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
     epsilon: dict[str, float] = {}
     opt_terms = []
     for g in dist.groups:
-        def masses(d: Distribution) -> tuple[float, float, float, float]:
-            m1p = m1n = m0p = m0n = 0.0
-            for a in d.atoms:
-                if a.group != g:
-                    continue
-                if h.predict(a.point, a.group, a.feature) == 1:
-                    m1p, m1n = (m1p + a.mass, m1n) if a.label == 1 else (m1p, m1n + a.mass)
-                else:
-                    m0p, m0n = (m0p + a.mass, m0n) if a.label == 1 else (m0p, m0n + a.mass)
-            return m1p, m1n, m0p, m0n
-
-        c1p, c1n, c0p, c0n = masses(corrupted)
-        r_tilde = c1p + c1n + c0p + c0n
-        err_corrupted = ((1.0 - uu) * c1p + uu * c1n + (1.0 - vv) * c0p + vv * c0n) / r_tilde
-        epsilon[g] = float(err_corrupted.min())
-
-        d1p, d1n, d0p, d0n = masses(dist)
-        err_clean = (1.0 - uu) * d1p + uu * d1n + (1.0 - vv) * d0p + vv * d0n
-        opt_terms.append(float(err_clean.min()))
+        epsilon[g] = float((sum(error_terms(dirty[g], uu, vv)) / sum(dirty[g])).min())
+        opt_terms.append(float(sum(error_terms(clean[g], uu, vv)).min()))
 
     max_err = max(epsilon.values())
     feasible = None if gamma is None else bool(max_err <= gamma + GAP_TOL)

@@ -24,8 +24,10 @@ from .classifiers import (
     PQClassifier,
     as_pq,
     error,
+    error_terms,
     fairness_gap,
     group_stats,
+    mass_table,
 )
 from .distributions import Distribution
 from .errors import ContractError, InfeasibleError, InputError
@@ -307,52 +309,20 @@ def pair_min_2d(
     return None if best is None else (best[0], best[2], best[1])
 
 
-@dataclass(frozen=True)
-class _GroupGrid:
-    """Per-group arrays for one base classifier over the (u, v) options."""
-
-    stats: tuple[np.ndarray, ...]
-    err_on_clean: np.ndarray
-    uu: np.ndarray
-    vv: np.ndarray
-
-
-def _group_grid(
-    base: BaseClassifier | PQClassifier,
+def _grid_options(
     group: str,
-    corrupted: Distribution,
-    clean: Distribution,
+    dirty: tuple[float, ...],
+    clean: tuple[float, ...],
     notion: str,
     uu: np.ndarray,
     vv: np.ndarray,
-) -> _GroupGrid:
-    pq = as_pq(base)
-
-    def masses(dist: Distribution) -> tuple[float, float, float, float]:
-        m1p = m1n = m0p = m0n = 0.0
-        for a in dist.atoms:
-            if a.group != group:
-                continue
-            pred = pq.base.predict(a.point, a.group, a.feature)
-            if pred == 1:
-                if a.label == 1:
-                    m1p += a.mass
-                else:
-                    m1n += a.mass
-            else:
-                if a.label == 1:
-                    m0p += a.mass
-                else:
-                    m0n += a.mass
-        return m1p, m1n, m0p, m0n
-
-    c1p, c1n, c0p, c0n = masses(corrupted)
-    d1p, d1n, d0p, d0n = masses(clean)
-
-    r_tilde = c1p + c1n + c0p + c0n
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The notion's corrupted statistics and the clean error of every (u, v)
+    option, from the group's corrupted and clean mass-table cells."""
+    c1p, c1n, c0p, c0n = dirty
     stats: list[np.ndarray] = []
     if notion == "dp":
-        stats.append((uu * (c1p + c1n) + vv * (c0p + c0n)) / r_tilde)
+        stats.append((uu * (c1p + c1n) + vv * (c0p + c0n)) / sum(dirty))
     elif notion in ("eopp", "eodds"):
         pos = c1p + c0p
         if pos <= 0.0:
@@ -365,9 +335,7 @@ def _group_grid(
             stats.append((uu * c1n + vv * c0n) / neg)
     else:
         raise InputError(f"best_response does not support notion {notion!r}")
-
-    err = (1.0 - uu) * d1p + uu * d1n + (1.0 - vv) * d0p + vv * d0n
-    return _GroupGrid(stats=tuple(stats), err_on_clean=err, uu=uu, vv=vv)
+    return tuple(stats), sum(error_terms(clean, uu, vv))
 
 
 def best_response(
@@ -400,20 +368,14 @@ def best_response(
 
     best: tuple[float, int, int, int] | None = None  # (total err, base idx, ia, ib)
     for k, h in enumerate(hypotheses):
-        grid_a = _group_grid(h, ga, corrupted, clean, notion, uu, vv)
-        grid_b = _group_grid(h, gb, corrupted, clean, notion, uu, vv)
-        if len(grid_a.stats) == 1:
-            found = pair_min_1d(
-                grid_a.stats[0], grid_a.err_on_clean, grid_b.stats[0], grid_b.err_on_clean, tol
-            )
+        dirty_table, clean_table = mass_table(h, corrupted), mass_table(h, clean)
+        (stats_a, err_a), (stats_b, err_b) = (
+            _grid_options(g, dirty_table[g], clean_table[g], notion, uu, vv) for g in (ga, gb)
+        )
+        if len(stats_a) == 1:
+            found = pair_min_1d(stats_a[0], err_a, stats_b[0], err_b, tol)
         else:
-            found = pair_min_2d(
-                (grid_a.stats[0], grid_a.stats[1]),
-                grid_a.err_on_clean,
-                (grid_b.stats[0], grid_b.stats[1]),
-                grid_b.err_on_clean,
-                tol,
-            )
+            found = pair_min_2d(stats_a, err_a, stats_b, err_b, tol)
         if found is None:
             continue
         total, ia, ib = found

@@ -4,6 +4,9 @@ These are the straightforward versions the package's pruned searches must
 agree with exactly: a sliding-window deque for ``pair_min_1d``, a chunked
 brute force over every pair for ``pair_min_2d``, and the full enumeration
 of every value-grid assignment for ``parity_calibration_attack_certify``.
+``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
+of reading the mass table, so the package's versions must agree with them up
+to rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fairnoise.calibration import (
     l1_error,
     parity_calibration_check,
 )
-from fairnoise.classifiers import GAP_TOL
+from fairnoise.classifiers import GAP_TOL, GroupStats, as_pq
 from fairnoise.errors import InputError
 
 
@@ -96,3 +99,61 @@ def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):
     if not math.isfinite(floor):
         raise InputError("no predictor on the value grid satisfies parity calibration")
     return floor
+
+
+def error(h, dist):
+    """Misclassification probability as one sum over atoms."""
+    pq = as_pq(h)
+    terms = []
+    for a in dist.atoms:
+        acc = pq.accept_prob(a.point, a.group, a.feature)
+        terms.append(a.mass * ((1.0 - acc) if a.label == 1 else acc))
+    return math.fsum(terms)
+
+
+def group_stats(h, dist):
+    """Per-group rates, each a sum over the group's atoms."""
+    pq = as_pq(h)
+    acc_of = {a.key: pq.accept_prob(a.point, a.group, a.feature) for a in dist.atoms}
+
+    rate, tpr, fpr, ppv, group_error = {}, {}, {}, {}, {}
+    err_terms = []
+    for g in dist.groups:
+        atoms = [a for a in dist.atoms if a.group == g]
+        r = math.fsum(a.mass for a in atoms)
+        pos = math.fsum(a.mass for a in atoms if a.label == 1)
+        neg = r - pos
+        acc_mass = math.fsum(a.mass * acc_of[a.key] for a in atoms)
+        acc_pos = math.fsum(a.mass * acc_of[a.key] for a in atoms if a.label == 1)
+        acc_neg = acc_mass - acc_pos
+        err = math.fsum(
+            a.mass * ((1.0 - acc_of[a.key]) if a.label == 1 else acc_of[a.key]) for a in atoms
+        )
+        rate[g] = acc_mass / r
+        tpr[g] = acc_pos / pos if pos > 0.0 else None
+        fpr[g] = acc_neg / neg if neg > 0.0 else None
+        ppv[g] = acc_pos / acc_mass if acc_mass > 0.0 else None
+        group_error[g] = err / r
+        err_terms.append(err)
+    return GroupStats(
+        rate=rate,
+        tpr=tpr,
+        fpr=fpr,
+        ppv=ppv,
+        group_error=group_error,
+        overall_error=math.fsum(err_terms),
+    )
+
+
+def corruption_masses(contamination, alpha, h, groups):
+    """(alpha_z, E_z, E_z+) of ``decompose_corruption``, as sums over the
+    contamination's atoms."""
+    pq = as_pq(h)
+    alpha_z, e_z, e_z_plus = {}, {}, {}
+    for g in groups:
+        atoms = [a for a in contamination.atoms if a.group == g]
+        accepted = [(a, a.mass * pq.accept_prob(a.point, g, a.feature)) for a in atoms]
+        alpha_z[g] = alpha * math.fsum(a.mass for a in atoms)
+        e_z[g] = alpha * math.fsum(m for _, m in accepted)
+        e_z_plus[g] = alpha * math.fsum(m for a, m in accepted if a.label == 1)
+    return alpha_z, e_z, e_z_plus

@@ -15,7 +15,6 @@ from fairnoise.calibration import (
     parity_calibration_check,
     predictive_parity_attack_certify,
     recalibrate_per_group,
-    threshold_error,
     value_shift,
 )
 from fairnoise.distributions import Atom, make_distribution, mix
@@ -118,11 +117,10 @@ class TestRecalibration:
 
 
 class TestErrorsAndShift:
-    def test_l1_and_threshold_error(self):
+    def test_l1_error(self):
         dist = make_distribution([Atom("x", 1, "A", 0.6), Atom("y", 0, "A", 0.4)])
         h = BinnedPredictor(assignment={"x": 0, "y": 1}, values={0: 0.9, 1: 0.2})
         assert_close(l1_error(h, dist), 0.6 * 0.1 + 0.4 * 0.2)
-        assert threshold_error(h, dist) == 0.0  # 0.9 -> 1, 0.2 -> 0
 
     def test_value_shift_requires_same_assignment(self):
         dist, predictor = two_bin_instance()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fairnoise.classifiers import (
     NOTIONS,
     BaseClassifier,
-    HypothesisClass,
     PQClassifier,
     as_pq,
     error,
@@ -100,17 +99,6 @@ class TestPQClassifier:
         assert as_pq(base).base == base
         pq = as_pq(base)
         assert as_pq(pq) is pq
-
-
-class TestHypothesisClass:
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            HypothesisClass(members=())
-
-    def test_optimum(self):
-        h = BaseClassifier.from_constant(1)
-        assert HypothesisClass((h,), designated_optimum=0).optimum == h
-        assert HypothesisClass((h,)).optimum is None
 
 
 class TestGroupStats:

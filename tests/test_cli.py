@@ -1,8 +1,11 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fairnoise import families
+from fairnoise import families, harness
 from fairnoise.cli import main
 
 
@@ -61,6 +64,10 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("flag", ("--grid", "--jobs"))
+    def test_zero_flag_is_bad_input(self, tmp_path, sweep_config, flag):
+        assert main(["run", "--config", str(sweep_config), "--out", str(tmp_path), flag, "0"]) == 2
 
     def test_fnl_out_env(self, tmp_path, sweep_config, monkeypatch):
         monkeypatch.setenv("FNL_OUT", str(tmp_path / "envout"))
@@ -138,12 +145,19 @@ class TestCertify:
     def test_grid_above_cap_is_bad_input(self):
         assert main(["certify", "--notion", "eopp", "--alpha", "0.04", "--grid", "5001"]) == 2
 
+    @pytest.mark.parametrize("notion, grid", [("eopp", "0"), ("parity_calibration", "1")])
+    def test_grid_below_floor_is_bad_input(self, notion, grid):
+        assert main(["certify", "--notion", notion, "--alpha", "0.1", "--grid", grid]) == 2
+
 
 class TestMinimaxAndReport:
     def test_minimax_prints_json(self, capsys):
         assert main(["minimax", "--alpha", "0.1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_group_error"] >= 0.45
+
+    def test_minimax_zero_grid_is_bad_input(self):
+        assert main(["minimax", "--alpha", "0.1", "--grid", "0"]) == 2
 
     def test_report_rerenders(self, tmp_path, sweep_config):
         out = tmp_path / "out"
@@ -163,3 +177,105 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed configs: one field of a valid config swapped for a value of
+# another JSON type must exit 2 (or still succeed), never raise.
+# ---------------------------------------------------------------------------
+
+
+def _valid_configs() -> dict:
+    eodds, dp = families.eodds_duplicate(0.1, r_b=0.09), families.dp_worked(0.1)
+    run = {
+        "family": "dp_worked",
+        "notion": "dp",
+        "alphas": [0.01, 0.02, 0.04],
+        "grid_n": 11,
+        "seed": 7,
+        "jobs": 1,
+        "family_params": {},
+    }
+    sweep = harness.run_sweep(harness.ExperimentConfig.from_json_dict(run))
+    return {
+        "run": run,
+        "attack": {
+            "kind": "duplicate_flip",
+            "alpha": 0.1,
+            "target_group": "B",
+            "dist": eodds.dist.to_json_dict(),
+        },
+        "repair": {
+            "notion": "dp",
+            "alpha": 0.1,
+            "dist": dp.dist.to_json_dict(),
+            "corrupted": dp.corrupted.to_json_dict(),
+            "h_star": {"base": dp.h_star.to_json_dict(), "params": {"A": {"p": 0.0, "q": 0.0}}},
+        },
+        "report": json.loads(harness.report_json(sweep)),
+    }
+
+
+VALID = _valid_configs()
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _json_type(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def _swap(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_type_swapped_field_exits_two(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(VALID)))
+    doc = VALID[command]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    old_type = _json_type(_lookup(doc, path))
+    value = data.draw(json_values.filter(lambda v: _json_type(v) != old_type))
+    cfg = write_config(tmp_path, _swap(doc, path, value))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("run", ("family_params",), []),
+        ("repair", ("h_star", "base", "table"), [1, 2]),
+        ("repair", ("h_star", "params"), []),
+        ("run", ("alphas", 0), 10**400),
+    ],
+    ids=("family_params-list", "table-list", "params-list", "alpha-overflows-float"),
+)
+def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):
+    cfg = write_config(tmp_path, _swap(VALID[command], path, value))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from fairnoise.distributions import (
     Atom,
     Distribution,
-    conditional,
-    group_profile,
     make_distribution,
     mix,
     tv_distance,
@@ -100,30 +98,6 @@ class TestAccessors:
 
     def test_json_bytes_deterministic(self):
         assert simple_dist().to_json() == simple_dist().to_json()
-
-
-class TestGroupProfile:
-    def test_profile_values(self):
-        p = group_profile(simple_dist())
-        assert_close(p.r["A"], 0.5)
-        assert_close(p.r_plus["A"], 0.25)
-        assert p.c_bound == 2
-
-    def test_no_positives_reports_inf_not_error(self):
-        d = make_distribution([Atom("x", 0, "A", 0.5), Atom("y", 1, "B", 0.5)])
-        assert group_profile(d).c_bound == math.inf
-
-
-class TestConditional:
-    def test_conditional_renormalizes(self):
-        c = conditional(simple_dist(), "A")
-        assert_close(c.total_mass(), 1.0)
-        assert c.groups == ("A",)
-        assert_close(c.mass("a1", 1, "A"), 0.5)
-
-    def test_unknown_group(self):
-        with pytest.raises(InputError):
-            conditional(simple_dist(), "Z")
 
 
 class TestMixAndTV:

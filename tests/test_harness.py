@@ -45,6 +45,11 @@ class TestExperimentConfig:
             with pytest.raises(InputError):
                 config(family=family, notion=notion)
 
+    @pytest.mark.parametrize("grid_n", (0, 10, 1002))
+    def test_rejects_grid_outside_search_bounds(self, grid_n):
+        with pytest.raises(InputError):
+            config(grid_n=grid_n)
+
     def test_json_round_trip_and_hash(self):
         c = config()
         restored = harness.ExperimentConfig.from_json_dict(c.to_json_dict())
@@ -157,6 +162,14 @@ class TestCertify:
     def test_unknown_notion(self):
         with pytest.raises(InputError):
             harness.certify_lower_bound("dp", 0.1)
+
+    @pytest.mark.parametrize("notion", harness.CERT_NOTIONS)
+    @pytest.mark.parametrize("grid_n", (1, 10, 1002))
+    def test_rejects_grid_outside_search_bounds(self, notion, grid_n):
+        # parity_calibration never builds a grid, so only this check stops a
+        # vacuous pass at slack 2 / grid_n
+        with pytest.raises(InputError, match="grid_n"):
+            harness.certify_lower_bound(notion, 0.1, grid_n=grid_n)
 
 
 class TestMinimax:

@@ -1,6 +1,6 @@
 """The pruned exhaustive searches return exactly what the reference
 implementations in ``oracles`` return: same totals, same winning indices,
-same errors."""
+same errors. The mass-table statistics match the atom sums up to rounding."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from fairnoise import families, repair
+from fairnoise.attacks import decompose_corruption
 from fairnoise.calibration import parity_calibration_attack_certify
+from fairnoise.classifiers import PQClassifier, error, group_stats, mass_table
+from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InputError
-from fairnoise.repair import _group_grid, option_grid, pair_min_1d, pair_min_2d
+from fairnoise.repair import _grid_options, option_grid, pair_min_1d, pair_min_2d
 
 QUANTA = (10, 21, 41, 201)
 
@@ -34,6 +37,14 @@ def pair_cases(draw, dims: int, max_size: int = 40):
     return stats_a, err_a, stats_b, err_b, tol
 
 
+def grid_options(inst, notion, grid_n):
+    """Both groups' (statistics, clean error) option arrays, as best_response
+    builds them."""
+    uu, vv = option_grid(grid_n)
+    dirty, clean = mass_table(inst.h_star, inst.corrupted), mass_table(inst.h_star, inst.dist)
+    return [_grid_options(g, dirty[g], clean[g], notion, uu, vv) for g in inst.dist.groups]
+
+
 class TestPairMin1d:
     @settings(max_examples=300, deadline=None)
     @given(pair_cases(dims=1))
@@ -51,12 +62,8 @@ class TestPairMin1d:
     @pytest.mark.parametrize("alpha", (0.0025, 0.04, 0.09))
     def test_matches_reference_on_needle_grids(self, alpha):
         inst, _ = families.eopp_needle(alpha)
-        uu, vv = option_grid(101)
-        ga, gb = (
-            _group_grid(inst.h_star, g, inst.corrupted, inst.dist, "eopp", uu, vv)
-            for g in inst.dist.groups
-        )
-        args = (ga.stats[0], ga.err_on_clean, gb.stats[0], gb.err_on_clean, 2.0 / 101)
+        ((sa,), ea), ((sb,), eb) = grid_options(inst, "eopp", 101)
+        args = (sa, ea, sb, eb, 2.0 / 101)
         assert pair_min_1d(*args) == oracles.pair_min_1d(*args)
 
 
@@ -81,13 +88,69 @@ class TestPairMin2d:
     @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
     def test_matches_reference_on_duplication_grids(self, alpha):
         inst = families.eodds_duplicate(alpha, r_b=0.9 * alpha)
-        uu, vv = option_grid(41)
-        ga, gb = (
-            _group_grid(inst.h_star, g, inst.corrupted, inst.dist, "eodds", uu, vv)
-            for g in inst.dist.groups
-        )
-        args = (ga.stats, ga.err_on_clean, gb.stats, gb.err_on_clean, 2.0 / 41)
+        (stats_a, ea), (stats_b, eb) = grid_options(inst, "eodds", 41)
+        args = (stats_a, ea, stats_b, eb, 2.0 / 41)
         assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+class TestMassTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((families.random_dp_instance, families.random_eopp_instance)),
+        unit,
+        st.tuples(unit, unit, unit, unit),
+    )
+    def test_statistics_match_atom_sums(self, seed, generate, alpha, pq):
+        rng = np.random.default_rng(seed)
+        dist, h = generate(rng, max_atoms=16)
+        q = families.random_contamination(rng, dist)
+        corrupted = mix(dist, q, alpha)
+        h = PQClassifier(h, {"A": pq[:2], "B": pq[2:]})
+        table_d, table_q, table_mix = (mass_table(h, x) for x in (dist, q, corrupted))
+        for g in dist.groups:
+            for m, md, mq in zip(table_mix[g], table_d[g], table_q[g]):
+                assert abs(m - ((1.0 - alpha) * md + alpha * mq)) <= EQ_TOL
+
+        for d in (dist, corrupted):
+            got, want = (_stats_or_error(stats, h, d) for stats in (group_stats, oracles.group_stats))
+            if want is ZeroDivisionError:
+                # at alpha = 1 a group the contamination misses has no mass
+                assert got is ZeroDivisionError
+                return
+            for g in d.groups:
+                # Rates are mass ratios and fpr's numerator is a difference, so
+                # a rounding-level change in a mass moves a rate by that change
+                # over the denominator: compare the masses.
+                r, pos = d.group_mass(g), d.positive_mass(g)
+                denominator = {
+                    "rate": r, "tpr": pos, "fpr": r - pos, "ppv": want.rate[g] * r, "group_error": r,
+                }
+                for name, mass in denominator.items():
+                    value, expected = getattr(got, name)[g], getattr(want, name)[g]
+                    assert (value is None) == (expected is None), (name, g)
+                    if expected is not None:
+                        assert abs(value - expected) * mass <= 1e-12, (name, g, value, expected)
+            assert abs(got.overall_error - want.overall_error) <= 1e-12
+            assert abs(error(h, d) - oracles.error(h, d)) <= 1e-12
+
+        decomposition = decompose_corruption(dist, q, alpha, h)
+        expected = oracles.corruption_masses(q, alpha, h, dist.groups)
+        for masses, reference in zip(
+            (decomposition.alpha_z, decomposition.e_z, decomposition.e_z_plus), expected
+        ):
+            for g in dist.groups:
+                assert abs(masses[g] - reference[g]) <= 1e-12
+
+
+def _stats_or_error(stats, h, dist):
+    try:
+        return stats(h, dist)
+    except ZeroDivisionError:
+        return ZeroDivisionError
 
 
 def _outcome(certify, *args):
