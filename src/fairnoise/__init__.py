@@ -22,7 +22,6 @@ from .calibration import (
     BinnedPredictor,
     calibration_report,
     parity_calibration_check,
-    predictive_parity_attack_certify,
     recalibrate_per_group,
 )
 from .harness import (
@@ -32,6 +31,7 @@ from .harness import (
     certify_lower_bound,
     fit_loglog,
     minimax_demo,
+    predictive_parity_attack_certify,
     run_sweep,
     write_report,
 )

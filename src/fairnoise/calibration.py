@@ -1,5 +1,5 @@
 """Binned real-valued predictors, group-wise calibration error, per-group
-recalibration, and the calibration-flavored attack certifiers."""
+recalibration, and the parity-calibration check."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from .attacks import duplicate_flip_attack
-from .classifiers import GAP_TOL, BaseClassifier, error_terms, mass_table
-from .distributions import Atom, Distribution, make_distribution
+from .classifiers import GAP_TOL
+from .distributions import Distribution
 from .errors import InputError
-from .repair import option_grid, pair_min_1d
 
 
 @dataclass(frozen=True)
@@ -197,129 +193,3 @@ def parity_calibration_check(
         occ = [report.occupancy.get((g, b), 0.0) for g in dist.groups]
         gap = max(gap, max(occ) - min(occ))
     return is_calibrated, gap
-
-
-# ---------------------------------------------------------------------------
-# Attack certifiers
-# ---------------------------------------------------------------------------
-
-
-def balanced_instance(r_b: float) -> tuple[Distribution, BaseClassifier]:
-    """Two groups, each half positive, the small one of mass r_b, and the
-    perfect base classifier."""
-    if not 0.0 < r_b < 1.0:
-        raise InputError("r_b must lie in (0, 1)")
-    r_a = 1.0 - r_b
-    dist = make_distribution(
-        [
-            Atom("aP", 1, "A", r_a / 2.0),
-            Atom("aN", 0, "A", r_a / 2.0),
-            Atom("bP", 1, "B", r_b / 2.0),
-            Atom("bN", 0, "B", r_b / 2.0),
-        ]
-    )
-    return dist, BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0})
-
-
-def duplication_instance(
-    alpha: float, r_b: float
-) -> tuple[Distribution, Distribution, dict[str, int]]:
-    """The balanced instance with the small group's labels washed out by
-    duplicate-flip; returns (clean, corrupted, perfect-table)."""
-    dist, h = balanced_instance(r_b)
-    _, corrupted = duplicate_flip_attack(dist, "B", alpha)
-    return dist, corrupted, dict(h.table or {})
-
-
-def predictive_parity_attack_certify(
-    alpha: float, r_b: float | None = None, grid_n: int = 41
-) -> float:
-    """Minimum error on the clean distribution over randomized acceptance
-    grids constrained to equal precision across groups.
-
-    On the duplication instance the small group's precision is pinned at
-    one half, so matching it forces near-coin-flip behavior on the large
-    group. When the budget cannot wash the small group out, the corruption
-    degrades to identity and the floor collapses toward zero.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
-    if r_b is None:
-        r_b = 0.9 * alpha
-    dist, h = balanced_instance(r_b)
-    try:
-        _, corrupted = duplicate_flip_attack(dist, "B", alpha)
-    except InputError:
-        corrupted = dist  # no-attack control: budget cannot wash the group out
-
-    dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
-    uu, vv = option_grid(grid_n)
-    tol = 2.0 / grid_n
-
-    def group_arrays(group: str):
-        c1p, c1n, c0p, c0n = dirty[group]
-        accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
-        accepted_pos = uu * c1p + vv * c0p
-        valid = accepted > 0.0  # precision requires some positive predictions
-        ppv = np.where(valid, accepted_pos / np.where(valid, accepted, 1.0), np.nan)
-        err = sum(error_terms(clean[group], uu, vv))
-        return ppv[valid], err[valid]
-
-    ppv_a, err_a = group_arrays("A")
-    ppv_b, err_b = group_arrays("B")
-    found = pair_min_1d(ppv_a, err_a, ppv_b, err_b, tol)
-    if found is None:
-        raise InputError("no grid point satisfies predictive parity; grid too coarse")
-    return found[0]
-
-
-def parity_calibration_attack_certify(
-    alpha: float, r_b: float | None = None, value_grid_n: int = 11
-) -> float:
-    """Minimum clean L1 error over binned predictors that satisfy parity
-    calibration on the duplication instance within 1e-9.
-
-    Exhaustive over every assignment of the four support points to values on
-    a uniform grid (value doubles as bin identity). One array pass over the
-    (assignment, group, bin) cell masses keeps the assignments calibrated and
-    occupancy-equal within a loose 1e-6, a superset of those passing at 1e-9;
-    the exact :func:`parity_calibration_check` then decides each survivor.
-    Washed-out labels force the small group into a one-half bin; parity then
-    drags the large group into it too.
-    """
-    if r_b is None:
-        r_b = 0.9 * alpha
-    dist, corrupted, _ = duplication_instance(alpha, r_b)
-    points = sorted({a.point for a in dist.atoms})
-    values = np.linspace(0.0, 1.0, value_grid_n)
-
-    groups = corrupted.groups
-    mass = np.zeros((len(points), len(groups)))
-    pos = np.zeros_like(mass)
-    for a in corrupted.atoms:
-        k, g = points.index(a.point), groups.index(a.group)
-        mass[k, g] += a.mass
-        pos[k, g] += a.mass * a.label
-    shape = (len(values),) * len(points)
-    bins = np.indices(shape).reshape(len(points), math.prod(shape))
-    onehot = bins[:, :, None] == np.arange(len(values))  # (point, assignment, bin)
-    cell = np.einsum("pnb,pg->ngb", onehot, mass)
-    cell_pos = np.einsum("pnb,pg->ngb", onehot, pos)
-    near_calibrated = (np.abs(values * cell - cell_pos) <= 1e-6 * cell).all(axis=(1, 2))
-    occupancy = cell / np.array([corrupted.group_mass(g) for g in groups])[:, None]
-    near_equal = (occupancy.max(axis=1) - occupancy.min(axis=1) <= 1e-6).all(axis=1)
-    survivors = np.flatnonzero(near_calibrated & near_equal)
-
-    floor = math.inf
-    for n in survivors:
-        assigned = bins[:, n]
-        predictor = BinnedPredictor(
-            assignment={p: int(b) for p, b in zip(points, assigned)},
-            values={int(b): float(values[b]) for b in assigned},
-        )
-        calibrated, occupancy_gap = parity_calibration_check(predictor, corrupted)
-        if calibrated and occupancy_gap <= GAP_TOL:
-            floor = min(floor, l1_error(predictor, dist))
-    if not math.isfinite(floor):
-        raise InputError("no predictor on the value grid satisfies parity calibration")
-    return floor

@@ -221,8 +221,10 @@ def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupSt
         m1p, m1n, m0p, m0n = cells
         u, v = pq.uv(g)
         r = math.fsum(cells)
+        if r <= 0.0:
+            raise InputError(f"group {g!r} has no mass")
         pos = math.fsum((m1p, m0p))
-        neg = r - pos
+        neg = math.fsum((m1n, m0n))
         acc_mass = math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
         acc_pos = math.fsum((u * m1p, v * m0p))
         acc_neg = acc_mass - acc_pos

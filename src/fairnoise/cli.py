@@ -24,6 +24,17 @@ from .errors import ContractError, FairnoiseError, InfeasibleError, InputError
 from .repair import dp_repair, eopp_repair
 
 
+#: Subcommand -> the flags it reads; argparse rejects any other.
+_FLAGS = {
+    "run": ("config", "alpha", "notion", "grid", "seed", "jobs", "out", "format"),
+    "attack": ("config", "alpha", "notion", "out"),
+    "repair": ("config", "alpha", "notion", "out"),
+    "certify": ("alpha", "notion", "grid"),
+    "minimax": ("alpha", "grid", "config"),
+    "report": ("config", "out", "format"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairnoise",
@@ -31,24 +42,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact attacks, repairs, and regime certification on finite supports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="JSON config path")
-        p.add_argument("--alpha", type=float, action="append", help="corruption budget (repeatable)")
-        p.add_argument("--notion", type=str, help="fairness notion")
-        p.add_argument("--grid", type=int, help="grid resolution for the randomized search")
-        p.add_argument("--seed", type=int, help="RNG seed / provenance tag")
-        p.add_argument("--jobs", type=int, help="max concurrent sweep points")
-        p.add_argument("--out", type=Path, help="output directory (default $FNL_OUT or ./out)")
-        p.add_argument(
-            "--format",
-            action="append",
-            choices=("json", "csv", "svg"),
-            help="report format (repeatable; default json+csv)",
-        )
-
-    for name in ("run", "attack", "repair", "certify", "minimax", "report"):
-        common(sub.add_parser(name))
+    flags = {
+        "config": dict(type=Path, help="JSON config path"),
+        "alpha": dict(type=float, action="append", help="corruption budget (repeatable)"),
+        "notion": dict(type=str, help="fairness notion"),
+        "grid": dict(type=int, help="grid resolution for the randomized search"),
+        "seed": dict(type=int, help="RNG seed / provenance tag"),
+        "jobs": dict(type=int, help="max concurrent sweep points"),
+        "out": dict(type=Path, help="output directory (default $FNL_OUT or ./out)"),
+        "format": dict(action="append", choices=("json", "csv", "svg"),
+                       help="report format (repeatable; default json+csv)"),
+    }
+    for name, read in _FLAGS.items():
+        p = sub.add_parser(name)
+        for flag in read:
+            p.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 
@@ -98,16 +106,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     doc = _load_config(args)
-    dist = Distribution.from_json_dict(doc["dist"])
     kind = doc.get("kind") or (args.notion or "")
     alpha = args.alpha[0] if args.alpha else float(doc.get("alpha", 0.1))
     target = doc.get("target_group")
     if kind == "duplicate_flip":
+        dist = Distribution.from_json_dict(doc["dist"])
         q, corrupted = attacks.duplicate_flip_attack(dist, str(target), alpha)
     elif kind == "needle_eopp":
         needle = attacks.needle_eopp_attack(alpha)
         q, corrupted = needle.contamination, needle.corrupted
     elif kind == "tpr_shift":
+        dist = Distribution.from_json_dict(doc["dist"])
         h = BaseClassifier.from_json_dict(doc["h_star"])
         q, corrupted = attacks.tpr_shift_attack(
             dist, h, str(target), alpha, doc.get("direction", "raise")
@@ -133,6 +142,10 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         PQClassifier.from_json_dict(h_doc) if "base" in h_doc else BaseClassifier.from_json_dict(h_doc)
     )
     alpha = args.alpha[0] if args.alpha else doc.get("alpha")
+    if alpha is not None:
+        alpha = float(alpha)
+        if not 0.0 <= alpha <= 1.0:
+            raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
     if notion == "dp":
         witness = dp_repair(h_star, dist, corrupted, alpha=alpha)
     elif notion == "eopp":

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import NeedleInstance, duplicate_flip_attack, needle_eopp_attack
-from .calibration import BinnedPredictor, balanced_instance
+from .attacks import duplicate_flip_attack, needle_eopp_attack
+from .calibration import BinnedPredictor
 from .classifiers import BaseClassifier
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError
@@ -50,23 +50,33 @@ def dp_worked(alpha: float) -> Instance:
     return Instance(dist, contamination, mix(dist, contamination, alpha), h_star, alpha)
 
 
-def eopp_needle(alpha: float) -> tuple[Instance, NeedleInstance]:
+def eopp_needle(alpha: float) -> Instance:
     """The four-point square-root-group construction with its perfect base."""
     needle = needle_eopp_attack(alpha)
     h_star = BaseClassifier.from_table({"x1": 1, "x2": 0, "x3": 1, "x4": 0})
-    inst = Instance(needle.dist, needle.contamination, needle.corrupted, h_star, alpha)
-    return inst, needle
+    return Instance(needle.dist, needle.contamination, needle.corrupted, h_star, alpha)
 
 
-def eodds_duplicate(alpha: float, r_b: float | None = None) -> Instance:
-    """Balanced two-group instance with group B's labels washed out.
+def balanced_instance(r_b: float) -> tuple[Distribution, BaseClassifier]:
+    """Two groups, each half positive, the small one of mass r_b, and the
+    perfect base classifier."""
+    if not 0.0 < r_b < 1.0:
+        raise InputError("r_b must lie in (0, 1)")
+    r_a = 1.0 - r_b
+    dist = make_distribution(
+        [
+            Atom("aP", 1, "A", r_a / 2.0),
+            Atom("aN", 0, "A", r_a / 2.0),
+            Atom("bP", 1, "B", r_b / 2.0),
+            Atom("bN", 0, "B", r_b / 2.0),
+        ]
+    )
+    return dist, BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0})
 
-    The sweep family fixes r_b = 0.045 (valid for every alpha >= 0.05) so
-    the forced error floor is genuinely flat across the sweep; callers
-    certifying a single alpha can pass r_b explicitly (e.g. 0.9 * alpha).
-    """
-    if r_b is None:
-        r_b = 0.045
+
+def eodds_duplicate(alpha: float, r_b: float) -> Instance:
+    """The balanced instance with group B's labels washed out by
+    duplicate-flip, which needs alpha >= r_b / (1 + r_b)."""
     dist, h_star = balanced_instance(r_b)
     contamination, corrupted = duplicate_flip_attack(dist, "B", alpha)
     return Instance(dist, contamination, corrupted, h_star, alpha)

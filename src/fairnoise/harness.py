@@ -18,10 +18,10 @@ import numpy as np
 from . import families
 from .attacks import AttackSpec, duplicate_flip_attack
 from .calibration import (
-    balanced_instance,
+    BinnedPredictor,
     calibration_report,
-    parity_calibration_attack_certify,
-    predictive_parity_attack_certify,
+    l1_error,
+    parity_calibration_check,
     recalibrate_per_group,
     value_shift,
 )
@@ -29,12 +29,16 @@ from .classifiers import GAP_TOL, error, error_terms, mass_table
 from .errors import ContractError, InputError
 from .repair import MAX_GRID_N, best_response, dp_repair, eopp_repair, option_grid
 
-#: Sweep family -> the one notion it sweeps.
+#: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
+#: family_params). The families function of the same name builds each
+#: instance; calibration_drift has a sweep point of its own. The eodds
+#: family's r_b = 0.045 suits every alpha >= 0.05, so the forced error floor
+#: is flat across the sweep.
 SWEEP_FAMILIES = {
-    "dp_worked": "dp",
-    "eopp_needle": "eopp",
-    "eodds_duplicate": "eodds",
-    "calibration_drift": "calibration",
+    "dp_worked": ("dp", "tpr_shift", {}),
+    "eopp_needle": ("eopp", "needle_eopp", {}),
+    "eodds_duplicate": ("eodds", "duplicate_flip", {"r_b": 0.045}),
+    "calibration_drift": ("calibration", None, {}),
 }
 
 #: smallest beta still considered "bounded away from zero" for a constant verdict
@@ -61,11 +65,9 @@ class ExperimentConfig:
             )
         if not self.alphas:
             raise InputError("alpha grid is empty")
-        if self.notion != SWEEP_FAMILIES[self.family]:
-            raise InputError(
-                f"family {self.family!r} sweeps notion {SWEEP_FAMILIES[self.family]!r}, "
-                f"got {self.notion!r}"
-            )
+        notion = SWEEP_FAMILIES[self.family][0]
+        if self.notion != notion:
+            raise InputError(f"family {self.family!r} sweeps notion {notion!r}, got {self.notion!r}")
         if any(a >= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise InputError("alpha grid must be strictly increasing")
         for a in self.alphas:
@@ -222,43 +224,20 @@ def regime_verdict(slope: float, betas: Sequence[float]) -> str:
 
 
 def _sweep_point(config: ExperimentConfig, alpha: float) -> SweepPoint:
-    grid_n = config.grid_n
-    slack = 2.0 / grid_n + 1e-9
-
-    if config.family == "dp_worked":
-        inst = families.dp_worked(alpha)
-        witness = dp_repair(inst.h_star, inst.dist, inst.corrupted, alpha=alpha)
-        opt = error(inst.h_star, inst.dist)
-        oracle = best_response(
-            inst.corrupted, inst.dist, [inst.h_star], "dp",
-            grid_n=grid_n, reference_error=opt, alpha=alpha,
-        )
-        attack = AttackSpec(kind="tpr_shift", alpha=alpha, target_group="B")
-    elif config.family == "eopp_needle":
-        inst, _ = families.eopp_needle(alpha)
-        witness = eopp_repair(inst.h_star, inst.dist, inst.corrupted, alpha=alpha)
-        opt = error(inst.h_star, inst.dist)
-        oracle = best_response(
-            inst.corrupted, inst.dist, [inst.h_star], "eopp",
-            grid_n=grid_n, reference_error=opt, alpha=alpha,
-        )
-        attack = AttackSpec(kind="needle_eopp", alpha=alpha, target_group="B")
-    elif config.family == "eodds_duplicate":
-        r_b = config.family_params.get("r_b", 0.045)
-        inst = families.eodds_duplicate(alpha, r_b=r_b)
-        opt = error(inst.h_star, inst.dist)
-        oracle = best_response(
-            inst.corrupted, inst.dist, [inst.h_star], "eodds",
-            grid_n=grid_n, reference_error=opt, alpha=alpha,
-        )
-        witness = oracle  # no analytic repair exists in the constant regime
-        attack = AttackSpec(
-            kind="duplicate_flip", alpha=alpha, target_group="B", parameters={"r_b": r_b}
-        )
-    elif config.family == "calibration_drift":
+    if config.family == "calibration_drift":
         return _calibration_sweep_point(alpha)
-    else:  # pragma: no cover - config validation rules this out
-        raise InputError(f"unknown family {config.family!r}")
+    notion, kind, defaults = SWEEP_FAMILIES[config.family]
+    params = {k: config.family_params.get(k, v) for k, v in defaults.items()}
+    inst = getattr(families, config.family)(alpha, **params)
+    slack = 2.0 / config.grid_n + 1e-9
+    oracle = best_response(
+        inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=config.grid_n,
+        reference_error=error(inst.h_star, inst.dist), alpha=alpha,
+    )
+    # no analytic repair exists in the constant regime: the oracle is the witness
+    analytic = {"dp": dp_repair, "eopp": eopp_repair}.get(notion)
+    witness = analytic(inst.h_star, inst.dist, inst.corrupted, alpha=alpha) if analytic else oracle
+    attack = AttackSpec(kind=kind, alpha=alpha, target_group="B", parameters=params)
 
     # Analytic witnesses are exact; the grid best response (used as the
     # "witness" in the constant regime) only promises the grid tolerance.
@@ -334,7 +313,105 @@ def run_sweep(config: ExperimentConfig) -> RobustnessReport:
 # Lower-bound certification
 # ---------------------------------------------------------------------------
 
-CERT_NOTIONS = ("eopp", "eodds", "predictive_parity", "parity_calibration")
+def _r_b(alpha: float, r_b: float | None = None) -> float:
+    """Group B's mass in the certifier's duplication instances: 0.9 alpha
+    unless given, so the budget washes the group out."""
+    return 0.9 * alpha if r_b is None else r_b
+
+
+def _learner_floor(inst: families.Instance, notion: str, grid_n: int) -> float:
+    """The clean error of the learner's grid best response on the instance."""
+    return best_response(
+        inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=grid_n
+    ).error_on_original
+
+
+def predictive_parity_attack_certify(
+    alpha: float, r_b: float | None = None, grid_n: int = 41
+) -> float:
+    """The learner's minimum clean error under predictive parity on the
+    duplication instance.
+
+    The small group's precision is pinned at one half, so matching it forces
+    near-coin-flip behavior on the large group. When the budget cannot wash
+    the small group out, the corruption degrades to identity and the floor
+    collapses toward zero.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InputError("alpha must lie in (0, 1)")
+    dist, h = families.balanced_instance(_r_b(alpha, r_b))
+    try:
+        _, corrupted = duplicate_flip_attack(dist, "B", alpha)
+    except InputError:
+        corrupted = dist  # no-attack control: budget cannot wash the group out
+    return best_response(corrupted, dist, [h], "predictive_parity", grid_n=grid_n).error_on_original
+
+
+def parity_calibration_attack_certify(
+    alpha: float, r_b: float | None = None, value_grid_n: int = 11
+) -> float:
+    """Minimum clean L1 error over binned predictors that satisfy parity
+    calibration on the duplication instance within 1e-9.
+
+    Exhaustive over every assignment of the four support points to values on
+    a uniform grid (value doubles as bin identity). One array pass over the
+    (assignment, group, bin) cell masses keeps the assignments calibrated and
+    occupancy-equal within a loose 1e-6, a superset of those passing at 1e-9;
+    the exact :func:`parity_calibration_check` then decides each survivor.
+    Washed-out labels force the small group into a one-half bin; parity then
+    drags the large group into it too.
+    """
+    inst = families.eodds_duplicate(alpha, _r_b(alpha, r_b))
+    dist, corrupted = inst.dist, inst.corrupted
+    points = sorted({a.point for a in dist.atoms})
+    values = np.linspace(0.0, 1.0, value_grid_n)
+
+    groups = corrupted.groups
+    mass = np.zeros((len(points), len(groups)))
+    pos = np.zeros_like(mass)
+    for a in corrupted.atoms:
+        k, g = points.index(a.point), groups.index(a.group)
+        mass[k, g] += a.mass
+        pos[k, g] += a.mass * a.label
+    shape = (len(values),) * len(points)
+    bins = np.indices(shape).reshape(len(points), math.prod(shape))
+    onehot = bins[:, :, None] == np.arange(len(values))  # (point, assignment, bin)
+    cell = np.einsum("pnb,pg->ngb", onehot, mass)
+    cell_pos = np.einsum("pnb,pg->ngb", onehot, pos)
+    near_calibrated = (np.abs(values * cell - cell_pos) <= 1e-6 * cell).all(axis=(1, 2))
+    occupancy = cell / np.array([corrupted.group_mass(g) for g in groups])[:, None]
+    near_equal = (occupancy.max(axis=1) - occupancy.min(axis=1) <= 1e-6).all(axis=1)
+    survivors = np.flatnonzero(near_calibrated & near_equal)
+
+    floor = math.inf
+    for n in survivors:
+        assigned = bins[:, n]
+        predictor = BinnedPredictor(
+            assignment={p: int(b) for p, b in zip(points, assigned)},
+            values={int(b): float(values[b]) for b in assigned},
+        )
+        calibrated, occupancy_gap = parity_calibration_check(predictor, corrupted)
+        if calibrated and occupancy_gap <= GAP_TOL:
+            floor = min(floor, l1_error(predictor, dist))
+    if not math.isfinite(floor):
+        raise InputError("no predictor on the value grid satisfies parity calibration")
+    return floor
+
+
+#: Certified notion -> (the learner's floor at (alpha, grid_n), claimed floor at alpha).
+_CERTIFY = {
+    "eopp": (
+        lambda a, n: _learner_floor(families.eopp_needle(a), "eopp", n),
+        lambda a: math.sqrt(a) / 2.0,
+    ),
+    "eodds": (
+        lambda a, n: _learner_floor(families.eodds_duplicate(a, _r_b(a)), "eodds", n),
+        lambda a: (1.0 - a) * (1.0 - _r_b(a)) / 2.0,
+    ),
+    "predictive_parity": (lambda a, n: predictive_parity_attack_certify(a, grid_n=n), lambda a: 0.2),
+    "parity_calibration": (lambda a, n: parity_calibration_attack_certify(a), lambda a: 0.2),
+}
+CERT_NOTIONS = tuple(_CERTIFY)
 
 
 def certify_lower_bound(
@@ -348,34 +425,15 @@ def certify_lower_bound(
     Parity Calibration -> the fixed 0.2 floor.
     """
     notion = notion.lower()
-    if notion not in CERT_NOTIONS:
+    if notion not in _CERTIFY:
         raise InputError(f"certify_lower_bound supports {CERT_NOTIONS}, got {notion!r}")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     if not 11 <= grid_n <= MAX_GRID_N:
         raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {grid_n}")
-    slack = 2.0 / grid_n
-
-    if notion == "eopp":
-        inst, _ = families.eopp_needle(alpha)
-        floor = best_response(
-            inst.corrupted, inst.dist, [inst.h_star], "eopp", grid_n=grid_n
-        ).error_on_original
-        claimed = math.sqrt(alpha) / 2.0
-    elif notion == "eodds":
-        r_b = 0.9 * alpha
-        inst = families.eodds_duplicate(alpha, r_b=r_b)
-        floor = best_response(
-            inst.corrupted, inst.dist, [inst.h_star], "eodds", grid_n=grid_n
-        ).error_on_original
-        claimed = (1.0 - alpha) * (1.0 - r_b) / 2.0
-    elif notion == "predictive_parity":
-        floor = predictive_parity_attack_certify(alpha, grid_n=grid_n)
-        claimed = 0.2
-    else:
-        floor = parity_calibration_attack_certify(alpha)
-        claimed = 0.2
-    return floor, claimed, floor >= claimed - slack
+    learner_floor, claim = _CERTIFY[notion]
+    floor, claimed = learner_floor(alpha, grid_n), claim(alpha)
+    return floor, claimed, floor >= claimed - 2.0 / grid_n
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +454,7 @@ def minimax_demo(
     """
     if not 0.0 <= alpha < 1.0:
         raise InputError("alpha must lie in [0, 1)")
-    if r_b is None:
-        r_b = 0.9 * alpha if alpha > 0.0 else 0.1
-    dist, h = balanced_instance(r_b)
+    dist, h = families.balanced_instance(_r_b(alpha, r_b) if alpha > 0.0 or r_b is not None else 0.1)
     corrupted = duplicate_flip_attack(dist, "B", alpha)[1] if alpha > 0.0 else dist
 
     uu, vv = option_grid(grid_n)

@@ -73,6 +73,42 @@ def _match_params(current: float, target: float) -> tuple[float, float]:
     return (min(max(p, 0.0), 1.0), 0.0)
 
 
+def _match_candidates(
+    h_star: BaseClassifier | PQClassifier, dist: Distribution, corrupted: Distribution,
+    notion: str, current: dict[str, float], candidates: Sequence[tuple[str, dict[str, float]]],
+    alpha: float | None,
+) -> RepairWitness:
+    """The rate-matching loop of both repairs. Per (label, per-group target)
+    candidate, move each group's corrupted statistic from ``current`` to its
+    target; keep the candidate cheapest on the clean distribution, the first
+    one on ties."""
+    reference = error(h_star, dist)
+    best: RepairWitness | None = None
+    for label, target in candidates:
+        params = {g: _match_params(current[g], target[g]) for g in dist.groups}
+        repaired = PQClassifier(base=as_pq(h_star).base, params=_compose(h_star, params))
+        gap = fairness_gap(group_stats(repaired, corrupted), notion)
+        if gap > GAP_TOL:
+            who = f"{notion} repair" if label == "direct" else f"{notion} candidate {label}"
+            raise ContractError(f"{who} failed its gap contract: {gap:.3e}")
+        err = error(repaired, dist)
+        if best is None or err < best.error_on_original:
+            best = RepairWitness(repaired, notion, gap, err, err - reference, label, alpha)
+    assert best is not None
+    return best
+
+
+def _realizable(h_star: BaseClassifier | PQClassifier, dist: Distribution, notion: str, name: str):
+    """The base's clean group statistics, once its fairness gap is checked."""
+    clean = group_stats(h_star, dist)
+    gap = fairness_gap(clean, notion)
+    if gap > GAP_TOL:
+        raise InputError(
+            f"realizability violated: base classifier has {name} gap {gap:.3e} on the clean distribution"
+        )
+    return clean
+
+
 def dp_repair(
     h_star: BaseClassifier | PQClassifier,
     dist: Distribution,
@@ -86,29 +122,9 @@ def dp_repair(
     across groups (realizability), so do the repaired corrupted rates. The
     excess error on the clean distribution is at most 2 alpha / (1 - alpha).
     """
-    base_gap = fairness_gap(group_stats(h_star, dist), "dp")
-    if base_gap > GAP_TOL:
-        raise InputError(
-            f"realizability violated: base classifier has DP gap {base_gap:.3e} on the clean distribution"
-        )
-    clean = group_stats(h_star, dist)
+    clean = _realizable(h_star, dist, "dp", "DP")
     dirty = group_stats(h_star, corrupted)
-    params = {g: _match_params(dirty.rate[g], clean.rate[g]) for g in dist.groups}
-    repaired = PQClassifier(base=as_pq(h_star).base, params=_compose(h_star, params))
-    gap = fairness_gap(group_stats(repaired, corrupted), "dp")
-    if gap > GAP_TOL:
-        raise ContractError(f"dp repair failed its gap contract: {gap:.3e}")
-    err = error(repaired, dist)
-    excess = err - error(h_star, dist)
-    return RepairWitness(
-        classifier=repaired,
-        notion="dp",
-        gap_on_corrupted=gap,
-        error_on_original=err,
-        excess_error_on_original=excess,
-        candidate_label="direct",
-        alpha=alpha,
-    )
+    return _match_candidates(h_star, dist, corrupted, "dp", dirty.rate, [("direct", clean.rate)], alpha)
 
 
 def eopp_repair(
@@ -125,38 +141,13 @@ def eopp_repair(
     cheaper on the clean distribution. Ties go to the first group in
     canonical order.
     """
-    base_gap = fairness_gap(group_stats(h_star, dist), "eopp")
-    if base_gap > GAP_TOL:
-        raise InputError(
-            f"realizability violated: base classifier has EOpp gap {base_gap:.3e} on the clean distribution"
-        )
+    _realizable(h_star, dist, "eopp", "EOpp")
     for g in corrupted.groups:
         if corrupted.positive_mass(g) <= 0.0:
             raise InputError(f"group {g!r} has no positives in the corrupted distribution")
-    dirty = group_stats(h_star, corrupted)
-    best: RepairWitness | None = None
-    for i in dist.groups:
-        target = dirty.tpr[i]
-        assert target is not None
-        params = {g: _match_params(dirty.tpr[g], target) for g in dist.groups}  # type: ignore[arg-type]
-        candidate = PQClassifier(base=as_pq(h_star).base, params=_compose(h_star, params))
-        gap = fairness_gap(group_stats(candidate, corrupted), "eopp")
-        if gap > GAP_TOL:
-            raise ContractError(f"eopp candidate match_{i} failed its gap contract: {gap:.3e}")
-        err = error(candidate, dist)
-        witness = RepairWitness(
-            classifier=candidate,
-            notion="eopp",
-            gap_on_corrupted=gap,
-            error_on_original=err,
-            excess_error_on_original=err - error(h_star, dist),
-            candidate_label=f"match_{i}",
-            alpha=alpha,
-        )
-        if best is None or witness.error_on_original < best.error_on_original:
-            best = witness
-    assert best is not None
-    return best
+    tpr = group_stats(h_star, corrupted).tpr
+    candidates = [(f"match_{i}", {g: tpr[i] for g in dist.groups}) for i in dist.groups]
+    return _match_candidates(h_star, dist, corrupted, "eopp", tpr, candidates, alpha)  # type: ignore[arg-type]
 
 
 def _compose(h: BaseClassifier | PQClassifier, params: dict[str, tuple[float, float]]) -> dict:
@@ -318,11 +309,18 @@ def _grid_options(
     vv: np.ndarray,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The notion's corrupted statistics and the clean error of every (u, v)
-    option, from the group's corrupted and clean mass-table cells."""
+    option, from the group's corrupted and clean mass-table cells. Precision
+    needs accepted mass: an option accepting none has error +inf."""
     c1p, c1n, c0p, c0n = dirty
     stats: list[np.ndarray] = []
+    err = sum(error_terms(clean, uu, vv))
+    accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
     if notion == "dp":
-        stats.append((uu * (c1p + c1n) + vv * (c0p + c0n)) / sum(dirty))
+        stats.append(accepted / sum(dirty))
+    elif notion == "predictive_parity":
+        valid = accepted > 0.0
+        stats.append(np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan))
+        err = np.where(valid, err, np.inf)
     elif notion in ("eopp", "eodds"):
         pos = c1p + c0p
         if pos <= 0.0:
@@ -335,7 +333,7 @@ def _grid_options(
             stats.append((uu * c1n + vv * c0n) / neg)
     else:
         raise InputError(f"best_response does not support notion {notion!r}")
-    return tuple(stats), sum(error_terms(clean, uu, vv))
+    return tuple(stats), err
 
 
 def best_response(
@@ -347,14 +345,14 @@ def best_response(
     reference_error: float = 0.0,
     alpha: float | None = None,
 ) -> RepairWitness:
-    """Minimum-error grid point satisfying the fairness notion on the
-    corrupted distribution, with error reported on the clean one.
+    """Minimum-error grid point satisfying the fairness notion (dp, eopp,
+    eodds or predictive_parity) on the corrupted distribution, with error
+    reported on the clean one.
 
-    The fairness tolerance is 2 / grid_n. Raises ``InfeasibleError`` when no
-    grid point meets it; the tolerance is never silently relaxed.
+    The fairness tolerance is 2 / grid_n; a pair with a non-finite total is
+    infeasible. Raises ``InfeasibleError`` when no grid point meets it; the
+    tolerance is never silently relaxed.
     """
-    if notion not in ("dp", "eopp", "eodds"):
-        raise InputError(f"best_response supports dp/eopp/eodds, got {notion!r}")
     if grid_n < 11:
         raise InputError("grid_n must be at least 11")
     if len(clean.groups) != 2:
@@ -376,7 +374,7 @@ def best_response(
             found = pair_min_1d(stats_a[0], err_a, stats_b[0], err_b, tol)
         else:
             found = pair_min_2d(stats_a, err_a, stats_b, err_b, tol)
-        if found is None:
+        if found is None or not math.isfinite(found[0]):
             continue
         total, ia, ib = found
         if best is None or (total, k, ia, ib) < best:

@@ -2,8 +2,9 @@
 
 These are the straightforward versions the package's pruned searches must
 agree with exactly: a sliding-window deque for ``pair_min_1d``, a chunked
-brute force over every pair for ``pair_min_2d``, and the full enumeration
-of every value-grid assignment for ``parity_calibration_attack_certify``.
+brute force over every pair for ``pair_min_2d``, the full enumeration of
+every value-grid assignment for ``parity_calibration_attack_certify``, and
+a private precision grid for ``predictive_parity_attack_certify``.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
 of reading the mass table, so the package's versions must agree with them up
 to rounding.
@@ -17,14 +18,12 @@ from collections import deque
 
 import numpy as np
 
-from fairnoise.calibration import (
-    BinnedPredictor,
-    duplication_instance,
-    l1_error,
-    parity_calibration_check,
-)
-from fairnoise.classifiers import GAP_TOL, GroupStats, as_pq
+from fairnoise import families
+from fairnoise.attacks import duplicate_flip_attack
+from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
+from fairnoise.classifiers import GAP_TOL, GroupStats, as_pq, error_terms, mass_table
 from fairnoise.errors import InputError
+from fairnoise.repair import option_grid
 
 
 def pair_min_1d(stat_a, err_a, stat_b, err_b, tol):
@@ -81,7 +80,8 @@ def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):
     """Checks every assignment of the support points to grid values."""
     if r_b is None:
         r_b = 0.9 * alpha
-    dist, corrupted, _ = duplication_instance(alpha, r_b)
+    inst = families.eodds_duplicate(alpha, r_b)
+    dist, corrupted = inst.dist, inst.corrupted
     points = sorted({a.point for a in dist.atoms})
     values = np.linspace(0.0, 1.0, value_grid_n)
     bin_of_value = {float(v): i for i, v in enumerate(values)}
@@ -99,6 +99,39 @@ def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):
     if not math.isfinite(floor):
         raise InputError("no predictor on the value grid satisfies parity calibration")
     return floor
+
+
+def predictive_parity_attack_certify(alpha, r_b=None, grid_n=41):
+    """Equal-precision pairs of grid options that accept some mass."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError("alpha must lie in (0, 1)")
+    if r_b is None:
+        r_b = 0.9 * alpha
+    dist, h = families.balanced_instance(r_b)
+    try:
+        _, corrupted = duplicate_flip_attack(dist, "B", alpha)
+    except InputError:
+        corrupted = dist  # no-attack control: budget cannot wash the group out
+
+    dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
+    uu, vv = option_grid(grid_n)
+    tol = 2.0 / grid_n
+
+    def group_arrays(group):
+        c1p, c1n, c0p, c0n = dirty[group]
+        accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
+        accepted_pos = uu * c1p + vv * c0p
+        valid = accepted > 0.0  # precision requires some positive predictions
+        ppv = np.where(valid, accepted_pos / np.where(valid, accepted, 1.0), np.nan)
+        err = sum(error_terms(clean[group], uu, vv))
+        return ppv[valid], err[valid]
+
+    ppv_a, err_a = group_arrays("A")
+    ppv_b, err_b = group_arrays("B")
+    found = pair_min_1d(ppv_a, err_a, ppv_b, err_b, tol)
+    if found is None:
+        raise InputError("no grid point satisfies predictive parity; grid too coarse")
+    return found[0]
 
 
 def error(h, dist):
@@ -122,7 +155,7 @@ def group_stats(h, dist):
         atoms = [a for a in dist.atoms if a.group == g]
         r = math.fsum(a.mass for a in atoms)
         pos = math.fsum(a.mass for a in atoms if a.label == 1)
-        neg = r - pos
+        neg = math.fsum(a.mass for a in atoms if a.label == 0)
         acc_mass = math.fsum(a.mass * acc_of[a.key] for a in atoms)
         acc_pos = math.fsum(a.mass * acc_of[a.key] for a in atoms if a.label == 1)
         acc_neg = acc_mass - acc_pos

@@ -9,16 +9,14 @@ from fairnoise import families
 from fairnoise.calibration import (
     BinnedPredictor,
     calibration_report,
-    duplication_instance,
     l1_error,
-    parity_calibration_attack_certify,
     parity_calibration_check,
-    predictive_parity_attack_certify,
     recalibrate_per_group,
     value_shift,
 )
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
+from fairnoise.harness import parity_calibration_attack_certify, predictive_parity_attack_certify
 
 from conftest import assert_close
 
@@ -146,9 +144,9 @@ class TestParityCalibrationCheck:
 
 class TestCertifiers:
     def test_duplication_instance_washes_small_group(self):
-        dist, corrupted, table = duplication_instance(0.1, 0.09)
-        assert_close(corrupted.mass("bP", 1, "B"), corrupted.mass("bP", 0, "B"), 1e-12)
-        assert set(table) == {"aP", "aN", "bP", "bN"}
+        inst = families.eodds_duplicate(0.1, 0.09)
+        assert_close(inst.corrupted.mass("bP", 1, "B"), inst.corrupted.mass("bP", 0, "B"), 1e-12)
+        assert set(inst.h_star.table) == {"aP", "aN", "bP", "bN"}
 
     def test_predictive_parity_floor(self):
         floor = predictive_parity_attack_certify(0.1, grid_n=41)

@@ -93,6 +93,13 @@ class TestAttack:
         cfg = write_config(tmp_path, {"kind": "meteor", "dist": inst.dist.to_json_dict()})
         assert main(["attack", "--config", str(cfg)]) == 2
 
+    def test_needle_needs_no_dist(self, tmp_path):
+        # the needle attack builds its own instance
+        cfg = write_config(tmp_path, {"kind": "needle_eopp", "alpha": 0.04})
+        out = tmp_path / "out"
+        assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "corrupted.json").exists()
+
 
 class TestRepair:
     def test_emits_witness(self, tmp_path, capsys):
@@ -120,6 +127,32 @@ class TestRepair:
         )
         assert main(["repair", "--config", str(cfg)]) == 2
         assert "DP gap" in capsys.readouterr().err
+
+    def test_declared_group_without_mass_is_bad_input(self, tmp_path, capsys):
+        inst = families.dp_worked(0.1)
+        dist = dict(inst.dist.to_json_dict(), groups=["A", "B", "C"])
+        cfg = write_config(
+            tmp_path,
+            {"notion": "dp", "dist": dist,
+             "corrupted": inst.corrupted.to_json_dict(),
+             "h_star": inst.h_star.to_json_dict()},
+        )
+        assert main(["repair", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "group 'C' has no mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ({"x": [1]}, 1.5, -0.1, "nan"))
+    def test_alpha_outside_unit_interval_is_bad_input(self, tmp_path, alpha):
+        inst = families.dp_worked(0.1)
+        cfg = write_config(
+            tmp_path,
+            {"notion": "dp", "alpha": alpha,
+             "dist": inst.dist.to_json_dict(),
+             "corrupted": inst.corrupted.to_json_dict(),
+             "h_star": inst.h_star.to_json_dict()},
+        )
+        out = tmp_path / "out"
+        assert main(["repair", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "witness.json").exists()
 
 
 class TestCertify:
@@ -176,6 +209,24 @@ class TestUsage:
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--notion", "eopp", "--alpha", "0.04", "--jobs", "7"],
+            ["certify", "--notion", "eopp", "--alpha", "0.04", "--seed", "3"],
+            ["certify", "--notion", "eopp", "--alpha", "0.04", "--format", "svg"],
+            ["certify", "--notion", "eopp", "--alpha", "0.04", "--out", "out"],
+            ["minimax", "--alpha", "0.1", "--notion", "eodds"],
+            ["attack", "--config", "c.json", "--grid", "41"],
+            ["repair", "--config", "c.json", "--format", "json"],
+            ["report", "--config", "c.json", "--alpha", "0.1"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
 

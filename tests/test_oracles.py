@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import oracles
 from fairnoise import families, repair
 from fairnoise.attacks import decompose_corruption
-from fairnoise.calibration import parity_calibration_attack_certify
 from fairnoise.classifiers import PQClassifier, error, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InputError
+from fairnoise.harness import parity_calibration_attack_certify, predictive_parity_attack_certify
 from fairnoise.repair import _grid_options, option_grid, pair_min_1d, pair_min_2d
 
 QUANTA = (10, 21, 41, 201)
@@ -61,7 +61,7 @@ class TestPairMin1d:
 
     @pytest.mark.parametrize("alpha", (0.0025, 0.04, 0.09))
     def test_matches_reference_on_needle_grids(self, alpha):
-        inst, _ = families.eopp_needle(alpha)
+        inst = families.eopp_needle(alpha)
         ((sa,), ea), ((sb,), eb) = grid_options(inst, "eopp", 101)
         args = (sa, ea, sb, eb, 2.0 / 101)
         assert pair_min_1d(*args) == oracles.pair_min_1d(*args)
@@ -119,7 +119,7 @@ class TestMassTable:
             got, want = (_stats_or_error(stats, h, d) for stats in (group_stats, oracles.group_stats))
             if want is ZeroDivisionError:
                 # at alpha = 1 a group the contamination misses has no mass
-                assert got is ZeroDivisionError
+                assert got is InputError
                 return
             for g in d.groups:
                 # Rates are mass ratios and fpr's numerator is a difference, so
@@ -151,6 +151,8 @@ def _stats_or_error(stats, h, dist):
         return stats(h, dist)
     except ZeroDivisionError:
         return ZeroDivisionError
+    except InputError:
+        return InputError
 
 
 def _outcome(certify, *args):
@@ -176,3 +178,14 @@ def _outcome(certify, *args):
 def test_parity_calibration_matches_reference(alpha, r_b, value_grid_n):
     expected = _outcome(oracles.parity_calibration_attack_certify, alpha, r_b, value_grid_n)
     assert _outcome(parity_calibration_attack_certify, alpha, r_b, value_grid_n) == expected
+
+
+PP_ALPHAS = (0.01, 0.02, 0.04, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.5)
+
+
+@pytest.mark.parametrize("r_b", (None, 0.05, 0.3, 0.5))  # 0.5: no budget below alpha 1/3
+@pytest.mark.parametrize("grid_n", (11, 21, 41, 101, 201))
+def test_predictive_parity_matches_reference(grid_n, r_b):
+    for alpha in PP_ALPHAS:
+        expected = oracles.predictive_parity_attack_certify(alpha, r_b, grid_n)
+        assert predictive_parity_attack_certify(alpha, r_b, grid_n) == expected, alpha

@@ -97,7 +97,7 @@ class TestDpRepair:
 
 class TestEoppRepair:
     def test_needle_gap_zero_and_candidate(self):
-        inst, needle = families.eopp_needle(0.04)
+        inst = families.eopp_needle(0.04)
         w = eopp_repair(inst.h_star, inst.dist, inst.corrupted, alpha=0.04)
         assert w.gap_on_corrupted <= GAP_TOL
         # matching A's corrupted TPR of 1 costs exactly sqrt(alpha)/2
@@ -105,7 +105,7 @@ class TestEoppRepair:
         assert_close(w.excess_error_on_original, 0.1)
 
     def test_candidate_switches_at_large_alpha(self):
-        inst, _ = families.eopp_needle(0.09)
+        inst = families.eopp_needle(0.09)
         w = eopp_repair(inst.h_star, inst.dist, inst.corrupted, alpha=0.09)
         assert w.candidate_label == "match_B"
 
@@ -127,7 +127,7 @@ class TestEoppRepair:
             eopp_repair(h, dist, broken)
 
     def test_rejects_unfair_base(self):
-        inst, _ = families.eopp_needle(0.04)
+        inst = families.eopp_needle(0.04)
         unfair = BaseClassifier.from_table({"x1": 1, "x2": 0, "x3": 0, "x4": 0})
         with pytest.raises(InputError, match="EOpp gap"):
             eopp_repair(unfair, inst.dist, inst.corrupted)
@@ -226,14 +226,22 @@ class TestBestResponse:
     def test_validates_arguments(self):
         inst = families.dp_worked(0.1)
         with pytest.raises(InputError):
-            best_response(inst.corrupted, inst.dist, [inst.h_star], "predictive_parity")
+            best_response(inst.corrupted, inst.dist, [inst.h_star], "error_parity")
         with pytest.raises(InputError):
             best_response(inst.corrupted, inst.dist, [inst.h_star], "dp", grid_n=5)
         with pytest.raises(InputError):
             best_response(inst.corrupted, inst.dist, [], "dp")
 
+    def test_predictive_parity_infeasible_when_precisions_never_meet(self):
+        # precision is 1 in A and 0 in B wherever defined; only the options
+        # that accept nothing, which have no precision, would pair up
+        dist = make_distribution([Atom("a", 1, "A", 0.5), Atom("b", 0, "B", 0.5)])
+        h = BaseClassifier.from_table({"a": 1, "b": 1})
+        with pytest.raises(InfeasibleError):
+            best_response(dist, dist, [h], "predictive_parity", grid_n=11)
+
     def test_reported_error_reproducible_from_witness(self):
-        inst, _ = families.eopp_needle(0.04)
+        inst = families.eopp_needle(0.04)
         w = best_response(inst.corrupted, inst.dist, [inst.h_star], "eopp", grid_n=41)
         restored = PQClassifier.from_json_dict(w.to_json_dict()["classifier"])
         assert_close(error(restored, inst.dist), w.error_on_original, 1e-12)
