@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .classifiers import BaseClassifier, PQClassifier, as_pq, group_stats, mass_table
+import numpy as np
+
+from .classifiers import BaseClassifier, PQClassifier, as_pq, cell_index, error, group_stats, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import ContractError, InputError
-from .repair import best_response
+from .repair import best_response, grid_classifier, grid_responses
 
 IDENTITY_TOL = 1e-9
 
@@ -265,8 +267,77 @@ def _simplex_weights(k: int, resolution: int):
             yield weights
 
 
-def _encode(q: Distribution) -> tuple:
-    return tuple((a.group, a.point, a.label, round(a.mass, 12)) for a in q.atoms)
+#: Candidate contaminations per stacked best-response search: bounds the
+#: search's temporaries, which set its peak memory.
+_SEARCH_BLOCK = 32
+
+
+def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: int, max_mix_atoms: int):
+    """The candidate contaminations of :func:`grid_worst_case`, in search
+    order. Each is (columns of ``keys``, masses, build): the masses are the
+    ones ``make_distribution`` normalizes its atoms to, and ``build()`` makes
+    the Distribution itself, so that only the winner is ever built."""
+
+    def mixture(combo: tuple[int, ...], weights: tuple[float, ...]):
+        total = math.fsum(weights)
+        return combo, [w / total for w in weights], lambda: make_distribution(
+            [Atom(keys[c][1], keys[c][3], keys[c][0], w, keys[c][2]) for c, w in zip(combo, weights)],
+            groups=dist.groups,
+        )
+
+    for c in range(len(keys)):
+        yield mixture((c,), (1.0,))
+    if 0.0 < alpha < 1.0:
+        column = {(g, p, y): c for c, (g, p, _, y) in enumerate(keys)}
+        for g in dist.groups:
+            try:
+                q, _ = duplicate_flip_attack(dist, g, alpha)
+            except InputError:
+                continue
+            yield [column[a.key] for a in q.atoms], [a.mass for a in q.atoms], lambda q=q: q
+    for k in range(2, min(max_mix_atoms, len(keys)) + 1):
+        if len(keys) > 8 and k > 2:
+            break  # keep the cubic enumeration desk-scale
+        for combo in itertools.combinations(range(len(keys)), k):
+            for weights in _simplex_weights(k, resolution):
+                yield mixture(combo, weights)
+
+
+def _cell_layout(h: BaseClassifier, dist: Distribution, keys: list) -> tuple[list[int], list[slice]]:
+    """The key columns ordered cell by cell, group by group, and the slice of
+    that order each (group, cell) takes. A key's cell is that of its atom in
+    any mixture with ``dist``, whose atoms supply the feature where they have
+    one."""
+    base = as_pq(h).base
+    feature = {a.key: a.feature for a in dist.atoms}
+    by_cell: list[list[int]] = [[] for _ in range(4 * len(dist.groups))]
+    for c, (g, p, f, y) in enumerate(keys):
+        x = feature.get((g, p, y))
+        by_cell[4 * dist.groups.index(g) + cell_index(base, p, g, f if x is None else x, y)].append(c)
+    edges = list(itertools.accumulate((len(cols) for cols in by_cell), initial=0))
+    return [c for cols in by_cell for c in cols], [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _corrupted_tables(
+    dist: Distribution, alpha: float, keys: list, block: list, layouts: list
+) -> list[dict[str, np.ndarray]]:
+    """Per hypothesis layout, each group's corrupted mass-table cells for a
+    block of candidate contaminations, one row each, in the arithmetic of
+    ``mix``, ``make_distribution`` and ``mass_table``: per key
+    (1 - alpha) m_D + alpha m_Q, divided by the row's fsum, then an fsum per
+    cell. The affine mix of the clean and contamination tables is not
+    bit-equal to this."""
+    clean = np.array([dist.mass(p, y, g) for g, p, _, y in keys])
+    contamination = np.zeros((len(block), len(keys)))
+    for r, (cols, weights, _) in enumerate(block):
+        contamination[r, cols] = weights
+    mixed = (1.0 - alpha) * clean + alpha * contamination
+    mixed /= np.array([math.fsum(row) for row in mixed.tolist()])[:, None]
+    tables = []
+    for order, cells in layouts:
+        sums = np.array([[math.fsum(row[cell]) for cell in cells] for row in mixed[:, order].tolist()])
+        tables.append({g: sums[:, 4 * i : 4 * i + 4] for i, g in enumerate(dist.groups)})
+    return tables
 
 
 def grid_worst_case(
@@ -285,6 +356,12 @@ def grid_worst_case(
     duplicate-flip attack per group where the budget suffices, and coarse
     simplex mixtures over up to ``max_mix_atoms`` support atoms. Ties break
     toward the lexicographically smallest contamination encoding.
+
+    Candidates are generated lazily and searched ``_SEARCH_BLOCK`` at a time
+    by one :func:`grid_responses` call that shares the clean side; the clean
+    error of each distinct winning grid classifier is computed once. The
+    result, and the error raised first in candidate order, are those of a
+    :func:`best_response` call on each ``mix(dist, q, alpha)`` in turn.
     """
     if len(dist.atoms) > 64:
         raise InputError("grid_worst_case is a desk-scale certifier; use <= 64 atoms")
@@ -294,39 +371,33 @@ def grid_worst_case(
     keys = [
         (g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)
     ]
-    candidates: list[Distribution] = []
-    for g, p, f, y in keys:
-        candidates.append(make_distribution([Atom(p, y, g, 1.0, f)], groups=dist.groups))
-    if 0.0 < alpha < 1.0:
-        for g in dist.groups:
-            try:
-                q, _ = duplicate_flip_attack(dist, g, alpha)
-                candidates.append(q)
-            except InputError:
-                pass
-    for k in range(2, min(max_mix_atoms, len(keys)) + 1):
-        if len(keys) > 8 and k > 2:
-            break  # keep the cubic enumeration desk-scale
-        for combo in itertools.combinations(keys, k):
-            for weights in _simplex_weights(k, resolution):
-                atoms = [
-                    Atom(p, y, g, w, f) for (g, p, f, y), w in zip(combo, weights)
-                ]
-                candidates.append(make_distribution(atoms, groups=dist.groups))
-
     opt = best_response(dist, dist, hypotheses, notion, grid_n=grid_n).error_on_original
+    if not 0.0 <= alpha <= 1.0:
+        raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
+    layouts = [_cell_layout(h, dist, keys) for h in hypotheses]
 
-    best_q: Distribution | None = None
-    best_excess = -math.inf
-    for q in candidates:
-        corrupted = mix(dist, q, alpha)
-        response = best_response(corrupted, dist, hypotheses, notion, grid_n=grid_n)
-        excess = response.error_on_original - opt
-        if excess > best_excess + 1e-12 or (
-            abs(excess - best_excess) <= 1e-12
-            and best_q is not None
-            and _encode(q) < _encode(best_q)
-        ):
-            best_q, best_excess = q, excess
-    assert best_q is not None
-    return best_q, best_excess
+    def encode(cols, masses) -> tuple:
+        return tuple((keys[c][0], keys[c][1], keys[c][3], round(m, 12)) for c, m in zip(cols, masses))
+
+    errors: dict[tuple[int, int, int], float] = {}  # clean error of each winning grid classifier
+    # best: a (columns, masses, build) candidate; best_code is made on its first tie
+    best_excess, best, best_code = -math.inf, None, None
+    candidates = _contaminations(dist, alpha, keys, resolution, max_mix_atoms)
+    for block in iter(lambda: list(itertools.islice(candidates, _SEARCH_BLOCK)), []):
+        tables = _corrupted_tables(dist, alpha, keys, block, layouts)
+        responses = grid_responses(tables, dist, hypotheses, notion, grid_n)
+        for candidate, (_, k, ia, ib) in zip(block, responses):
+            if (k, ia, ib) not in errors:
+                witness = grid_classifier(hypotheses[k], dist.groups, grid_n, ia, ib)
+                errors[k, ia, ib] = error(witness, dist)
+            excess = errors[k, ia, ib] - opt
+            if excess > best_excess + 1e-12:
+                best_excess, best, best_code = excess, candidate, None
+            elif abs(excess - best_excess) <= 1e-12:
+                if best_code is None:
+                    best_code = encode(*best[:2])
+                code = encode(*candidate[:2])
+                if code < best_code:
+                    best_excess, best, best_code = excess, candidate, code
+    assert best is not None
+    return best[2](), best_excess

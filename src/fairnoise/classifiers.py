@@ -190,9 +190,14 @@ def mass_table(
     base = as_pq(h).base
     cells: dict[str, tuple[list[float], ...]] = {g: ([], [], [], []) for g in dist.groups}
     for a in dist.atoms:
-        pred = base.predict(a.point, a.group, a.feature)
-        cells[a.group][2 * (1 - pred) + (1 - a.label)].append(a.mass)
+        cells[a.group][cell_index(base, a.point, a.group, a.feature, a.label)].append(a.mass)
     return {g: tuple(math.fsum(c) for c in by_cell) for g, by_cell in cells.items()}
+
+
+def cell_index(base: BaseClassifier, point: str, group: str, feature: float | None, label: int) -> int:
+    """Position of an example's (base prediction, label) cell in the
+    (m1p, m1n, m0p, m0n) order of ``mass_table``."""
+    return 2 * (1 - base.predict(point, group, feature)) + (1 - label)
 
 
 def error_terms(cells, u, v):

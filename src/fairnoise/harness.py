@@ -454,6 +454,10 @@ def minimax_demo(
     """
     if not 0.0 <= alpha < 1.0:
         raise InputError("alpha must lie in [0, 1)")
+    if gamma is not None and (
+        isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= 1.0
+    ):
+        raise InputError(f"gamma must be a number in [0, 1], got {gamma!r}")
     dist, h = families.balanced_instance(_r_b(alpha, r_b) if alpha > 0.0 or r_b is not None else 0.1)
     corrupted = duplicate_flip_attack(dist, "B", alpha)[1] if alpha > 0.0 else dist
 

@@ -12,9 +12,10 @@ bounds (its grid minimum is what any repair strategy could achieve).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -185,9 +186,16 @@ def option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("grid_n must be at least 2")
     if grid_n > MAX_GRID_N:
         raise InputError(f"grid_n must be at most {MAX_GRID_N}")
+    return _option_grid(grid_n)
+
+
+@functools.lru_cache(maxsize=4)
+def _option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     g = np.linspace(0.0, 1.0, grid_n)
     rows, cols = np.triu_indices(grid_n)
-    return g[cols], g[rows]  # u, v with v <= u
+    u, v = g[cols], g[rows]  # v <= u
+    u.flags.writeable = v.flags.writeable = False  # shared by every caller
+    return u, v
 
 
 def params_from_uv(u: float, v: float) -> tuple[float, float]:
@@ -209,47 +217,73 @@ def pair_min_1d(
     stat_b: np.ndarray,
     err_b: np.ndarray,
     tol: float,
-) -> tuple[float, int, int] | None:
-    """Min of err_a[i] + err_b[j] over |stat_a[i] - stat_b[j]| <= tol.
+) -> list[tuple[float, int, int] | None]:
+    """Per row r, the min of err_a[i] + err_b[j] over
+    |stat_a[r, i] - stat_b[r, j]| <= tol.
 
-    Exact and O(n log n). With both sides sorted by statistic, the A options
-    within tol of each B option form one window of sorted A, found by binary
-    search with the same comparisons a sliding window makes, and a sparse
-    table gives each window's minimum. The first B option in sorted order
-    with the smallest total wins, paired with the last minimum of its window.
-    Returns (total, i, j) in the original indexing, or None.
+    The statistics are stacked (rows, n) arrays; each error array is either
+    shared by every row, shape (n,), or given per row. Exact and O(n log n)
+    per row. With both sides sorted by statistic, the A options within tol
+    of each B option form one window of sorted A, found by binary search
+    with the same comparisons a sliding window makes, and a sparse table
+    gives each window's minimum. NaN statistics sort last and pair with
+    nothing. The first B option in sorted order with the smallest total
+    wins, paired with the last minimum of its window; a row whose feasible
+    totals are all +inf keeps its first feasible B option. Returns, per row,
+    (total, i, j) in the original indexing, or None.
     """
-    order_a = np.argsort(stat_a, kind="stable")
-    sa = stat_a[order_a]
-    ea = err_a[order_a]
-    order_b = np.argsort(stat_b, kind="stable")
-    sb = stat_b[order_b]
+    rows, n = stat_a.shape
+    if not n or not stat_b.shape[1]:
+        return [None] * rows
+    each = np.arange(rows)
+    row = each[:, None]
 
-    hi = np.searchsorted(sa, sb + tol, side="right")  # first sa > s + tol
-    lo = np.minimum(np.searchsorted(sa, sb - tol, side="left"), hi)  # first sa >= s - tol
-    js = np.flatnonzero(lo < hi)
-    if not len(js):
-        return None
-    lo, hi = lo[js], hi[js]
+    def by_row(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+        return values[order] if values.ndim == 1 else values[row, order]
 
-    # table[k, i]: min of ea over [i, i + 2**k); entries past n - 2**k are never read.
-    n = len(ea)
-    table = np.full((n.bit_length(), n), np.inf)
+    order_a = np.argsort(stat_a, axis=1, kind="stable")
+    sa, ea = stat_a[row, order_a], by_row(err_a, order_a)
+    order_b = np.argsort(stat_b, axis=1, kind="stable")
+    sb, eb = stat_b[row, order_b], by_row(err_b, order_b)
+
+    hi = np.empty(sb.shape, dtype=np.intp)  # first sa > s + tol
+    lo = np.empty(sb.shape, dtype=np.intp)  # first sa >= s - tol
+    for r in range(rows):
+        hi[r] = np.searchsorted(sa[r], sb[r] + tol, side="right")
+        lo[r] = np.searchsorted(sa[r], sb[r] - tol, side="left")
+    np.minimum(lo, hi, out=lo)
+    feasible = (lo < hi) & ~np.isnan(sb)  # a NaN statistic is within tol of nothing
+
+    # table[k, r, i]: min of ea[r] over [i, i + 2**k); entries past n - 2**k are never read.
+    table = np.full((n.bit_length(), rows, n), np.inf)
     table[0] = ea
     for k in range(1, len(table)):
         w = 2 ** (k - 1)
-        np.minimum(table[k - 1, :-w], table[k - 1, w:], out=table[k, :-w])
+        np.minimum(table[k - 1, :, :-w], table[k - 1, :, w:], out=table[k, :, :-w])
 
-    length = hi - lo
-    level = np.zeros_like(length)
-    for k in range(1, len(table)):
-        level += length >= 2**k
-    window_min = np.minimum(table[level, lo], table[level, hi - 2**level])
-    totals = window_min + err_b[order_b[js]]
-    first = int(np.argmin(totals))
+    # floor(log2(hi - lo)), exact for integer lengths; 0 for empty windows
+    level = np.maximum(np.frexp(hi - lo)[1] - 1, 0)
+    start = np.minimum(lo, n - 1)  # infeasible windows may start at n
+    window_min = np.minimum(table[level, row, start], table[level, row, hi - 2**level])
+    totals = np.where(feasible, window_min + eb, np.inf)
+
+    first = np.argmin(totals, axis=1)
+    best = totals[each, first]
+    stuck = best == np.inf
+    if stuck.any():
+        first[stuck] = np.argmax(feasible[stuck], axis=1)
+    lo, hi, low = lo[each, first], hi[each, first], window_min[each, first]
     # the sliding window keeps the last of tied minima
-    ia = hi[first] - 1 - int(np.argmin(ea[lo[first] : hi[first]][::-1]))
-    return float(totals[first]), int(order_a[ia]), int(order_b[js[first]])
+    pos = np.arange(n)
+    tied = (pos >= lo[:, None]) & (pos < hi[:, None]) & (ea == low[:, None])
+    ia = n - 1 - np.argmax(tied[:, ::-1], axis=1)
+    found = zip(
+        feasible.any(axis=1).tolist(),
+        best.tolist(),
+        order_a[each, ia].tolist(),
+        order_b[each, first].tolist(),
+    )
+    return [(total, i, j) if hit else None for hit, total, i, j in found]
 
 
 def pair_min_2d(
@@ -300,40 +334,119 @@ def pair_min_2d(
     return None if best is None else (best[0], best[2], best[1])
 
 
+#: What each notion divides a group's option statistics by, in the order it
+#: is checked: (what a group lacks when it is zero, mass-table cells).
+_DENOMINATORS = {
+    "dp": (("mass", (0, 1, 2, 3)),),
+    "predictive_parity": (("mass", (0, 1, 2, 3)),),
+    "eopp": (("positives", (0, 2)),),
+    "eodds": (("positives", (0, 2)), ("negatives", (1, 3))),
+}
+
+
 def _grid_options(
-    group: str,
-    dirty: tuple[float, ...],
-    clean: tuple[float, ...],
-    notion: str,
-    uu: np.ndarray,
-    vv: np.ndarray,
+    dirty: np.ndarray, err: np.ndarray, notion: str, uu: np.ndarray, vv: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The notion's corrupted statistics and the clean error of every (u, v)
-    option, from the group's corrupted and clean mass-table cells. Precision
-    needs accepted mass: an option accepting none has error +inf."""
-    c1p, c1n, c0p, c0n = dirty
-    stats: list[np.ndarray] = []
-    err = sum(error_terms(clean, uu, vv))
+    """The notion's corrupted statistics of every (u, v) option, one row per
+    stacked corrupted mass table (columns m1p, m1n, m0p, m0n), and the
+    options' clean error ``err``. The caller has checked the denominators.
+    Precision needs accepted mass: an option accepting none has error +inf."""
+    c1p, c1n, c0p, c0n = (dirty[:, i, None] for i in range(4))
     accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
     if notion == "dp":
-        stats.append(accepted / sum(dirty))
-    elif notion == "predictive_parity":
+        return (accepted / (c1p + c1n + c0p + c0n),), err
+    if notion == "predictive_parity":
         valid = accepted > 0.0
-        stats.append(np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan))
-        err = np.where(valid, err, np.inf)
-    elif notion in ("eopp", "eodds"):
-        pos = c1p + c0p
-        if pos <= 0.0:
-            raise InputError(f"group {group!r} has no positives on the corrupted distribution")
-        stats.append((uu * c1p + vv * c0p) / pos)
-        if notion == "eodds":
-            neg = c1n + c0n
-            if neg <= 0.0:
-                raise InputError(f"group {group!r} has no negatives on the corrupted distribution")
-            stats.append((uu * c1n + vv * c0n) / neg)
-    else:
+        ppv = np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan)
+        return (ppv,), np.where(valid, err, np.inf)
+    stats = ((uu * c1p + vv * c0p) / (c1p + c0p),)
+    if notion == "eodds":
+        stats += ((uu * c1n + vv * c0n) / (c1n + c0n),)
+    return stats, err
+
+
+def grid_responses(
+    dirty: Sequence[Mapping[str, np.ndarray]],
+    clean: Distribution,
+    hypotheses: Sequence[BaseClassifier | PQClassifier],
+    notion: str,
+    grid_n: int,
+) -> list[tuple[float, int, int, int]]:
+    """The grid search of :func:`best_response`, for a stack of corrupted
+    distributions sharing one clean side.
+
+    ``dirty[k][g]`` holds, one row per corrupted distribution, group g's
+    corrupted mass-table cells under hypothesis k, as a (rows, 4) array.
+    Returns per row the minimum clean-error feasible pair as (total, k, ia,
+    ib); equal totals go to the lowest k, then to the pair search's own
+    tie-break. For the first row that has one, raises the error
+    :func:`best_response` raises on that row alone:
+    ``InputError`` when a group lacks the mass the notion divides by,
+    ``InfeasibleError`` when no grid pair meets the tolerance.
+    """
+    if grid_n < 11:
+        raise InputError("grid_n must be at least 11")
+    if len(clean.groups) != 2:
+        raise InputError("best_response searches exactly two groups")
+    if not hypotheses:
+        raise InputError("hypothesis list is empty")
+    if notion not in _DENOMINATORS:
         raise InputError(f"best_response does not support notion {notion!r}")
-    return tuple(stats), err
+
+    ga, gb = clean.groups
+    tol = 2.0 / grid_n
+    uu, vv = option_grid(grid_n)
+
+    # zero[c, r]: row r fails check c; a group's mass does not depend on the hypothesis
+    checks = [(g, what, cells) for g in (ga, gb) for what, cells in _DENOMINATORS[notion]]
+    zero = np.array([dirty[0][g][:, cells].sum(axis=1) <= 0.0 for g, _, cells in checks])
+    bad = zero.any(axis=0)
+    rows = int(bad.argmax()) if bad.any() else len(bad)  # the rows before the first bad one
+
+    best: list[tuple[float, int, int, int] | None] = [None] * rows
+    for k, h in enumerate(hypotheses):
+        clean_table = mass_table(h, clean)
+        (stats_a, err_a), (stats_b, err_b) = (
+            _grid_options(dirty[k][g][:rows], sum(error_terms(clean_table[g], uu, vv)), notion, uu, vv)
+            for g in (ga, gb)
+        )
+        if len(stats_a) == 1:
+            found = pair_min_1d(stats_a[0], err_a, stats_b[0], err_b, tol)
+        else:
+            found = [
+                pair_min_2d((ta, fa), err_a, (tb, fb), err_b, tol)
+                for ta, fa, tb, fb in zip(*stats_a, *stats_b)
+            ]
+        for r, hit in enumerate(found):
+            if hit is not None and math.isfinite(hit[0]):
+                candidate = (hit[0], k, hit[1], hit[2])
+                if best[r] is None or candidate < best[r]:
+                    best[r] = candidate
+
+    if None in best:
+        raise InfeasibleError(
+            f"no grid point satisfies {notion} within tolerance {tol:.4g} at grid_n={grid_n}"
+        )
+    if rows < len(bad):
+        g, what, _ = checks[int(zero[:, rows].argmax())]
+        raise InputError(f"group {g!r} has no {what} on the corrupted distribution")
+    return best  # type: ignore[return-value]
+
+
+def grid_classifier(
+    h: BaseClassifier | PQClassifier, groups: Sequence[str], grid_n: int, ia: int, ib: int
+) -> PQClassifier:
+    """The randomized classifier taking grid option ``ia`` on the first
+    group and ``ib`` on the second."""
+    uu, vv = option_grid(grid_n)
+    ga, gb = groups
+    return PQClassifier(
+        base=as_pq(h).base,
+        params={
+            ga: params_from_uv(float(uu[ia]), float(vv[ia])),
+            gb: params_from_uv(float(uu[ib]), float(vv[ib])),
+        },
+    )
 
 
 def best_response(
@@ -351,49 +464,14 @@ def best_response(
 
     The fairness tolerance is 2 / grid_n; a pair with a non-finite total is
     infeasible. Raises ``InfeasibleError`` when no grid point meets it; the
-    tolerance is never silently relaxed.
+    tolerance is never silently relaxed. This is the one-row case of
+    :func:`grid_responses`.
     """
-    if grid_n < 11:
-        raise InputError("grid_n must be at least 11")
-    if len(clean.groups) != 2:
-        raise InputError("best_response searches exactly two groups")
-    if not hypotheses:
-        raise InputError("hypothesis list is empty")
-
-    ga, gb = clean.groups
-    tol = 2.0 / grid_n
-    uu, vv = option_grid(grid_n)
-
-    best: tuple[float, int, int, int] | None = None  # (total err, base idx, ia, ib)
-    for k, h in enumerate(hypotheses):
-        dirty_table, clean_table = mass_table(h, corrupted), mass_table(h, clean)
-        (stats_a, err_a), (stats_b, err_b) = (
-            _grid_options(g, dirty_table[g], clean_table[g], notion, uu, vv) for g in (ga, gb)
-        )
-        if len(stats_a) == 1:
-            found = pair_min_1d(stats_a[0], err_a, stats_b[0], err_b, tol)
-        else:
-            found = pair_min_2d(stats_a, err_a, stats_b, err_b, tol)
-        if found is None or not math.isfinite(found[0]):
-            continue
-        total, ia, ib = found
-        if best is None or (total, k, ia, ib) < best:
-            best = (total, k, ia, ib)
-
-    if best is None:
-        raise InfeasibleError(
-            f"no grid point satisfies {notion} within tolerance {tol:.4g} at grid_n={grid_n}"
-        )
-
-    _, k, ia, ib = best
-    base = as_pq(hypotheses[k]).base
-    repaired = PQClassifier(
-        base=base,
-        params={
-            ga: params_from_uv(float(uu[ia]), float(vv[ia])),
-            gb: params_from_uv(float(uu[ib]), float(vv[ib])),
-        },
-    )
+    dirty = [
+        {g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()} for h in hypotheses
+    ]
+    ((_, k, ia, ib),) = grid_responses(dirty, clean, hypotheses, notion, grid_n)
+    repaired = grid_classifier(hypotheses[k], clean.groups, grid_n, ia, ib)
     gap = fairness_gap(group_stats(repaired, corrupted), notion)
     err = error(repaired, clean)
     return RepairWitness(

@@ -1,10 +1,12 @@
 """Reference implementations of the certifier's exhaustive searches.
 
 These are the straightforward versions the package's pruned searches must
-agree with exactly: a sliding-window deque for ``pair_min_1d``, a chunked
-brute force over every pair for ``pair_min_2d``, the full enumeration of
-every value-grid assignment for ``parity_calibration_attack_certify``, and
-a private precision grid for ``predictive_parity_attack_certify``.
+agree with exactly: a sliding-window deque for one row of ``pair_min_1d``, a
+chunked brute force over every pair for ``pair_min_2d``, the full
+enumeration of every value-grid assignment for
+``parity_calibration_attack_certify``, a private precision grid for
+``predictive_parity_attack_certify``, and one ``mix`` plus ``best_response``
+per candidate for ``grid_worst_case``.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
 of reading the mass table, so the package's versions must agree with them up
 to rounding.
@@ -19,11 +21,12 @@ from collections import deque
 import numpy as np
 
 from fairnoise import families
-from fairnoise.attacks import duplicate_flip_attack
+from fairnoise.attacks import _simplex_weights, duplicate_flip_attack
 from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
 from fairnoise.classifiers import GAP_TOL, GroupStats, as_pq, error_terms, mass_table
+from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
-from fairnoise.repair import option_grid
+from fairnoise.repair import best_response, option_grid
 
 
 def pair_min_1d(stat_a, err_a, stat_b, err_b, tol):
@@ -74,6 +77,49 @@ def pair_min_2d(stats_a, err_a, stats_b, err_b, tol, chunk=512):
         if math.isfinite(val) and (best is None or val < best[0]):
             best = (val, ia, start + ib)
     return best
+
+
+def _encode(q):
+    return tuple((a.group, a.point, a.label, round(a.mass, 12)) for a in q.atoms)
+
+
+def grid_worst_case(dist, alpha, hypotheses, notion, resolution=10, grid_n=21, max_mix_atoms=3):
+    """Builds every candidate contamination, then runs one best response per
+    corrupted mixture, in candidate order."""
+    keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
+    candidates = []
+    for g, p, f, y in keys:
+        candidates.append(make_distribution([Atom(p, y, g, 1.0, f)], groups=dist.groups))
+    if 0.0 < alpha < 1.0:
+        for g in dist.groups:
+            try:
+                q, _ = duplicate_flip_attack(dist, g, alpha)
+                candidates.append(q)
+            except InputError:
+                pass
+    for k in range(2, min(max_mix_atoms, len(keys)) + 1):
+        if len(keys) > 8 and k > 2:
+            break
+        for combo in itertools.combinations(keys, k):
+            for weights in _simplex_weights(k, resolution):
+                atoms = [Atom(p, y, g, w, f) for (g, p, f, y), w in zip(combo, weights)]
+                candidates.append(make_distribution(atoms, groups=dist.groups))
+
+    opt = best_response(dist, dist, hypotheses, notion, grid_n=grid_n).error_on_original
+
+    best_q = None
+    best_excess = -math.inf
+    for q in candidates:
+        corrupted = mix(dist, q, alpha)
+        response = best_response(corrupted, dist, hypotheses, notion, grid_n=grid_n)
+        excess = response.error_on_original - opt
+        if excess > best_excess + 1e-12 or (
+            abs(excess - best_excess) <= 1e-12
+            and best_q is not None
+            and _encode(q) < _encode(best_q)
+        ):
+            best_q, best_excess = q, excess
+    return best_q, best_excess
 
 
 def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from fairnoise import attacks, families
 from fairnoise.attacks import (
     AttackSpec,
     decompose_corruption,
@@ -15,9 +17,9 @@ from fairnoise.attacks import (
     needle_eopp_attack,
     tpr_shift_attack,
 )
-from fairnoise.classifiers import BaseClassifier, group_stats
+from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix, tv_distance
-from fairnoise.errors import InputError
+from fairnoise.errors import FairnoiseError, InputError
 
 from conftest import alphas, assert_close, distributions
 
@@ -206,3 +208,110 @@ class TestGridWorstCase:
         dist = make_distribution(atoms)
         with pytest.raises(InputError):
             grid_worst_case(dist, 0.1, [BaseClassifier.from_constant(1)], "dp")
+
+
+def _search(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except FairnoiseError as exc:
+        return type(exc)
+
+
+#: (notion, instance generator, max_atoms): at four atoms the search also
+#: enumerates three-atom mixtures
+SEARCH_CASES = [
+    ("dp", families.random_dp_instance, 4),
+    ("dp", families.random_dp_instance, 8),
+    ("eopp", families.random_eopp_instance, 10),
+    ("predictive_parity", families.random_dp_instance, 4),
+    ("predictive_parity", families.random_dp_instance, 8),
+]
+
+
+class TestGridWorstCaseMatchesReference:
+    """The blocked search returns the (q, excess) of one best response per
+    candidate mixture, or raises the class that loop raises first."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("notion, generate, max_atoms", SEARCH_CASES)
+    def test_seeded_instances(self, notion, generate, max_atoms, seed):
+        rng = np.random.default_rng(seed)
+        dist, h = generate(rng, max_atoms=max_atoms)
+        args = (dist, float(rng.uniform(0.01, 0.2)), [h], notion)
+        found = _search(grid_worst_case, *args, resolution=4)
+        assert found == _search(oracles.grid_worst_case, *args, resolution=4)
+        if notion != "predictive_parity":
+            assert isinstance(found, tuple)
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.2, 1.0))
+    @pytest.mark.parametrize("r_b", (0.1, 0.5))
+    def test_predictive_parity_on_balanced_instances(self, r_b, alpha):
+        dist, h = families.balanced_instance(r_b)
+        args = (dist, alpha, [h], "predictive_parity")
+        found = _search(grid_worst_case, *args, resolution=4)
+        assert found == _search(oracles.grid_worst_case, *args, resolution=4)
+
+    @pytest.mark.parametrize("notion", ("dp", "eopp"))
+    def test_two_hypotheses(self, notion):
+        rng = np.random.default_rng(11)
+        dist, h = families.random_eopp_instance(rng, max_atoms=10)
+        args = (dist, 0.1, [BaseClassifier.from_constant(0), h], notion)
+        found = grid_worst_case(*args, resolution=3)
+        assert found == oracles.grid_worst_case(*args, resolution=3)
+
+    @pytest.mark.parametrize("alpha", (0.0, 1e-6, 1.0))
+    @pytest.mark.parametrize("notion, generate, max_atoms", SEARCH_CASES[::2])
+    def test_budget_extremes(self, notion, generate, max_atoms, alpha):
+        dist, h = generate(np.random.default_rng(5), max_atoms=max_atoms)
+        args = (dist, alpha, [h], notion)
+        assert _search(grid_worst_case, *args, resolution=3) == _search(
+            oracles.grid_worst_case, *args, resolution=3
+        )
+
+    @pytest.mark.parametrize("block", (1, 7))
+    def test_block_size_does_not_matter(self, monkeypatch, block):
+        dist, h = families.random_dp_instance(np.random.default_rng(3), max_atoms=4)
+        expected = oracles.grid_worst_case(dist, 0.15, [h], "dp", resolution=4)
+        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
+        assert grid_worst_case(dist, 0.15, [h], "dp", resolution=4) == expected
+
+    def test_cells_use_each_labels_own_feature(self):
+        # a1's two labels sit on opposite sides of the threshold, and b2 has
+        # one label only: a contamination's b2 positive takes b2's feature
+        dist = make_distribution(
+            [
+                Atom("a1", 0, "A", 0.2, 0.3),
+                Atom("a1", 1, "A", 0.2, 0.8),
+                Atom("a2", 1, "A", 0.1, 0.6),
+                Atom("b1", 1, "B", 0.3, 0.9),
+                Atom("b2", 0, "B", 0.2, 0.55),
+            ]
+        )
+        h = BaseClassifier.from_threshold(0.5)
+        for notion in ("dp", "eopp"):
+            args = (dist, 0.2, [h], notion)
+            assert grid_worst_case(*args, resolution=4) == oracles.grid_worst_case(*args, resolution=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((0.0, 1e-6, 0.1, 0.37, 1.0 - 2.0**-53, 1.0)),
+        st.sampled_from((families.random_dp_instance, families.random_eopp_instance)),
+    )
+    def test_corrupted_tables_are_bit_equal_to_mix(self, seed, alpha, generate):
+        rng = np.random.default_rng(seed)
+        dist, h = generate(rng, max_atoms=int(rng.integers(10, 17)))
+        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
+        candidates = list(attacks._contaminations(dist, alpha, keys, 10, 3))
+        block = [candidates[int(i)] for i in rng.choice(len(candidates), size=20)]
+        (tables,) = attacks._corrupted_tables(dist, alpha, keys, block, [attacks._cell_layout(h, dist, keys)])
+        for r, (_, _, build) in enumerate(block):
+            expected = mass_table(h, mix(dist, build(), alpha))
+            for g in dist.groups:
+                assert tuple(tables[g][r].tolist()) == expected[g]
+
+    def test_whole_budget_names_the_group_left_empty(self):
+        dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=8)
+        # the first candidate is a point mass on group A
+        with pytest.raises(InputError, match="group 'B' has no mass on the corrupted distribution"):
+            grid_worst_case(dist, 1.0, [h], "dp", resolution=3)

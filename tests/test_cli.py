@@ -192,6 +192,17 @@ class TestMinimaxAndReport:
     def test_minimax_zero_grid_is_bad_input(self):
         assert main(["minimax", "--alpha", "0.1", "--grid", "0"]) == 2
 
+    @pytest.mark.parametrize("gamma", [True, False, "0.4", [0.4], float("nan"), -0.1, 1.5])
+    def test_minimax_rejects_bad_gamma(self, tmp_path, gamma):
+        config = write_config(tmp_path, {"gamma": gamma})
+        assert main(["minimax", "--alpha", "0.1", "--config", str(config)]) == 2
+
+    def test_minimax_gamma_below_washed_out_error_is_infeasible(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"gamma": 0.4})
+        assert main(["minimax", "--alpha", "0.1", "--config", str(config)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gamma"] == 0.4 and doc["gamma_feasible"] is False
+
     def test_report_rerenders(self, tmp_path, sweep_config):
         out = tmp_path / "out"
         assert main(["run", "--config", str(sweep_config), "--out", str(out)]) == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from fairnoise import families, repair
 from fairnoise.attacks import decompose_corruption
-from fairnoise.classifiers import PQClassifier, error, group_stats, mass_table
+from fairnoise.classifiers import PQClassifier, error, error_terms, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InputError
 from fairnoise.harness import parity_calibration_attack_certify, predictive_parity_attack_certify
@@ -37,34 +37,82 @@ def pair_cases(draw, dims: int, max_size: int = 40):
     return stats_a, err_a, stats_b, err_b, tol
 
 
+@st.composite
+def stacked_pair_cases(draw, max_rows: int = 5, max_size: int = 40):
+    """Stacks of 1-5 rows of ``pair_cases`` statistics, with some errors
+    +inf. Each side's errors are shared by the rows, or given per row with
+    predictive parity's undefined options: a NaN statistic with error +inf."""
+    q = draw(st.sampled_from(QUANTA))
+    tol = draw(st.sampled_from((0.0, 1.0 / q, 2.0 / q, 2.0 / 21, 2.0 / 41, 2.0 / 201)))
+    rows = draw(st.integers(1, max_rows))
+
+    def side():
+        n = draw(st.integers(0, max_size))
+        grid = st.lists(st.integers(0, q), min_size=rows * n, max_size=rows * n)
+        stats = np.array(draw(grid), dtype=float).reshape(rows, n) / q
+        levels = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+        err = np.array(draw(levels), dtype=float) / 7.0
+        err[err > 4.0 / 7.0] = np.inf
+        if draw(st.booleans()):
+            undefined = np.array(
+                draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n)), dtype=bool
+            ).reshape(rows, n)
+            stats[undefined] = np.nan
+            err = np.where(undefined, np.inf, err)
+        return stats, err
+
+    (stat_a, err_a), (stat_b, err_b) = side(), side()
+    return stat_a, err_a, stat_b, err_b, tol
+
+
+def reference_rows(stat_a, err_a, stat_b, err_b, tol):
+    """The oracle applied to each row of a stacked case."""
+    errs_a, errs_b = np.broadcast_to(err_a, stat_a.shape), np.broadcast_to(err_b, stat_b.shape)
+    return [
+        oracles.pair_min_1d(sa, ea, sb, eb, tol)
+        for sa, ea, sb, eb in zip(stat_a, errs_a, stat_b, errs_b)
+    ]
+
+
 def grid_options(inst, notion, grid_n):
-    """Both groups' (statistics, clean error) option arrays, as best_response
-    builds them."""
+    """Both groups' one-row (statistics, clean error) option arrays, as
+    best_response builds them."""
     uu, vv = option_grid(grid_n)
     dirty, clean = mass_table(inst.h_star, inst.corrupted), mass_table(inst.h_star, inst.dist)
-    return [_grid_options(g, dirty[g], clean[g], notion, uu, vv) for g in inst.dist.groups]
+    return [
+        _grid_options(np.array([dirty[g]]), sum(error_terms(clean[g], uu, vv)), notion, uu, vv)
+        for g in inst.dist.groups
+    ]
 
 
 class TestPairMin1d:
     @settings(max_examples=300, deadline=None)
-    @given(pair_cases(dims=1))
+    @given(stacked_pair_cases())
     def test_matches_reference(self, case):
-        (sa,), ea, (sb,), eb, tol = case
-        assert pair_min_1d(sa, ea, sb, eb, tol) == oracles.pair_min_1d(sa, ea, sb, eb, tol)
+        assert pair_min_1d(*case) == reference_rows(*case)
 
     def test_nothing_feasible(self):
         sa, sb = np.linspace(0.0, 0.4, 9), np.linspace(0.6, 1.0, 9)
         ea, eb = np.zeros(9), np.zeros(9)
         assert oracles.pair_min_1d(sa, ea, sb, eb, 0.1) is None
-        assert pair_min_1d(sa, ea, sb, eb, 0.1) is None
-        assert pair_min_1d(sa[:0], ea[:0], sb, eb, 0.1) is None
+        # the second row is the first shifted into reach
+        stack_a, stack_b = np.stack([sa, sa]), np.stack([sb, sb - 0.2])
+        assert pair_min_1d(stack_a, ea, stack_b, eb, 0.1) == reference_rows(stack_a, ea, stack_b, eb, 0.1)
+        assert pair_min_1d(stack_a, ea, stack_b, eb, 0.1)[0] is None
+        assert pair_min_1d(stack_a[:, :0], ea[:0], stack_b, eb, 0.1) == [None, None]
+
+    def test_undefined_options_pair_with_nothing(self):
+        # only the options without a precision are within tol of each other
+        sa, sb = np.array([[1.0, np.nan]]), np.array([[0.0, np.nan]])
+        ea = eb = np.array([[0.0, np.inf]])
+        assert pair_min_1d(sa, ea, sb, eb, 0.1) == [None]
+        assert oracles.pair_min_1d(sa[0], ea[0], sb[0], eb[0], 0.1) is None
 
     @pytest.mark.parametrize("alpha", (0.0025, 0.04, 0.09))
     def test_matches_reference_on_needle_grids(self, alpha):
         inst = families.eopp_needle(alpha)
         ((sa,), ea), ((sb,), eb) = grid_options(inst, "eopp", 101)
-        args = (sa, ea, sb, eb, 2.0 / 101)
-        assert pair_min_1d(*args) == oracles.pair_min_1d(*args)
+        assert pair_min_1d(sa, ea, sb, eb, 2.0 / 101) == reference_rows(sa, ea, sb, eb, 2.0 / 101)
 
 
 class TestPairMin2d:
@@ -89,7 +137,7 @@ class TestPairMin2d:
     def test_matches_reference_on_duplication_grids(self, alpha):
         inst = families.eodds_duplicate(alpha, r_b=0.9 * alpha)
         (stats_a, ea), (stats_b, eb) = grid_options(inst, "eodds", 41)
-        args = (stats_a, ea, stats_b, eb, 2.0 / 41)
+        args = (tuple(s[0] for s in stats_a), ea, tuple(s[0] for s in stats_b), eb, 2.0 / 41)
         assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
 
 

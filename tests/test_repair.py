@@ -182,7 +182,7 @@ class TestPairMin:
         eb = np.array(data.draw(st.lists(f, min_size=m, max_size=m)))
         tol = data.draw(st.floats(0.01, 0.5))
         expected = brute_pair_min_1d(sa, ea, sb, eb, tol)
-        found = pair_min_1d(sa, ea, sb, eb, tol)
+        (found,) = pair_min_1d(sa[None], ea, sb[None], eb, tol)
         if expected is None:
             assert found is None
         else:
@@ -239,6 +239,14 @@ class TestBestResponse:
         h = BaseClassifier.from_table({"a": 1, "b": 1})
         with pytest.raises(InfeasibleError):
             best_response(dist, dist, [h], "predictive_parity", grid_n=11)
+
+    @pytest.mark.parametrize("notion", ("dp", "predictive_parity"))
+    def test_group_without_corrupted_mass_is_bad_input(self, notion):
+        inst = families.dp_worked(0.1)
+        q = make_distribution([Atom("a1", 1, "A", 1.0)], groups=inst.dist.groups)
+        corrupted = mix(inst.dist, q, 1.0)
+        with pytest.raises(InputError, match="group 'B' has no mass on the corrupted distribution"):
+            best_response(corrupted, inst.dist, [inst.h_star], notion)
 
     def test_reported_error_reproducible_from_witness(self):
         inst = families.eopp_needle(0.04)
