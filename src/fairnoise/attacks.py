@@ -32,7 +32,7 @@ class AttackSpec:
     target_group: str | None = None
     parameters: Mapping[str, object] = field(default_factory=dict)
 
-    KINDS = ("identity", "duplicate_flip", "needle_eopp", "tpr_shift", "grid_worst_case")
+    KINDS = ("identity", "duplicate_flip", "needle_eopp", "tpr_shift")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:

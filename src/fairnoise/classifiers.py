@@ -22,6 +22,13 @@ GAP_TOL = 1e-9
 NOTIONS = ("dp", "eopp", "eodds", "predictive_parity", "error_parity")
 
 
+def _check_label(value: object, what: str) -> None:
+    """Labels are 0 or 1; bools, fractions and every other value are
+    rejected rather than truncated."""
+    if isinstance(value, bool) or value not in (0, 1):
+        raise InputError(f"{what} must be 0 or 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BaseClassifier:
     """A deterministic, possibly group-aware binary hypothesis.
@@ -40,14 +47,17 @@ class BaseClassifier:
     def __post_init__(self) -> None:
         if self.kind not in ("table", "threshold", "constant"):
             raise InputError(f"unknown classifier kind {self.kind!r}")
-        if self.kind == "table" and not self.table:
-            raise InputError("table classifier needs a non-empty table")
+        if self.kind == "table":
+            if not self.table:
+                raise InputError("table classifier needs a non-empty table")
+            for point, value in self.table.items():
+                _check_label(value, f"table value at point {point!r}")
         if self.kind == "threshold" and self.threshold is None:
             raise InputError("threshold classifier needs a threshold")
         if self.kind == "threshold" and self.direction not in ("above", "below"):
             raise InputError(f"direction must be 'above' or 'below', got {self.direction!r}")
-        if self.kind == "constant" and self.constant not in (0, 1):
-            raise InputError("constant classifier needs constant in {0, 1}")
+        if self.kind == "constant":
+            _check_label(self.constant, "constant")
 
     @staticmethod
     def from_table(table: Mapping[str, int]) -> "BaseClassifier":
@@ -100,12 +110,12 @@ class BaseClassifier:
     def from_json_dict(doc: Mapping) -> "BaseClassifier":
         kind = doc["kind"]
         if kind == "table":
-            return BaseClassifier.from_table({str(k): int(v) for k, v in doc["table"].items()})
+            return BaseClassifier.from_table({str(k): v for k, v in doc["table"].items()})
         if kind == "threshold":
             t = doc["threshold"]
             threshold = {str(k): float(v) for k, v in t.items()} if isinstance(t, Mapping) else float(t)
             return BaseClassifier.from_threshold(threshold, direction=doc.get("direction", "above"))
-        return BaseClassifier.from_constant(int(doc["constant"]))
+        return BaseClassifier.from_constant(doc["constant"])
 
 
 @dataclass(frozen=True)

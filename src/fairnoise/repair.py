@@ -204,7 +204,8 @@ def params_from_uv(u: float, v: float) -> tuple[float, float]:
     return (min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
 
 
-#: B options per block of the 2-D scan, which bounds its temporaries.
+#: Most B options in one span block of the 2-D scan, which bounds its
+#: temporaries when many options share a first statistic.
 _PAIR_CHUNK = 512
 #: Far above the rounding of statistics in [0, 1], so the 2-D prefilter can
 #: only over-include.
@@ -296,27 +297,37 @@ def pair_min_2d(
     """Min of err_a[i] + err_b[j] over |ta[i] - tb[j]| <= tol and
     |fa[i] - fb[j]| <= tol, the two-constraint variant of :func:`pair_min_1d`.
 
-    Exact. B is scanned in blocks sorted by its first statistic. Each block
-    meets only the A options inside the block's range of both statistics,
-    widened by tol and a small pad, so this prefilter can only over-include;
-    the elementwise test above then decides feasibility. Ties go to the
-    lowest j, then the lowest i. Returns (total, i, j), or None.
+    Exact. B is sorted by its first statistic and cut into span blocks: a
+    block closes once that statistic has moved by 2 (tol + pad) from the
+    block's first option, or once it holds ``_PAIR_CHUNK`` options. Each
+    block meets only the A options within tol and a small pad of the
+    block's range of both statistics, so this prefilter can only
+    over-include; the elementwise test above then decides feasibility. Ties
+    go to the lowest j, then the lowest i. Returns (total, i, j), or None.
     """
     ta, fa = stats_a
     tb, fb = stats_b
     order_a = np.argsort(ta, kind="stable")
     sorted_ta = ta[order_a]
     order_b = np.argsort(tb, kind="stable")
+    sorted_tb = tb[order_b]
     reach = tol + _PAIR_PAD
 
     best: tuple[float, int, int] | None = None  # (total, j, i)
-    for start in range(0, len(order_b), _PAIR_CHUNK):
-        jb = order_b[start : start + _PAIR_CHUNK]
-        t, f = tb[jb], fb[jb]
+    start = 0
+    while start < len(order_b):
+        # the span ends before the first option past it; a NaN span ends only
+        # at the cap, and every block holds at least one option
+        span = np.searchsorted(sorted_tb, sorted_tb[start] + 2.0 * reach, side="right")
+        stop = max(min(int(span), start + _PAIR_CHUNK), start + 1)
+        jb = order_b[start:stop]
+        t, f = sorted_tb[start:stop], fb[jb]
+        start = stop
         lo = np.searchsorted(sorted_ta, t[0] - reach, side="left")
         hi = np.searchsorted(sorted_ta, t[-1] + reach, side="right")
         ia = order_a[lo:hi]
-        ia = ia[(fa[ia] >= f.min() - reach) & (fa[ia] <= f.max() + reach)]
+        # fmin / fmax skip NaN, which is within tol of nothing
+        ia = ia[(fa[ia] >= np.fmin.reduce(f) - reach) & (fa[ia] <= np.fmax.reduce(f) + reach)]
         if not len(ia):
             continue
         mask = (np.abs(ta[None, ia] - t[:, None]) <= tol) & (
@@ -324,7 +335,7 @@ def pair_min_2d(
         )
         totals = np.where(mask, err_a[None, ia] + err_b[jb, None], np.inf)
         val = float(totals.min())
-        if not math.isfinite(val):
+        if not math.isfinite(val) or (best is not None and val > best[0]):
             continue
         rows, cols = np.nonzero(totals == val)
         j = int(jb[rows].min())

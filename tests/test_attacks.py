@@ -43,6 +43,11 @@ class TestAttackSpec:
         with pytest.raises(InputError):
             AttackSpec(kind="identity", alpha=1.5)
 
+    def test_grid_worst_case_is_not_a_spec_kind(self):
+        # grid_worst_case is a library search, with no runner behind a spec
+        with pytest.raises(InputError):
+            AttackSpec(kind="grid_worst_case", alpha=0.1)
+
     def test_serializes(self):
         spec = AttackSpec(kind="duplicate_flip", alpha=0.1, target_group="B")
         assert spec.to_json_dict()["kind"] == "duplicate_flip"

@@ -67,6 +67,21 @@ class TestBaseClassifier:
         with pytest.raises(InputError):
             BaseClassifier.from_constant(7)
 
+    @pytest.mark.parametrize("value", (4.0, 2, -1, 0.9, True, False, None, "1"))
+    def test_labels_outside_zero_one_are_rejected(self, value):
+        with pytest.raises(InputError):
+            BaseClassifier.from_table({"x": value})
+        with pytest.raises(InputError):
+            BaseClassifier.from_constant(value)
+        for doc in ({"kind": "table", "table": {"x": value}}, {"kind": "constant", "constant": value}):
+            with pytest.raises(InputError):
+                BaseClassifier.from_json_dict(doc)
+
+    def test_integral_floats_are_labels(self):
+        h = BaseClassifier.from_json_dict({"kind": "table", "table": {"x": 1.0, "y": 0.0}})
+        assert (h.predict("x", "A"), h.predict("y", "A")) == (1, 0)
+        assert BaseClassifier.from_json_dict({"kind": "constant", "constant": 1.0}).predict("x", "A") == 1
+
     @pytest.mark.parametrize(
         "h",
         [

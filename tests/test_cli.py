@@ -335,8 +335,21 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         ("repair", ("h_star", "base", "table"), [1, 2]),
         ("repair", ("h_star", "params"), []),
         ("run", ("alphas", 0), 10**400),
+        ("repair", ("h_star", "base", "table", "a1"), 4.0),
+        ("repair", ("h_star", "base", "table", "a1"), 2),
+        ("repair", ("h_star", "base", "table", "a1"), 0.9),
+        ("repair", ("h_star", "base", "table", "a1"), True),
     ],
-    ids=("family_params-list", "table-list", "params-list", "alpha-overflows-float"),
+    ids=(
+        "family_params-list",
+        "table-list",
+        "params-list",
+        "alpha-overflows-float",
+        "table-value-4.0",
+        "table-value-2",
+        "table-value-0.9",
+        "table-value-true",
+    ),
 )
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):
     cfg = write_config(tmp_path, _swap(VALID[command], path, value))

@@ -133,12 +133,65 @@ class TestPairMin2d:
         assert oracles.pair_min_2d(*args) is None
         assert pair_min_2d(*args) is None
 
+    @pytest.mark.parametrize("grid_n", (11, 21, 41, 101))
+    @pytest.mark.parametrize("r_b", (0.045, None), ids=("sweep", "washed-out"))
     @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
-    def test_matches_reference_on_duplication_grids(self, alpha):
-        inst = families.eodds_duplicate(alpha, r_b=0.9 * alpha)
-        (stats_a, ea), (stats_b, eb) = grid_options(inst, "eodds", 41)
-        args = (tuple(s[0] for s in stats_a), ea, tuple(s[0] for s in stats_b), eb, 2.0 / 41)
+    def test_matches_reference_on_duplication_grids(self, alpha, r_b, grid_n):
+        # r_b = 0.045 is the sweep's instance, 0.9 alpha the certifier's
+        inst = families.eodds_duplicate(alpha, r_b=0.9 * alpha if r_b is None else r_b)
+        (stats_a, ea), (stats_b, eb) = grid_options(inst, "eodds", grid_n)
+        args = (tuple(s[0] for s in stats_a), ea, tuple(s[0] for s in stats_b), eb, 2.0 / grid_n)
         assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
+
+    def test_cap_splits_a_span_block(self, monkeypatch):
+        # more B options share one first statistic than a block may hold, and
+        # the best total ties across the cut
+        rng = np.random.default_rng(5)
+        n = repair._PAIR_CHUNK + 90
+        stats_b = (np.full(n, 0.5), rng.integers(0, 21, n) / 20.0)
+        eb = np.full(n, 2.0 / 7.0)
+        eb[[3, repair._PAIR_CHUNK + 2]] = 0.0
+        stats_a = (rng.integers(9, 12, 60) / 20.0, rng.integers(0, 21, 60) / 20.0)
+        ea = rng.integers(0, 3, 60) / 7.0
+        args = (stats_a, ea, stats_b, eb, 1.0 / 20.0)
+        expected = oracles.pair_min_2d(*args)
+        assert expected is not None and expected[2] == 3
+        assert pair_min_2d(*args) == expected
+        eb[3] = 1.0  # now only the block after the cut holds the best total
+        assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
+        assert pair_min_2d(*args)[2] == repair._PAIR_CHUNK + 2
+        monkeypatch.setattr(repair, "_PAIR_CHUNK", 7)
+        assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
+
+    def test_zero_tolerance_needs_exact_matches(self):
+        rng = np.random.default_rng(6)
+        stats_a, stats_b = ((rng.integers(0, 5, 80) / 4.0, rng.integers(0, 5, 80) / 4.0) for _ in "ab")
+        ea, eb = rng.integers(0, 5, 80) / 7.0, rng.integers(0, 5, 80) / 7.0
+        args = (stats_a, ea, stats_b, eb, 0.0)
+        expected = oracles.pair_min_2d(*args)
+        assert expected is not None
+        assert pair_min_2d(*args) == expected
+
+    def test_single_option_sides(self):
+        rng = np.random.default_rng(7)
+        many = (rng.integers(0, 11, 50) / 10.0, rng.integers(0, 11, 50) / 10.0)
+        err = rng.integers(0, 5, 50) / 7.0
+        one, one_err = (np.array([0.5]), np.array([0.4])), np.array([0.1])
+        for args in (
+            (one, one_err, many, err, 0.1),
+            (many, err, one, one_err, 0.1),
+            (one, one_err, one, one_err, 0.0),
+        ):
+            expected = oracles.pair_min_2d(*args)
+            assert expected is not None
+            assert pair_min_2d(*args) == expected
+
+    def test_undefined_second_statistic_hides_no_other_option(self):
+        # a NaN in a block's second statistic must not empty the block's A options
+        stats_a = (np.array([0.5]), np.array([0.5]))
+        stats_b = (np.array([0.5, 0.5]), np.array([0.5, np.nan]))
+        args = (stats_a, np.zeros(1), stats_b, np.zeros(2), 0.1)
+        assert pair_min_2d(*args) == oracles.pair_min_2d(*args) == (0.0, 0, 0)
 
 
 unit = st.floats(0.0, 1.0)

@@ -1,4 +1,4 @@
-"""The two scripts' outputs, pinned byte for byte."""
+"""The scripts' outputs, pinned byte for byte."""
 
 import hashlib
 import importlib.util
@@ -47,3 +47,34 @@ def test_certify_bounds_output(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["certify_bounds.py"])
     assert load_script("certify_bounds").main() == 0
     assert capsys.readouterr().out == CERTIFY_OUTPUT
+
+
+#: 8 code lines: the import, the class and def lines, the two lines of the
+#: string that is not a docstring, and the three lines of the return
+CODE_LINES_FIXTURE = '''\
+"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+
+class Box:
+    """Class docstring."""
+
+    # a comment-only line
+    def area(self, side):
+        """Function docstring."""
+        text = """a multi-line
+string that is not a docstring"""
+        return math.pow(side, 2) + len(
+            text
+        )
+'''
+
+
+def test_code_lines_counts_fixture(tmp_path, monkeypatch, capsys):
+    (tmp_path / "box.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "empty.py").write_text("# only a comment\n\n")
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
+    assert load_script("code_lines").main() == 0
+    assert capsys.readouterr().out == "     8  box.py\n     0  empty.py\n     8  total\n"
