@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifiers import BaseClassifier, PQClassifier, as_pq, cell_index, error, group_stats, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, integer, number
 from .repair import best_response, grid_classifier, grid_responses
 
 IDENTITY_TOL = 1e-9
@@ -357,36 +357,62 @@ def grid_worst_case(
     simplex mixtures over up to ``max_mix_atoms`` support atoms. Ties break
     toward the lexicographically smallest contamination encoding.
 
-    Candidates are generated lazily and searched ``_SEARCH_BLOCK`` at a time
-    by one :func:`grid_responses` call that shares the clean side; the clean
-    error of each distinct winning grid classifier is computed once. The
-    result, and the error raised first in candidate order, are those of a
-    :func:`best_response` call on each ``mix(dist, q, alpha)`` in turn.
+    Candidates are generated lazily, ``_SEARCH_BLOCK`` at a time. The
+    learner's problem depends on a candidate only through its corrupted
+    cell tables, so the search keeps one response per distinct table,
+    keyed by the tables' raw bytes (so -0.0 and 0.0 differ): each block
+    sends only the tables it has not seen, once each and in order of first
+    occurrence, through one :func:`grid_responses` call that shares the
+    clean side. The clean error of each distinct winning grid classifier is
+    computed once. The result, and the error raised first in candidate
+    order, are those of a :func:`best_response` call on each
+    ``mix(dist, q, alpha)`` in turn: a response depends only on its table,
+    and a table seen before has not raised.
+
+    Raises ``InputError`` before any search when ``alpha`` is not a number
+    in [0, 1], or ``resolution``, ``grid_n`` or ``max_mix_atoms`` is not an
+    integer (an integral float such as 4.0 counts as one), or
+    ``resolution`` is below 2 or ``max_mix_atoms`` below 1.
     """
     if len(dist.atoms) > 64:
         raise InputError("grid_worst_case is a desk-scale certifier; use <= 64 atoms")
+    if not 0.0 <= number(alpha, "alpha") <= 1.0:
+        raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
+    resolution, grid_n = integer(resolution, "resolution"), integer(grid_n, "grid_n")
+    max_mix_atoms = integer(max_mix_atoms, "max_mix_atoms")
     if resolution < 2:
         raise InputError("resolution must be at least 2")
+    if max_mix_atoms < 1:
+        raise InputError("max_mix_atoms must be at least 1")
 
     keys = [
         (g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)
     ]
     opt = best_response(dist, dist, hypotheses, notion, grid_n=grid_n).error_on_original
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
     layouts = [_cell_layout(h, dist, keys) for h in hypotheses]
 
     def encode(cols, masses) -> tuple:
         return tuple((keys[c][0], keys[c][1], keys[c][3], round(m, 12)) for c, m in zip(cols, masses))
 
+    searched: dict[bytes, tuple[float, int, int, int]] = {}  # response of each corrupted table
     errors: dict[tuple[int, int, int], float] = {}  # clean error of each winning grid classifier
     # best: a (columns, masses, build) candidate; best_code is made on its first tie
     best_excess, best, best_code = -math.inf, None, None
     candidates = _contaminations(dist, alpha, keys, resolution, max_mix_atoms)
     for block in iter(lambda: list(itertools.islice(candidates, _SEARCH_BLOCK)), []):
         tables = _corrupted_tables(dist, alpha, keys, block, layouts)
-        responses = grid_responses(tables, dist, hypotheses, notion, grid_n)
-        for candidate, (_, k, ia, ib) in zip(block, responses):
+        rows = np.concatenate([t[g] for t in tables for g in dist.groups], axis=1)
+        cells = [row.tobytes() for row in rows]
+        fresh: dict[bytes, int] = {}  # each unseen table's first row, in block order
+        for r, cell in enumerate(cells):
+            if cell not in searched:
+                fresh.setdefault(cell, r)
+        if fresh:
+            picked = list(fresh.values())
+            dirty = [{g: t[g][picked] for g in dist.groups} for t in tables]
+            searched.update(zip(fresh, grid_responses(dirty, dist, hypotheses, notion, grid_n)))
+        for candidate, cell in zip(block, cells):
+            _, k, ia, ib = searched[cell]
             if (k, ia, ib) not in errors:
                 witness = grid_classifier(hypotheses[k], dist.groups, grid_n, ia, ib)
                 errors[k, ia, ib] = error(witness, dist)

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the two readers of
+numeric input that raise it.
 
 Split by how the CLI maps failures to exit codes: bad inputs exit 2,
 violated contracts (a witness or certificate that does not hold) exit 1.
 """
+
+import numbers
 
 
 class FairnoiseError(Exception):
@@ -19,3 +22,22 @@ class ContractError(FairnoiseError):
 
 class InfeasibleError(FairnoiseError):
     """A grid search found no point satisfying the fairness tolerance."""
+
+
+def integer(value: object, what: str) -> int:
+    """``value`` as an int. An integral float such as 41.0 reads as 41;
+    bools, fractions and non-numbers are rejected rather than truncated."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def number(value: object, what: str) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are
+    rejected rather than converted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InputError(f"{what} must be a number, got {value!r}")

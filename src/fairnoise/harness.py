@@ -26,7 +26,7 @@ from .calibration import (
     value_shift,
 )
 from .classifiers import GAP_TOL, error, error_terms, mass_table
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, integer, number
 from .repair import MAX_GRID_N, best_response, dp_repair, eopp_repair, option_grid
 
 #: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
@@ -73,6 +73,9 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise InputError(f"alpha {a!r} outside (0, 1)")
+        unknown = sorted(set(self.family_params) - set(SWEEP_FAMILIES[self.family][2]))
+        if unknown:
+            raise InputError(f"family {self.family!r} takes no family_params {unknown}")
         if self.jobs < 1:
             raise InputError("jobs must be >= 1")
         if not 11 <= self.grid_n <= MAX_GRID_N:
@@ -95,11 +98,13 @@ class ExperimentConfig:
         return ExperimentConfig(
             family=str(doc["family"]),
             notion=str(doc["notion"]),
-            alphas=tuple(float(a) for a in doc["alphas"]),
-            grid_n=int(doc.get("grid_n", 41)),
-            seed=int(doc.get("seed", 0)),
-            jobs=int(doc.get("jobs", 1)),
-            family_params={str(k): float(v) for k, v in doc.get("family_params", {}).items()},
+            alphas=tuple(number(a, "alpha") for a in doc["alphas"]),
+            grid_n=integer(doc.get("grid_n", 41), "grid_n"),
+            seed=integer(doc.get("seed", 0), "seed"),
+            jobs=integer(doc.get("jobs", 1), "jobs"),
+            family_params={
+                str(k): number(v, f"family param {k!r}") for k, v in doc.get("family_params", {}).items()
+            },
             out_dir=doc.get("out_dir"),
         )
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from fairnoise.attacks import (
 )
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix, tv_distance
+from fairnoise.repair import grid_responses
 from fairnoise.errors import FairnoiseError, InputError
 
 from conftest import alphas, assert_close, distributions
@@ -215,6 +217,38 @@ class TestGridWorstCase:
             grid_worst_case(dist, 0.1, [BaseClassifier.from_constant(1)], "dp")
 
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("resolution", 2.5),
+            ("max_mix_atoms", 2.5),
+            ("max_mix_atoms", 0),
+            ("grid_n", 21.5),
+            ("grid_n", "21"),
+            ("alpha", True),
+            ("alpha", "0.1"),
+            ("alpha", 1.5),
+            ("alpha", math.nan),
+        ],
+    )
+    def test_rejects_bad_arguments_before_any_search(self, monkeypatch, name, value):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before validating the arguments")
+
+        monkeypatch.setattr(attacks, "best_response", no_search)
+        monkeypatch.setattr(attacks, "grid_responses", no_search)
+        dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=4)
+        args = {"dist": dist, "alpha": 0.1, "hypotheses": [h], "notion": "dp", name: value}
+        with pytest.raises(InputError, match=name):
+            grid_worst_case(**args)
+
+    def test_integral_floats_are_integers(self):
+        dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=4)
+        args = (dist, 0.1, [h], "dp")
+        expected = grid_worst_case(*args, resolution=4, grid_n=21, max_mix_atoms=2)
+        assert grid_worst_case(*args, resolution=4.0, grid_n=21.0, max_mix_atoms=2.0) == expected
+
+
 def _search(search, *args, **kwargs):
     try:
         return search(*args, **kwargs)
@@ -231,6 +265,30 @@ SEARCH_CASES = [
     ("predictive_parity", families.random_dp_instance, 4),
     ("predictive_parity", families.random_dp_instance, 8),
 ]
+
+
+def shared_table_instance():
+    """Dyadic masses, so every mixture at alpha = 1/4 is exact: each pair of
+    points with the same group, prediction and label gives candidates that
+    share one corrupted table."""
+    dist = make_distribution(
+        [
+            Atom("a1", 1, "A", 1 / 8),
+            Atom("a2", 1, "A", 1 / 8),
+            Atom("a3", 0, "A", 1 / 4),
+            Atom("b1", 1, "B", 1 / 8),
+            Atom("b2", 1, "B", 1 / 8),
+            Atom("b3", 0, "B", 1 / 4),
+        ]
+    )
+    h = BaseClassifier.from_table({"a1": 1, "a2": 1, "a3": 0, "b1": 1, "b2": 1, "b3": 0})
+    return dist, h
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_table_reference(notion):
+    dist, h = shared_table_instance()
+    return oracles.grid_worst_case(dist, 0.25, [h], notion, resolution=4)
 
 
 class TestGridWorstCaseMatchesReference:
@@ -296,6 +354,37 @@ class TestGridWorstCaseMatchesReference:
         for notion in ("dp", "eopp"):
             args = (dist, 0.2, [h], notion)
             assert grid_worst_case(*args, resolution=4) == oracles.grid_worst_case(*args, resolution=4)
+
+    @pytest.mark.parametrize("block", (1, 32))
+    def test_each_distinct_table_is_searched_once(self, monkeypatch, block):
+        dist, h = shared_table_instance()
+        received = []
+
+        def counted(dirty, *args):
+            received.extend(
+                b"".join(t[g][r].tobytes() for t in dirty for g in dist.groups)
+                for r in range(len(dirty[0][dist.groups[0]]))
+            )
+            return grid_responses(dirty, *args)
+
+        monkeypatch.setattr(attacks, "grid_responses", counted)
+        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
+        grid_worst_case(dist, 0.25, [h], "dp", resolution=4)
+        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
+        candidates = list(attacks._contaminations(dist, 0.25, keys, 4, 3))
+        tables = {
+            tuple(tuple(cells) for cells in mass_table(h, mix(dist, build(), 0.25)).values())
+            for _, _, build in candidates
+        }
+        assert len(set(received)) == len(received) == len(tables) < len(candidates) / 2
+
+    @pytest.mark.parametrize("block", (1, 7, 32))
+    def test_shared_tables_match_reference(self, monkeypatch, block):
+        dist, h = shared_table_instance()
+        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
+        for notion in ("dp", "eopp"):
+            expected = _shared_table_reference(notion)
+            assert grid_worst_case(dist, 0.25, [h], notion, resolution=4) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(

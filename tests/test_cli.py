@@ -339,6 +339,17 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         ("repair", ("h_star", "base", "table", "a1"), 2),
         ("repair", ("h_star", "base", "table", "a1"), 0.9),
         ("repair", ("h_star", "base", "table", "a1"), True),
+        ("run", ("grid_n",), 41.9),
+        ("run", ("seed",), 2.7),
+        ("run", ("jobs",), True),
+        ("run", ("alphas",), ["0.01", "0.02", "0.04"]),
+        ("run", ("family_params",), {"r_b": 0.1}),
+        (
+            "run",
+            (),
+            {**VALID["run"], "family": "eodds_duplicate", "notion": "eodds",
+             "alphas": [0.05, 0.1, 0.2], "family_params": {"x": 1}},
+        ),
     ],
     ids=(
         "family_params-list",
@@ -349,8 +360,24 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         "table-value-2",
         "table-value-0.9",
         "table-value-true",
+        "grid_n-41.9",
+        "seed-2.7",
+        "jobs-true",
+        "alphas-strings",
+        "dp_worked-takes-no-r_b",
+        "eodds_duplicate-takes-no-x",
     ),
 )
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):
     cfg = write_config(tmp_path, _swap(VALID[command], path, value))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_integral_float_fields_read_as_integers(tmp_path):
+    fields = {"grid_n": 11.0, "seed": 7.0, "jobs": 1.0}
+    reports = []
+    for name, doc in (("int", VALID["run"]), ("float", {**VALID["run"], **fields})):
+        out = tmp_path / name
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

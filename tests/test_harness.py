@@ -50,6 +50,38 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             config(grid_n=grid_n)
 
+    def test_rejects_family_params_the_family_does_not_take(self):
+        assert config(family="eodds_duplicate", notion="eodds", family_params={"r_b": 0.1})
+        with pytest.raises(InputError, match="takes no family_params"):
+            config(family_params={"r_b": 0.1})
+        with pytest.raises(InputError, match="takes no family_params"):
+            config(family="eodds_duplicate", notion="eodds", family_params={"x": 1.0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_n", 41.9),
+            ("grid_n", "41"),
+            ("seed", 2.7),
+            ("seed", True),
+            ("jobs", True),
+            ("jobs", None),
+            ("alphas", ["0.01", "0.02"]),
+            ("alphas", [0.01, False]),
+            ("family_params", {"r_b": "0.1"}),
+        ],
+    )
+    def test_from_json_dict_rejects_rather_than_converts(self, field, value):
+        doc = {**config(family="eodds_duplicate", notion="eodds").to_json_dict(), field: value}
+        with pytest.raises(InputError):
+            harness.ExperimentConfig.from_json_dict(doc)
+
+    def test_from_json_dict_reads_integral_floats_as_integers(self):
+        doc = {**config().to_json_dict(), "grid_n": 41.0, "seed": 7.0, "jobs": 1.0}
+        restored = harness.ExperimentConfig.from_json_dict(doc)
+        assert restored == config()
+        assert type(restored.grid_n) is type(restored.seed) is type(restored.jobs) is int
+
     def test_json_round_trip_and_hash(self):
         c = config()
         restored = harness.ExperimentConfig.from_json_dict(c.to_json_dict())
