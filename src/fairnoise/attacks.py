@@ -8,6 +8,7 @@ variation budget directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from .classifiers import BaseClassifier, PQClassifier, as_pq, cell_index, error, group_stats, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import ContractError, InputError, integer, number
-from .repair import best_response, grid_classifier, grid_responses
+from .repair import best_response, grid_classifier, grid_responses, statistic_inputs
 
 IDENTITY_TOL = 1e-9
 
@@ -259,17 +260,21 @@ def decompose_corruption(
 
 
 def _simplex_weights(k: int, resolution: int):
-    """Positive weight vectors of length k on the 1/resolution grid."""
+    """Positive weight vectors of length k on the 1/resolution grid: the
+    cuts strictly increase, so every weight is at least 1/resolution."""
     for cuts in itertools.combinations(range(1, resolution), k - 1):
         edges = (0,) + cuts + (resolution,)
-        weights = tuple((edges[i + 1] - edges[i]) / resolution for i in range(k))
-        if all(w > 0.0 for w in weights):
-            yield weights
+        yield tuple((edges[i + 1] - edges[i]) / resolution for i in range(k))
 
 
-#: Candidate contaminations per stacked best-response search: bounds the
+#: Unseen statistic inputs per stacked best-response search: bounds the
 #: search's temporaries, which set its peak memory.
 _SEARCH_BLOCK = 32
+#: Candidates whose corrupted tables are built together. Each chunk's
+#: unseen inputs are all searched before the next chunk is built, so the
+#: candidates held between searches stay bounded; a larger chunk leaves
+#: fewer part-filled searches but raises peak memory.
+_TABLE_CHUNK = 256
 
 
 def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: int, max_mix_atoms: int):
@@ -278,15 +283,14 @@ def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: in
     ones ``make_distribution`` normalizes its atoms to, and ``build()`` makes
     the Distribution itself, so that only the winner is ever built."""
 
-    def mixture(combo: tuple[int, ...], weights: tuple[float, ...]):
-        total = math.fsum(weights)
-        return combo, [w / total for w in weights], lambda: make_distribution(
+    def build(combo: tuple[int, ...], weights: tuple[float, ...]) -> Distribution:
+        return make_distribution(
             [Atom(keys[c][1], keys[c][3], keys[c][0], w, keys[c][2]) for c, w in zip(combo, weights)],
             groups=dist.groups,
         )
 
     for c in range(len(keys)):
-        yield mixture((c,), (1.0,))
+        yield (c,), (1.0,), functools.partial(build, (c,), (1.0,))
     if 0.0 < alpha < 1.0:
         column = {(g, p, y): c for c, (g, p, _, y) in enumerate(keys)}
         for g in dist.groups:
@@ -298,9 +302,10 @@ def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: in
     for k in range(2, min(max_mix_atoms, len(keys)) + 1):
         if len(keys) > 8 and k > 2:
             break  # keep the cubic enumeration desk-scale
+        simplex = [(w, tuple(x / math.fsum(w) for x in w)) for w in _simplex_weights(k, resolution)]
         for combo in itertools.combinations(range(len(keys)), k):
-            for weights in _simplex_weights(k, resolution):
-                yield mixture(combo, weights)
+            for weights, masses in simplex:
+                yield combo, masses, functools.partial(build, combo, weights)
 
 
 def _cell_layout(h: BaseClassifier, dist: Distribution, keys: list) -> tuple[list[int], list[slice]]:
@@ -326,16 +331,25 @@ def _corrupted_tables(
     ``mix``, ``make_distribution`` and ``mass_table``: per key
     (1 - alpha) m_D + alpha m_Q, divided by the row's fsum, then an fsum per
     cell. The affine mix of the clean and contamination tables is not
-    bit-equal to this."""
+    bit-equal to this. An fsum of no keys is 0.0 and of one key is that key
+    plus 0.0 (which turns -0.0 into 0.0), so only wider cells call fsum."""
     clean = np.array([dist.mass(p, y, g) for g, p, _, y in keys])
     contamination = np.zeros((len(block), len(keys)))
-    for r, (cols, weights, _) in enumerate(block):
-        contamination[r, cols] = weights
+    rows = np.repeat(np.arange(len(block)), [len(cols) for cols, _, _ in block])
+    contamination[rows, list(itertools.chain.from_iterable(cols for cols, _, _ in block))] = list(
+        itertools.chain.from_iterable(weights for _, weights, _ in block)
+    )
     mixed = (1.0 - alpha) * clean + alpha * contamination
-    mixed /= np.array([math.fsum(row) for row in mixed.tolist()])[:, None]
+    mixed /= np.array(list(map(math.fsum, mixed.tolist())))[:, None]
     tables = []
     for order, cells in layouts:
-        sums = np.array([[math.fsum(row[cell]) for cell in cells] for row in mixed[:, order].tolist()])
+        sums = np.zeros((len(block), len(cells)))
+        for i, cell in enumerate(cells):
+            cols = order[cell]
+            if len(cols) == 1:
+                sums[:, i] = mixed[:, cols[0]] + 0.0
+            elif cols:
+                sums[:, i] = list(map(math.fsum, mixed[:, cols].tolist()))
         tables.append({g: sums[:, 4 * i : 4 * i + 4] for i, g in enumerate(dist.groups)})
     return tables
 
@@ -357,17 +371,21 @@ def grid_worst_case(
     simplex mixtures over up to ``max_mix_atoms`` support atoms. Ties break
     toward the lexicographically smallest contamination encoding.
 
-    Candidates are generated lazily, ``_SEARCH_BLOCK`` at a time. The
-    learner's problem depends on a candidate only through its corrupted
-    cell tables, so the search keeps one response per distinct table,
-    keyed by the tables' raw bytes (so -0.0 and 0.0 differ): each block
-    sends only the tables it has not seen, once each and in order of first
-    occurrence, through one :func:`grid_responses` call that shares the
-    clean side. The clean error of each distinct winning grid classifier is
-    computed once. The result, and the error raised first in candidate
-    order, are those of a :func:`best_response` call on each
-    ``mix(dist, q, alpha)`` in turn: a response depends only on its table,
-    and a table seen before has not raised.
+    Candidates are generated lazily and their corrupted cell tables built
+    ``_TABLE_CHUNK`` at a time. The learner sees a corrupted table only
+    through the floats its notion's statistics and denominator checks read,
+    :func:`repair.statistic_inputs` of each hypothesis and group: per group
+    (m1p, m0p) for eopp, the positive, negative and total mass for dp, all
+    four cells otherwise. So the search keeps one response per distinct
+    statistic input, keyed by its raw bytes (so -0.0 and 0.0 differ), and
+    sends each chunk's unseen inputs once each, in order of first
+    occurrence, through :func:`grid_responses` calls of up to
+    ``_SEARCH_BLOCK`` inputs that share the clean side. A key's first table
+    stands for the rest. The clean error of each distinct winning grid
+    classifier is computed once. The result, and the error raised first in
+    candidate order, are those of a :func:`best_response` call on each
+    ``mix(dist, q, alpha)`` in turn: a response depends only on its key,
+    and a key seen before has not raised.
 
     Raises ``InputError`` before any search when ``alpha`` is not a number
     in [0, 1], or ``resolution``, ``grid_n`` or ``max_mix_atoms`` is not an
@@ -394,25 +412,26 @@ def grid_worst_case(
     def encode(cols, masses) -> tuple:
         return tuple((keys[c][0], keys[c][1], keys[c][3], round(m, 12)) for c, m in zip(cols, masses))
 
-    searched: dict[bytes, tuple[float, int, int, int]] = {}  # response of each corrupted table
+    searched: dict[bytes, tuple[float, int, int, int]] = {}  # response to each statistic input
     errors: dict[tuple[int, int, int], float] = {}  # clean error of each winning grid classifier
     # best: a (columns, masses, build) candidate; best_code is made on its first tie
     best_excess, best, best_code = -math.inf, None, None
     candidates = _contaminations(dist, alpha, keys, resolution, max_mix_atoms)
-    for block in iter(lambda: list(itertools.islice(candidates, _SEARCH_BLOCK)), []):
-        tables = _corrupted_tables(dist, alpha, keys, block, layouts)
-        rows = np.concatenate([t[g] for t in tables for g in dist.groups], axis=1)
-        cells = [row.tobytes() for row in rows]
-        fresh: dict[bytes, int] = {}  # each unseen table's first row, in block order
-        for r, cell in enumerate(cells):
-            if cell not in searched:
-                fresh.setdefault(cell, r)
-        if fresh:
-            picked = list(fresh.values())
-            dirty = [{g: t[g][picked] for g in dist.groups} for t in tables]
-            searched.update(zip(fresh, grid_responses(dirty, dist, hypotheses, notion, grid_n)))
-        for candidate, cell in zip(block, cells):
-            _, k, ia, ib = searched[cell]
+    for chunk in iter(lambda: list(itertools.islice(candidates, _TABLE_CHUNK)), []):
+        tables = _corrupted_tables(dist, alpha, keys, chunk, layouts)
+        inputs = np.concatenate([statistic_inputs(t[g], notion) for t in tables for g in dist.groups], axis=1)
+        stat_keys = [row.tobytes() for row in inputs]
+        fresh: dict[bytes, int] = {}  # each unseen input's first row, in chunk order
+        for r, stat_key in enumerate(stat_keys):
+            if stat_key not in searched:
+                fresh.setdefault(stat_key, r)
+        unseen = list(fresh.items())
+        for start in range(0, len(unseen), _SEARCH_BLOCK):
+            fresh_keys, picked = zip(*unseen[start : start + _SEARCH_BLOCK])
+            dirty = [{g: t[g][list(picked)] for g in dist.groups} for t in tables]
+            searched.update(zip(fresh_keys, grid_responses(dirty, dist, hypotheses, notion, grid_n)))
+        for candidate, stat_key in zip(chunk, stat_keys):
+            _, k, ia, ib = searched[stat_key]
             if (k, ia, ib) not in errors:
                 witness = grid_classifier(hypotheses[k], dist.groups, grid_n, ia, ib)
                 errors[k, ia, ib] = error(witness, dist)

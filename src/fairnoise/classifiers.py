@@ -15,18 +15,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .distributions import Atom, Distribution
-from .errors import InputError
+from .errors import InputError, label
 
 GAP_TOL = 1e-9
 
 NOTIONS = ("dp", "eopp", "eodds", "predictive_parity", "error_parity")
-
-
-def _check_label(value: object, what: str) -> None:
-    """Labels are 0 or 1; bools, fractions and every other value are
-    rejected rather than truncated."""
-    if isinstance(value, bool) or value not in (0, 1):
-        raise InputError(f"{what} must be 0 or 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,13 +44,13 @@ class BaseClassifier:
             if not self.table:
                 raise InputError("table classifier needs a non-empty table")
             for point, value in self.table.items():
-                _check_label(value, f"table value at point {point!r}")
+                label(value, f"table value at point {point!r}")
         if self.kind == "threshold" and self.threshold is None:
             raise InputError("threshold classifier needs a threshold")
         if self.kind == "threshold" and self.direction not in ("above", "below"):
             raise InputError(f"direction must be 'above' or 'below', got {self.direction!r}")
         if self.kind == "constant":
-            _check_label(self.constant, "constant")
+            label(self.constant, "constant")
 
     @staticmethod
     def from_table(table: Mapping[str, int]) -> "BaseClassifier":

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import attacks, harness
 from .classifiers import BaseClassifier, PQClassifier
 from .distributions import Distribution
-from .errors import ContractError, FairnoiseError, InfeasibleError, InputError
+from .errors import ContractError, FairnoiseError, InfeasibleError, InputError, number
 from .repair import dp_repair, eopp_repair
 
 
@@ -107,7 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     doc = _load_config(args)
     kind = doc.get("kind") or (args.notion or "")
-    alpha = args.alpha[0] if args.alpha else float(doc.get("alpha", 0.1))
+    alpha = args.alpha[0] if args.alpha else number(doc.get("alpha", 0.1), "alpha")
     target = doc.get("target_group")
     if kind == "duplicate_flip":
         dist = Distribution.from_json_dict(doc["dist"])
@@ -143,7 +143,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     )
     alpha = args.alpha[0] if args.alpha else doc.get("alpha")
     if alpha is not None:
-        alpha = float(alpha)
+        alpha = number(alpha, "alpha")
         if not 0.0 <= alpha <= 1.0:
             raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
     if notion == "dp":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, label, number
 
 #: absolute tolerance for "sums to one" invariants
 EQ_TOL = 1e-9
@@ -95,10 +95,10 @@ class Distribution:
         atoms = [
             Atom(
                 point=str(rec["point"]),
-                label=int(rec["label"]),
+                label=label(rec["label"], "atom label"),
                 group=str(rec["group"]),
-                mass=float(rec["mass"]),
-                feature=float(rec["feature"]) if rec.get("feature") is not None else None,
+                mass=number(rec["mass"], "atom mass"),
+                feature=None if rec.get("feature") is None else number(rec["feature"], "atom feature"),
             )
             for rec in doc["atoms"]
         ]

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the two readers of
+"""Exception hierarchy shared across the package, and the readers of
 numeric input that raise it.
 
 Split by how the CLI maps failures to exit codes: bad inputs exit 2,
@@ -33,6 +33,14 @@ def integer(value: object, what: str) -> int:
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def label(value: object, what: str) -> int:
+    """``value`` as a 0/1 label; bools, fractions and every other value are
+    rejected rather than truncated."""
+    if isinstance(value, bool) or value not in (0, 1):
+        raise InputError(f"{what} must be 0 or 1, got {value!r}")
+    return int(value)
 
 
 def number(value: object, what: str) -> float:

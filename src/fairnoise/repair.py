@@ -345,35 +345,53 @@ def pair_min_2d(
     return None if best is None else (best[0], best[2], best[1])
 
 
+def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
+    """The floats of stacked mass tables (rows of m1p, m1n, m0p, m0n) that
+    the notion's option statistics and denominator checks read, one row per
+    table: (m1p + m1n, m0p + m0n, m1p + m1n + m0p + m0n) for dp, (m1p, m0p)
+    for eopp, all four cells otherwise. Sums run left to right, as in the
+    statistics. A grid response depends on a table only through these."""
+    if notion == "dp":
+        pos = cells[:, 0] + cells[:, 1]
+        return np.stack((pos, cells[:, 2] + cells[:, 3], pos + cells[:, 2] + cells[:, 3]), axis=1)
+    if notion == "eopp":
+        return cells[:, (0, 2)]
+    return cells
+
+
 #: What each notion divides a group's option statistics by, in the order it
-#: is checked: (what a group lacks when it is zero, mass-table cells).
+#: is checked: (what a group lacks when it is zero, columns of
+#: :func:`statistic_inputs`). Masses are >= 0, so a sum is zero only when
+#: every cell in it is.
 _DENOMINATORS = {
-    "dp": (("mass", (0, 1, 2, 3)),),
+    "dp": (("mass", (2,)),),
     "predictive_parity": (("mass", (0, 1, 2, 3)),),
-    "eopp": (("positives", (0, 2)),),
+    "eopp": (("positives", (0, 1)),),
     "eodds": (("positives", (0, 2)), ("negatives", (1, 3))),
 }
 
 
 def _grid_options(
-    dirty: np.ndarray, err: np.ndarray, notion: str, uu: np.ndarray, vv: np.ndarray
+    inputs: np.ndarray, err: np.ndarray, notion: str, uu: np.ndarray, vv: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The notion's corrupted statistics of every (u, v) option, one row per
-    stacked corrupted mass table (columns m1p, m1n, m0p, m0n), and the
-    options' clean error ``err``. The caller has checked the denominators.
-    Precision needs accepted mass: an option accepting none has error +inf."""
-    c1p, c1n, c0p, c0n = (dirty[:, i, None] for i in range(4))
-    accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
+    row of :func:`statistic_inputs`, and the options' clean error ``err``.
+    The caller has checked the denominators. Precision needs accepted mass:
+    an option accepting none has error +inf."""
+    columns = [inputs[:, i, None] for i in range(inputs.shape[1])]
     if notion == "dp":
-        return (accepted / (c1p + c1n + c0p + c0n),), err
+        pos, neg, mass = columns
+        return ((uu * pos + vv * neg) / mass,), err
+    if notion == "eopp":
+        c1p, c0p = columns
+        return ((uu * c1p + vv * c0p) / (c1p + c0p),), err
+    c1p, c1n, c0p, c0n = columns
     if notion == "predictive_parity":
+        accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
         valid = accepted > 0.0
         ppv = np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan)
         return (ppv,), np.where(valid, err, np.inf)
-    stats = ((uu * c1p + vv * c0p) / (c1p + c0p),)
-    if notion == "eodds":
-        stats += ((uu * c1n + vv * c0n) / (c1n + c0n),)
-    return stats, err
+    return ((uu * c1p + vv * c0p) / (c1p + c0p), (uu * c1n + vv * c0n) / (c1n + c0n)), err
 
 
 def grid_responses(
@@ -408,9 +426,10 @@ def grid_responses(
     tol = 2.0 / grid_n
     uu, vv = option_grid(grid_n)
 
+    inputs = [{g: statistic_inputs(t[g], notion) for g in (ga, gb)} for t in dirty]
     # zero[c, r]: row r fails check c; a group's mass does not depend on the hypothesis
-    checks = [(g, what, cells) for g in (ga, gb) for what, cells in _DENOMINATORS[notion]]
-    zero = np.array([dirty[0][g][:, cells].sum(axis=1) <= 0.0 for g, _, cells in checks])
+    checks = [(g, what, cols) for g in (ga, gb) for what, cols in _DENOMINATORS[notion]]
+    zero = np.array([inputs[0][g][:, cols].sum(axis=1) <= 0.0 for g, _, cols in checks])
     bad = zero.any(axis=0)
     rows = int(bad.argmax()) if bad.any() else len(bad)  # the rows before the first bad one
 
@@ -418,7 +437,7 @@ def grid_responses(
     for k, h in enumerate(hypotheses):
         clean_table = mass_table(h, clean)
         (stats_a, err_a), (stats_b, err_b) = (
-            _grid_options(dirty[k][g][:rows], sum(error_terms(clean_table[g], uu, vv)), notion, uu, vv)
+            _grid_options(inputs[k][g][:rows], sum(error_terms(clean_table[g], uu, vv)), notion, uu, vv)
             for g in (ga, gb)
         )
         if len(stats_a) == 1:

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from fairnoise.attacks import (
 )
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix, tv_distance
-from fairnoise.repair import grid_responses
+from fairnoise.repair import best_response, grid_responses, statistic_inputs
 from fairnoise.errors import FairnoiseError, InputError
 
 from conftest import alphas, assert_close, distributions
@@ -288,7 +290,33 @@ def shared_table_instance():
 @functools.lru_cache(maxsize=None)
 def _shared_table_reference(notion):
     dist, h = shared_table_instance()
-    return oracles.grid_worst_case(dist, 0.25, [h], notion, resolution=4)
+    return _search(oracles.grid_worst_case, dist, 0.25, [h], notion, resolution=4)
+
+
+def _table_and_input(dist, h, build, alpha, notion):
+    """The corrupted mass table of ``mix(dist, build(), alpha)`` and the
+    bytes of its statistic inputs, built one mixture at a time."""
+    table = mass_table(h, mix(dist, build(), alpha))
+    return (
+        tuple(table[g] for g in dist.groups),
+        b"".join(statistic_inputs(np.array([table[g]]), notion).tobytes() for g in dist.groups),
+    )
+
+
+def _count_searched_inputs(monkeypatch, dist, notion):
+    """Patch the search's ``grid_responses`` to record the statistic inputs
+    of every row it receives; returns the list they are appended to."""
+    received = []
+
+    def counted(dirty, *args):
+        received.extend(
+            b"".join(statistic_inputs(t[g][r : r + 1], notion).tobytes() for t in dirty for g in dist.groups)
+            for r in range(len(dirty[0][dist.groups[0]]))
+        )
+        return grid_responses(dirty, *args)
+
+    monkeypatch.setattr(attacks, "grid_responses", counted)
+    return received
 
 
 class TestGridWorstCaseMatchesReference:
@@ -356,35 +384,72 @@ class TestGridWorstCaseMatchesReference:
             assert grid_worst_case(*args, resolution=4) == oracles.grid_worst_case(*args, resolution=4)
 
     @pytest.mark.parametrize("block", (1, 32))
-    def test_each_distinct_table_is_searched_once(self, monkeypatch, block):
+    @pytest.mark.parametrize("notion", ("dp", "eopp"))
+    def test_each_distinct_statistic_input_is_searched_once(self, monkeypatch, notion, block):
         dist, h = shared_table_instance()
-        received = []
-
-        def counted(dirty, *args):
-            received.extend(
-                b"".join(t[g][r].tobytes() for t in dirty for g in dist.groups)
-                for r in range(len(dirty[0][dist.groups[0]]))
-            )
-            return grid_responses(dirty, *args)
-
-        monkeypatch.setattr(attacks, "grid_responses", counted)
+        received = _count_searched_inputs(monkeypatch, dist, notion)
         monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
-        grid_worst_case(dist, 0.25, [h], "dp", resolution=4)
+        grid_worst_case(dist, 0.25, [h], notion, resolution=4)
         keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
         candidates = list(attacks._contaminations(dist, 0.25, keys, 4, 3))
-        tables = {
-            tuple(tuple(cells) for cells in mass_table(h, mix(dist, build(), 0.25)).values())
+        tables, inputs = zip(*(_table_and_input(dist, h, build, 0.25, notion) for _, _, build in candidates))
+        assert len(set(received)) == len(received) == len(set(inputs)) < len(set(tables)) < len(candidates) / 2
+
+    @pytest.mark.parametrize(
+        "notion, picked",
+        [
+            # a1 is predicted 1: a positive and a negative there move the
+            # same predicted-positive mass
+            ("dp", lambda key: key[:2] == ("A", "a1")),
+            # negatives leave every group's positive cells as they are
+            ("eopp", lambda key: key[3] == 0),
+        ],
+        ids=("dp", "eopp"),
+    )
+    def test_different_tables_with_one_statistic_input(self, monkeypatch, notion, picked):
+        dist, h = shared_table_instance()
+        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
+        candidates = [
+            c for c in attacks._contaminations(dist, 0.25, keys, 4, 3) if all(picked(keys[col]) for col in c[0])
+        ]
+        tables, inputs = zip(*(_table_and_input(dist, h, build, 0.25, notion) for _, _, build in candidates))
+        assert len(set(tables)) > len(set(inputs)) == 1
+
+        monkeypatch.setattr(attacks, "_contaminations", lambda *args: iter(candidates))
+        received = _count_searched_inputs(monkeypatch, dist, notion)
+        _, excess = grid_worst_case(dist, 0.25, [h], notion, resolution=4)
+        assert len(received) == 1
+        responses = {
+            best_response(mix(dist, build(), 0.25), dist, [h], notion, grid_n=21).error_on_original
             for _, _, build in candidates
         }
-        assert len(set(received)) == len(received) == len(tables) < len(candidates) / 2
+        opt = best_response(dist, dist, [h], notion, grid_n=21).error_on_original
+        assert responses == {excess + opt}
 
     @pytest.mark.parametrize("block", (1, 7, 32))
     def test_shared_tables_match_reference(self, monkeypatch, block):
         dist, h = shared_table_instance()
         monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
-        for notion in ("dp", "eopp"):
+        for chunk, notion in itertools.product((16, 256), ("dp", "eopp", "predictive_parity")):
+            monkeypatch.setattr(attacks, "_TABLE_CHUNK", chunk)
             expected = _shared_table_reference(notion)
-            assert grid_worst_case(dist, 0.25, [h], notion, resolution=4) == expected
+            assert _search(grid_worst_case, dist, 0.25, [h], notion, resolution=4) == expected
+
+    @pytest.mark.parametrize("chunk", (16, 256))
+    @pytest.mark.parametrize("block", (7, 32))
+    def test_late_first_error_is_the_reference_error(self, monkeypatch, block, chunk):
+        # the first candidate without a feasible grid pair has the 39th
+        # distinct statistic input
+        dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
+        args = (dist, 0.3, [h], "predictive_parity")
+        with pytest.raises(FairnoiseError) as expected:
+            oracles.grid_worst_case(*args, resolution=4)
+        received = _count_searched_inputs(monkeypatch, dist, "predictive_parity")
+        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
+        monkeypatch.setattr(attacks, "_TABLE_CHUNK", chunk)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            grid_worst_case(*args, resolution=4)
+        assert len(received) > block
 
     @settings(max_examples=60, deadline=None)
     @given(

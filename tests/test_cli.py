@@ -350,6 +350,15 @@ def test_type_swapped_field_exits_two(tmp_path, data):
             {**VALID["run"], "family": "eodds_duplicate", "notion": "eodds",
              "alphas": [0.05, 0.1, 0.2], "family_params": {"x": 1}},
         ),
+        ("attack", (), {"kind": "needle_eopp", "alpha": "0.1"}),
+        ("attack", ("alpha",), "0.1"),
+        ("repair", ("alpha",), "0.1"),
+        ("repair", ("alpha",), True),
+        ("attack", ("dist", "atoms", 1, "label"), 1.7),
+        ("attack", ("dist", "atoms", 1, "label"), True),
+        ("attack", ("dist", "atoms", 0, "mass"), "0.455"),
+        ("attack", ("dist", "atoms", 0, "feature"), "2"),
+        ("repair", ("corrupted", "atoms", 0, "label"), True),
     ],
     ids=(
         "family_params-list",
@@ -366,6 +375,15 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         "alphas-strings",
         "dp_worked-takes-no-r_b",
         "eodds_duplicate-takes-no-x",
+        "needle-alpha-string",
+        "attack-alpha-string",
+        "repair-alpha-string",
+        "repair-alpha-true",
+        "atom-label-1.7",
+        "atom-label-true",
+        "atom-mass-string",
+        "atom-feature-string",
+        "corrupted-atom-label-true",
     ),
 )
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):

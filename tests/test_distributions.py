@@ -99,6 +99,30 @@ class TestAccessors:
     def test_json_bytes_deterministic(self):
         assert simple_dist().to_json() == simple_dist().to_json()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("label", 1.7),
+            ("label", True),
+            ("label", "1"),
+            ("mass", "0.25"),
+            ("mass", True),
+            ("feature", "2"),
+            ("feature", False),
+        ],
+    )
+    def test_json_values_are_read_not_converted(self, field, value):
+        doc = simple_dist().to_json_dict()
+        doc["atoms"][0][field] = value
+        with pytest.raises(InputError, match=f"atom {field}"):
+            Distribution.from_json_dict(doc)
+
+    def test_json_integral_numbers_read_as_labels_and_floats(self):
+        doc = {"atoms": [{"point": "x", "label": 1.0, "group": "A", "mass": 1, "feature": 2}]}
+        (atom,) = Distribution.from_json_dict(doc).atoms
+        assert atom == Atom("x", 1, "A", 1.0, 2.0)
+        assert (type(atom.label), type(atom.mass), type(atom.feature)) == (int, float, float)
+
 
 class TestMixAndTV:
     def test_mix_masses(self):

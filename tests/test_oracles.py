@@ -14,7 +14,7 @@ from fairnoise.classifiers import PQClassifier, error, error_terms, group_stats,
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InputError
 from fairnoise.harness import parity_calibration_attack_certify, predictive_parity_attack_certify
-from fairnoise.repair import _grid_options, option_grid, pair_min_1d, pair_min_2d
+from fairnoise.repair import _grid_options, option_grid, pair_min_1d, pair_min_2d, statistic_inputs
 
 QUANTA = (10, 21, 41, 201)
 
@@ -80,7 +80,9 @@ def grid_options(inst, notion, grid_n):
     uu, vv = option_grid(grid_n)
     dirty, clean = mass_table(inst.h_star, inst.corrupted), mass_table(inst.h_star, inst.dist)
     return [
-        _grid_options(np.array([dirty[g]]), sum(error_terms(clean[g], uu, vv)), notion, uu, vv)
+        _grid_options(
+            statistic_inputs(np.array([dirty[g]]), notion), sum(error_terms(clean[g], uu, vv)), notion, uu, vv
+        )
         for g in inst.dist.groups
     ]
 

@@ -25,6 +25,10 @@ parity_calibration   alpha=0.1    floor=0.500000 claimed=0.200000 pass=True
 minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=0.1 feasible=False
 """
 
+#: SHA-256 of the lines adversary_probe.py prints for the adversary
+#: workload's six instances at seed 1
+ADVERSARY_PROBE_SEED_1 = "16eaf7cffd9023459784cbc77a6b5f72650acc64316ed19fcedaea5c7208f3f2"
+
 
 def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
@@ -47,6 +51,11 @@ def test_certify_bounds_output(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["certify_bounds.py"])
     assert load_script("certify_bounds").main() == 0
     assert capsys.readouterr().out == CERTIFY_OUTPUT
+
+
+def test_adversary_probe_digest():
+    probe = load_script("adversary_probe")
+    assert probe.digest(probe.probe_lines(probe.strata_searches([1]))) == ADVERSARY_PROBE_SEED_1
 
 
 #: 8 code lines: the import, the class and def lines, the two lines of the
