@@ -8,16 +8,10 @@ expectations, so the accuracy-loss regimes (linear, square-root, constant
 in the corruption budget) are certified rather than estimated.
 """
 
-from .distributions import Atom, Distribution, make_distribution, mix, tv_distance
+from .distributions import Atom, Distribution, make_distribution, mix
 from .classifiers import BaseClassifier, PQClassifier, error, fairness_gap, group_stats
 from .repair import RepairWitness, best_response, dp_repair, eopp_repair
-from .attacks import (
-    AttackSpec,
-    drift_bound_dp,
-    drift_bound_tpr,
-    duplicate_flip_attack,
-    needle_eopp_attack,
-)
+from .attacks import AttackSpec, duplicate_flip_attack
 from .calibration import (
     BinnedPredictor,
     calibration_report,
@@ -53,8 +47,6 @@ __all__ = [
     "calibration_report",
     "certify_lower_bound",
     "dp_repair",
-    "drift_bound_dp",
-    "drift_bound_tpr",
     "duplicate_flip_attack",
     "eopp_repair",
     "error",
@@ -64,11 +56,9 @@ __all__ = [
     "make_distribution",
     "minimax_demo",
     "mix",
-    "needle_eopp_attack",
     "parity_calibration_check",
     "predictive_parity_attack_certify",
     "recalibrate_per_group",
     "run_sweep",
-    "tv_distance",
     "write_report",
 ]

@@ -1,5 +1,4 @@
-"""Corruption strategies, the drift-bound checkers, and a brute-force
-worst-case corruption search.
+"""Corruption strategies and a brute-force worst-case corruption search.
 
 Every attack emits the contamination distribution Q together with the
 corrupted mixture (1 - alpha) D + alpha Q, so tests can verify the total
@@ -16,12 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifiers import BaseClassifier, PQClassifier, as_pq, cell_index, error, group_stats, mass_table
+from .classifiers import BaseClassifier, as_pq, cell_index, error
 from .distributions import Atom, Distribution, make_distribution, mix
-from .errors import ContractError, InputError, integer, number
+from .errors import InputError, integer, number
 from .repair import best_response, grid_classifier, grid_responses, statistic_inputs
-
-IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,40 +45,6 @@ class AttackSpec:
             "target_group": self.target_group,
             "parameters": dict(self.parameters),
         }
-
-
-@dataclass(frozen=True)
-class CorruptionDecomposition:
-    """The bookkeeping quantities behind the drift bounds: corrupted mass per
-    group, corrupted mass predicted positive, and corrupted positive mass
-    predicted positive."""
-
-    alpha: float
-    alpha_z: dict[str, float]
-    e_z: dict[str, float]
-    e_z_plus: dict[str, float]
-
-    def __post_init__(self) -> None:
-        total = math.fsum(self.alpha_z.values())
-        if abs(total - self.alpha) > IDENTITY_TOL:
-            raise ContractError(f"group corruption masses sum to {total}, expected {self.alpha}")
-        for g in self.alpha_z:
-            if not -IDENTITY_TOL <= self.e_z[g] <= self.alpha_z[g] + IDENTITY_TOL:
-                raise ContractError(f"E_{g} out of range")
-            if not -IDENTITY_TOL <= self.e_z_plus[g] <= self.alpha_z[g] + IDENTITY_TOL:
-                raise ContractError(f"E+_{g} out of range")
-
-
-def drift_bound_dp(alpha: float, r_z: float) -> float:
-    """Worst-case shift of a group's positive-prediction rate."""
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= r_z <= 1.0:
-        raise InputError("alpha and r_z must lie in [0, 1]")
-    denom = (1.0 - alpha) * r_z + alpha
-    return alpha / denom if denom > 0.0 else 0.0
-
-
-#: The TPR drift bound is the rate bound with r_z+ in place of r_z.
-drift_bound_tpr = drift_bound_dp
 
 
 def duplicate_flip_attack(
@@ -147,43 +110,6 @@ def duplicate_flip_attack(
     return contamination, mix(dist, contamination, alpha)
 
 
-@dataclass(frozen=True)
-class NeedleInstance:
-    """The four-point construction that forces sqrt(alpha) excess error
-    under equal opportunity."""
-
-    dist: Distribution
-    contamination: Distribution
-    corrupted: Distribution
-    alpha: float
-    alpha_prime: float
-
-
-def needle_eopp_attack(alpha: float) -> NeedleInstance:
-    """Canonical sqrt(alpha)-group instance plus its needle contamination.
-
-    The small group holds sqrt(alpha) of the mass; the adversary plants
-    positive mass alpha on the small group's rejected point, which ends up
-    an alpha' = 2 sqrt(alpha) / ((1 - alpha) + 2 sqrt(alpha)) share of that
-    group's positives.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("needle instance needs alpha in (0, 1)")
-    s = math.sqrt(alpha)
-    dist = make_distribution(
-        [
-            Atom("x1", 1, "A", (1.0 - s) / 2.0),
-            Atom("x2", 0, "A", (1.0 - s) / 2.0),
-            Atom("x3", 1, "B", s / 2.0),
-            Atom("x4", 0, "B", s / 2.0),
-        ]
-    )
-    contamination = make_distribution([Atom("x4", 1, "B", 1.0)], groups=dist.groups)
-    corrupted = mix(dist, contamination, alpha)
-    alpha_prime = 2.0 * s / ((1.0 - alpha) + 2.0 * s)
-    return NeedleInstance(dist, contamination, corrupted, alpha, alpha_prime)
-
-
 def tpr_shift_attack(
     dist: Distribution,
     h: BaseClassifier,
@@ -217,46 +143,6 @@ def tpr_shift_attack(
     g, point, feature = eligible[0]
     contamination = make_distribution([Atom(point, 1, g, 1.0, feature)], groups=dist.groups)
     return contamination, mix(dist, contamination, alpha)
-
-
-def decompose_corruption(
-    dist: Distribution,
-    contamination: Distribution,
-    alpha: float,
-    h: BaseClassifier | PQClassifier,
-) -> CorruptionDecomposition:
-    """Compute (alpha_z, E_z, E_z+) and re-derive the rate-drift identity.
-
-    The identity ties the corrupted positive-prediction rate to the clean
-    one; it is asserted against direct evaluation on the mixture within
-    1e-9, which is what makes this a checker rather than a formula.
-    """
-    pq = as_pq(h)
-    table = mass_table(pq, contamination)
-    alpha_z: dict[str, float] = {}
-    e_z: dict[str, float] = {}
-    e_z_plus: dict[str, float] = {}
-    for g in dist.groups:
-        m1p, m1n, m0p, m0n = table.get(g, (0.0, 0.0, 0.0, 0.0))
-        u, v = pq.uv(g)
-        alpha_z[g] = alpha * math.fsum((m1p, m1n, m0p, m0n))
-        e_z[g] = alpha * math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
-        e_z_plus[g] = alpha * math.fsum((u * m1p, v * m0p))
-
-    corrupted = mix(dist, contamination, alpha)
-    clean_stats = group_stats(h, dist)
-    dirty_stats = group_stats(h, corrupted)
-    for g in dist.groups:
-        r = dist.group_mass(g)
-        predicted = ((1.0 - alpha) * clean_stats.rate[g] * r + e_z[g]) / (
-            (1.0 - alpha) * r + alpha_z[g]
-        )
-        if abs(predicted - dirty_stats.rate[g]) > IDENTITY_TOL:
-            raise ContractError(
-                f"drift identity violated for group {g!r}: predicted {predicted}, "
-                f"measured {dirty_stats.rate[g]}"
-            )
-    return CorruptionDecomposition(alpha=alpha, alpha_z=alpha_z, e_z=e_z, e_z_plus=e_z_plus)
 
 
 def _simplex_weights(k: int, resolution: int):

@@ -3,7 +3,6 @@ recalibration, and the parity-calibration check."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -62,38 +61,15 @@ class BinnedPredictor:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "BinnedPredictor":
-        values: dict[int, float] = {}
-        group_values: dict[str, dict[int, float]] = {}
-        for rec in doc["bins"]:
-            idx = int(rec["index"])
-            if "value" in rec:
-                values[idx] = float(rec["value"])
-            for g, v in rec.get("values", {}).items():
-                group_values.setdefault(str(g), {})[idx] = float(v)
-        assignment = {str(rec["point"]): int(rec["bin"]) for rec in doc["assignment"]}
-        return BinnedPredictor(assignment=assignment, values=values, group_values=group_values)
-
-    @staticmethod
-    def from_json(text: str) -> "BinnedPredictor":
-        return BinnedPredictor.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Exact occupancy, conditional mean, and gap per (group, bin) cell."""
+    """Exact occupancy and conditional mean per (group, bin) cell, and the
+    largest gap between a cell's value and its mean."""
 
     occupancy: dict[tuple[str, int], float]  # P[x in bin | group]
     conditional_mean: dict[tuple[str, int], float]
-    cell_value: dict[tuple[str, int], float]
     max_gap: float
-    max_gap_by_group: dict[str, float]
-    weighted_l1_by_group: dict[str, float]
-    weighted_l1: float  # joint-mass weighted over all cells
 
 
 def calibration_report(h: BinnedPredictor, dist: Distribution) -> CalibrationReport:
@@ -111,28 +87,13 @@ def calibration_report(h: BinnedPredictor, dist: Distribution) -> CalibrationRep
 
     occupancy: dict[tuple[str, int], float] = {}
     mean: dict[tuple[str, int], float] = {}
-    value: dict[tuple[str, int], float] = {}
-    gap_by_group = {g: 0.0 for g in dist.groups}
-    wl1_by_group = {g: 0.0 for g in dist.groups}
-    wl1_total = 0.0
+    max_gap = 0.0
     r = {g: dist.group_mass(g) for g in dist.groups}
     for (g, b), m in sorted(cell_mass.items()):
         occupancy[(g, b)] = m / r[g]
         mean[(g, b)] = cell_pos.get((g, b), 0.0) / m
-        value[(g, b)] = h.bin_value(b, g)
-        gap = abs(value[(g, b)] - mean[(g, b)])
-        gap_by_group[g] = max(gap_by_group[g], gap)
-        wl1_by_group[g] += occupancy[(g, b)] * gap
-        wl1_total += m * gap
-    return CalibrationReport(
-        occupancy=occupancy,
-        conditional_mean=mean,
-        cell_value=value,
-        max_gap=max(gap_by_group.values()) if gap_by_group else 0.0,
-        max_gap_by_group=gap_by_group,
-        weighted_l1_by_group=wl1_by_group,
-        weighted_l1=wl1_total,
-    )
+        max_gap = max(max_gap, abs(h.bin_value(b, g) - mean[(g, b)]))
+    return CalibrationReport(occupancy=occupancy, conditional_mean=mean, max_gap=max_gap)
 
 
 def recalibrate_per_group(h_star: BinnedPredictor, corrupted: Distribution) -> BinnedPredictor:

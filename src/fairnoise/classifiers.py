@@ -3,23 +3,21 @@ statistics.
 
 Randomization is never executed while evaluating: every statistic is a
 closed-form expectation over acceptance probabilities, so bound
-certification carries no sampling noise. ``sample_predictions`` exists only
-for the Monte Carlo smoke test.
+certification carries no sampling noise.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .distributions import Atom, Distribution
-from .errors import InputError, label
+from .distributions import Distribution
+from .errors import InputError, label, number
 
 GAP_TOL = 1e-9
 
-NOTIONS = ("dp", "eopp", "eodds", "predictive_parity", "error_parity")
+NOTIONS = ("dp", "eopp", "eodds", "predictive_parity")
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,15 @@ class BaseClassifier:
             return BaseClassifier.from_table({str(k): v for k, v in doc["table"].items()})
         if kind == "threshold":
             t = doc["threshold"]
-            threshold = {str(k): float(v) for k, v in t.items()} if isinstance(t, Mapping) else float(t)
+            threshold = (
+                {str(k): number(v, f"threshold of group {k!r}") for k, v in t.items()}
+                if isinstance(t, Mapping)
+                else number(t, "threshold")
+            )
             return BaseClassifier.from_threshold(threshold, direction=doc.get("direction", "above"))
-        return BaseClassifier.from_constant(doc["constant"])
+        if kind == "constant":
+            return BaseClassifier.from_constant(doc["constant"])
+        raise InputError(f"unknown classifier kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -143,21 +147,15 @@ class PQClassifier:
             "params": {g: {"p": p, "q": q} for g, (p, q) in sorted(self.params.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
     @staticmethod
     def from_json_dict(doc: Mapping) -> "PQClassifier":
         return PQClassifier(
             base=BaseClassifier.from_json_dict(doc["base"]),
             params={
-                str(g): (float(pq["p"]), float(pq["q"])) for g, pq in doc.get("params", {}).items()
+                str(g): (number(pq["p"], f"p of group {g!r}"), number(pq["q"], f"q of group {g!r}"))
+                for g, pq in doc.get("params", {}).items()
             },
         )
-
-    @staticmethod
-    def from_json(text: str) -> "PQClassifier":
-        return PQClassifier.from_json_dict(json.loads(text))
 
 
 def as_pq(h: BaseClassifier | PQClassifier) -> PQClassifier:
@@ -176,8 +174,6 @@ class GroupStats:
     tpr: dict[str, float | None]
     fpr: dict[str, float | None]
     ppv: dict[str, float | None]
-    group_error: dict[str, float]
-    overall_error: float
 
 
 def mass_table(
@@ -223,8 +219,6 @@ def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupSt
     tpr: dict[str, float | None] = {}
     fpr: dict[str, float | None] = {}
     ppv: dict[str, float | None] = {}
-    group_error: dict[str, float] = {}
-    err_terms = []
     for g, cells in mass_table(pq, dist).items():
         m1p, m1n, m0p, m0n = cells
         u, v = pq.uv(g)
@@ -236,21 +230,11 @@ def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupSt
         acc_mass = math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
         acc_pos = math.fsum((u * m1p, v * m0p))
         acc_neg = acc_mass - acc_pos
-        err = math.fsum(error_terms(cells, u, v))
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None
         ppv[g] = acc_pos / acc_mass if acc_mass > 0.0 else None
-        group_error[g] = err / r
-        err_terms.append(err)
-    return GroupStats(
-        rate=rate,
-        tpr=tpr,
-        fpr=fpr,
-        ppv=ppv,
-        group_error=group_error,
-        overall_error=math.fsum(err_terms),
-    )
+    return GroupStats(rate=rate, tpr=tpr, fpr=fpr, ppv=ppv)
 
 
 def _pairwise_gap(values: dict[str, float | None], notion: str) -> float:
@@ -271,20 +255,5 @@ def fairness_gap(stats: GroupStats, notion: str) -> float:
         return max(_pairwise_gap(stats.tpr, notion), _pairwise_gap(stats.fpr, notion))
     if notion == "predictive_parity":
         return _pairwise_gap(stats.ppv, notion)
-    if notion == "error_parity":
-        return _pairwise_gap(dict(stats.group_error), notion)
     raise InputError(f"unknown fairness notion {notion!r}; expected one of {NOTIONS}")
 
-
-def sample_predictions(h: PQClassifier, atom: Atom, n: int, rng) -> int:
-    """Number of positive outputs in n executed draws at a fixed atom.
-
-    Smoke-test helper; the evaluation path never samples.
-    """
-    p, q = h.params.get(atom.group, (0.0, 0.0))
-    base = h.base.predict(atom.point, atom.group, atom.feature)
-    override = rng.binomial(n, p)
-    positives = rng.binomial(override, q)
-    if base == 1:
-        positives += n - override
-    return int(positives)

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import attacks, harness
+from . import attacks, families, harness
 from .classifiers import BaseClassifier, PQClassifier
 from .distributions import Distribution
 from .errors import ContractError, FairnoiseError, InfeasibleError, InputError, number
@@ -113,7 +113,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         dist = Distribution.from_json_dict(doc["dist"])
         q, corrupted = attacks.duplicate_flip_attack(dist, str(target), alpha)
     elif kind == "needle_eopp":
-        needle = attacks.needle_eopp_attack(alpha)
+        needle = families.eopp_needle(alpha)
         q, corrupted = needle.contamination, needle.corrupted
     elif kind == "tpr_shift":
         dist = Distribution.from_json_dict(doc["dist"])

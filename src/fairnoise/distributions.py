@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InputError, label, number
+from .errors import InputError, label, number, text
 
 #: absolute tolerance for "sums to one" invariants
 EQ_TOL = 1e-9
@@ -38,8 +38,7 @@ class Atom:
     feature: float | None = None
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise InputError(f"label must be 0 or 1, got {self.label!r}")
+        label(self.label, "label")
         if not math.isfinite(self.mass) or self.mass < 0.0:
             raise InputError(f"atom mass must be finite and >= 0, got {self.mass!r}")
 
@@ -68,9 +67,6 @@ class Distribution:
     def positive_mass(self, group: str) -> float:
         return math.fsum(a.mass for a in self.atoms if a.group == group and a.label == 1)
 
-    def total_mass(self) -> float:
-        return math.fsum(a.mass for a in self.atoms)
-
     def support_points(self) -> list[tuple[str, str, float | None]]:
         """Distinct (group, point, feature) triples in canonical order."""
         seen: dict[tuple[str, str], float | None] = {}
@@ -94,20 +90,16 @@ class Distribution:
     def from_json_dict(doc: Mapping) -> "Distribution":
         atoms = [
             Atom(
-                point=str(rec["point"]),
+                point=text(rec["point"], "atom point"),
                 label=label(rec["label"], "atom label"),
-                group=str(rec["group"]),
+                group=text(rec["group"], "atom group"),
                 mass=number(rec["mass"], "atom mass"),
                 feature=None if rec.get("feature") is None else number(rec["feature"], "atom feature"),
             )
             for rec in doc["atoms"]
         ]
-        groups = [str(g) for g in doc["groups"]] if "groups" in doc else None
+        groups = [text(g, "group") for g in doc["groups"]] if "groups" in doc else None
         return make_distribution(atoms, groups=groups)
-
-    @staticmethod
-    def from_json(text: str) -> "Distribution":
-        return Distribution.from_json_dict(json.loads(text))
 
 
 def make_distribution(atoms: Iterable[Atom], groups: Iterable[str] | None = None) -> Distribution:
@@ -166,9 +158,3 @@ def mix(dist: Distribution, contamination: Distribution, alpha: float) -> Distri
         Atom(a.point, a.label, a.group, alpha * a.mass, a.feature) for a in contamination.atoms
     ]
     return make_distribution(atoms, groups=dist.groups)
-
-
-def tv_distance(d: Distribution, e: Distribution) -> float:
-    """Total variation distance: half the L1 gap over the union of supports."""
-    keys = set(d.mass_by_key) | set(e.mass_by_key)
-    return 0.5 * math.fsum(abs(d.mass_by_key.get(k, 0.0) - e.mass_by_key.get(k, 0.0)) for k in keys)

@@ -49,3 +49,11 @@ def number(value: object, what: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise InputError(f"{what} must be a number, got {value!r}")
+
+
+def text(value: object, what: str) -> str:
+    """``value`` as a string; numbers, null and other values are rejected
+    rather than converted."""
+    if isinstance(value, str):
+        return value
+    raise InputError(f"{what} must be a string, got {value!r}")

@@ -9,11 +9,12 @@ is exact, not sampled), so the repair preconditions always hold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import duplicate_flip_attack, needle_eopp_attack
+from .attacks import duplicate_flip_attack
 from .calibration import BinnedPredictor
 from .classifiers import BaseClassifier
 from .distributions import Atom, Distribution, make_distribution, mix
@@ -29,7 +30,6 @@ class Instance:
     contamination: Distribution
     corrupted: Distribution
     h_star: BaseClassifier
-    alpha: float
 
 
 def dp_worked(alpha: float) -> Instance:
@@ -47,14 +47,32 @@ def dp_worked(alpha: float) -> Instance:
     )
     h_star = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
     contamination = make_distribution([Atom("b1", 1, "B", 1.0)], groups=dist.groups)
-    return Instance(dist, contamination, mix(dist, contamination, alpha), h_star, alpha)
+    return Instance(dist, contamination, mix(dist, contamination, alpha), h_star)
 
 
 def eopp_needle(alpha: float) -> Instance:
-    """The four-point square-root-group construction with its perfect base."""
-    needle = needle_eopp_attack(alpha)
+    """The four-point square-root-group instance, its perfect base, and the
+    needle contamination that forces sqrt(alpha) excess error under equal
+    opportunity.
+
+    The small group B holds sqrt(alpha) of the mass; the adversary plants
+    positive mass alpha on B's rejected point, which ends up a
+    2 sqrt(alpha) / ((1 - alpha) + 2 sqrt(alpha)) share of B's positives.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InputError("needle instance needs alpha in (0, 1)")
+    s = math.sqrt(alpha)
+    dist = make_distribution(
+        [
+            Atom("x1", 1, "A", (1.0 - s) / 2.0),
+            Atom("x2", 0, "A", (1.0 - s) / 2.0),
+            Atom("x3", 1, "B", s / 2.0),
+            Atom("x4", 0, "B", s / 2.0),
+        ]
+    )
     h_star = BaseClassifier.from_table({"x1": 1, "x2": 0, "x3": 1, "x4": 0})
-    return Instance(needle.dist, needle.contamination, needle.corrupted, h_star, alpha)
+    contamination = make_distribution([Atom("x4", 1, "B", 1.0)], groups=dist.groups)
+    return Instance(dist, contamination, mix(dist, contamination, alpha), h_star)
 
 
 def balanced_instance(r_b: float) -> tuple[Distribution, BaseClassifier]:
@@ -79,7 +97,7 @@ def eodds_duplicate(alpha: float, r_b: float) -> Instance:
     duplicate-flip, which needs alpha >= r_b / (1 + r_b)."""
     dist, h_star = balanced_instance(r_b)
     contamination, corrupted = duplicate_flip_attack(dist, "B", alpha)
-    return Instance(dist, contamination, corrupted, h_star, alpha)
+    return Instance(dist, contamination, corrupted, h_star)
 
 
 def calibration_drift(alpha: float) -> tuple[Distribution, Distribution, BinnedPredictor]:
@@ -178,45 +196,4 @@ def random_eopp_instance(rng: np.random.Generator, max_atoms: int = 32) -> tuple
             atoms.append(Atom(point, 0, g, m))
             table[point] = int(rng.integers(0, 2))
     return make_distribution(atoms), BaseClassifier.from_table(table)
-
-
-def random_contamination(rng: np.random.Generator, dist: Distribution, max_atoms: int = 4) -> Distribution:
-    """Random contamination supported on the instance's own points with
-    adversary-chosen labels."""
-    support = dist.support_points()
-    n = int(rng.integers(1, max_atoms + 1))
-    picks = rng.choice(len(support), size=min(n, len(support)), replace=False)
-    atoms = []
-    for w, idx in zip(_split(rng, 1.0, len(picks)), picks):
-        g, p, f = support[int(idx)]
-        atoms.append(Atom(p, int(rng.integers(0, 2)), g, w, f))
-    return make_distribution(atoms, groups=dist.groups)
-
-
-def random_calibrated_instance(
-    rng: np.random.Generator, max_bins: int = 4
-) -> tuple[Distribution, BinnedPredictor]:
-    """Random two-group binned instance, calibrated per group exactly: each
-    (group, bin) cell is one point carrying value * cell mass positives."""
-    r_a = float(rng.uniform(0.2, 0.8))
-    masses = {"A": r_a, "B": 1.0 - r_a}
-    n_bins = int(rng.integers(2, max_bins + 1))
-
-    atoms: list[Atom] = []
-    assignment: dict[str, int] = {}
-    group_values: dict[str, dict[int, float]] = {"A": {}, "B": {}}
-    for g, r in masses.items():
-        occupancy = _split(rng, r, n_bins)
-        for b, cell in enumerate(occupancy):
-            v = float(rng.uniform(0.0, 1.0))
-            point = f"{g.lower()}_b{b}"
-            assignment[point] = b
-            group_values[g][b] = v
-            pos = v * cell
-            if pos > 0.0:
-                atoms.append(Atom(point, 1, g, pos))
-            if cell - pos > 0.0:
-                atoms.append(Atom(point, 0, g, cell - pos))
-    predictor = BinnedPredictor(assignment=assignment, group_values=group_values)
-    return make_distribution(atoms), predictor
 

@@ -446,9 +446,7 @@ def certify_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-def minimax_demo(
-    alpha: float, gamma: float | None = None, grid_n: int = 101, r_b: float | None = None
-) -> MinimaxReport:
+def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) -> MinimaxReport:
     """Minimize the worst per-group error on the corrupted distribution.
 
     On the duplication instance the washed-out group is stuck at one-half
@@ -463,7 +461,7 @@ def minimax_demo(
         isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= 1.0
     ):
         raise InputError(f"gamma must be a number in [0, 1], got {gamma!r}")
-    dist, h = families.balanced_instance(_r_b(alpha, r_b) if alpha > 0.0 or r_b is not None else 0.1)
+    dist, h = families.balanced_instance(_r_b(alpha) if alpha > 0.0 else 0.1)
     corrupted = duplicate_flip_attack(dist, "B", alpha)[1] if alpha > 0.0 else dist
 
     uu, vv = option_grid(grid_n)
@@ -507,11 +505,11 @@ def report_json(report: RobustnessReport) -> str:
     return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def report_svg(report: RobustnessReport, width: int = 480, height: int = 360) -> str:
-    """Log-log polyline of (alpha, beta); hand-rolled so output bytes depend
-    only on the report contents."""
+def report_svg(report: RobustnessReport) -> str:
+    """Log-log polyline of (alpha, beta) on a 480 x 360 canvas; hand-rolled so
+    output bytes depend only on the report contents."""
     pts = [(p.alpha, p.beta) for p in report.points if p.beta > 0.0]
-    margin = 40.0
+    width, height, margin = 480, 360, 40.0
     body: list[str] = []
     if pts:
         xs = [math.log10(a) for a, _ in pts]

@@ -10,6 +10,11 @@ per candidate for ``grid_worst_case``.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
 of reading the mass table, so the package's versions must agree with them up
 to rounding.
+
+The test-side helpers at the end (total variation distance, Monte Carlo
+sampling of a randomized classifier, and two seeded random generators) are
+references on package code; the acceptance corpora draw their instances
+from the generators, so their draws must not change.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import numpy as np
 from fairnoise import families
 from fairnoise.attacks import _simplex_weights, duplicate_flip_attack
 from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
-from fairnoise.classifiers import GAP_TOL, GroupStats, as_pq, error_terms, mass_table
-from fairnoise.distributions import Atom, make_distribution, mix
+from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, error_terms, mass_table
+from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
+from fairnoise.families import _split
 from fairnoise.repair import best_response, option_grid
 
 
@@ -195,8 +201,7 @@ def group_stats(h, dist):
     pq = as_pq(h)
     acc_of = {a.key: pq.accept_prob(a.point, a.group, a.feature) for a in dist.atoms}
 
-    rate, tpr, fpr, ppv, group_error = {}, {}, {}, {}, {}
-    err_terms = []
+    rate, tpr, fpr, ppv = {}, {}, {}, {}
     for g in dist.groups:
         atoms = [a for a in dist.atoms if a.group == g]
         r = math.fsum(a.mass for a in atoms)
@@ -205,28 +210,17 @@ def group_stats(h, dist):
         acc_mass = math.fsum(a.mass * acc_of[a.key] for a in atoms)
         acc_pos = math.fsum(a.mass * acc_of[a.key] for a in atoms if a.label == 1)
         acc_neg = acc_mass - acc_pos
-        err = math.fsum(
-            a.mass * ((1.0 - acc_of[a.key]) if a.label == 1 else acc_of[a.key]) for a in atoms
-        )
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None
         ppv[g] = acc_pos / acc_mass if acc_mass > 0.0 else None
-        group_error[g] = err / r
-        err_terms.append(err)
-    return GroupStats(
-        rate=rate,
-        tpr=tpr,
-        fpr=fpr,
-        ppv=ppv,
-        group_error=group_error,
-        overall_error=math.fsum(err_terms),
-    )
+    return GroupStats(rate=rate, tpr=tpr, fpr=fpr, ppv=ppv)
 
 
 def corruption_masses(contamination, alpha, h, groups):
-    """(alpha_z, E_z, E_z+) of ``decompose_corruption``, as sums over the
-    contamination's atoms."""
+    """Per group, the corrupted mass alpha_z = alpha Q(z), the part of it the
+    classifier accepts E_z, and the accepted positive part E_z+, as sums over
+    the contamination's atoms."""
     pq = as_pq(h)
     alpha_z, e_z, e_z_plus = {}, {}, {}
     for g in groups:
@@ -236,3 +230,64 @@ def corruption_masses(contamination, alpha, h, groups):
         e_z[g] = alpha * math.fsum(m for _, m in accepted)
         e_z_plus[g] = alpha * math.fsum(m for a, m in accepted if a.label == 1)
     return alpha_z, e_z, e_z_plus
+
+
+def tv_distance(d: Distribution, e: Distribution) -> float:
+    """Total variation distance: half the L1 gap over the union of supports."""
+    keys = set(d.mass_by_key) | set(e.mass_by_key)
+    return 0.5 * math.fsum(abs(d.mass_by_key.get(k, 0.0) - e.mass_by_key.get(k, 0.0)) for k in keys)
+
+
+def sample_predictions(h: PQClassifier, atom: Atom, n: int, rng) -> int:
+    """Number of positive outputs in n executed draws at a fixed atom.
+
+    Smoke-test helper; the evaluation path never samples.
+    """
+    p, q = h.params.get(atom.group, (0.0, 0.0))
+    base = h.base.predict(atom.point, atom.group, atom.feature)
+    override = rng.binomial(n, p)
+    positives = rng.binomial(override, q)
+    if base == 1:
+        positives += n - override
+    return int(positives)
+
+
+def random_contamination(rng: np.random.Generator, dist: Distribution, max_atoms: int = 4) -> Distribution:
+    """Random contamination supported on the instance's own points with
+    adversary-chosen labels."""
+    support = dist.support_points()
+    n = int(rng.integers(1, max_atoms + 1))
+    picks = rng.choice(len(support), size=min(n, len(support)), replace=False)
+    atoms = []
+    for w, idx in zip(_split(rng, 1.0, len(picks)), picks):
+        g, p, f = support[int(idx)]
+        atoms.append(Atom(p, int(rng.integers(0, 2)), g, w, f))
+    return make_distribution(atoms, groups=dist.groups)
+
+
+def random_calibrated_instance(
+    rng: np.random.Generator, max_bins: int = 4
+) -> tuple[Distribution, BinnedPredictor]:
+    """Random two-group binned instance, calibrated per group exactly: each
+    (group, bin) cell is one point carrying value * cell mass positives."""
+    r_a = float(rng.uniform(0.2, 0.8))
+    masses = {"A": r_a, "B": 1.0 - r_a}
+    n_bins = int(rng.integers(2, max_bins + 1))
+
+    atoms: list[Atom] = []
+    assignment: dict[str, int] = {}
+    group_values: dict[str, dict[int, float]] = {"A": {}, "B": {}}
+    for g, r in masses.items():
+        occupancy = _split(rng, r, n_bins)
+        for b, cell in enumerate(occupancy):
+            v = float(rng.uniform(0.0, 1.0))
+            point = f"{g.lower()}_b{b}"
+            assignment[point] = b
+            group_values[g][b] = v
+            pos = v * cell
+            if pos > 0.0:
+                atoms.append(Atom(point, 1, g, pos))
+            if cell - pos > 0.0:
+                atoms.append(Atom(point, 0, g, cell - pos))
+    predictor = BinnedPredictor(assignment=assignment, group_values=group_values)
+    return make_distribution(atoms), predictor

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fairnoise import families, harness
-from fairnoise.attacks import drift_bound_dp, drift_bound_tpr
 from fairnoise.calibration import calibration_report, recalibrate_per_group, value_shift
 from fairnoise.classifiers import group_stats
 from fairnoise.distributions import mix
@@ -37,7 +37,7 @@ def _random_repair_run(kind: str):
             dist, h = families.random_dp_instance(rng)
         else:
             dist, h = families.random_eopp_instance(rng)
-        q = families.random_contamination(rng, dist)
+        q = oracles.random_contamination(rng, dist)
         corrupted = mix(dist, q, alpha)
         runs.append((alpha, dist, h, corrupted))
     return runs
@@ -65,11 +65,11 @@ def test_01_dp_upper_bound(dp_runs):
 
 
 def test_02_dp_drift_bound(dp_runs):
-    ok = abs(drift_bound_dp(0.1, 0.5) - 0.18181818181818182) <= 1e-12
+    ok = abs(0.1 / ((1.0 - 0.1) * 0.5 + 0.1) - 0.18181818181818182) <= 1e-12
     for alpha, dist, h, corrupted in dp_runs:
         clean, dirty = group_stats(h, dist), group_stats(h, corrupted)
         for g in dist.groups:
-            bound = drift_bound_dp(alpha, dist.group_mass(g))
+            bound = alpha / ((1.0 - alpha) * dist.group_mass(g) + alpha)
             if abs(dirty.rate[g] - clean.rate[g]) > bound + 1e-9:
                 ok = False
     _verdict(2, "rate drift <= a/((1-a)r+a) on all instances; spot value 0.181818", ok)
@@ -82,7 +82,7 @@ def test_03_tpr_drift_bound(eopp_runs):
         for g in dist.groups:
             if clean.tpr[g] is None or dirty.tpr[g] is None:
                 continue
-            bound = drift_bound_tpr(alpha, dist.positive_mass(g))
+            bound = alpha / ((1.0 - alpha) * dist.positive_mass(g) + alpha)
             if abs(dirty.tpr[g] - clean.tpr[g]) > bound + 1e-9:
                 ok = False
     _verdict(3, "TPR drift <= a/((1-a)r+ + a) on all instances", ok)
@@ -134,8 +134,8 @@ def test_08_calibration_linear():
     ok = True
     for _ in range(N_RANDOM):
         alpha = float(rng.uniform(0.01, 0.2))
-        dist, predictor = families.random_calibrated_instance(rng)
-        q = families.random_contamination(rng, dist)
+        dist, predictor = oracles.random_calibrated_instance(rng)
+        q = oracles.random_contamination(rng, dist)
         corrupted = mix(dist, q, alpha)
         repaired = recalibrate_per_group(predictor, corrupted)
         gap = calibration_report(repaired, corrupted).max_gap

@@ -10,18 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from fairnoise import attacks, families
-from fairnoise.attacks import (
-    AttackSpec,
-    decompose_corruption,
-    drift_bound_dp,
-    drift_bound_tpr,
-    duplicate_flip_attack,
-    grid_worst_case,
-    needle_eopp_attack,
-    tpr_shift_attack,
-)
+from fairnoise.attacks import AttackSpec, duplicate_flip_attack, grid_worst_case, tpr_shift_attack
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
-from fairnoise.distributions import Atom, make_distribution, mix, tv_distance
+from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.repair import best_response, grid_responses, statistic_inputs
 from fairnoise.errors import FairnoiseError, InputError
 
@@ -58,21 +49,6 @@ class TestAttackSpec:
 
 
 class TestDriftBounds:
-    def test_spot_value(self):
-        # alpha=0.1, r=0.5 -> 0.1 / (0.9*0.5 + 0.1) = 2/11
-        assert_close(drift_bound_dp(0.1, 0.5), 0.18181818181818182)
-        assert_close(drift_bound_tpr(0.1, 0.5), 0.18181818181818182)
-
-    def test_monotone_in_alpha(self):
-        assert drift_bound_dp(0.05, 0.3) < drift_bound_dp(0.2, 0.3)
-
-    def test_degenerate_zero_denominator(self):
-        assert drift_bound_dp(0.0, 0.0) == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InputError):
-            drift_bound_dp(-0.1, 0.5)
-
     @settings(max_examples=80, deadline=None)
     @given(distributions(), distributions(), alphas())
     def test_rate_drift_bounded_for_any_attack(self, dist, q, alpha):
@@ -80,7 +56,7 @@ class TestDriftBounds:
         corrupted = mix(dist, q, alpha)
         clean, dirty = group_stats(h, dist), group_stats(h, corrupted)
         for g in dist.groups:
-            bound = drift_bound_dp(alpha, dist.group_mass(g))
+            bound = alpha / ((1 - alpha) * dist.group_mass(g) + alpha)
             assert abs(dirty.rate[g] - clean.rate[g]) <= bound + 1e-9
 
     @settings(max_examples=80, deadline=None)
@@ -92,7 +68,7 @@ class TestDriftBounds:
         for g in dist.groups:
             if clean.tpr[g] is None or dirty.tpr[g] is None:
                 continue
-            bound = drift_bound_tpr(alpha, dist.positive_mass(g))
+            bound = alpha / ((1 - alpha) * dist.positive_mass(g) + alpha)
             assert abs(dirty.tpr[g] - clean.tpr[g]) <= bound + 1e-9
 
 
@@ -105,7 +81,7 @@ class TestDuplicateFlip:
             pos = corrupted.mass(point, 1, "B")
             neg = corrupted.mass(point, 0, "B")
             assert_close(pos, neg, 1e-12)
-        assert tv_distance(dist, corrupted) <= 0.1 + 1e-9
+        assert oracles.tv_distance(dist, corrupted) <= 0.1 + 1e-9
 
     def test_leftover_budget_duplicates_other_group(self):
         dist = balanced_two_group(r_b=0.05)
@@ -125,7 +101,7 @@ class TestDuplicateFlip:
         dist = make_distribution([Atom("x", 1, "A", 0.6), Atom("y", 0, "A", 0.4)])
         q, corrupted = duplicate_flip_attack(dist, "A", 0.5)
         assert_close(corrupted.mass("x", 1, "A"), corrupted.mass("x", 0, "A"), 1e-12)
-        assert_close(corrupted.total_mass(), 1.0)
+        assert_close(math.fsum(a.mass for a in corrupted.atoms), 1.0)
 
     def test_unknown_group(self):
         with pytest.raises(InputError):
@@ -134,19 +110,22 @@ class TestDuplicateFlip:
 
 class TestNeedle:
     def test_structure_and_alpha_prime(self):
-        needle = needle_eopp_attack(0.04)
+        needle = families.eopp_needle(0.04)
         s = 0.2  # sqrt(0.04)
         assert_close(needle.dist.mass("x1", 1, "A"), (1 - s) / 2)
         assert_close(needle.dist.mass("x3", 1, "B"), s / 2)
-        assert_close(needle.alpha_prime, 2 * s / ((1 - 0.04) + 2 * s))
-        assert_close(needle.alpha_prime, 0.29411764705882354)
         # contamination is a single positive point mass on B's rejected point
         assert needle.contamination.atoms[0].key == ("B", "x4", 1)
-        assert_close(needle.corrupted.total_mass(), 1.0)
+        corrupted = needle.corrupted
+        assert_close(math.fsum(a.mass for a in corrupted.atoms), 1.0)
+        # the needle's share alpha' of B's corrupted positives, measured
+        share = corrupted.mass("x4", 1, "B") / corrupted.positive_mass("B")
+        assert_close(share, 2 * s / ((1 - 0.04) + 2 * s))
+        assert_close(share, 0.29411764705882354)
 
     def test_rejects_degenerate_alpha(self):
         with pytest.raises(InputError):
-            needle_eopp_attack(0.0)
+            families.eopp_needle(0.0)
 
 
 class TestTprShift:
@@ -178,7 +157,7 @@ class TestTprShift:
         alpha = 0.1
         q, corrupted = tpr_shift_attack(dist, h, "A", alpha, "lower")
         clean, dirty = group_stats(h, dist), group_stats(h, corrupted)
-        bound = drift_bound_tpr(alpha, dist.positive_mass("A"))
+        bound = alpha / ((1 - alpha) * dist.positive_mass("A") + alpha)
         assert_close(abs(dirty.tpr["A"] - clean.tpr["A"]), bound, 1e-12)
 
     def test_no_eligible_point(self):
@@ -188,20 +167,33 @@ class TestTprShift:
             tpr_shift_attack(dist, h, "A", 0.1, "raise")
 
 
+def assert_drift_identity(dist, q, alpha, h):
+    """Each group's corrupted positive-prediction rate, rebuilt from its clean
+    rate and the corrupted masses (alpha_z, E_z, E_z+), is the rate measured
+    on the mixture; returns the masses."""
+    alpha_z, e_z, e_z_plus = oracles.corruption_masses(q, alpha, h, dist.groups)
+    assert abs(math.fsum(alpha_z.values()) - alpha) <= 1e-9
+    clean, dirty = group_stats(h, dist), group_stats(h, mix(dist, q, alpha))
+    for g in dist.groups:
+        assert -1e-9 <= e_z[g] <= alpha_z[g] + 1e-9
+        assert -1e-9 <= e_z_plus[g] <= alpha_z[g] + 1e-9
+        r = dist.group_mass(g)
+        predicted = ((1 - alpha) * clean.rate[g] * r + e_z[g]) / ((1 - alpha) * r + alpha_z[g])
+        assert abs(predicted - dirty.rate[g]) <= 1e-9
+    return alpha_z, e_z, e_z_plus
+
+
 class TestDecomposition:
     def test_identity_holds_on_needle(self):
-        needle = needle_eopp_attack(0.04)
-        h = BaseClassifier.from_table({"x1": 1, "x2": 0, "x3": 1, "x4": 0})
-        decomp = decompose_corruption(needle.dist, needle.contamination, 0.04, h)
-        assert_close(math.fsum(decomp.alpha_z.values()), 0.04, 1e-12)
-        assert decomp.e_z["A"] == 0.0  # contamination lives entirely on B
+        needle = families.eopp_needle(0.04)
+        alpha_z, e_z, _ = assert_drift_identity(needle.dist, needle.contamination, 0.04, needle.h_star)
+        assert_close(math.fsum(alpha_z.values()), 0.04, 1e-12)
+        assert e_z["A"] == 0.0  # contamination lives entirely on B
 
     @settings(max_examples=50, deadline=None)
     @given(distributions(), distributions(), alphas())
     def test_identity_holds_generically(self, dist, q, alpha):
-        # decompose_corruption raises ContractError internally if the
-        # rate-drift identity fails; reaching here is the assertion
-        decompose_corruption(dist, q, alpha, BaseClassifier.from_constant(1))
+        assert_drift_identity(dist, q, alpha, BaseClassifier.from_constant(1))
 
 
 class TestGridWorstCase:
@@ -210,7 +202,7 @@ class TestGridWorstCase:
         h = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
         q, excess = grid_worst_case(dist, 0.3, [h], "dp", resolution=4, grid_n=21)
         assert excess >= 0.0
-        assert_close(q.total_mass(), 1.0)
+        assert_close(math.fsum(a.mass for a in q.atoms), 1.0)
 
     def test_rejects_large_supports(self):
         atoms = [Atom(f"x{i}", i % 2, "A", 1 / 70) for i in range(70)]

@@ -205,15 +205,13 @@ class TestMinimaxAndReport:
 
     def test_report_rerenders(self, tmp_path, sweep_config):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(sweep_config), "--out", str(out)]) == 0
+        formats = ["--format", "json", "--format", "csv", "--format", "svg"]
+        assert main(["run", "--config", str(sweep_config), "--out", str(out), *formats]) == 0
         out2 = tmp_path / "out2"
-        code = main(
-            ["report", "--config", str(out / "report.json"), "--out", str(out2),
-             "--format", "csv", "--format", "svg"]
-        )
+        code = main(["report", "--config", str(out / "report.json"), "--out", str(out2), *formats])
         assert code == 0
-        assert (out2 / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
-        assert (out2 / "sweep.svg").exists()
+        for name in ("report.json", "report.csv", "sweep.svg"):
+            assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestUsage:
@@ -359,6 +357,19 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         ("attack", ("dist", "atoms", 0, "mass"), "0.455"),
         ("attack", ("dist", "atoms", 0, "feature"), "2"),
         ("repair", ("corrupted", "atoms", 0, "label"), True),
+        ("repair", ("h_star", "params", "A", "p"), "0.0"),
+        ("repair", ("h_star", "params", "A", "q"), True),
+        ("repair", ("h_star", "base"), {"kind": "bogus", "constant": 1}),
+        ("attack", ("dist", "atoms", 0, "point"), 3),
+        (
+            "attack",
+            (),
+            {"kind": "tpr_shift", "alpha": 0.1, "target_group": "A",
+             "h_star": {"kind": "threshold", "threshold": "0.5"},
+             "dist": {"atoms": [{"point": p, "label": y, "group": g, "mass": 0.25, "feature": x}
+                                for p, y, g, x in (("a1", 1, "A", 1.0), ("a2", 0, "A", 0.0),
+                                                   ("b1", 1, "B", 1.0), ("b2", 0, "B", 0.0))]}},
+        ),
     ],
     ids=(
         "family_params-list",
@@ -384,6 +395,11 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         "atom-mass-string",
         "atom-feature-string",
         "corrupted-atom-label-true",
+        "params-p-string",
+        "params-q-true",
+        "base-kind-bogus",
+        "atom-point-int",
+        "threshold-string",
     ),
 )
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from fairnoise import families, repair
-from fairnoise.attacks import decompose_corruption
 from fairnoise.classifiers import PQClassifier, error, error_terms, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InputError
@@ -210,7 +209,7 @@ class TestMassTable:
     def test_statistics_match_atom_sums(self, seed, generate, alpha, pq):
         rng = np.random.default_rng(seed)
         dist, h = generate(rng, max_atoms=16)
-        q = families.random_contamination(rng, dist)
+        q = oracles.random_contamination(rng, dist)
         corrupted = mix(dist, q, alpha)
         h = PQClassifier(h, {"A": pq[:2], "B": pq[2:]})
         table_d, table_q, table_mix = (mass_table(h, x) for x in (dist, q, corrupted))
@@ -229,24 +228,13 @@ class TestMassTable:
                 # a rounding-level change in a mass moves a rate by that change
                 # over the denominator: compare the masses.
                 r, pos = d.group_mass(g), d.positive_mass(g)
-                denominator = {
-                    "rate": r, "tpr": pos, "fpr": r - pos, "ppv": want.rate[g] * r, "group_error": r,
-                }
+                denominator = {"rate": r, "tpr": pos, "fpr": r - pos, "ppv": want.rate[g] * r}
                 for name, mass in denominator.items():
                     value, expected = getattr(got, name)[g], getattr(want, name)[g]
                     assert (value is None) == (expected is None), (name, g)
                     if expected is not None:
                         assert abs(value - expected) * mass <= 1e-12, (name, g, value, expected)
-            assert abs(got.overall_error - want.overall_error) <= 1e-12
             assert abs(error(h, d) - oracles.error(h, d)) <= 1e-12
-
-        decomposition = decompose_corruption(dist, q, alpha, h)
-        expected = oracles.corruption_masses(q, alpha, h, dist.groups)
-        for masses, reference in zip(
-            (decomposition.alpha_z, decomposition.e_z, decomposition.e_z_plus), expected
-        ):
-            for g in dist.groups:
-                assert abs(masses[g] - reference[g]) <= 1e-12
 
 
 def _stats_or_error(stats, h, dist):

@@ -16,6 +16,22 @@ REPORT_SHA256 = {
     "eopp_needle": "b93a22399fabee03e8c59095f7d0f34655595be21062a791bad5febdb6e6e24e",
 }
 
+#: SHA-256 of each report.csv, the same run
+CSV_SHA256 = {
+    "calibration_drift": "500af5c01345632b4d27a452e4edfd29a2ed9a6d0cc27fab61a6d6c45f7dfb2b",
+    "dp_worked": "be88212f09cd62a5e4f1ef9aeedb359e29d8f50f73ed4d2c3dd949e8c5e7b993",
+    "eodds_duplicate": "d82720d2685e8d39e42b51a12251014c1ac8af55a836913e4de8f972be6180d7",
+    "eopp_needle": "3c8cc7c7d186506e4366a3f627a9aac61b8e5684d8e691d285b1e1c6d8756461",
+}
+
+#: SHA-256 of each sweep.svg, the same run
+SVG_SHA256 = {
+    "calibration_drift": "efa886bfd7e0ee34fe973a6e1a1947d205437795c0ccde114e05d2b470909d84",
+    "dp_worked": "7576a17c13e3c65f10c9e1d6a3034d5d3f8d40ca5a1a880b80047f937f329275",
+    "eodds_duplicate": "6a93fd29f14a54e00088af96dc3f97be75f474902af50eb9d0d78f015081f67a",
+    "eopp_needle": "83d0b6230bbe7768c31635121e2216e1b1e61153991c573bac8975de867a20af",
+}
+
 CERTIFY_OUTPUT = """\
 eopp                 alpha=0.04   floor=0.097000 claimed=0.100000 pass=True
 eopp                 alpha=0.01   floor=0.047250 claimed=0.050000 pass=True
@@ -40,11 +56,12 @@ def load_script(name: str):
 def test_sweep_reports_match_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["run_all_sweeps.py", str(tmp_path)])
     load_script("run_all_sweeps").main()
-    digests = {
-        family: hashlib.sha256((tmp_path / family / "report.json").read_bytes()).hexdigest()
-        for family in REPORT_SHA256
-    }
-    assert digests == REPORT_SHA256
+    for name, pinned in (("report.json", REPORT_SHA256), ("report.csv", CSV_SHA256), ("sweep.svg", SVG_SHA256)):
+        digests = {
+            family: hashlib.sha256((tmp_path / family / name).read_bytes()).hexdigest()
+            for family in pinned
+        }
+        assert digests == pinned, name
 
 
 def test_certify_bounds_output(monkeypatch, capsys):
