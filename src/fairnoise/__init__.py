@@ -11,7 +11,7 @@ in the corruption budget) are certified rather than estimated.
 from .distributions import Atom, Distribution, make_distribution, mix
 from .classifiers import BaseClassifier, PQClassifier, error, fairness_gap, group_stats
 from .repair import RepairWitness, best_response, dp_repair, eopp_repair
-from .attacks import AttackSpec, duplicate_flip_attack
+from .attacks import duplicate_flip_attack
 from .calibration import (
     BinnedPredictor,
     calibration_report,
@@ -25,7 +25,6 @@ from .harness import (
     certify_lower_bound,
     fit_loglog,
     minimax_demo,
-    predictive_parity_attack_certify,
     run_sweep,
     write_report,
 )
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
-    "AttackSpec",
     "BaseClassifier",
     "BinnedPredictor",
     "Distribution",
@@ -57,7 +55,6 @@ __all__ = [
     "minimax_demo",
     "mix",
     "parity_calibration_check",
-    "predictive_parity_attack_certify",
     "recalibrate_per_group",
     "run_sweep",
     "write_report",

@@ -10,41 +10,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classifiers import BaseClassifier, as_pq, cell_index, error
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError, integer, number
-from .repair import best_response, grid_classifier, grid_responses, statistic_inputs
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Serializable description of an adversary strategy."""
-
-    kind: str
-    alpha: float
-    target_group: str | None = None
-    parameters: Mapping[str, object] = field(default_factory=dict)
-
-    KINDS = ("identity", "duplicate_flip", "needle_eopp", "tpr_shift")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise InputError(f"unknown attack kind {self.kind!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError(f"alpha must be in [0, 1], got {self.alpha!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "target_group": self.target_group,
-            "parameters": dict(self.parameters),
-        }
+from .repair import best_response, grid_classifier, grid_responses, grid_size, statistic_inputs
 
 
 def duplicate_flip_attack(
@@ -276,13 +249,14 @@ def grid_worst_case(
     Raises ``InputError`` before any search when ``alpha`` is not a number
     in [0, 1], or ``resolution``, ``grid_n`` or ``max_mix_atoms`` is not an
     integer (an integral float such as 4.0 counts as one), or
-    ``resolution`` is below 2 or ``max_mix_atoms`` below 1.
+    ``resolution`` is below 2, ``max_mix_atoms`` below 1 or ``grid_n``
+    outside the range :func:`repair.grid_size` accepts.
     """
     if len(dist.atoms) > 64:
         raise InputError("grid_worst_case is a desk-scale certifier; use <= 64 atoms")
     if not 0.0 <= number(alpha, "alpha") <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
-    resolution, grid_n = integer(resolution, "resolution"), integer(grid_n, "grid_n")
+    resolution, grid_n = integer(resolution, "resolution"), grid_size(grid_n)
     max_mix_atoms = integer(max_mix_atoms, "max_mix_atoms")
     if resolution < 2:
         raise InputError("resolution must be at least 2")

@@ -9,14 +9,13 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import families
-from .attacks import AttackSpec, duplicate_flip_attack
 from .calibration import (
     BinnedPredictor,
     calibration_report,
@@ -26,8 +25,8 @@ from .calibration import (
     value_shift,
 )
 from .classifiers import GAP_TOL, error, error_terms, mass_table
-from .errors import ContractError, InputError, integer, number
-from .repair import MAX_GRID_N, best_response, dp_repair, eopp_repair, option_grid
+from .errors import ContractError, InputError, integer, number, text
+from .repair import best_response, dp_repair, eopp_repair, grid_size, option_grid
 
 #: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
 #: family_params). The families function of the same name builds each
@@ -43,6 +42,13 @@ SWEEP_FAMILIES = {
 
 #: smallest beta still considered "bounded away from zero" for a constant verdict
 CONSTANT_FLOOR = 1e-3
+
+
+def _fields(record) -> dict:
+    """A dataclass record's fields by name. Shallow: ``dataclasses.asdict``
+    would deep-copy the nested dicts, which costs about as much as writing
+    the JSON."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -78,34 +84,29 @@ class ExperimentConfig:
             raise InputError(f"family {self.family!r} takes no family_params {unknown}")
         if self.jobs < 1:
             raise InputError("jobs must be >= 1")
-        if not 11 <= self.grid_n <= MAX_GRID_N:
-            raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {self.grid_n}")
+        object.__setattr__(self, "grid_n", grid_size(self.grid_n))
 
     def to_json_dict(self) -> dict:
         return {
-            "family": self.family,
-            "notion": self.notion,
+            **_fields(self),
             "alphas": list(self.alphas),
-            "grid_n": self.grid_n,
-            "seed": self.seed,
-            "jobs": self.jobs,
             "family_params": dict(self.family_params),
-            "out_dir": self.out_dir,
         }
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "ExperimentConfig":
+        out_dir = doc.get("out_dir")
         return ExperimentConfig(
-            family=str(doc["family"]),
-            notion=str(doc["notion"]),
+            family=text(doc["family"], "family"),
+            notion=text(doc["notion"], "notion"),
             alphas=tuple(number(a, "alpha") for a in doc["alphas"]),
-            grid_n=integer(doc.get("grid_n", 41), "grid_n"),
+            grid_n=doc.get("grid_n", 41),
             seed=integer(doc.get("seed", 0), "seed"),
             jobs=integer(doc.get("jobs", 1), "jobs"),
             family_params={
                 str(k): number(v, f"family param {k!r}") for k, v in doc.get("family_params", {}).items()
             },
-            out_dir=doc.get("out_dir"),
+            out_dir=None if out_dir is None else text(out_dir, "out_dir"),
         )
 
     def sha256(self) -> str:
@@ -126,17 +127,7 @@ class SweepPoint:
     contamination: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "notion": self.notion,
-            "gap_corrupted": self.gap_corrupted,
-            "beta": self.beta,
-            "excess_oracle": self.excess_oracle,
-            "attack": self.attack,
-            "witness": self.witness,
-            "dist": self.dist,
-            "contamination": self.contamination,
-        }
+        return _fields(self)
 
 
 @dataclass(frozen=True)
@@ -175,14 +166,7 @@ class MinimaxReport:
     gamma_feasible: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "epsilon": dict(sorted(self.epsilon.items())),
-            "max_group_error": self.max_group_error,
-            "opt_clean": self.opt_clean,
-            "gamma": self.gamma,
-            "gamma_feasible": self.gamma_feasible,
-        }
+        return {**_fields(self), "epsilon": dict(sorted(self.epsilon.items()))}
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +226,6 @@ def _sweep_point(config: ExperimentConfig, alpha: float) -> SweepPoint:
     # no analytic repair exists in the constant regime: the oracle is the witness
     analytic = {"dp": dp_repair, "eopp": eopp_repair}.get(notion)
     witness = analytic(inst.h_star, inst.dist, inst.corrupted, alpha=alpha) if analytic else oracle
-    attack = AttackSpec(kind=kind, alpha=alpha, target_group="B", parameters=params)
 
     # Analytic witnesses are exact; the grid best response (used as the
     # "witness" in the constant regime) only promises the grid tolerance.
@@ -262,7 +245,7 @@ def _sweep_point(config: ExperimentConfig, alpha: float) -> SweepPoint:
         gap_corrupted=witness.gap_on_corrupted,
         beta=witness.excess_error_on_original,
         excess_oracle=oracle.excess_error_on_original,
-        attack=attack.to_json_dict(),
+        attack={"kind": kind, "alpha": alpha, "target_group": "B", "parameters": params},
         witness=witness.to_json_dict(),
         dist=inst.dist.to_json_dict(),
         contamination=inst.contamination.to_json_dict(),
@@ -276,14 +259,13 @@ def _calibration_sweep_point(alpha: float) -> SweepPoint:
     if gap > GAP_TOL:
         raise ContractError(f"recalibration gap {gap:.3e} exceeds {GAP_TOL} at alpha={alpha}")
     shift = value_shift(predictor, repaired, corrupted)
-    attack = AttackSpec(kind="identity", alpha=alpha, target_group="A")
     return SweepPoint(
         alpha=alpha,
         notion="calibration",
         gap_corrupted=gap,
         beta=shift,
         excess_oracle=shift,
-        attack=attack.to_json_dict(),
+        attack={"kind": "identity", "alpha": alpha, "target_group": "A", "parameters": {}},
         witness=repaired.to_json_dict(),
         dist=dist.to_json_dict(),
         contamination={},
@@ -318,58 +300,28 @@ def run_sweep(config: ExperimentConfig) -> RobustnessReport:
 # Lower-bound certification
 # ---------------------------------------------------------------------------
 
-def _r_b(alpha: float, r_b: float | None = None) -> float:
-    """Group B's mass in the certifier's duplication instances: 0.9 alpha
-    unless given, so the budget washes the group out."""
-    return 0.9 * alpha if r_b is None else r_b
+def _duplication(alpha: float) -> families.Instance:
+    """The duplication instance of every certified notion but EOpp: group B
+    of mass 0.9 alpha, which the budget washes out."""
+    return families.eodds_duplicate(alpha, 0.9 * alpha)
 
 
-def _learner_floor(inst: families.Instance, notion: str, grid_n: int) -> float:
-    """The clean error of the learner's grid best response on the instance."""
-    return best_response(
-        inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=grid_n
-    ).error_on_original
-
-
-def predictive_parity_attack_certify(
-    alpha: float, r_b: float | None = None, grid_n: int = 41
-) -> float:
-    """The learner's minimum clean error under predictive parity on the
-    duplication instance.
-
-    The small group's precision is pinned at one half, so matching it forces
-    near-coin-flip behavior on the large group. When the budget cannot wash
-    the small group out, the corruption degrades to identity and the floor
-    collapses toward zero.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
-    dist, h = families.balanced_instance(_r_b(alpha, r_b))
-    try:
-        _, corrupted = duplicate_flip_attack(dist, "B", alpha)
-    except InputError:
-        corrupted = dist  # no-attack control: budget cannot wash the group out
-    return best_response(corrupted, dist, [h], "predictive_parity", grid_n=grid_n).error_on_original
-
-
-def parity_calibration_attack_certify(
-    alpha: float, r_b: float | None = None, value_grid_n: int = 11
-) -> float:
+def parity_calibration_attack_certify(inst: families.Instance) -> float:
     """Minimum clean L1 error over binned predictors that satisfy parity
-    calibration on the duplication instance within 1e-9.
+    calibration on the instance's corrupted distribution within 1e-9.
 
-    Exhaustive over every assignment of the four support points to values on
-    a uniform grid (value doubles as bin identity). One array pass over the
-    (assignment, group, bin) cell masses keeps the assignments calibrated and
-    occupancy-equal within a loose 1e-6, a superset of those passing at 1e-9;
-    the exact :func:`parity_calibration_check` then decides each survivor.
-    Washed-out labels force the small group into a one-half bin; parity then
-    drags the large group into it too.
+    Exhaustive over every assignment of the support points to values on an
+    11-point uniform grid (value doubles as bin identity). One array pass
+    over the (assignment, group, bin) cell masses keeps the assignments
+    calibrated and occupancy-equal within a loose 1e-6, a superset of those
+    passing at 1e-9; the exact :func:`parity_calibration_check` then decides
+    each survivor. On the duplication instance, washed-out labels force the
+    small group into a one-half bin; parity then drags the large group into
+    it too.
     """
-    inst = families.eodds_duplicate(alpha, _r_b(alpha, r_b))
     dist, corrupted = inst.dist, inst.corrupted
     points = sorted({a.point for a in dist.atoms})
-    values = np.linspace(0.0, 1.0, value_grid_n)
+    values = np.linspace(0.0, 1.0, 11)
 
     groups = corrupted.groups
     mass = np.zeros((len(points), len(groups)))
@@ -403,18 +355,14 @@ def parity_calibration_attack_certify(
     return floor
 
 
-#: Certified notion -> (the learner's floor at (alpha, grid_n), claimed floor at alpha).
+#: Certified notion -> (its hard instance at alpha, claimed floor at alpha).
+#: Builders are looked up in ``families`` per call, so a wrapper installed
+#: there sees every build.
 _CERTIFY = {
-    "eopp": (
-        lambda a, n: _learner_floor(families.eopp_needle(a), "eopp", n),
-        lambda a: math.sqrt(a) / 2.0,
-    ),
-    "eodds": (
-        lambda a, n: _learner_floor(families.eodds_duplicate(a, _r_b(a)), "eodds", n),
-        lambda a: (1.0 - a) * (1.0 - _r_b(a)) / 2.0,
-    ),
-    "predictive_parity": (lambda a, n: predictive_parity_attack_certify(a, grid_n=n), lambda a: 0.2),
-    "parity_calibration": (lambda a, n: parity_calibration_attack_certify(a), lambda a: 0.2),
+    "eopp": (lambda a: families.eopp_needle(a), lambda a: math.sqrt(a) / 2.0),
+    "eodds": (_duplication, lambda a: (1.0 - a) * (1.0 - 0.9 * a) / 2.0),
+    "predictive_parity": (_duplication, lambda a: 0.2),
+    "parity_calibration": (_duplication, lambda a: 0.2),
 }
 CERT_NOTIONS = tuple(_CERTIFY)
 
@@ -424,20 +372,27 @@ def certify_lower_bound(
 ) -> tuple[float, float, bool]:
     """(floor, claimed, pass) for the canonical hard instance of a notion.
 
-    The floor is the exhaustive grid minimum of the learner's clean error;
-    pass means floor >= claimed - grid slack (2 / grid_n). Claims: EOpp ->
-    sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity and
-    Parity Calibration -> the fixed 0.2 floor.
+    The floor is the learner's exhaustive grid minimum of clean error (for
+    parity calibration, :func:`parity_calibration_attack_certify`'s
+    minimum); pass means floor >= claimed - grid slack (2 / grid_n). Claims:
+    EOpp -> sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity
+    and Parity Calibration -> the fixed 0.2 floor.
     """
     notion = notion.lower()
     if notion not in _CERTIFY:
         raise InputError(f"certify_lower_bound supports {CERT_NOTIONS}, got {notion!r}")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
-    if not 11 <= grid_n <= MAX_GRID_N:
-        raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {grid_n}")
-    learner_floor, claim = _CERTIFY[notion]
-    floor, claimed = learner_floor(alpha, grid_n), claim(alpha)
+    grid_n = grid_size(grid_n)
+    instance, claim = _CERTIFY[notion]
+    inst = instance(alpha)
+    if notion == "parity_calibration":
+        floor = parity_calibration_attack_certify(inst)
+    else:
+        floor = best_response(
+            inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=grid_n
+        ).error_on_original
+    claimed = claim(alpha)
     return floor, claimed, floor >= claimed - 2.0 / grid_n
 
 
@@ -452,8 +407,10 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
     On the duplication instance the washed-out group is stuck at one-half
     error no matter the classifier, while the clean optimum is zero: the
     adversary drives minimax fairness infeasible for any gamma below 1/2.
-    The per-group randomization makes the game separable, so the minimax
-    value is the max over groups of each group's own grid minimum.
+    At alpha = 0 the balanced instance with group B of mass 0.1 stands
+    uncorrupted. The per-group randomization makes the game separable, so
+    the minimax value is the max over groups of each group's own grid
+    minimum.
     """
     if not 0.0 <= alpha < 1.0:
         raise InputError("alpha must lie in [0, 1)")
@@ -461,8 +418,12 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
         isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= 1.0
     ):
         raise InputError(f"gamma must be a number in [0, 1], got {gamma!r}")
-    dist, h = families.balanced_instance(_r_b(alpha) if alpha > 0.0 else 0.1)
-    corrupted = duplicate_flip_attack(dist, "B", alpha)[1] if alpha > 0.0 else dist
+    if alpha > 0.0:
+        inst = _duplication(alpha)
+        dist, h, corrupted = inst.dist, inst.h_star, inst.corrupted
+    else:
+        dist, h = families.balanced_instance(0.1)
+        corrupted = dist
 
     uu, vv = option_grid(grid_n)
     dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
@@ -543,31 +504,29 @@ def report_svg(report: RobustnessReport) -> str:
     )
 
 
+#: Reader of each SweepPoint field, by its annotation; a JSON object field
+#: stays a dict.
+_POINT_READERS = {"float": number, "str": text, "dict": lambda value, what: dict(value)}
+
+
 def report_from_json_dict(doc: Mapping) -> RobustnessReport:
-    """Rebuild a report from its serialized form (for re-rendering)."""
+    """Rebuild a report from its serialized form (for re-rendering).
+    Numbers and strings are read, never converted: ``"0.5"`` or ``true``
+    for a number raises ``InputError``."""
     config = ExperimentConfig.from_json_dict(doc["config"])
     points = tuple(
-        SweepPoint(
-            alpha=float(p["alpha"]),
-            notion=str(p["notion"]),
-            gap_corrupted=float(p["gap_corrupted"]),
-            beta=float(p["beta"]),
-            excess_oracle=float(p["excess_oracle"]),
-            attack=dict(p["attack"]),
-            witness=dict(p["witness"]),
-            dist=dict(p["dist"]),
-            contamination=dict(p["contamination"]),
-        )
+        SweepPoint(**{f.name: _POINT_READERS[f.type](p[f.name], f.name) for f in fields(SweepPoint)})
         for p in doc["points"]
     )
+    fit = doc["fit"]
     return RobustnessReport(
         config=config,
         points=points,
-        slope=float(doc["fit"]["slope"]),
-        intercept=float(doc["fit"]["intercept"]),
-        r_squared=float(doc["fit"]["r_squared"]),
-        verdict=str(doc["verdict"]),
-        beta_over_sqrt_alpha_max=float(doc["beta_over_sqrt_alpha_max"]),
+        slope=number(fit["slope"], "slope"),
+        intercept=number(fit["intercept"], "intercept"),
+        r_squared=number(fit["r_squared"], "r_squared"),
+        verdict=text(doc["verdict"], "verdict"),
+        beta_over_sqrt_alpha_max=number(doc["beta_over_sqrt_alpha_max"], "beta_over_sqrt_alpha_max"),
     )
 
 

@@ -31,7 +31,7 @@ from .classifiers import (
     mass_table,
 )
 from .distributions import Distribution
-from .errors import ContractError, InfeasibleError, InputError
+from .errors import ContractError, InfeasibleError, InputError, integer
 
 
 @dataclass(frozen=True)
@@ -175,18 +175,25 @@ def _compose(h: BaseClassifier | PQClassifier, params: dict[str, tuple[float, fl
 MAX_GRID_N = 1001
 
 
+def grid_size(grid_n: object, low: int = 11) -> int:
+    """``grid_n`` as an int in [low, MAX_GRID_N]. An integral float such as
+    41.0 reads as 41; bools, fractions, strings and sizes out of range raise
+    ``InputError``."""
+    n = integer(grid_n, "grid_n")
+    if not low <= n <= MAX_GRID_N:
+        raise InputError(f"grid_n must lie in [{low}, {MAX_GRID_N}], got {n}")
+    return n
+
+
 def option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (u, v) acceptance pairs with 0 <= v <= u <= 1 on a grid_n grid.
+    """All (u, v) acceptance pairs with 0 <= v <= u <= 1 on a grid_n grid,
+    for any grid_n that :func:`grid_size` reads with ``low=2``.
 
     u is the acceptance probability on base-positive points, v on
     base-negative points; the randomized family (p, q) maps onto exactly
     this triangle via u = 1 - p + p q, v = p q.
     """
-    if grid_n < 2:
-        raise InputError("grid_n must be at least 2")
-    if grid_n > MAX_GRID_N:
-        raise InputError(f"grid_n must be at most {MAX_GRID_N}")
-    return _option_grid(grid_n)
+    return _option_grid(grid_size(grid_n, low=2))
 
 
 @functools.lru_cache(maxsize=4)
@@ -408,13 +415,13 @@ def grid_responses(
     corrupted mass-table cells under hypothesis k, as a (rows, 4) array.
     Returns per row the minimum clean-error feasible pair as (total, k, ia,
     ib); equal totals go to the lowest k, then to the pair search's own
-    tie-break. For the first row that has one, raises the error
-    :func:`best_response` raises on that row alone:
+    tie-break. Raises ``InputError`` first for a ``grid_n`` that
+    :func:`grid_size` rejects. For the first row that has one, raises the
+    error :func:`best_response` raises on that row alone:
     ``InputError`` when a group lacks the mass the notion divides by,
     ``InfeasibleError`` when no grid pair meets the tolerance.
     """
-    if grid_n < 11:
-        raise InputError("grid_n must be at least 11")
+    grid_n = grid_size(grid_n)
     if len(clean.groups) != 2:
         raise InputError("best_response searches exactly two groups")
     if not hypotheses:

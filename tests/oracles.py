@@ -5,8 +5,8 @@ agree with exactly: a sliding-window deque for one row of ``pair_min_1d``, a
 chunked brute force over every pair for ``pair_min_2d``, the full
 enumeration of every value-grid assignment for
 ``parity_calibration_attack_certify``, a private precision grid for
-``predictive_parity_attack_certify``, and one ``mix`` plus ``best_response``
-per candidate for ``grid_worst_case``.
+``best_response`` under predictive parity on the duplication instance, and
+one ``mix`` plus ``best_response`` per candidate for ``grid_worst_case``.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
 of reading the mass table, so the package's versions must agree with them up
 to rounding.
@@ -153,8 +153,9 @@ def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):
     return floor
 
 
-def predictive_parity_attack_certify(alpha, r_b=None, grid_n=41):
-    """Equal-precision pairs of grid options that accept some mass."""
+def predictive_parity_instance(alpha, r_b=None):
+    """(clean, perfect base, corrupted) of the balanced instance whose group
+    B, of mass r_b (0.9 alpha unless given), duplicate-flip washes out."""
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     if r_b is None:
@@ -164,7 +165,13 @@ def predictive_parity_attack_certify(alpha, r_b=None, grid_n=41):
         _, corrupted = duplicate_flip_attack(dist, "B", alpha)
     except InputError:
         corrupted = dist  # no-attack control: budget cannot wash the group out
+    return dist, h, corrupted
 
+
+def predictive_parity_attack_certify(alpha, r_b=None, grid_n=41):
+    """Equal-precision pairs of grid options that accept some mass, on
+    :func:`predictive_parity_instance`."""
+    dist, h, corrupted = predictive_parity_instance(alpha, r_b)
     dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
     uu, vv = option_grid(grid_n)
     tol = 2.0 / grid_n

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fairnoise import attacks, families
-from fairnoise.attacks import AttackSpec, duplicate_flip_attack, grid_worst_case, tpr_shift_attack
+from fairnoise.attacks import duplicate_flip_attack, grid_worst_case, tpr_shift_attack
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.repair import best_response, grid_responses, statistic_inputs
@@ -29,23 +29,6 @@ def balanced_two_group(r_b=0.2):
             Atom("b2", 0, "B", r_b / 2),
         ]
     )
-
-
-class TestAttackSpec:
-    def test_validates(self):
-        with pytest.raises(InputError):
-            AttackSpec(kind="meteor", alpha=0.1)
-        with pytest.raises(InputError):
-            AttackSpec(kind="identity", alpha=1.5)
-
-    def test_grid_worst_case_is_not_a_spec_kind(self):
-        # grid_worst_case is a library search, with no runner behind a spec
-        with pytest.raises(InputError):
-            AttackSpec(kind="grid_worst_case", alpha=0.1)
-
-    def test_serializes(self):
-        spec = AttackSpec(kind="duplicate_flip", alpha=0.1, target_group="B")
-        assert spec.to_json_dict()["kind"] == "duplicate_flip"
 
 
 class TestDriftBounds:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairnoise import families
+from fairnoise import families, harness
 from fairnoise.calibration import (
     BinnedPredictor,
     calibration_report,
@@ -16,7 +16,7 @@ from fairnoise.calibration import (
 )
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
-from fairnoise.harness import parity_calibration_attack_certify, predictive_parity_attack_certify
+from fairnoise.harness import parity_calibration_attack_certify
 
 from conftest import assert_close
 
@@ -149,19 +149,19 @@ class TestCertifiers:
         assert set(inst.h_star.table) == {"aP", "aN", "bP", "bN"}
 
     def test_predictive_parity_floor(self):
-        floor = predictive_parity_attack_certify(0.1, grid_n=41)
+        floor, _, _ = harness.certify_lower_bound("predictive_parity", 0.1, grid_n=41)
         assert floor >= 0.2
-
-    def test_predictive_parity_control_without_budget(self):
-        # r_b too large for the budget: attack degrades to identity and the
-        # perfect classifier (equal precision 1) survives at zero error
-        floor = predictive_parity_attack_certify(0.1, r_b=0.5, grid_n=41)
-        assert floor <= 0.05
 
     def test_parity_calibration_floor(self):
-        floor = parity_calibration_attack_certify(0.1)
+        floor = parity_calibration_attack_certify(families.eodds_duplicate(0.1, 0.9 * 0.1))
         assert floor >= 0.2
+
+    def test_parity_calibration_without_a_calibrated_predictor(self):
+        # no assignment of the needle's points to the 11 grid values is
+        # parity calibrated on its corrupted distribution
+        with pytest.raises(InputError, match="no predictor"):
+            parity_calibration_attack_certify(families.eopp_needle(0.04))
 
     def test_certify_validates_alpha(self):
         with pytest.raises(InputError):
-            predictive_parity_attack_certify(0.0)
+            harness.certify_lower_bound("predictive_parity", 0.0)

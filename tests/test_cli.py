@@ -189,6 +189,26 @@ class TestMinimaxAndReport:
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_group_error"] >= 0.45
 
+    @pytest.mark.parametrize(
+        "alpha, gamma, expected",
+        [
+            ("0.1", None, '{"alpha": 0.1, "epsilon": {"A": 0.0, "B": 0.4999999999999999}, '
+             '"gamma": null, "gamma_feasible": null, "max_group_error": 0.4999999999999999, '
+             '"opt_clean": 0.0}\n'),
+            ("0", None, '{"alpha": 0.0, "epsilon": {"A": 0.0, "B": 0.0}, "gamma": null, '
+             '"gamma_feasible": null, "max_group_error": 0.0, "opt_clean": 0.0}\n'),
+            ("0.1", 0.1, '{"alpha": 0.1, "epsilon": {"A": 0.0, "B": 0.4999999999999999}, '
+             '"gamma": 0.1, "gamma_feasible": false, "max_group_error": 0.4999999999999999, '
+             '"opt_clean": 0.0}\n'),
+        ],
+    )
+    def test_minimax_stdout_is_pinned(self, tmp_path, capsys, alpha, gamma, expected):
+        argv = ["minimax", "--alpha", alpha]
+        if gamma is not None:
+            argv += ["--config", str(write_config(tmp_path, {"gamma": gamma}))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_minimax_zero_grid_is_bad_input(self):
         assert main(["minimax", "--alpha", "0.1", "--grid", "0"]) == 2
 
@@ -342,6 +362,7 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         ("run", ("jobs",), True),
         ("run", ("alphas",), ["0.01", "0.02", "0.04"]),
         ("run", ("family_params",), {"r_b": 0.1}),
+        ("run", ("out_dir",), 5),
         (
             "run",
             (),
@@ -370,6 +391,9 @@ def test_type_swapped_field_exits_two(tmp_path, data):
                                 for p, y, g, x in (("a1", 1, "A", 1.0), ("a2", 0, "A", 0.0),
                                                    ("b1", 1, "B", 1.0), ("b2", 0, "B", 0.0))]}},
         ),
+        ("report", ("points", 0, "beta"), "0.5"),
+        ("report", ("points", 0, "alpha"), True),
+        ("report", ("fit", "slope"), "1.0"),
     ],
     ids=(
         "family_params-list",
@@ -385,6 +409,7 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         "jobs-true",
         "alphas-strings",
         "dp_worked-takes-no-r_b",
+        "out_dir-int",
         "eodds_duplicate-takes-no-x",
         "needle-alpha-string",
         "attack-alpha-string",
@@ -400,6 +425,9 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         "base-kind-bogus",
         "atom-point-int",
         "threshold-string",
+        "report-beta-string",
+        "report-alpha-true",
+        "report-slope-string",
     ),
 )
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):

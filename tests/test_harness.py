@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from fairnoise import harness
+from fairnoise import families, harness
 from fairnoise.errors import ContractError, InputError
+from fairnoise.repair import best_response
 
 from conftest import assert_close
 
@@ -45,10 +46,15 @@ class TestExperimentConfig:
             with pytest.raises(InputError):
                 config(family=family, notion=notion)
 
-    @pytest.mark.parametrize("grid_n", (0, 10, 1002))
+    @pytest.mark.parametrize("grid_n", (0, 10, 1002, 41.5, "41", True, None))
     def test_rejects_grid_outside_search_bounds(self, grid_n):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="grid_n"):
             config(grid_n=grid_n)
+
+    def test_integral_float_grid_reads_as_integer(self):
+        built = config(grid_n=41.0)
+        assert built == config() and type(built.grid_n) is int
+        assert built.sha256() == config().sha256()
 
     def test_rejects_family_params_the_family_does_not_take(self):
         assert config(family="eodds_duplicate", notion="eodds", family_params={"r_b": 0.1})
@@ -69,6 +75,10 @@ class TestExperimentConfig:
             ("alphas", ["0.01", "0.02"]),
             ("alphas", [0.01, False]),
             ("family_params", {"r_b": "0.1"}),
+            ("family", 5),
+            ("notion", None),
+            ("out_dir", 5),
+            ("out_dir", ["out"]),
         ],
     )
     def test_from_json_dict_rejects_rather_than_converts(self, field, value):
@@ -88,6 +98,8 @@ class TestExperimentConfig:
         assert restored == c
         assert restored.sha256() == c.sha256()
         assert restored.sha256() != config(seed=8).sha256()
+        with_out = config(out_dir="out/dp")
+        assert harness.ExperimentConfig.from_json_dict(with_out.to_json_dict()) == with_out
 
 
 class TestFitLoglog:
@@ -204,6 +216,31 @@ class TestCertify:
             harness.certify_lower_bound(notion, 0.1, grid_n=grid_n)
 
 
+def _duplication_response(grid_n):
+    inst = families.eodds_duplicate(0.1, 0.09)
+    return best_response(inst.corrupted, inst.dist, [inst.h_star], "eodds", grid_n=grid_n)
+
+
+#: Entry points that take a grid_n; each reads it through repair.grid_size.
+GRID_CALLS = {
+    "best_response": _duplication_response,
+    "certify_lower_bound": lambda n: harness.certify_lower_bound("eodds", 0.1, grid_n=n),
+    "minimax_demo": lambda n: harness.minimax_demo(0.1, grid_n=n),
+}
+
+
+class TestGridReader:
+    @pytest.mark.parametrize("call", GRID_CALLS)
+    @pytest.mark.parametrize("grid_n", (41.5, "41", True, None))
+    def test_non_integer_grid_is_bad_input(self, call, grid_n):
+        with pytest.raises(InputError, match="grid_n"):
+            GRID_CALLS[call](grid_n)
+
+    @pytest.mark.parametrize("call", GRID_CALLS)
+    def test_integral_float_grid_reads_as_integer(self, call):
+        assert GRID_CALLS[call](41.0) == GRID_CALLS[call](41)
+
+
 class TestMinimax:
     def test_attack_drives_worst_group_to_half(self):
         report = harness.minimax_demo(0.1, grid_n=101)
@@ -233,8 +270,31 @@ class TestReports:
         report = harness.run_sweep(config())
         doc = json.loads(harness.report_json(report))
         restored = harness.report_from_json_dict(doc)
+        assert restored == report
         assert harness.report_json(restored) == harness.report_json(report)
         assert doc["config_sha256"] == report.config.sha256()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("points", 0, "beta"), "0.5"),
+            (("points", 0, "alpha"), True),
+            (("points", 0, "gap_corrupted"), None),
+            (("points", 0, "notion"), 5),
+            (("fit", "slope"), "1.0"),
+            (("fit", "r_squared"), False),
+            (("verdict",), None),
+            (("beta_over_sqrt_alpha_max",), "0.7"),
+        ],
+    )
+    def test_report_reader_rejects_rather_than_converts(self, path, value):
+        doc = json.loads(harness.report_json(harness.run_sweep(config())))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(InputError):
+            harness.report_from_json_dict(doc)
 
     def test_write_report_and_formats(self, tmp_path):
         report = harness.run_sweep(config())
