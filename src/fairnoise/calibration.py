@@ -1,11 +1,12 @@
 """Binned real-valued predictors, group-wise calibration error, per-group
-recalibration, and the parity-calibration check."""
+recalibration, the parity-calibration check, and the binnings and bin values
+the parity-calibration floor searches."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .classifiers import GAP_TOL
 from .distributions import Distribution
@@ -134,6 +135,33 @@ def value_shift(h1: BinnedPredictor, h2: BinnedPredictor, dist: Distribution) ->
 def l1_error(h: BinnedPredictor, dist: Distribution) -> float:
     """Expected |y - predicted value| over the atoms."""
     return math.fsum(a.mass * abs(a.label - h.value(a.point, a.group)) for a in dist.atoms)
+
+
+def binnings(n: int) -> Iterator[tuple[int, ...]]:
+    """Every binning of n ordered points, one per set partition, as a
+    restricted growth string: point k joins a bin opened before it or opens
+    the next one. Lazy, so memory stays O(n) however many there are."""
+    if n == 0:
+        return iter([()])
+    return (code + (b,) for code in binnings(n - 1) for b in range(max(code, default=-1) + 2))
+
+
+def calibrated_value(report: CalibrationReport, groups: tuple[str, ...], b: int, slope: float) -> float | None:
+    """Bin b's value: inside [0, 1] and within GAP_TOL of each group's
+    corrupted label mean in the bin, at the end of that window that clean
+    error (``slope`` per unit of value) prefers, or the means' midpoint at
+    slope 0. None when the groups' occupancy of the bin differs by more than
+    GAP_TOL or no value fits the window."""
+    occupancy = [report.occupancy.get((g, b), 0.0) for g in groups]
+    means = [m for (_, c), m in report.conditional_mean.items() if c == b]
+    mid = (min(means) + max(means)) / 2.0 if means else 0.5
+    if max(occupancy) - min(occupancy) > GAP_TOL or any(abs(mid - m) > GAP_TOL for m in means):
+        return None
+    ends = (max([0.0, *(m - GAP_TOL for m in means)]), min([1.0, *(m + GAP_TOL for m in means)]))
+    v = min((mid, *ends), key=lambda x: slope * x)
+    while any(abs(v - m) > GAP_TOL for m in means):  # rounding can leave an end an ulp outside
+        v = math.nextafter(v, mid)
+    return v
 
 
 def parity_calibration_check(

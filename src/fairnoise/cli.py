@@ -85,12 +85,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         doc["alphas"] = sorted(args.alpha)
     if args.notion:
         doc["notion"] = args.notion
-    if args.grid is not None:
-        doc["grid_n"] = args.grid
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
+    for flag, key in (("grid", "grid_n"), ("seed", "seed"), ("jobs", "jobs")):
+        if getattr(args, flag) is not None:
+            doc[key] = getattr(args, flag)
     config = harness.ExperimentConfig.from_json_dict(doc)
     report = harness.run_sweep(config)
     formats = args.format or ["json", "csv"]

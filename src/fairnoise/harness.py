@@ -18,6 +18,8 @@ import numpy as np
 from . import families
 from .calibration import (
     BinnedPredictor,
+    binnings,
+    calibrated_value,
     calibration_report,
     l1_error,
     parity_calibration_check,
@@ -65,26 +67,36 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in SWEEP_FAMILIES:
+        if text(self.family, "family") not in SWEEP_FAMILIES:
             raise InputError(
                 f"unknown family {self.family!r}; expected one of {tuple(SWEEP_FAMILIES)}"
             )
+        notion, _, defaults = SWEEP_FAMILIES[self.family]
+        if text(self.notion, "notion") != notion:
+            raise InputError(f"family {self.family!r} sweeps notion {notion!r}, got {self.notion!r}")
+        # Each field goes through its reader here, so a config built in code
+        # is checked exactly as one read from JSON.
+        for name, value in (
+            ("alphas", tuple(number(a, "alpha") for a in self.alphas)),
+            ("grid_n", grid_size(self.grid_n)),
+            ("seed", integer(self.seed, "seed")),
+            ("jobs", integer(self.jobs, "jobs")),
+            ("family_params", {k: number(v, f"family param {k!r}") for k, v in self.family_params.items()}),
+            ("out_dir", None if self.out_dir is None else text(self.out_dir, "out_dir")),
+        ):
+            object.__setattr__(self, name, value)
         if not self.alphas:
             raise InputError("alpha grid is empty")
-        notion = SWEEP_FAMILIES[self.family][0]
-        if self.notion != notion:
-            raise InputError(f"family {self.family!r} sweeps notion {notion!r}, got {self.notion!r}")
         if any(a >= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise InputError("alpha grid must be strictly increasing")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise InputError(f"alpha {a!r} outside (0, 1)")
-        unknown = sorted(set(self.family_params) - set(SWEEP_FAMILIES[self.family][2]))
+        unknown = sorted(set(self.family_params) - set(defaults))
         if unknown:
             raise InputError(f"family {self.family!r} takes no family_params {unknown}")
         if self.jobs < 1:
             raise InputError("jobs must be >= 1")
-        object.__setattr__(self, "grid_n", grid_size(self.grid_n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,19 +107,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "ExperimentConfig":
-        out_dir = doc.get("out_dir")
-        return ExperimentConfig(
-            family=text(doc["family"], "family"),
-            notion=text(doc["notion"], "notion"),
-            alphas=tuple(number(a, "alpha") for a in doc["alphas"]),
-            grid_n=doc.get("grid_n", 41),
-            seed=integer(doc.get("seed", 0), "seed"),
-            jobs=integer(doc.get("jobs", 1), "jobs"),
-            family_params={
-                str(k): number(v, f"family param {k!r}") for k, v in doc.get("family_params", {}).items()
-            },
-            out_dir=None if out_dir is None else text(out_dir, "out_dir"),
-        )
+        optional = {k: doc[k] for k in ("grid_n", "seed", "jobs", "family_params", "out_dir") if k in doc}
+        return ExperimentConfig(family=doc["family"], notion=doc["notion"], alphas=doc["alphas"], **optional)
 
     def sha256(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
@@ -306,52 +307,46 @@ def _duplication(alpha: float) -> families.Instance:
     return families.eodds_duplicate(alpha, 0.9 * alpha)
 
 
+#: Most support points parity_calibration_attack_certify enumerates the set
+#: partitions of: Bell(10) = 115,975 candidate binnings.
+MAX_CALIBRATION_POINTS = 10
+
+
 def parity_calibration_attack_certify(inst: families.Instance) -> float:
     """Minimum clean L1 error over binned predictors that satisfy parity
-    calibration on the instance's corrupted distribution within 1e-9.
+    calibration on the instance's corrupted distribution within GAP_TOL.
 
-    Exhaustive over every assignment of the support points to values on an
-    11-point uniform grid (value doubles as bin identity). One array pass
-    over the (assignment, group, bin) cell masses keeps the assignments
-    calibrated and occupancy-equal within a loose 1e-6, a superset of those
-    passing at 1e-9; the exact :func:`parity_calibration_check` then decides
-    each survivor. On the duplication instance, washed-out labels force the
-    small group into a one-half bin; parity then drags the large group into
-    it too.
+    Exact over binned predictors with one value per bin: a binning is a set
+    partition of the support points, and every one is enumerated. A bin
+    whose per-group occupancy differs by more than GAP_TOL rejects the
+    partition. Calibration confines each bin's value to the window within
+    GAP_TOL of every group's corrupted label mean there; clean error is
+    linear in the value, so the better end of the window is optimal. The
+    exact :func:`parity_calibration_check` then decides each candidate. On
+    the duplication instance, washed-out labels give the small group
+    one-half means; parity drags the large group into one bin with it,
+    valued 1/2. More than MAX_CALIBRATION_POINTS points raise ``InputError``
+    before any enumeration.
     """
     dist, corrupted = inst.dist, inst.corrupted
-    points = sorted({a.point for a in dist.atoms})
-    values = np.linspace(0.0, 1.0, 11)
-
-    groups = corrupted.groups
-    mass = np.zeros((len(points), len(groups)))
-    pos = np.zeros_like(mass)
-    for a in corrupted.atoms:
-        k, g = points.index(a.point), groups.index(a.group)
-        mass[k, g] += a.mass
-        pos[k, g] += a.mass * a.label
-    shape = (len(values),) * len(points)
-    bins = np.indices(shape).reshape(len(points), math.prod(shape))
-    onehot = bins[:, :, None] == np.arange(len(values))  # (point, assignment, bin)
-    cell = np.einsum("pnb,pg->ngb", onehot, mass)
-    cell_pos = np.einsum("pnb,pg->ngb", onehot, pos)
-    near_calibrated = (np.abs(values * cell - cell_pos) <= 1e-6 * cell).all(axis=(1, 2))
-    occupancy = cell / np.array([corrupted.group_mass(g) for g in groups])[:, None]
-    near_equal = (occupancy.max(axis=1) - occupancy.min(axis=1) <= 1e-6).all(axis=1)
-    survivors = np.flatnonzero(near_calibrated & near_equal)
-
+    points = sorted({a.point for a in (*dist.atoms, *corrupted.atoms)})
+    if len(points) > MAX_CALIBRATION_POINTS:
+        raise InputError(f"{len(points)} points exceed parity calibration's cap of {MAX_CALIBRATION_POINTS}")
     floor = math.inf
-    for n in survivors:
-        assigned = bins[:, n]
-        predictor = BinnedPredictor(
-            assignment={p: int(b) for p, b in zip(points, assigned)},
-            values={int(b): float(values[b]) for b in assigned},
-        )
-        calibrated, occupancy_gap = parity_calibration_check(predictor, corrupted)
-        if calibrated and occupancy_gap <= GAP_TOL:
-            floor = min(floor, l1_error(predictor, dist))
+    for code in binnings(len(points)):
+        assignment = dict(zip(points, code))
+        report = calibration_report(BinnedPredictor(assignment, dict.fromkeys(code, 0.0)), corrupted)
+        slope = dict.fromkeys(code, 0.0)  # d(clean error) / d(bin value)
+        for a in dist.atoms:
+            slope[assignment[a.point]] += a.mass * (1 - 2 * a.label)
+        values = {b: calibrated_value(report, corrupted.groups, b, slope[b]) for b in slope}
+        if None not in values.values():
+            predictor = BinnedPredictor(assignment, values)
+            calibrated, occupancy_gap = parity_calibration_check(predictor, corrupted)
+            if calibrated and occupancy_gap <= GAP_TOL:
+                floor = min(floor, l1_error(predictor, dist))
     if not math.isfinite(floor):
-        raise InputError("no predictor on the value grid satisfies parity calibration")
+        raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
     return floor
 
 
@@ -372,9 +367,10 @@ def certify_lower_bound(
 ) -> tuple[float, float, bool]:
     """(floor, claimed, pass) for the canonical hard instance of a notion.
 
-    The floor is the learner's exhaustive grid minimum of clean error (for
-    parity calibration, :func:`parity_calibration_attack_certify`'s
-    minimum); pass means floor >= claimed - grid slack (2 / grid_n). Claims:
+    The floor is the learner's exhaustive grid minimum of clean error; for
+    parity calibration it is :func:`parity_calibration_attack_certify`'s
+    minimum over every binned predictor, which reads no grid. Pass means
+    floor >= claimed - grid slack (2 / grid_n). Claims:
     EOpp -> sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity
     and Parity Calibration -> the fixed 0.2 floor.
     """

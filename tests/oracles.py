@@ -2,11 +2,12 @@
 
 These are the straightforward versions the package's pruned searches must
 agree with exactly: a sliding-window deque for one row of ``pair_min_1d``, a
-chunked brute force over every pair for ``pair_min_2d``, the full
-enumeration of every value-grid assignment for
-``parity_calibration_attack_certify``, a private precision grid for
-``best_response`` under predictive parity on the duplication instance, and
-one ``mix`` plus ``best_response`` per candidate for ``grid_worst_case``.
+chunked brute force over every pair for ``pair_min_2d``, a private precision
+grid for ``best_response`` under predictive parity on the duplication
+instance, and one ``mix`` plus ``best_response`` per candidate for
+``grid_worst_case``. The full enumeration of every value-grid assignment is
+the reference that ``parity_calibration_attack_certify``'s partition floor
+must not exceed: its values are a subset of those a bin may take.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
 of reading the mass table, so the package's versions must agree with them up
 to rounding.

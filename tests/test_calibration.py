@@ -14,6 +14,7 @@ from fairnoise.calibration import (
     recalibrate_per_group,
     value_shift,
 )
+from fairnoise.classifiers import GAP_TOL, BaseClassifier
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
 from fairnoise.harness import parity_calibration_attack_certify
@@ -157,10 +158,53 @@ class TestCertifiers:
         assert floor >= 0.2
 
     def test_parity_calibration_without_a_calibrated_predictor(self):
-        # no assignment of the needle's points to the 11 grid values is
-        # parity calibrated on its corrupted distribution
+        # no binning of the needle's points has equal occupancy and group
+        # means within 2 GAP_TOL in every bin on its corrupted distribution
         with pytest.raises(InputError, match="no predictor"):
             parity_calibration_attack_certify(families.eopp_needle(0.04))
+
+    def test_parity_calibration_floor_takes_the_better_window_end(self):
+        # one bin holds both groups, whose corrupted means 1/2 and
+        # 1/2 + 1.5 GAP_TOL leave a window of values half GAP_TOL wide;
+        # clean positives outweigh negatives, so its top end is best
+        d = 0.75 * GAP_TOL
+        dist = make_distribution(
+            [Atom("a", 1, "A", 0.3), Atom("a", 0, "A", 0.2), Atom("b", 1, "B", 0.3), Atom("b", 0, "B", 0.2)]
+        )
+        corrupted = make_distribution(
+            [Atom("a", 1, "A", 0.25), Atom("a", 0, "A", 0.25), Atom("b", 1, "B", 0.25 + d), Atom("b", 0, "B", 0.25 - d)]
+        )
+        h_star = BaseClassifier.from_table({"a": 1, "b": 1})
+        floor = parity_calibration_attack_certify(families.Instance(dist, corrupted, corrupted, h_star))
+
+        def binned(v):
+            return BinnedPredictor(assignment={"a": 0, "b": 0}, values={0: v})
+
+        def accepted(v):
+            calibrated, occupancy_gap = parity_calibration_check(binned(v), corrupted)
+            return calibrated and occupancy_gap <= GAP_TOL
+
+        means = calibration_report(binned(0.5), corrupted).conditional_mean
+        low, high = means[("B", 0)] - GAP_TOL, means[("A", 0)] + GAP_TOL
+        assert 0.0 < high - low < GAP_TOL
+        ends = [high]  # the top end and the floats just below it
+        for _ in range(3):
+            ends.append(math.nextafter(ends[-1], 0.0))
+        assert any(accepted(v) and l1_error(binned(v), dist) == floor for v in ends)
+        midpoint = (low + high) / 2.0
+        assert accepted(midpoint) and floor < l1_error(binned(midpoint), dist)
+
+    def test_parity_calibration_refuses_more_points_than_the_cap(self, monkeypatch):
+        n = harness.MAX_CALIBRATION_POINTS + 1
+        dist = make_distribution([Atom(f"x{k}", k % 2, "A", 1.0 / n) for k in range(n)])
+        h_star = BaseClassifier.from_table({f"x{k}": 1 for k in range(n)})
+
+        def enumerated(*args):
+            raise AssertionError("a binning was built")
+
+        monkeypatch.setattr(harness, "calibration_report", enumerated)
+        with pytest.raises(InputError, match=f"{n} points exceed parity calibration's cap of {n - 1}"):
+            parity_calibration_attack_certify(families.Instance(dist, dist, dist, h_star))
 
     def test_certify_validates_alpha(self):
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,25 @@ def config(**overrides):
     }
     doc.update(overrides)
     return harness.ExperimentConfig(**doc)
+
+
+#: One malformed value per config field; the JSON reader and the
+#: constructor both reject each with InputError.
+MALFORMED_FIELDS = [
+    ("grid_n", 41.9),
+    ("grid_n", "41"),
+    ("seed", 2.7),
+    ("seed", True),
+    ("jobs", True),
+    ("jobs", None),
+    ("alphas", ["0.01", "0.02"]),
+    ("alphas", [0.01, False]),
+    ("family_params", {"r_b": "0.1"}),
+    ("family", 5),
+    ("notion", None),
+    ("out_dir", 5),
+    ("out_dir", ["out"]),
+]
 
 
 class TestExperimentConfig:
@@ -51,6 +71,16 @@ class TestExperimentConfig:
         with pytest.raises(InputError, match="grid_n"):
             config(grid_n=grid_n)
 
+    def test_reproduced_fractional_jobs_and_string_seed(self):
+        with pytest.raises(InputError):
+            harness.ExperimentConfig(
+                family="dp_worked", notion="dp", alphas=(0.01, 0.02, 0.04), grid_n=11, jobs=2.5, seed="x"
+            )
+
+    def test_integral_float_jobs_and_seed_read_as_integers(self):
+        built = config(jobs=2.0, seed=7.0)
+        assert built == config(jobs=2) and type(built.jobs) is int and type(built.seed) is int
+
     def test_integral_float_grid_reads_as_integer(self):
         built = config(grid_n=41.0)
         assert built == config() and type(built.grid_n) is int
@@ -63,28 +93,16 @@ class TestExperimentConfig:
         with pytest.raises(InputError, match="takes no family_params"):
             config(family="eodds_duplicate", notion="eodds", family_params={"x": 1.0})
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("grid_n", 41.9),
-            ("grid_n", "41"),
-            ("seed", 2.7),
-            ("seed", True),
-            ("jobs", True),
-            ("jobs", None),
-            ("alphas", ["0.01", "0.02"]),
-            ("alphas", [0.01, False]),
-            ("family_params", {"r_b": "0.1"}),
-            ("family", 5),
-            ("notion", None),
-            ("out_dir", 5),
-            ("out_dir", ["out"]),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
     def test_from_json_dict_rejects_rather_than_converts(self, field, value):
         doc = {**config(family="eodds_duplicate", notion="eodds").to_json_dict(), field: value}
         with pytest.raises(InputError):
             harness.ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
+    def test_constructor_rejects_rather_than_converts(self, field, value):
+        with pytest.raises(InputError):
+            config(**{"family": "eodds_duplicate", "notion": "eodds", field: value})
 
     def test_from_json_dict_reads_integral_floats_as_integers(self):
         doc = {**config().to_json_dict(), "grid_n": 41.0, "seed": 7.0, "jobs": 1.0}
@@ -202,6 +220,17 @@ class TestCertify:
     def test_parity_calibration(self):
         floor, claimed, ok = harness.certify_lower_bound("parity_calibration", 0.1)
         assert ok and floor >= 0.2
+
+    def test_parity_calibration_stays_small_in_memory(self):
+        # the floor builds its 15 binnings one at a time; a dense array over
+        # all 11^4 value-grid assignments peaked at 11.7 MB
+        tracemalloc.start()
+        try:
+            harness.certify_lower_bound("parity_calibration", 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_unknown_notion(self):
         with pytest.raises(InputError):

@@ -1,6 +1,8 @@
 """The pruned exhaustive searches return exactly what the reference
 implementations in ``oracles`` return: same totals, same winning indices,
-same errors. The mass-table statistics match the atom sums up to rounding."""
+same errors. The parity-calibration floor never exceeds the reference's
+value-grid floor. The mass-table statistics match the atom sums up to
+rounding."""
 
 import numpy as np
 import pytest
@@ -250,6 +252,24 @@ def _stats_or_error(stats, h, dist):
 def test_parity_calibration_matches_reference(alpha):
     inst = families.eodds_duplicate(alpha, 0.9 * alpha)
     assert parity_calibration_attack_certify(inst) == oracles.parity_calibration_attack_certify(alpha)
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.1, 0.3))
+@pytest.mark.parametrize("r_b_share", (0.3, 1.0))
+def test_parity_calibration_floor_is_at_most_the_grid_floor(alpha, r_b_share):
+    # the grid's values are a subset of every value a bin may take, so the
+    # partition floor can only lie at or below the grid's; at these
+    # (alpha, r_b) the grid finds a predictor
+    r_b = r_b_share * alpha
+    floor = parity_calibration_attack_certify(families.eodds_duplicate(alpha, r_b))
+    assert floor <= oracles.parity_calibration_attack_certify(alpha, r_b)
+
+
+@pytest.mark.parametrize("alpha", (0.01, 0.05, 0.1, 0.3, 0.5))
+def test_parity_calibration_floor_on_washed_out_instance_is_one_half(alpha):
+    # one bin of every point, valued 1/2: group B's washed-out mean
+    inst = families.eodds_duplicate(alpha, 0.9 * alpha)
+    assert parity_calibration_attack_certify(inst) == 0.5
 
 
 PP_ALPHAS = (0.01, 0.02, 0.04, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.5)
