@@ -33,7 +33,7 @@ def main() -> int:
             f"claimed={claimed:.6f} pass={ok}"
         )
 
-    report = harness.minimax_demo(0.1, gamma=0.1, grid_n=101)
+    report = harness.minimax_demo(0.1, gamma=0.1)
     print(
         f"{'minimax':20s} alpha=0.1    worst-group={report.max_group_error:.6f} "
         f"opt_clean={report.opt_clean:.6f} gamma=0.1 feasible={report.gamma_feasible}"

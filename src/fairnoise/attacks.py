@@ -32,6 +32,7 @@ def duplicate_flip_attack(
     """
     if target_group not in dist.groups:
         raise InputError(f"group {target_group!r} not in {dist.groups}")
+    alpha = number(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise InputError("duplicate_flip needs alpha in (0, 1)")
 
@@ -126,6 +127,9 @@ def _simplex_weights(k: int, resolution: int):
         yield tuple((edges[i + 1] - edges[i]) / resolution for i in range(k))
 
 
+#: Most support atoms a simplex-mixture candidate of grid_worst_case spreads
+#: its mass over.
+MAX_MIX_ATOMS = 3
 #: Unseen statistic inputs per stacked best-response search: bounds the
 #: search's temporaries, which set its peak memory.
 _SEARCH_BLOCK = 32
@@ -136,7 +140,7 @@ _SEARCH_BLOCK = 32
 _TABLE_CHUNK = 256
 
 
-def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: int, max_mix_atoms: int):
+def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: int):
     """The candidate contaminations of :func:`grid_worst_case`, in search
     order. Each is (columns of ``keys``, masses, build): the masses are the
     ones ``make_distribution`` normalizes its atoms to, and ``build()`` makes
@@ -158,7 +162,7 @@ def _contaminations(dist: Distribution, alpha: float, keys: list, resolution: in
             except InputError:
                 continue
             yield [column[a.key] for a in q.atoms], [a.mass for a in q.atoms], lambda q=q: q
-    for k in range(2, min(max_mix_atoms, len(keys)) + 1):
+    for k in range(2, min(MAX_MIX_ATOMS, len(keys)) + 1):
         if len(keys) > 8 and k > 2:
             break  # keep the cubic enumeration desk-scale
         simplex = [(w, tuple(x / math.fsum(w) for x in w)) for w in _simplex_weights(k, resolution)]
@@ -220,14 +224,13 @@ def grid_worst_case(
     notion: str,
     resolution: int = 10,
     grid_n: int = 21,
-    max_mix_atoms: int = 3,
 ) -> tuple[Distribution, float]:
     """Search adversary strategies and return the one maximizing the
     learner's excess error under its best response.
 
     Candidates: every single-atom point mass on support x {0, 1}, the
     duplicate-flip attack per group where the budget suffices, and coarse
-    simplex mixtures over up to ``max_mix_atoms`` support atoms. Ties break
+    simplex mixtures over up to ``MAX_MIX_ATOMS`` support atoms. Ties break
     toward the lexicographically smallest contamination encoding.
 
     Candidates are generated lazily and their corrupted cell tables built
@@ -247,21 +250,17 @@ def grid_worst_case(
     and a key seen before has not raised.
 
     Raises ``InputError`` before any search when ``alpha`` is not a number
-    in [0, 1], or ``resolution``, ``grid_n`` or ``max_mix_atoms`` is not an
-    integer (an integral float such as 4.0 counts as one), or
-    ``resolution`` is below 2, ``max_mix_atoms`` below 1 or ``grid_n``
-    outside the range :func:`repair.grid_size` accepts.
+    in [0, 1], or ``resolution`` or ``grid_n`` is not an integer (an
+    integral float such as 4.0 counts as one), or ``resolution`` is below 2
+    or ``grid_n`` outside the range :func:`repair.grid_size` accepts.
     """
     if len(dist.atoms) > 64:
         raise InputError("grid_worst_case is a desk-scale certifier; use <= 64 atoms")
     if not 0.0 <= number(alpha, "alpha") <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
     resolution, grid_n = integer(resolution, "resolution"), grid_size(grid_n)
-    max_mix_atoms = integer(max_mix_atoms, "max_mix_atoms")
     if resolution < 2:
         raise InputError("resolution must be at least 2")
-    if max_mix_atoms < 1:
-        raise InputError("max_mix_atoms must be at least 1")
 
     keys = [
         (g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)
@@ -276,7 +275,7 @@ def grid_worst_case(
     errors: dict[tuple[int, int, int], float] = {}  # clean error of each winning grid classifier
     # best: a (columns, masses, build) candidate; best_code is made on its first tie
     best_excess, best, best_code = -math.inf, None, None
-    candidates = _contaminations(dist, alpha, keys, resolution, max_mix_atoms)
+    candidates = _contaminations(dist, alpha, keys, resolution)
     for chunk in iter(lambda: list(itertools.islice(candidates, _TABLE_CHUNK)), []):
         tables = _corrupted_tables(dist, alpha, keys, chunk, layouts)
         inputs = np.concatenate([statistic_inputs(t[g], notion) for t in tables for g in dist.groups], axis=1)

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "notion": dict(type=str, help="fairness notion"),
         "grid": dict(type=int, help="grid resolution for the randomized search"),
         "seed": dict(type=int, help="RNG seed / provenance tag"),
-        "jobs": dict(type=int, help="max concurrent sweep points"),
+        "jobs": dict(type=int, help="recorded in report.json; sweeps run serially"),
         "out": dict(type=Path, help="output directory (default $FNL_OUT or ./out)"),
         "format": dict(action="append", choices=("json", "csv", "svg"),
                        help="report format (repeatable; default json+csv)"),
@@ -164,10 +164,10 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if not args.notion or not args.alpha:
         raise InputError("certify requires --notion and --alpha")
-    grid_n = 201 if args.grid is None else args.grid
+    grid = {} if args.grid is None else {"grid_n": args.grid}
     worst_exit = 0
     for alpha in args.alpha:
-        floor, claimed, ok = harness.certify_lower_bound(args.notion, alpha, grid_n=grid_n)
+        floor, claimed, ok = harness.certify_lower_bound(args.notion, alpha, **grid)
         print(
             f"notion={args.notion} alpha={alpha} floor={floor:.6f} "
             f"claimed={claimed:.6f} pass={ok}"
@@ -183,9 +183,9 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     gamma = None
     if args.config is not None:
         gamma = _load_config(args).get("gamma")
-    grid_n = 101 if args.grid is None else args.grid
+    grid = {} if args.grid is None else {"grid_n": args.grid}
     for alpha in args.alpha:
-        report = harness.minimax_demo(alpha, gamma=gamma, grid_n=grid_n)
+        report = harness.minimax_demo(alpha, gamma=gamma, **grid)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0
 

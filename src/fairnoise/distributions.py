@@ -147,6 +147,7 @@ def make_distribution(atoms: Iterable[Atom], groups: Iterable[str] | None = None
 
 def mix(dist: Distribution, contamination: Distribution, alpha: float) -> Distribution:
     """The corrupted distribution (1 - alpha) * dist + alpha * contamination."""
+    alpha = number(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
     unknown = set(contamination.groups) - set(dist.groups)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import duplicate_flip_attack
+from .attacks import duplicate_flip_attack, tpr_shift_attack
 from .calibration import BinnedPredictor
 from .classifiers import BaseClassifier
 from .distributions import Atom, Distribution, make_distribution, mix
-from .errors import InputError
+from .errors import InputError, number
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,19 @@ class Instance:
     h_star: BaseClassifier
 
 
-def dp_worked(alpha: float) -> Instance:
-    """Four equal atoms, two groups, a perfect base classifier, and a
-    point-mass contamination that inflates group B's acceptance rate."""
+def _budget(alpha: object) -> float:
+    """``alpha`` as a float in (0, 1)."""
+    alpha = number(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
+        raise InputError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
+def dp_worked(alpha: float) -> Instance:
+    """Four equal atoms, two groups, a perfect base classifier, and the
+    ``tpr_shift`` "raise" contamination: a point mass of positives on B's
+    accepted point, which inflates group B's acceptance rate."""
+    alpha = _budget(alpha)
     dist = make_distribution(
         [
             Atom("a1", 1, "A", 0.25),
@@ -46,8 +54,7 @@ def dp_worked(alpha: float) -> Instance:
         ]
     )
     h_star = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
-    contamination = make_distribution([Atom("b1", 1, "B", 1.0)], groups=dist.groups)
-    return Instance(dist, contamination, mix(dist, contamination, alpha), h_star)
+    return Instance(dist, *tpr_shift_attack(dist, h_star, "B", alpha, "raise"), h_star)
 
 
 def eopp_needle(alpha: float) -> Instance:
@@ -55,12 +62,12 @@ def eopp_needle(alpha: float) -> Instance:
     needle contamination that forces sqrt(alpha) excess error under equal
     opportunity.
 
-    The small group B holds sqrt(alpha) of the mass; the adversary plants
-    positive mass alpha on B's rejected point, which ends up a
+    The small group B holds sqrt(alpha) of the mass; the needle is the
+    ``tpr_shift`` "lower" attack, which plants positive mass alpha on B's
+    rejected point, where it ends up a
     2 sqrt(alpha) / ((1 - alpha) + 2 sqrt(alpha)) share of B's positives.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("needle instance needs alpha in (0, 1)")
+    alpha = _budget(alpha)
     s = math.sqrt(alpha)
     dist = make_distribution(
         [
@@ -71,13 +78,13 @@ def eopp_needle(alpha: float) -> Instance:
         ]
     )
     h_star = BaseClassifier.from_table({"x1": 1, "x2": 0, "x3": 1, "x4": 0})
-    contamination = make_distribution([Atom("x4", 1, "B", 1.0)], groups=dist.groups)
-    return Instance(dist, contamination, mix(dist, contamination, alpha), h_star)
+    return Instance(dist, *tpr_shift_attack(dist, h_star, "B", alpha, "lower"), h_star)
 
 
 def balanced_instance(r_b: float) -> tuple[Distribution, BaseClassifier]:
     """Two groups, each half positive, the small one of mass r_b, and the
     perfect base classifier."""
+    r_b = number(r_b, "r_b")
     if not 0.0 < r_b < 1.0:
         raise InputError("r_b must lie in (0, 1)")
     r_a = 1.0 - r_b
@@ -107,8 +114,7 @@ def calibration_drift(alpha: float) -> tuple[Distribution, Distribution, BinnedP
     injects the same point with label 0, so the recalibrated value moves by
     exactly alpha in corrupted mass. Group B is untouched padding.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
+    alpha = _budget(alpha)
     dist = make_distribution(
         [
             Atom("a1", 1, "A", 0.5),

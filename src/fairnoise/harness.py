@@ -8,7 +8,6 @@ import hashlib
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -275,12 +274,13 @@ def _calibration_sweep_point(alpha: float) -> SweepPoint:
 
 def run_sweep(config: ExperimentConfig) -> RobustnessReport:
     """Run every alpha in the config, fit the scaling exponent, and classify
-    the regime. A witness violating its gap contract aborts the sweep."""
-    if config.jobs == 1:
-        points = [_sweep_point(config, a) for a in config.alphas]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            points = list(pool.map(lambda a: _sweep_point(config, a), config.alphas))
+    the regime. A witness violating its gap contract aborts the sweep.
+
+    Points run one after another in the caller's thread, whatever
+    ``config.jobs`` holds: each is milliseconds of work that holds the
+    interpreter lock, so threads cannot overlap it. ``jobs`` is only
+    recorded in the report."""
+    points = [_sweep_point(config, a) for a in config.alphas]
 
     betas = [p.beta for p in points]
     slope, intercept, r_squared = fit_loglog([(p.alpha, p.beta) for p in points])
@@ -374,9 +374,10 @@ def certify_lower_bound(
     EOpp -> sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity
     and Parity Calibration -> the fixed 0.2 floor.
     """
-    notion = notion.lower()
+    notion = text(notion, "notion").lower()
     if notion not in _CERTIFY:
         raise InputError(f"certify_lower_bound supports {CERT_NOTIONS}, got {notion!r}")
+    alpha = number(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     grid_n = grid_size(grid_n)
@@ -408,12 +409,13 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
     the minimax value is the max over groups of each group's own grid
     minimum.
     """
+    alpha = number(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise InputError("alpha must lie in [0, 1)")
-    if gamma is not None and (
-        isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= 1.0
-    ):
-        raise InputError(f"gamma must be a number in [0, 1], got {gamma!r}")
+    if gamma is not None:
+        gamma = number(gamma, "gamma")
+        if not 0.0 <= gamma <= 1.0:
+            raise InputError(f"gamma must be a number in [0, 1], got {gamma!r}")
     if alpha > 0.0:
         inst = _duplication(alpha)
         dist, h, corrupted = inst.dist, inst.h_star, inst.corrupted

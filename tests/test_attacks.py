@@ -198,8 +198,6 @@ class TestGridWorstCase:
         "name, value",
         [
             ("resolution", 2.5),
-            ("max_mix_atoms", 2.5),
-            ("max_mix_atoms", 0),
             ("grid_n", 21.5),
             ("grid_n", "21"),
             ("alpha", True),
@@ -222,8 +220,8 @@ class TestGridWorstCase:
     def test_integral_floats_are_integers(self):
         dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=4)
         args = (dist, 0.1, [h], "dp")
-        expected = grid_worst_case(*args, resolution=4, grid_n=21, max_mix_atoms=2)
-        assert grid_worst_case(*args, resolution=4.0, grid_n=21.0, max_mix_atoms=2.0) == expected
+        expected = grid_worst_case(*args, resolution=4, grid_n=21)
+        assert grid_worst_case(*args, resolution=4.0, grid_n=21.0) == expected
 
 
 def _search(search, *args, **kwargs):
@@ -366,7 +364,7 @@ class TestGridWorstCaseMatchesReference:
         monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
         grid_worst_case(dist, 0.25, [h], notion, resolution=4)
         keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
-        candidates = list(attacks._contaminations(dist, 0.25, keys, 4, 3))
+        candidates = list(attacks._contaminations(dist, 0.25, keys, 4))
         tables, inputs = zip(*(_table_and_input(dist, h, build, 0.25, notion) for _, _, build in candidates))
         assert len(set(received)) == len(received) == len(set(inputs)) < len(set(tables)) < len(candidates) / 2
 
@@ -385,7 +383,7 @@ class TestGridWorstCaseMatchesReference:
         dist, h = shared_table_instance()
         keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
         candidates = [
-            c for c in attacks._contaminations(dist, 0.25, keys, 4, 3) if all(picked(keys[col]) for col in c[0])
+            c for c in attacks._contaminations(dist, 0.25, keys, 4) if all(picked(keys[col]) for col in c[0])
         ]
         tables, inputs = zip(*(_table_and_input(dist, h, build, 0.25, notion) for _, _, build in candidates))
         assert len(set(tables)) > len(set(inputs)) == 1
@@ -436,7 +434,7 @@ class TestGridWorstCaseMatchesReference:
         rng = np.random.default_rng(seed)
         dist, h = generate(rng, max_atoms=int(rng.integers(10, 17)))
         keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
-        candidates = list(attacks._contaminations(dist, alpha, keys, 10, 3))
+        candidates = list(attacks._contaminations(dist, alpha, keys, 10))
         block = [candidates[int(i)] for i in rng.choice(len(candidates), size=20)]
         (tables,) = attacks._corrupted_tables(dist, alpha, keys, block, [attacks._cell_layout(h, dist, keys)])
         for r, (_, _, build) in enumerate(block):

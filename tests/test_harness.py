@@ -1,10 +1,11 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import pytest
 
-from fairnoise import families, harness
+from fairnoise import attacks, distributions, families, harness
 from fairnoise.errors import ContractError, InputError
 from fairnoise.repair import best_response
 
@@ -203,6 +204,13 @@ class TestSweeps:
         ]
         assert (serial.slope, serial.verdict) == (parallel.slope, parallel.verdict)
 
+    def test_sweep_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert len(harness.run_sweep(config(jobs=3)).points) == 4
+
 
 class TestCertify:
     def test_eopp_passes_at_acceptance_points(self):
@@ -284,6 +292,34 @@ class TestMinimax:
     def test_no_attack_control(self):
         report = harness.minimax_demo(0.0, grid_n=101)
         assert_close(report.max_group_error, report.opt_clean, 1e-12)
+
+
+_BALANCED, _PERFECT = families.balanced_instance(0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: harness.certify_lower_bound("eopp", "0.1"),
+        lambda: harness.certify_lower_bound(5, 0.1),
+        lambda: harness.minimax_demo("0.1"),
+        lambda: families.dp_worked("0.1"),
+        lambda: families.eopp_needle(None),
+        lambda: families.eodds_duplicate(0.1, "0.09"),
+        lambda: families.calibration_drift("0.1"),
+        lambda: distributions.mix(_BALANCED, _BALANCED, "0.1"),
+        lambda: attacks.duplicate_flip_attack(_BALANCED, "B", "0.2"),
+        lambda: attacks.tpr_shift_attack(_BALANCED, _PERFECT, "B", "0.1", "raise"),
+    ],
+    ids=[
+        "certify-alpha", "certify-notion", "minimax-alpha", "dp_worked", "eopp_needle",
+        "eodds_duplicate-r_b", "calibration_drift", "mix", "duplicate_flip", "tpr_shift",
+    ],
+)
+def test_entry_points_reject_non_numeric_input(call):
+    # a non-number must end as InputError (exit 2), not as a TypeError from a comparison
+    with pytest.raises(InputError):
+        call()
 
 
 class TestReports:
