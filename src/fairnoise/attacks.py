@@ -17,7 +17,7 @@ import numpy as np
 from .classifiers import BaseClassifier, as_pq, cell_index, error
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError, integer, number
-from .repair import best_response, grid_classifier, grid_responses, grid_size, statistic_inputs
+from .repair import best_response, grid_responses, grid_size, option_classifier, statistic_inputs
 
 
 def duplicate_flip_attack(
@@ -243,11 +243,14 @@ def grid_worst_case(
     sends each chunk's unseen inputs once each, in order of first
     occurrence, through :func:`grid_responses` calls of up to
     ``_SEARCH_BLOCK`` inputs that share the clean side. A key's first table
-    stands for the rest. The clean error of each distinct winning grid
-    classifier is computed once. The result, and the error raised first in
-    candidate order, are those of a :func:`best_response` call on each
-    ``mix(dist, q, alpha)`` in turn: a response depends only on its key,
-    and a key seen before has not raised.
+    stands for the rest. The clean error of each distinct winning response,
+    a hypothesis and its acceptance probabilities x, is computed once. The
+    result, and the error raised first in candidate order, are those of a
+    :func:`best_response` call on each ``mix(dist, q, alpha)`` in turn: a
+    response depends only on its key, :func:`grid_responses` solves each
+    row on its own, and a key seen before has not raised. For dp and eopp
+    the response is the exact LP minimum and ``grid_n`` is only checked;
+    predictive parity searches a grid_n grid.
 
     Raises ``InputError`` before any search when ``alpha`` is not a number
     in [0, 1], or ``resolution`` or ``grid_n`` is not an integer (an
@@ -271,8 +274,8 @@ def grid_worst_case(
     def encode(cols, masses) -> tuple:
         return tuple((keys[c][0], keys[c][1], keys[c][3], round(m, 12)) for c, m in zip(cols, masses))
 
-    searched: dict[bytes, tuple[float, int, int, int]] = {}  # response to each statistic input
-    errors: dict[tuple[int, int, int], float] = {}  # clean error of each winning grid classifier
+    searched: dict[bytes, tuple] = {}  # response to each statistic input
+    errors: dict[tuple, float] = {}  # clean error of each winning (k, x)
     # best: a (columns, masses, build) candidate; best_code is made on its first tie
     best_excess, best, best_code = -math.inf, None, None
     candidates = _contaminations(dist, alpha, keys, resolution)
@@ -290,11 +293,10 @@ def grid_worst_case(
             dirty = [{g: t[g][list(picked)] for g in dist.groups} for t in tables]
             searched.update(zip(fresh_keys, grid_responses(dirty, dist, hypotheses, notion, grid_n)))
         for candidate, stat_key in zip(chunk, stat_keys):
-            _, k, ia, ib = searched[stat_key]
-            if (k, ia, ib) not in errors:
-                witness = grid_classifier(hypotheses[k], dist.groups, grid_n, ia, ib)
-                errors[k, ia, ib] = error(witness, dist)
-            excess = errors[k, ia, ib] - opt
+            _, k, x = searched[stat_key]
+            if (k, x) not in errors:
+                errors[k, x] = error(option_classifier(hypotheses[k], dist.groups, x), dist)
+            excess = errors[k, x] - opt
             if excess > best_excess + 1e-12:
                 best_excess, best, best_code = excess, candidate, None
             elif abs(excess - best_excess) <= 1e-12:

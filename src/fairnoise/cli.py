@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "config": dict(type=Path, help="JSON config path"),
         "alpha": dict(type=float, action="append", help="corruption budget (repeatable)"),
         "notion": dict(type=str, help="fairness notion"),
-        "grid": dict(type=int, help="grid resolution for the randomized search"),
+        "grid": dict(type=int, help="grid resolution of the predictive-parity and minimax searches"),
         "seed": dict(type=int, help="RNG seed / provenance tag"),
         "jobs": dict(type=int, help="recorded in report.json; sweeps run serially"),
         "out": dict(type=Path, help="output directory (default $FNL_OUT or ./out)"),

@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .classifiers import GAP_TOL, error, error_terms, mass_table
 from .errors import ContractError, InputError, integer, number, text
-from .repair import best_response, dp_repair, eopp_repair, grid_size, option_grid
+from .repair import best_response, certified_floor, dp_repair, eopp_repair, grid_size, option_grid
 
 #: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
 #: family_params). The families function of the same name builds each
@@ -120,7 +120,7 @@ class SweepPoint:
     notion: str
     gap_corrupted: float
     beta: float  # witness excess error on the clean distribution
-    excess_oracle: float  # best grid response excess on the clean distribution
+    excess_oracle: float  # best response (exact LP minimum) excess on the clean distribution
     attack: dict
     witness: dict
     dist: dict
@@ -218,7 +218,6 @@ def _sweep_point(config: ExperimentConfig, alpha: float) -> SweepPoint:
     notion, kind, defaults = SWEEP_FAMILIES[config.family]
     params = {k: config.family_params.get(k, v) for k, v in defaults.items()}
     inst = getattr(families, config.family)(alpha, **params)
-    slack = 2.0 / config.grid_n + 1e-9
     oracle = best_response(
         inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=config.grid_n,
         reference_error=error(inst.h_star, inst.dist), alpha=alpha,
@@ -227,17 +226,16 @@ def _sweep_point(config: ExperimentConfig, alpha: float) -> SweepPoint:
     analytic = {"dp": dp_repair, "eopp": eopp_repair}.get(notion)
     witness = analytic(inst.h_star, inst.dist, inst.corrupted, alpha=alpha) if analytic else oracle
 
-    # Analytic witnesses are exact; the grid best response (used as the
-    # "witness" in the constant regime) only promises the grid tolerance.
-    gap_tol = slack if witness is oracle else GAP_TOL
-    if witness.gap_on_corrupted > gap_tol:
+    # The analytic witnesses are exact, and the best response is the exact
+    # LP minimum, so no witness may beat it.
+    if witness.gap_on_corrupted > GAP_TOL:
         raise ContractError(
-            f"witness gap {witness.gap_on_corrupted:.3e} exceeds {gap_tol} at alpha={alpha}"
+            f"witness gap {witness.gap_on_corrupted:.3e} exceeds {GAP_TOL} at alpha={alpha}"
         )
-    if oracle.error_on_original > witness.error_on_original + slack:
+    if oracle.error_on_original > witness.error_on_original + GAP_TOL:
         raise ContractError(
-            f"grid best response ({oracle.error_on_original:.6f}) worse than the analytic "
-            f"witness ({witness.error_on_original:.6f}) beyond grid slack at alpha={alpha}"
+            f"best response ({oracle.error_on_original:.6f}) worse than the analytic "
+            f"witness ({witness.error_on_original:.6f}) at alpha={alpha}"
         )
     return SweepPoint(
         alpha=alpha,
@@ -274,7 +272,10 @@ def _calibration_sweep_point(alpha: float) -> SweepPoint:
 
 def run_sweep(config: ExperimentConfig) -> RobustnessReport:
     """Run every alpha in the config, fit the scaling exponent, and classify
-    the regime. A witness violating its gap contract aborts the sweep.
+    the regime. Each point's ``excess_oracle`` is the exact LP best
+    response, so ``config.grid_n`` is only checked and recorded. A witness
+    violating its gap contract, or beating the best response, aborts the
+    sweep.
 
     Points run one after another in the caller's thread, whatever
     ``config.jobs`` holds: each is milliseconds of work that holds the
@@ -367,12 +368,16 @@ def certify_lower_bound(
 ) -> tuple[float, float, bool]:
     """(floor, claimed, pass) for the canonical hard instance of a notion.
 
-    The floor is the learner's exhaustive grid minimum of clean error; for
-    parity calibration it is :func:`parity_calibration_attack_certify`'s
-    minimum over every binned predictor, which reads no grid. Pass means
-    floor >= claimed - grid slack (2 / grid_n). Claims:
-    EOpp -> sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity
-    and Parity Calibration -> the fixed 0.2 floor.
+    For EOpp and EOdds the floor is the exact LP minimum of clean error,
+    proved by :func:`repair.certified_floor`'s dual certificate, and pass
+    means floor >= claimed, compared exactly with no slack; ``grid_n`` is
+    only checked for them. Predictive parity's floor is the learner's grid
+    minimum at ``grid_n``; parity calibration's is
+    :func:`parity_calibration_attack_certify`'s minimum over every binned
+    predictor, which reads no grid. For those two, pass means floor >=
+    claimed - 2 / grid_n. Claims: EOpp -> sqrt(alpha)/2; EOdds -> (1 -
+    alpha) * r_A / 2; Predictive Parity and Parity Calibration -> the fixed
+    0.2 floor.
     """
     notion = text(notion, "notion").lower()
     if notion not in _CERTIFY:
@@ -383,13 +388,16 @@ def certify_lower_bound(
     grid_n = grid_size(grid_n)
     instance, claim = _CERTIFY[notion]
     inst = instance(alpha)
+    claimed = claim(alpha)
+    if notion in ("eopp", "eodds"):
+        exact = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+        return float(exact), claimed, exact >= claimed
     if notion == "parity_calibration":
         floor = parity_calibration_attack_certify(inst)
     else:
         floor = best_response(
             inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=grid_n
         ).error_on_original
-    claimed = claim(alpha)
     return floor, claimed, floor >= claimed - 2.0 / grid_n
 
 

@@ -1,21 +1,24 @@
-"""Randomized-classifier repairs and the brute-force best-response learner.
+"""Randomized-classifier repairs and the exact best-response learner.
 
 Two kinds of object live here. The witness constructors (``dp_repair``,
 ``eopp_repair``) are omniscient: they see both the clean and the corrupted
 distribution and build an explicit randomized classifier whose fairness gap
 on the corrupted distribution is zero by construction. ``best_response`` is
 the learner-side procedure: it sees only the corrupted distribution and
-exhaustively searches per-group acceptance-probability grids. The harness
-uses the witnesses to certify upper bounds and the learner to certify lower
-bounds (its grid minimum is what any repair strategy could achieve).
+minimizes clean error over per-group acceptance probabilities, exactly by
+an LP for dp, eopp and eodds and on a grid for predictive parity. The
+harness uses the witnesses to certify upper bounds and the learner, with
+``certified_floor``'s dual certificate, to certify lower bounds (its
+minimum is what any repair strategy could achieve).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +35,9 @@ from .classifiers import (
 )
 from .distributions import Distribution
 from .errors import ContractError, InfeasibleError, InputError, integer
+
+if TYPE_CHECKING:  # fractions imports decimal; only certified_floor needs it
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,8 @@ def _compose(h: BaseClassifier | PQClassifier, params: dict[str, tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# Grid search over the randomized family
+# Best response over the randomized family: an LP, or a grid for predictive
+# parity
 # ---------------------------------------------------------------------------
 
 
@@ -209,14 +216,6 @@ def params_from_uv(u: float, v: float) -> tuple[float, float]:
     p = 1.0 - (u - v)
     q = v / p if p > 1e-15 else 0.0
     return (min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
-
-
-#: Most B options in one span block of the 2-D scan, which bounds its
-#: temporaries when many options share a first statistic.
-_PAIR_CHUNK = 512
-#: Far above the rounding of statistics in [0, 1], so the 2-D prefilter can
-#: only over-include.
-_PAIR_PAD = 1e-9
 
 
 def pair_min_1d(
@@ -294,70 +293,12 @@ def pair_min_1d(
     return [(total, i, j) if hit else None for hit, total, i, j in found]
 
 
-def pair_min_2d(
-    stats_a: tuple[np.ndarray, np.ndarray],
-    err_a: np.ndarray,
-    stats_b: tuple[np.ndarray, np.ndarray],
-    err_b: np.ndarray,
-    tol: float,
-) -> tuple[float, int, int] | None:
-    """Min of err_a[i] + err_b[j] over |ta[i] - tb[j]| <= tol and
-    |fa[i] - fb[j]| <= tol, the two-constraint variant of :func:`pair_min_1d`.
-
-    Exact. B is sorted by its first statistic and cut into span blocks: a
-    block closes once that statistic has moved by 2 (tol + pad) from the
-    block's first option, or once it holds ``_PAIR_CHUNK`` options. Each
-    block meets only the A options within tol and a small pad of the
-    block's range of both statistics, so this prefilter can only
-    over-include; the elementwise test above then decides feasibility. Ties
-    go to the lowest j, then the lowest i. Returns (total, i, j), or None.
-    """
-    ta, fa = stats_a
-    tb, fb = stats_b
-    order_a = np.argsort(ta, kind="stable")
-    sorted_ta = ta[order_a]
-    order_b = np.argsort(tb, kind="stable")
-    sorted_tb = tb[order_b]
-    reach = tol + _PAIR_PAD
-
-    best: tuple[float, int, int] | None = None  # (total, j, i)
-    start = 0
-    while start < len(order_b):
-        # the span ends before the first option past it; a NaN span ends only
-        # at the cap, and every block holds at least one option
-        span = np.searchsorted(sorted_tb, sorted_tb[start] + 2.0 * reach, side="right")
-        stop = max(min(int(span), start + _PAIR_CHUNK), start + 1)
-        jb = order_b[start:stop]
-        t, f = sorted_tb[start:stop], fb[jb]
-        start = stop
-        lo = np.searchsorted(sorted_ta, t[0] - reach, side="left")
-        hi = np.searchsorted(sorted_ta, t[-1] + reach, side="right")
-        ia = order_a[lo:hi]
-        # fmin / fmax skip NaN, which is within tol of nothing
-        ia = ia[(fa[ia] >= np.fmin.reduce(f) - reach) & (fa[ia] <= np.fmax.reduce(f) + reach)]
-        if not len(ia):
-            continue
-        mask = (np.abs(ta[None, ia] - t[:, None]) <= tol) & (
-            np.abs(fa[None, ia] - f[:, None]) <= tol
-        )
-        totals = np.where(mask, err_a[None, ia] + err_b[jb, None], np.inf)
-        val = float(totals.min())
-        if not math.isfinite(val) or (best is not None and val > best[0]):
-            continue
-        rows, cols = np.nonzero(totals == val)
-        j = int(jb[rows].min())
-        i = int(ia[cols][jb[rows] == j].min())
-        if best is None or (val, j, i) < best:
-            best = (val, j, i)
-    return None if best is None else (best[0], best[2], best[1])
-
-
 def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
     """The floats of stacked mass tables (rows of m1p, m1n, m0p, m0n) that
     the notion's option statistics and denominator checks read, one row per
     table: (m1p + m1n, m0p + m0n, m1p + m1n + m0p + m0n) for dp, (m1p, m0p)
     for eopp, all four cells otherwise. Sums run left to right, as in the
-    statistics. A grid response depends on a table only through these."""
+    statistics. A best response depends on a table only through these."""
     if notion == "dp":
         pos = cells[:, 0] + cells[:, 1]
         return np.stack((pos, cells[:, 2] + cells[:, 3], pos + cells[:, 2] + cells[:, 3]), axis=1)
@@ -368,37 +309,104 @@ def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
 
 #: What each notion divides a group's option statistics by, in the order it
 #: is checked: (what a group lacks when it is zero, columns of
-#: :func:`statistic_inputs`). Masses are >= 0, so a sum is zero only when
-#: every cell in it is.
+#: :func:`statistic_inputs` summing to it, ...). Masses are >= 0, so a sum
+#: is zero only when every cell in it is. For dp, eopp and eodds each entry
+#: is a statistic the notion equates across groups, (u a + v b) / d for
+#: option (u, v), and ends with the columns holding a and b: the rate for
+#: dp, the true positive rate for eopp, and for eodds it and the false
+#: positive rate.
 _DENOMINATORS = {
-    "dp": (("mass", (2,)),),
-    "predictive_parity": (("mass", (0, 1, 2, 3)),),
-    "eopp": (("positives", (0, 1)),),
-    "eodds": (("positives", (0, 2)), ("negatives", (1, 3))),
+    "dp": (("mass", (2,), (0, 1)),),
+    "predictive_parity": (("mass", (0, 1, 2, 3), None),),
+    "eopp": (("positives", (0, 1), (0, 1)),),
+    "eodds": (("positives", (0, 2), (0, 2)), ("negatives", (1, 3), (1, 3))),
 }
 
 
 def _grid_options(
-    inputs: np.ndarray, err: np.ndarray, notion: str, uu: np.ndarray, vv: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The notion's corrupted statistics of every (u, v) option, one row per
-    row of :func:`statistic_inputs`, and the options' clean error ``err``.
-    The caller has checked the denominators. Precision needs accepted mass:
-    an option accepting none has error +inf."""
-    columns = [inputs[:, i, None] for i in range(inputs.shape[1])]
-    if notion == "dp":
-        pos, neg, mass = columns
-        return ((uu * pos + vv * neg) / mass,), err
-    if notion == "eopp":
-        c1p, c0p = columns
-        return ((uu * c1p + vv * c0p) / (c1p + c0p),), err
-    c1p, c1n, c0p, c0n = columns
-    if notion == "predictive_parity":
-        accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
-        valid = accepted > 0.0
-        ppv = np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan)
-        return (ppv,), np.where(valid, err, np.inf)
-    return ((uu * c1p + vv * c0p) / (c1p + c0p), (uu * c1n + vv * c0n) / (c1n + c0n)), err
+    inputs: np.ndarray, err: np.ndarray, uu: np.ndarray, vv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The corrupted precision of every (u, v) option, one row per row of
+    :func:`statistic_inputs`, and the options' clean error ``err``. The
+    caller has checked the denominators. Precision needs accepted mass: an
+    option accepting none has no precision (NaN) and error +inf."""
+    c1p, c1n, c0p, c0n = (inputs[:, i, None] for i in range(4))
+    accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
+    valid = accepted > 0.0
+    ppv = np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan)
+    return ppv, np.where(valid, err, np.inf)
+
+
+def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str) -> np.ndarray:
+    """Per row of both groups' :func:`statistic_inputs`, the coefficients
+    over x = (u_A, v_A, u_B, v_B) of each equality s_A - s_B = 0 of the
+    notion, as a (rows, equalities, 4) array, from ``_DENOMINATORS``; exact
+    on an object array of Fractions."""
+    rows = []
+    for _, summed, (i, j) in _DENOMINATORS[notion]:
+        d_a, d_b = (sum(x[:, k] for k in summed) for x in (inputs_a, inputs_b))
+        a, b = inputs_a / d_a[:, None], inputs_b / d_b[:, None]
+        rows.append(np.stack((a[:, i], a[:, j], -b[:, i], -b[:, j]), axis=-1))
+    return np.stack(rows, axis=1)
+
+
+#: Each group's triangle 0 <= v <= u <= 1 of options as rows of G x <= h
+#: over x = (u_A, v_A, u_B, v_B): -v <= 0, v - u <= 0 and u <= 1, A first.
+_TRIANGLE = np.array([[0, -1, 0, 0], [-1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 1], [0, 0, 1, 0]])
+_BOUND = np.array([0, 0, 1, 0, 0, 1])
+#: How far a vertex may miss a constraint and still count as feasible.
+_LP_TOL = 1e-12
+
+
+def _vertices(systems: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The solution of each 4 x 4 system of a stack, NaN where it is
+    singular. numpy factors each system on its own, so its solution does
+    not depend on the rest of the stack."""
+    singular = np.linalg.det(systems) == 0.0
+    x = np.linalg.solve(np.where(singular[..., None, None], np.eye(4), systems), bounds[..., None])
+    return np.where(singular[..., None], np.nan, x[..., 0])
+
+
+@functools.lru_cache(maxsize=2)
+def _active_sets(n_eq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every 4-subset of n_eq equality rows followed by the six triangle
+    rows, in ``itertools.combinations`` order; which subsets hold an
+    equality; and the vertex of each of the others, which does not depend
+    on the instance."""
+    subsets = np.array(list(itertools.combinations(range(n_eq + 6), 4)))
+    mixed = subsets.min(axis=1) < n_eq
+    triangle = subsets[~mixed] - n_eq
+    return subsets, mixed, _vertices(_TRIANGLE[triangle].astype(float), _BOUND[triangle].astype(float))
+
+
+def _lp_vertices(
+    eq: np.ndarray, clean_table: Mapping[str, tuple[float, ...]], groups: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every vertex of the LP that minimizes clean error over both groups'
+    triangles subject to the equalities ``eq`` of :func:`_equalities`, per
+    row: (clean error, +inf where infeasible; x; the active sets), where
+    the first two are indexed by row and active set.
+
+    Clean error is linear in x, so a vertex attains the minimum: a point
+    where four independent constraints hold with equality. Every 4-subset
+    is solved; a vertex that misses a constraint by more than ``_LP_TOL`` is
+    infeasible, and the others are clamped to the triangles. Accepting
+    everything meets every equality, so a row always has a feasible vertex.
+    No step reduces across rows, so each row gets the same bits in any
+    stack."""
+    rows, n_eq, _ = eq.shape
+    subsets, mixed, fixed = _active_sets(n_eq)
+    a = np.concatenate((eq, np.broadcast_to(_TRIANGLE, (rows, 6, 4))), axis=1)
+    b = np.concatenate((np.zeros(n_eq), _BOUND))
+    x = np.empty((rows, len(subsets), 4))
+    x[:, ~mixed] = fixed
+    x[:, mixed] = _vertices(a[:, subsets[mixed]], b[subsets[mixed]])
+    miss = sum(a[:, None, :, j] * x[:, :, None, j] for j in range(4)) - b  # (rows, subsets, rows of a)
+    feasible = (np.abs(miss[..., :n_eq]) <= _LP_TOL).all(axis=2) & (miss[..., n_eq:] <= _LP_TOL).all(axis=2)
+    u = np.clip(x[..., ::2], 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    v = np.clip(x[..., 1::2], 0.0, u) + 0.0
+    err = sum(sum(error_terms(clean_table[g], u[..., i], v[..., i])) for i, g in enumerate(groups))
+    return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
 
 
 def grid_responses(
@@ -407,17 +415,22 @@ def grid_responses(
     hypotheses: Sequence[BaseClassifier | PQClassifier],
     notion: str,
     grid_n: int,
-) -> list[tuple[float, int, int, int]]:
-    """The grid search of :func:`best_response`, for a stack of corrupted
+) -> list[tuple[float, int, tuple[float, ...]]]:
+    """The search of :func:`best_response`, for a stack of corrupted
     distributions sharing one clean side.
 
     ``dirty[k][g]`` holds, one row per corrupted distribution, group g's
     corrupted mass-table cells under hypothesis k, as a (rows, 4) array.
-    Returns per row the minimum clean-error feasible pair as (total, k, ia,
-    ib); equal totals go to the lowest k, then to the pair search's own
-    tie-break. Raises ``InputError`` first for a ``grid_n`` that
-    :func:`grid_size` rejects. For the first row that has one, raises the
-    error :func:`best_response` raises on that row alone:
+    Returns per row the minimum clean error as (total, k, x): x is (u_A,
+    v_A, u_B, v_B), the acceptance probabilities of each group's
+    base-positive and base-negative points. dp, eopp and eodds take the
+    first cheapest of the exact LP's vertices (:func:`_lp_vertices`) in
+    active-set order, row by row. Predictive parity pairs the options of a
+    grid_n grid within 2 / grid_n with :func:`pair_min_1d`. Equal totals go
+    to the lowest k. Raises ``InputError`` first for a ``grid_n`` that
+    :func:`grid_size` rejects, although only predictive parity reads it.
+    For the first row that has one, raises the error :func:`best_response`
+    raises on that row alone:
     ``InputError`` when a group lacks the mass the notion divides by,
     ``InfeasibleError`` when no grid pair meets the tolerance.
     """
@@ -430,60 +443,121 @@ def grid_responses(
         raise InputError(f"best_response does not support notion {notion!r}")
 
     ga, gb = clean.groups
-    tol = 2.0 / grid_n
-    uu, vv = option_grid(grid_n)
-
     inputs = [{g: statistic_inputs(t[g], notion) for g in (ga, gb)} for t in dirty]
     # zero[c, r]: row r fails check c; a group's mass does not depend on the hypothesis
-    checks = [(g, what, cols) for g in (ga, gb) for what, cols in _DENOMINATORS[notion]]
+    checks = [(g, what, cols) for g in (ga, gb) for what, cols, _ in _DENOMINATORS[notion]]
     zero = np.array([inputs[0][g][:, cols].sum(axis=1) <= 0.0 for g, _, cols in checks])
     bad = zero.any(axis=0)
     rows = int(bad.argmax()) if bad.any() else len(bad)  # the rows before the first bad one
 
-    best: list[tuple[float, int, int, int] | None] = [None] * rows
+    best: list = [None] * rows
     for k, h in enumerate(hypotheses):
         clean_table = mass_table(h, clean)
-        (stats_a, err_a), (stats_b, err_b) = (
-            _grid_options(inputs[k][g][:rows], sum(error_terms(clean_table[g], uu, vv)), notion, uu, vv)
-            for g in (ga, gb)
-        )
-        if len(stats_a) == 1:
-            found = pair_min_1d(stats_a[0], err_a, stats_b[0], err_b, tol)
-        else:
+        a, b = (inputs[k][g][:rows] for g in (ga, gb))
+        if notion == "predictive_parity":
+            uu, vv = option_grid(grid_n)
+            (ppv_a, err_a), (ppv_b, err_b) = (
+                _grid_options(side, sum(error_terms(clean_table[g], uu, vv)), uu, vv)
+                for g, side in ((ga, a), (gb, b))
+            )
             found = [
-                pair_min_2d((ta, fa), err_a, (tb, fb), err_b, tol)
-                for ta, fa, tb, fb in zip(*stats_a, *stats_b)
+                hit and (hit[0], (float(uu[hit[1]]), float(vv[hit[1]]), float(uu[hit[2]]), float(vv[hit[2]])))
+                for hit in pair_min_1d(ppv_a, err_a, ppv_b, err_b, 2.0 / grid_n)
             ]
+        else:
+            totals, xs, _ = _lp_vertices(_equalities(a, b, notion), clean_table, clean.groups)
+            pick, each = np.argmin(totals, axis=1), np.arange(rows)  # the first cheapest vertex
+            found = list(zip(totals[each, pick].tolist(), map(tuple, xs[each, pick].tolist())))
         for r, hit in enumerate(found):
-            if hit is not None and math.isfinite(hit[0]):
-                candidate = (hit[0], k, hit[1], hit[2])
-                if best[r] is None or candidate < best[r]:
-                    best[r] = candidate
+            if hit and math.isfinite(hit[0]) and (best[r] is None or hit[0] < best[r][0]):
+                best[r] = (hit[0], k, hit[1])
 
     if None in best:
         raise InfeasibleError(
-            f"no grid point satisfies {notion} within tolerance {tol:.4g} at grid_n={grid_n}"
+            f"no grid point satisfies {notion} within tolerance {2.0 / grid_n:.4g} at grid_n={grid_n}"
         )
     if rows < len(bad):
         g, what, _ = checks[int(zero[:, rows].argmax())]
         raise InputError(f"group {g!r} has no {what} on the corrupted distribution")
-    return best  # type: ignore[return-value]
+    return best
 
 
-def grid_classifier(
-    h: BaseClassifier | PQClassifier, groups: Sequence[str], grid_n: int, ia: int, ib: int
+def option_classifier(
+    h: BaseClassifier | PQClassifier, groups: Sequence[str], x: Sequence[float]
 ) -> PQClassifier:
-    """The randomized classifier taking grid option ``ia`` on the first
-    group and ``ib`` on the second."""
-    uu, vv = option_grid(grid_n)
+    """The randomization of ``h`` that accepts the base-positive and
+    base-negative points of the first group with probabilities x[0] and
+    x[1], and those of the second group with x[2] and x[3]."""
     ga, gb = groups
-    return PQClassifier(
-        base=as_pq(h).base,
-        params={
-            ga: params_from_uv(float(uu[ia]), float(vv[ia])),
-            gb: params_from_uv(float(uu[ib]), float(vv[ib])),
-        },
-    )
+    return PQClassifier(base=as_pq(h).base, params={ga: params_from_uv(*x[:2]), gb: params_from_uv(*x[2:])})
+
+
+def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """y with matrix y = rhs, by Gauss-Jordan elimination in exact
+    arithmetic; None when the matrix is singular."""
+    n = len(rhs)
+    rows = [row + [r] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        k = next((k for k in range(col, n) if rows[k][col]), None)
+        if k is None:
+            return None
+        rows[col], rows[k] = rows[k], rows[col]
+        pivot = rows[col]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                f = row[col] / pivot[col]
+                rows[r] = [x - f * y for x, y in zip(row, pivot)]
+    return [row[n] / row[i] for i, row in enumerate(rows)]
+
+
+def certified_floor(
+    corrupted: Distribution, clean: Distribution, h: BaseClassifier | PQClassifier, notion: str
+) -> Fraction:
+    """The least clean error of any randomization of ``h`` that meets dp,
+    eopp or eodds on ``corrupted``, as an exact Fraction proved by a dual
+    certificate.
+
+    The float masses are exact binary rationals, and the certificate is
+    checked on them in Fractions. For an active set of a cheapest vertex,
+    the multipliers y solve stationarity, y^T A_active = -c for the clean
+    error's gradient c; that equation must then hold exactly, and every
+    triangle row's multiplier must be >= 0. By weak duality no classifier
+    in the class then errs less than the dual value c_0 - y^T h_active.
+    Active sets are tried in order of their vertex's float clean error,
+    then in active-set order, since at a degenerate vertex only some of
+    them have such multipliers. The first that does gives the floor, which
+    must lie within ``GAP_TOL`` of :func:`best_response`'s error.
+    ``ContractError`` when none does; the input errors of
+    :func:`best_response`.
+    """
+    from fractions import Fraction  # imports decimal, which only this needs
+
+    if notion not in ("dp", "eopp", "eodds"):
+        raise InputError(f"certified_floor supports dp, eopp and eodds, got {notion!r}")
+    primal = best_response(corrupted, clean, [h], notion).error_on_original
+    dirty, table = mass_table(h, corrupted), mass_table(h, clean)
+    inputs = [statistic_inputs(np.array([dirty[g]]), notion) for g in clean.groups]
+    totals, _, subsets = _lp_vertices(_equalities(*inputs, notion), table, clean.groups)
+
+    exact = (np.array([list(map(Fraction, dirty[g]))], dtype=object) for g in clean.groups)
+    a = np.concatenate((_equalities(*(statistic_inputs(t, notion) for t in exact), notion)[0], _TRIANGLE))
+    n_eq = len(a) - 6
+    # clean error is const + c . x, and stationarity asks y^T A_active = target = -c
+    cells = [list(map(Fraction, table[g])) for g in clean.groups]
+    const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
+    target = [t for m1p, m1n, m0p, m0n in cells for t in (m1p - m1n, m0p - m0n)]
+    for s in np.argsort(totals[0], kind="stable")[: np.isfinite(totals[0]).sum()]:
+        active = subsets[s].tolist()
+        basis = a[active]
+        y = _solve_exact(basis.T.tolist(), target)
+        if y is not None and list(np.array(y, dtype=object) @ basis) == target and all(
+            m >= 0 for m, i in zip(y, active) if i >= n_eq
+        ):
+            floor = const - sum(m * int(_BOUND[i - n_eq]) for m, i in zip(y, active) if i >= n_eq)
+            if abs(float(floor) - primal) > GAP_TOL:
+                raise ContractError(f"dual floor {float(floor)!r} is not the best response's {primal!r}")
+            return floor
+    raise ContractError(f"no active set of a cheapest {notion} vertex has a dual certificate")
 
 
 def best_response(
@@ -495,20 +569,24 @@ def best_response(
     reference_error: float = 0.0,
     alpha: float | None = None,
 ) -> RepairWitness:
-    """Minimum-error grid point satisfying the fairness notion (dp, eopp,
-    eodds or predictive_parity) on the corrupted distribution, with error
-    reported on the clean one.
+    """The minimum-error randomization of the hypotheses satisfying the
+    fairness notion (dp, eopp, eodds or predictive_parity) on the corrupted
+    distribution, with error reported on the clean one.
 
-    The fairness tolerance is 2 / grid_n; a pair with a non-finite total is
-    infeasible. Raises ``InfeasibleError`` when no grid point meets it; the
-    tolerance is never silently relaxed. This is the one-row case of
+    For dp, eopp and eodds the minimum is exact: an LP over each group's
+    triangle 0 <= v <= u <= 1 of acceptance probabilities, solved by vertex
+    enumeration, whose equalities hold to 1e-12 before the vertex is
+    clamped to the triangles; ``grid_n`` is only checked. Predictive parity searches a grid_n grid with fairness
+    tolerance 2 / grid_n, where a pair with a non-finite total is
+    infeasible; it raises ``InfeasibleError`` when no grid pair meets the
+    tolerance, which is never silently relaxed. This is the one-row case of
     :func:`grid_responses`.
     """
     dirty = [
         {g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()} for h in hypotheses
     ]
-    ((_, k, ia, ib),) = grid_responses(dirty, clean, hypotheses, notion, grid_n)
-    repaired = grid_classifier(hypotheses[k], clean.groups, grid_n, ia, ib)
+    ((_, k, x),) = grid_responses(dirty, clean, hypotheses, notion, grid_n)
+    repaired = option_classifier(hypotheses[k], clean.groups, x)
     gap = fairness_gap(group_stats(repaired, corrupted), notion)
     err = error(repaired, clean)
     return RepairWitness(

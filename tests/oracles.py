@@ -2,10 +2,12 @@
 
 These are the straightforward versions the package's pruned searches must
 agree with exactly: a sliding-window deque for one row of ``pair_min_1d``, a
-chunked brute force over every pair for ``pair_min_2d``, a private precision
-grid for ``best_response`` under predictive parity on the duplication
-instance, and one ``mix`` plus ``best_response`` per candidate for
-``grid_worst_case``. The full enumeration of every value-grid assignment is
+private precision grid for ``best_response`` under predictive parity on the
+duplication instance, and one ``mix`` plus ``best_response`` per candidate
+for ``grid_worst_case``. ``lp_floor`` is the exact reference for
+``best_response`` under dp, eopp and eodds: it solves every 4-subset of the
+LP's constraints in Fractions, from masses summed over atoms, so the
+package's float vertex search must agree with it up to rounding. The full enumeration of every value-grid assignment is
 the reference that ``parity_calibration_attack_certify``'s partition floor
 must not exceed: its values are a subset of those a bin may take.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
@@ -23,13 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
 from fairnoise import families
 from fairnoise.attacks import _simplex_weights, duplicate_flip_attack
 from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
-from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, error_terms, mass_table
+from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms, mass_table
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
 from fairnoise.families import _split
@@ -65,24 +68,70 @@ def pair_min_1d(stat_a, err_a, stat_b, err_b, tol):
     return best
 
 
-def pair_min_2d(stats_a, err_a, stats_b, err_b, tol, chunk=512):
-    """Chunked brute force over every (a, b) pair."""
-    ta, fa = stats_a
-    tb, fb = stats_b
+def _solve(rows, rhs):
+    """x with rows x = rhs in Fractions by Gaussian elimination, or None
+    when the system is singular."""
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    x = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        x[r] = (m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))) / m[r][r]
+    return x
+
+
+def lp_floor(corrupted, clean, h, notion):
+    """Least clean error over (u_A, v_A, u_B, v_B) in both triangles
+    0 <= v <= u <= 1 whose corrupted statistics meet the notion, exactly:
+    every 4-subset of the equalities and triangle rows is solved, and the
+    cheapest vertex that meets every constraint exactly wins."""
+    base = as_pq(h).base
+
+    def cells(dist, g):
+        m = [Fraction(0)] * 4
+        for a in dist.atoms:
+            if a.group == g:
+                m[cell_index(base, a.point, g, a.feature, a.label)] += Fraction(a.mass)
+        return m
+
+    def statistics(m):
+        """Each equated statistic (u a + v b) / d as (a, b, d)."""
+        m1p, m1n, m0p, m0n = m
+        tpr, fpr = (m1p, m0p, m1p + m0p), (m1n, m0n, m1n + m0n)
+        return {"dp": [(m1p + m1n, m0p + m0n, sum(m))], "eopp": [tpr], "eodds": [tpr, fpr]}[notion]
+
+    ga, gb = clean.groups
+    equalities = [
+        [a / d, b / d, -e / f, -g / f]
+        for (a, b, d), (e, g, f) in zip(statistics(cells(corrupted, ga)), statistics(cells(corrupted, gb)))
+    ]
+    # (row, bound) of -v <= 0, v - u <= 0 and u <= 1 for each group
+    triangle = []
+    for off in (0, 2):
+        for coeffs, bound in (((0, -1), 0), ((-1, 1), 0), ((1, 0), 1)):
+            row = [0, 0, 0, 0]
+            row[off : off + 2] = coeffs
+            triangle.append((row, bound))
+    constraints = [(row, 0, True) for row in equalities] + [(row, b, False) for row, b in triangle]
+
     best = None
-    for start in range(0, len(tb), chunk):
-        sl = slice(start, min(start + chunk, len(tb)))
-        mask = (np.abs(ta[None, :] - tb[sl, None]) <= tol) & (
-            np.abs(fa[None, :] - fb[sl, None]) <= tol
-        )
-        if not mask.any():
+    for subset in itertools.combinations(constraints, 4):
+        x = _solve([row for row, _, _ in subset], [b for _, b, _ in subset])
+        if x is None:
             continue
-        totals = np.where(mask, err_a[None, :] + err_b[sl, None], np.inf)
-        flat = int(np.argmin(totals))
-        ib, ia = divmod(flat, totals.shape[1])
-        val = float(totals[ib, ia])
-        if math.isfinite(val) and (best is None or val < best[0]):
-            best = (val, ia, start + ib)
+        values = [(sum(c * xi for c, xi in zip(row, x)), b, eq) for row, b, eq in constraints]
+        if all(v == b if eq else v <= b for v, b, eq in values):
+            err = sum(
+                sum(error_terms(cells(clean, g), x[i], x[i + 1])) for i, g in zip((0, 2), (ga, gb))
+            )
+            best = err if best is None else min(best, err)
     return best
 
 

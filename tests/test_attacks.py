@@ -13,10 +13,11 @@ from fairnoise import attacks, families
 from fairnoise.attacks import duplicate_flip_attack, grid_worst_case, tpr_shift_attack
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix
-from fairnoise.repair import best_response, grid_responses, statistic_inputs
+from fairnoise.repair import best_response, grid_responses, option_classifier, statistic_inputs
 from fairnoise.errors import FairnoiseError, InputError
 
 from conftest import alphas, assert_close, distributions
+from test_scripts import load_script
 
 
 def balanced_two_group(r_b=0.2):
@@ -447,3 +448,24 @@ class TestGridWorstCaseMatchesReference:
         # the first candidate is a point mass on group A
         with pytest.raises(InputError, match="group 'B' has no mass on the corrupted distribution"):
             grid_worst_case(dist, 1.0, [h], "dp", resolution=3)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_each_stacked_row_is_its_own_best_response(seed):
+    # the search stacks rows and a check re-solves each alone, so the two
+    # must agree bit for bit: the adversary workload's instances, each with
+    # its first 150 candidate mixtures in one stack
+    probe = load_script("adversary_probe")
+    for dist, alpha, (h,), notion, kwargs in probe.strata_searches([seed]):
+        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
+        candidates = itertools.islice(attacks._contaminations(dist, alpha, keys, kwargs["resolution"]), 150)
+        mixtures = [mix(dist, build(), alpha) for _, _, build in candidates]
+        tables = [mass_table(h, corrupted) for corrupted in mixtures]
+        stacked = grid_responses(
+            [{g: np.array([t[g] for t in tables]) for g in dist.groups}], dist, [h], notion, kwargs["grid_n"]
+        )
+        for corrupted, table, row in zip(mixtures, tables, stacked):
+            alone = grid_responses([{g: np.array([table[g]]) for g in dist.groups}], dist, [h], notion, kwargs["grid_n"])
+            assert alone == [row]
+            response = best_response(corrupted, dist, [h], notion, grid_n=kwargs["grid_n"])
+            assert response.classifier == option_classifier(h, dist.groups, row[2])

@@ -162,9 +162,12 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "pass=True" in out and "floor=" in out and "claimed=" in out
 
+    def test_false_claim_exits_one(self, capsys):
+        assert main(["certify", "--notion", "eopp", "--alpha", "0.075"]) == 1
+        assert "floor=0.135030 claimed=0.136931 pass=False" in capsys.readouterr().out
+
     def test_fail_exit_one(self, monkeypatch):
-        # the canonical instances always pass by construction, so a failed
-        # certification is simulated to pin the exit-code contract
+        # a failed certification, simulated, pins the exit-code contract
         import fairnoise.cli as cli_mod
 
         monkeypatch.setattr(

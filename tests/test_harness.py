@@ -217,6 +217,20 @@ class TestCertify:
         floor, claimed, ok = harness.certify_lower_bound("eopp", 0.04, grid_n=201)
         assert ok and floor >= 0.09 and abs(claimed - 0.1) < 1e-12
 
+    def test_eopp_false_claim_fails(self):
+        # the exact floor lies below the claimed sqrt(alpha)/2 = 0.136931;
+        # the grid's slack of 2 / grid_n used to pass it with floor 0.131628
+        floor, claimed, ok = harness.certify_lower_bound("eopp", 0.075)
+        assert not ok
+        assert abs(floor - 0.13502969567428894) <= 1e-12 and floor < claimed
+
+    @pytest.mark.parametrize("alpha", (0.04, 0.01))
+    def test_eopp_floor_equals_the_claim(self, alpha):
+        # the optimum accepts all of group B and errs exactly on its negative
+        # mass, which is bit-equal to sqrt(alpha)/2, so no slack is needed
+        floor, claimed, ok = harness.certify_lower_bound("eopp", alpha)
+        assert ok and floor == claimed == math.sqrt(alpha) / 2.0
+
     def test_eopp_floor_vanishes_with_budget(self):
         floor, _, _ = harness.certify_lower_bound("eopp", 1e-4, grid_n=201)
         assert floor <= 0.02  # control: the bound vanishes as alpha -> 0

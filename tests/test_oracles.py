@@ -1,8 +1,9 @@
 """The pruned exhaustive searches return exactly what the reference
 implementations in ``oracles`` return: same totals, same winning indices,
-same errors. The parity-calibration floor never exceeds the reference's
-value-grid floor. The mass-table statistics match the atom sums up to
-rounding."""
+same errors. The exact best response and its certified floor match the
+Fraction vertex enumeration up to rounding. The parity-calibration floor
+never exceeds the reference's value-grid floor. The mass-table statistics
+match the atom sums up to rounding."""
 
 import numpy as np
 import pytest
@@ -10,39 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fairnoise import families, repair
+from fairnoise import families
 from fairnoise.classifiers import PQClassifier, error, error_terms, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InputError
 from fairnoise.harness import parity_calibration_attack_certify
-from fairnoise.repair import _grid_options, best_response, option_grid, pair_min_1d, pair_min_2d, statistic_inputs
+from fairnoise.repair import best_response, certified_floor, dp_repair, eopp_repair, option_grid, pair_min_1d
 
 QUANTA = (10, 21, 41, 201)
 
 
 @st.composite
-def pair_cases(draw, dims: int, max_size: int = 40):
-    """Statistics on multiples of 1/q, so many pairs sit exactly tol apart,
-    and errors on a few levels, so totals tie."""
-    q = draw(st.sampled_from(QUANTA))
-    tol = draw(st.sampled_from((0.0, 1.0 / q, 2.0 / q, 2.0 / 21, 2.0 / 41, 2.0 / 201)))
-
-    def side():
-        n = draw(st.integers(0, max_size))
-        grid = st.lists(st.integers(0, q), min_size=n, max_size=n)
-        stats = tuple(np.array(draw(grid), dtype=float) / q for _ in range(dims))
-        levels = st.lists(st.integers(0, 4), min_size=n, max_size=n)
-        return stats, np.array(draw(levels), dtype=float) / 7.0
-
-    (stats_a, err_a), (stats_b, err_b) = side(), side()
-    return stats_a, err_a, stats_b, err_b, tol
-
-
-@st.composite
 def stacked_pair_cases(draw, max_rows: int = 5, max_size: int = 40):
-    """Stacks of 1-5 rows of ``pair_cases`` statistics, with some errors
-    +inf. Each side's errors are shared by the rows, or given per row with
-    predictive parity's undefined options: a NaN statistic with error +inf."""
+    """Stacks of 1-5 rows of statistics on multiples of 1/q, so many pairs
+    sit exactly tol apart, and errors on a few levels, so totals tie, some
+    of them +inf. Each side's errors are shared by the rows, or given per
+    row with predictive parity's undefined options: a NaN statistic with
+    error +inf."""
     q = draw(st.sampled_from(QUANTA))
     tol = draw(st.sampled_from((0.0, 1.0 / q, 2.0 / q, 2.0 / 21, 2.0 / 41, 2.0 / 201)))
     rows = draw(st.integers(1, max_rows))
@@ -75,17 +60,17 @@ def reference_rows(stat_a, err_a, stat_b, err_b, tol):
     ]
 
 
-def grid_options(inst, notion, grid_n):
-    """Both groups' one-row (statistics, clean error) option arrays, as
-    best_response builds them."""
+def needle_options(alpha, grid_n):
+    """Both groups' one-row (true positive rate, clean error) arrays of
+    the options of a grid_n grid on the needle instance."""
+    inst = families.eopp_needle(alpha)
     uu, vv = option_grid(grid_n)
     dirty, clean = mass_table(inst.h_star, inst.corrupted), mass_table(inst.h_star, inst.dist)
-    return [
-        _grid_options(
-            statistic_inputs(np.array([dirty[g]]), notion), sum(error_terms(clean[g], uu, vv)), notion, uu, vv
-        )
-        for g in inst.dist.groups
-    ]
+    options = []
+    for g in inst.dist.groups:
+        c1p, _, c0p, _ = dirty[g]
+        options.append((((uu * c1p + vv * c0p) / (c1p + c0p))[None], sum(error_terms(clean[g], uu, vv))))
+    return options
 
 
 class TestPairMin1d:
@@ -113,88 +98,32 @@ class TestPairMin1d:
 
     @pytest.mark.parametrize("alpha", (0.0025, 0.04, 0.09))
     def test_matches_reference_on_needle_grids(self, alpha):
-        inst = families.eopp_needle(alpha)
-        ((sa,), ea), ((sb,), eb) = grid_options(inst, "eopp", 101)
+        (sa, ea), (sb, eb) = needle_options(alpha, 101)
         assert pair_min_1d(sa, ea, sb, eb, 2.0 / 101) == reference_rows(sa, ea, sb, eb, 2.0 / 101)
 
 
-class TestPairMin2d:
-    @settings(max_examples=200, deadline=None)
-    @given(pair_cases(dims=2), st.sampled_from((1, 7, 512)))
-    def test_matches_reference(self, case, chunk):
-        stats_a, ea, stats_b, eb, tol = case
-        expected = oracles.pair_min_2d(stats_a, ea, stats_b, eb, tol)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(repair, "_PAIR_CHUNK", chunk)
-            assert pair_min_2d(stats_a, ea, stats_b, eb, tol) == expected
-
-    def test_nothing_feasible(self):
-        near, far = np.linspace(0.0, 0.4, 9), np.linspace(0.6, 1.0, 9)
-        ea, eb = np.zeros(9), np.zeros(9)
-        # each statistic alone is satisfiable; both together never are
-        args = ((near, far), ea, (near, near), eb, 0.1)
-        assert oracles.pair_min_2d(*args) is None
-        assert pair_min_2d(*args) is None
-
-    @pytest.mark.parametrize("grid_n", (11, 21, 41, 101))
-    @pytest.mark.parametrize("r_b", (0.045, None), ids=("sweep", "washed-out"))
-    @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
-    def test_matches_reference_on_duplication_grids(self, alpha, r_b, grid_n):
-        # r_b = 0.045 is the sweep's instance, 0.9 alpha the certifier's
-        inst = families.eodds_duplicate(alpha, r_b=0.9 * alpha if r_b is None else r_b)
-        (stats_a, ea), (stats_b, eb) = grid_options(inst, "eodds", grid_n)
-        args = (tuple(s[0] for s in stats_a), ea, tuple(s[0] for s in stats_b), eb, 2.0 / grid_n)
-        assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
-
-    def test_cap_splits_a_span_block(self, monkeypatch):
-        # more B options share one first statistic than a block may hold, and
-        # the best total ties across the cut
-        rng = np.random.default_rng(5)
-        n = repair._PAIR_CHUNK + 90
-        stats_b = (np.full(n, 0.5), rng.integers(0, 21, n) / 20.0)
-        eb = np.full(n, 2.0 / 7.0)
-        eb[[3, repair._PAIR_CHUNK + 2]] = 0.0
-        stats_a = (rng.integers(9, 12, 60) / 20.0, rng.integers(0, 21, 60) / 20.0)
-        ea = rng.integers(0, 3, 60) / 7.0
-        args = (stats_a, ea, stats_b, eb, 1.0 / 20.0)
-        expected = oracles.pair_min_2d(*args)
-        assert expected is not None and expected[2] == 3
-        assert pair_min_2d(*args) == expected
-        eb[3] = 1.0  # now only the block after the cut holds the best total
-        assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
-        assert pair_min_2d(*args)[2] == repair._PAIR_CHUNK + 2
-        monkeypatch.setattr(repair, "_PAIR_CHUNK", 7)
-        assert pair_min_2d(*args) == oracles.pair_min_2d(*args)
-
-    def test_zero_tolerance_needs_exact_matches(self):
-        rng = np.random.default_rng(6)
-        stats_a, stats_b = ((rng.integers(0, 5, 80) / 4.0, rng.integers(0, 5, 80) / 4.0) for _ in "ab")
-        ea, eb = rng.integers(0, 5, 80) / 7.0, rng.integers(0, 5, 80) / 7.0
-        args = (stats_a, ea, stats_b, eb, 0.0)
-        expected = oracles.pair_min_2d(*args)
-        assert expected is not None
-        assert pair_min_2d(*args) == expected
-
-    def test_single_option_sides(self):
-        rng = np.random.default_rng(7)
-        many = (rng.integers(0, 11, 50) / 10.0, rng.integers(0, 11, 50) / 10.0)
-        err = rng.integers(0, 5, 50) / 7.0
-        one, one_err = (np.array([0.5]), np.array([0.4])), np.array([0.1])
-        for args in (
-            (one, one_err, many, err, 0.1),
-            (many, err, one, one_err, 0.1),
-            (one, one_err, one, one_err, 0.0),
-        ):
-            expected = oracles.pair_min_2d(*args)
-            assert expected is not None
-            assert pair_min_2d(*args) == expected
-
-    def test_undefined_second_statistic_hides_no_other_option(self):
-        # a NaN in a block's second statistic must not empty the block's A options
-        stats_a = (np.array([0.5]), np.array([0.5]))
-        stats_b = (np.array([0.5, 0.5]), np.array([0.5, np.nan]))
-        args = (stats_a, np.zeros(1), stats_b, np.zeros(2), 0.1)
-        assert pair_min_2d(*args) == oracles.pair_min_2d(*args) == (0.0, 0, 0)
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "notion, generate, repair",
+    [
+        ("dp", families.random_dp_instance, dp_repair),
+        ("eopp", families.random_eopp_instance, eopp_repair),
+        ("eodds", families.random_eopp_instance, None),
+    ],
+    ids=("dp", "eopp", "eodds"),
+)
+def test_exact_best_response_matches_reference(notion, generate, repair, seed):
+    rng = np.random.default_rng(seed)
+    dist, h = generate(rng, max_atoms=12)
+    q = oracles.random_contamination(rng, dist)
+    corrupted = mix(dist, q, float(rng.uniform(0.01, 0.3)))
+    exact = oracles.lp_floor(corrupted, dist, h, notion)
+    found = best_response(corrupted, dist, [h], notion).error_on_original
+    assert abs(found - exact) <= 1e-12
+    assert abs(certified_floor(corrupted, dist, h, notion) - exact) <= 1e-12
+    if repair is not None:
+        # the analytic witness is one classifier of the class
+        assert found <= repair(h, dist, corrupted).error_on_original + 1e-12
 
 
 unit = st.floats(0.0, 1.0)

@@ -1,12 +1,12 @@
-import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairnoise import families, repair
+from fairnoise import families
 from fairnoise.classifiers import (
     GAP_TOL,
     BaseClassifier,
@@ -22,11 +22,11 @@ from fairnoise.repair import (
     RepairWitness,
     _match_params,
     best_response,
+    certified_floor,
     dp_repair,
     eopp_repair,
     option_grid,
     pair_min_1d,
-    pair_min_2d,
     params_from_uv,
 )
 
@@ -190,21 +190,6 @@ class TestPairMin:
             assert abs(sa[i] - sb[j]) <= tol
             assert_close(total, expected, 1e-12)
 
-    def test_2d_matches_brute_force(self, rng, monkeypatch):
-        monkeypatch.setattr(repair, "_PAIR_CHUNK", 7)  # exercise several blocks
-        n, m = 40, 35
-        ta, fa, tb, fb = (rng.uniform(size=k) for k in (n, n, m, m))
-        ea, eb = rng.uniform(size=n), rng.uniform(size=m)
-        tol = 0.15
-        best = None
-        for i, j in itertools.product(range(n), range(m)):
-            if abs(ta[i] - tb[j]) <= tol and abs(fa[i] - fb[j]) <= tol:
-                t = ea[i] + eb[j]
-                best = t if best is None else min(best, t)
-        found = pair_min_2d((ta, fa), ea, (tb, fb), eb, tol)
-        assert found is not None and best is not None
-        assert_close(found[0], best, 1e-12)
-
 
 class TestBestResponse:
     def test_recovers_optimum_without_corruption(self):
@@ -212,10 +197,10 @@ class TestBestResponse:
         w = best_response(inst.dist, inst.dist, [inst.h_star], "dp", grid_n=41)
         assert_close(w.error_on_original, 0.0, 1e-12)
 
-    def test_gap_within_grid_tolerance(self):
+    def test_gap_meets_the_equality(self):
         inst = families.dp_worked(0.1)
         w = best_response(inst.corrupted, inst.dist, [inst.h_star], "dp", grid_n=41)
-        assert w.gap_on_corrupted <= 2.0 / 41 + 1e-9
+        assert w.gap_on_corrupted <= GAP_TOL
 
     def test_eodds_floor_on_duplication(self):
         inst = families.eodds_duplicate(0.1, r_b=0.09)
@@ -253,3 +238,57 @@ class TestBestResponse:
         w = best_response(inst.corrupted, inst.dist, [inst.h_star], "eopp", grid_n=41)
         restored = PQClassifier.from_json_dict(w.to_json_dict()["classifier"])
         assert_close(error(restored, inst.dist), w.error_on_original, 1e-12)
+
+    def test_eodds_with_coinciding_rates_finds_a_one_equality_vertex(self):
+        # The base ignores the corrupted labels in both groups, so the TPR and
+        # FPR equalities are one row and every two-equality system is
+        # singular. The optimum, A at (u, v) = (1, 0) and B at (1, 1/3), has
+        # one equality and three triangle rows active; the feasible triangle
+        # corners err at least 0.4.
+        cells = {"a1": 1 / 8, "a2": 1 / 8, "b1": 1 / 16, "b2": 3 / 16}
+        group = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
+        corrupted = make_distribution(
+            [Atom(p, y, group[p], m) for p, m in cells.items() for y in (0, 1)]
+        )
+        clean = make_distribution(
+            [Atom("a1", 1, "A", 0.3), Atom("a2", 0, "A", 0.3), Atom("b1", 1, "B", 0.1), Atom("b2", 0, "B", 0.3)]
+        )
+        h = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
+        w = best_response(corrupted, clean, [h], "eodds")
+        assert w.gap_on_corrupted <= GAP_TOL
+        assert_close(w.error_on_original, 0.1, 1e-12)
+        assert abs(certified_floor(corrupted, clean, h, "eodds") - Fraction(1, 10)) <= 1e-12
+
+
+def needle_floor(alpha):
+    """The needle's exact EOpp floor; it is sqrt(alpha)/2 up to
+    alpha = 7 - 4 sqrt(3)."""
+    s = math.sqrt(alpha)
+    return min(s / 2.0, alpha * (1.0 - s) / ((1.0 - alpha) * s + 2.0 * alpha))
+
+
+#: (notion, instance at alpha, closed-form floor, alphas). Each base is
+#: perfect on the clean distribution, so its floor is also its excess.
+CLOSED_FORMS = (
+    ("dp", families.dp_worked, lambda a: a / (2.0 + 6.0 * a), (0.01, 0.05, 0.1, 0.2)),
+    ("eopp", families.eopp_needle, needle_floor, (0.01, 0.04, 0.075, 0.09)),
+    ("eodds", lambda a: families.eodds_duplicate(a, 0.9 * a), lambda a: (1.0 - 0.9 * a) / 2.0, (0.05, 0.1, 0.2)),
+)
+
+
+@pytest.mark.parametrize(
+    "notion, build, closed_form, alpha",
+    [(n, b, f, a) for n, b, f, alphas in CLOSED_FORMS for a in alphas],
+    ids=[f"{n}-{a}" for n, _, _, alphas in CLOSED_FORMS for a in alphas],
+)
+def test_exact_floor_is_the_closed_form(notion, build, closed_form, alpha):
+    inst = build(alpha)
+    assert error(inst.h_star, inst.dist) == 0.0
+    w = best_response(inst.corrupted, inst.dist, [inst.h_star], notion)
+    assert abs(w.error_on_original - closed_form(alpha)) <= 1e-12
+    assert w.gap_on_corrupted <= GAP_TOL
+    # clamped vertices: every acceptance parameter in [0, 1] and none -0.0
+    assert all(math.copysign(1.0, c) == 1.0 and c <= 1.0 for pq in w.classifier.params.values() for c in pq)
+    floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+    assert isinstance(floor, Fraction)
+    assert abs(floor - Fraction(closed_form(alpha))) <= 1e-12

@@ -11,17 +11,17 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 #: (grid 41, seed 0).
 REPORT_SHA256 = {
     "calibration_drift": "b3d514fb1c0db0d2b91f2aa36f0d3da274669952310d69ed999850a191a5cedd",
-    "dp_worked": "34b4cf0ea7446946b5fd7059f09d7cf3b8c2d0fbbc29e96142a8fa11a287a645",
-    "eodds_duplicate": "a13891b5a8a5c9a4bc2fee3acc0c91bbeedacc4347bed64b56e3d25c43142735",
-    "eopp_needle": "b93a22399fabee03e8c59095f7d0f34655595be21062a791bad5febdb6e6e24e",
+    "dp_worked": "d509e9a8f29046b1e5213e698daa3eb09990c730418537bcba7b0f622e5e5d6d",
+    "eodds_duplicate": "557ae886ff18c304bb01e584682f19e489598db514d7bc410704b3ad9edf1608",
+    "eopp_needle": "74e7ab5a57dedf87fad067196c6186c6dcaee5e761ac01fcdedf7efdca0bd9d4",
 }
 
 #: SHA-256 of each report.csv, the same run
 CSV_SHA256 = {
     "calibration_drift": "500af5c01345632b4d27a452e4edfd29a2ed9a6d0cc27fab61a6d6c45f7dfb2b",
-    "dp_worked": "be88212f09cd62a5e4f1ef9aeedb359e29d8f50f73ed4d2c3dd949e8c5e7b993",
-    "eodds_duplicate": "d82720d2685e8d39e42b51a12251014c1ac8af55a836913e4de8f972be6180d7",
-    "eopp_needle": "3c8cc7c7d186506e4366a3f627a9aac61b8e5684d8e691d285b1e1c6d8756461",
+    "dp_worked": "84bd112d3b8d49a74a52343cb06e26b3647a78389922c90fe436d3aa722012ad",
+    "eodds_duplicate": "bdab8d8ec3b580bc9438b1d9f322d7665f0f64cc88657cab9de3d3731df2375e",
+    "eopp_needle": "67a4d3d298809685a0913298405cdd516e1a81c4e24f8c414c66f3020bc24e90",
 }
 
 #: SHA-256 of each sweep.svg, the same run
@@ -33,9 +33,9 @@ SVG_SHA256 = {
 }
 
 CERTIFY_OUTPUT = """\
-eopp                 alpha=0.04   floor=0.097000 claimed=0.100000 pass=True
-eopp                 alpha=0.01   floor=0.047250 claimed=0.050000 pass=True
-eodds                alpha=0.1    floor=0.448400 claimed=0.409500 pass=True
+eopp                 alpha=0.04   floor=0.100000 claimed=0.100000 pass=True
+eopp                 alpha=0.01   floor=0.050000 claimed=0.050000 pass=True
+eodds                alpha=0.1    floor=0.455000 claimed=0.409500 pass=True
 predictive_parity    alpha=0.1    floor=0.439075 claimed=0.200000 pass=True
 parity_calibration   alpha=0.1    floor=0.500000 claimed=0.200000 pass=True
 minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=0.1 feasible=False
@@ -43,7 +43,7 @@ minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=
 
 #: SHA-256 of the lines adversary_probe.py prints for the adversary
 #: workload's six instances at seed 1
-ADVERSARY_PROBE_SEED_1 = "16eaf7cffd9023459784cbc77a6b5f72650acc64316ed19fcedaea5c7208f3f2"
+ADVERSARY_PROBE_SEED_1 = "a5ea103a7937210934acbd7afafae8860b10e4fb2de38408d59125c2e91404b8"
 
 
 def load_script(name: str):
