@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Certify the numeric lower-bound floors and the minimax demonstration.
 
-Usage: python scripts/certify_bounds.py [--grid N]
+Usage: python scripts/certify_bounds.py
 Exits nonzero if any certification fails.
 """
 
@@ -20,13 +20,11 @@ CERTIFICATIONS = [
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid", type=int, default=201)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     failed = False
     for notion, alpha in CERTIFICATIONS:
-        floor, claimed, ok = harness.certify_lower_bound(notion, alpha, grid_n=args.grid)
+        floor, claimed, ok = harness.certify_lower_bound(notion, alpha)
         failed |= not ok
         print(
             f"{notion:20s} alpha={alpha:<6g} floor={floor:.6f} "

@@ -248,9 +248,10 @@ def grid_worst_case(
     result, and the error raised first in candidate order, are those of a
     :func:`best_response` call on each ``mix(dist, q, alpha)`` in turn: a
     response depends only on its key, :func:`grid_responses` solves each
-    row on its own, and a key seen before has not raised. For dp and eopp
-    the response is the exact LP minimum and ``grid_n`` is only checked;
-    predictive parity searches a grid_n grid.
+    row on its own, and a key seen before has not raised. Every response
+    is the exact LP minimum; under predictive parity its excess is that of
+    the classifier :func:`repair.best_response` returns, within GAP_TOL of
+    the infimum. ``grid_n`` is only checked.
 
     Raises ``InputError`` before any search when ``alpha`` is not a number
     in [0, 1], or ``resolution`` or ``grid_n`` is not an integer (an

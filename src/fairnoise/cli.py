@@ -29,8 +29,8 @@ _FLAGS = {
     "run": ("config", "alpha", "notion", "grid", "seed", "jobs", "out", "format"),
     "attack": ("config", "alpha", "notion", "out"),
     "repair": ("config", "alpha", "notion", "out"),
-    "certify": ("alpha", "notion", "grid"),
-    "minimax": ("alpha", "grid", "config"),
+    "certify": ("alpha", "notion"),
+    "minimax": ("alpha", "config"),
     "report": ("config", "out", "format"),
 }
 
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "config": dict(type=Path, help="JSON config path"),
         "alpha": dict(type=float, action="append", help="corruption budget (repeatable)"),
         "notion": dict(type=str, help="fairness notion"),
-        "grid": dict(type=int, help="grid resolution of the predictive-parity and minimax searches"),
+        "grid": dict(type=int, help="recorded in report.json; no search reads it"),
         "seed": dict(type=int, help="RNG seed / provenance tag"),
         "jobs": dict(type=int, help="recorded in report.json; sweeps run serially"),
         "out": dict(type=Path, help="output directory (default $FNL_OUT or ./out)"),
@@ -164,10 +164,9 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if not args.notion or not args.alpha:
         raise InputError("certify requires --notion and --alpha")
-    grid = {} if args.grid is None else {"grid_n": args.grid}
     worst_exit = 0
     for alpha in args.alpha:
-        floor, claimed, ok = harness.certify_lower_bound(args.notion, alpha, **grid)
+        floor, claimed, ok = harness.certify_lower_bound(args.notion, alpha)
         print(
             f"notion={args.notion} alpha={alpha} floor={floor:.6f} "
             f"claimed={claimed:.6f} pass={ok}"
@@ -183,9 +182,8 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     gamma = None
     if args.config is not None:
         gamma = _load_config(args).get("gamma")
-    grid = {} if args.grid is None else {"grid_n": args.grid}
     for alpha in args.alpha:
-        report = harness.minimax_demo(alpha, gamma=gamma, **grid)
+        report = harness.minimax_demo(alpha, gamma=gamma)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0
 

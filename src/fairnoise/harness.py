@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .classifiers import GAP_TOL, error, error_terms, mass_table
 from .errors import ContractError, InputError, integer, number, text
-from .repair import best_response, certified_floor, dp_repair, eopp_repair, grid_size, option_grid
+from .repair import best_response, certified_floor, dp_repair, eopp_repair, grid_responses, grid_size
 
 #: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
 #: family_params). The families function of the same name builds each
@@ -368,16 +368,15 @@ def certify_lower_bound(
 ) -> tuple[float, float, bool]:
     """(floor, claimed, pass) for the canonical hard instance of a notion.
 
-    For EOpp and EOdds the floor is the exact LP minimum of clean error,
-    proved by :func:`repair.certified_floor`'s dual certificate, and pass
-    means floor >= claimed, compared exactly with no slack; ``grid_n`` is
-    only checked for them. Predictive parity's floor is the learner's grid
-    minimum at ``grid_n``; parity calibration's is
-    :func:`parity_calibration_attack_certify`'s minimum over every binned
-    predictor, which reads no grid. For those two, pass means floor >=
-    claimed - 2 / grid_n. Claims: EOpp -> sqrt(alpha)/2; EOdds -> (1 -
-    alpha) * r_A / 2; Predictive Parity and Parity Calibration -> the fixed
-    0.2 floor.
+    Every floor is exact, and pass means floor >= claimed, compared with no
+    slack. For EOpp and EOdds the floor is the LP minimum of clean error,
+    proved by :func:`repair.certified_floor`'s dual certificate and compared
+    exactly. Predictive parity's is the infimum that
+    :func:`repair.grid_responses` solves over the common precision; parity
+    calibration's is :func:`parity_calibration_attack_certify`'s minimum
+    over every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
+    sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity and
+    Parity Calibration -> the fixed 0.2 floor.
     """
     notion = text(notion, "notion").lower()
     if notion not in _CERTIFY:
@@ -385,20 +384,18 @@ def certify_lower_bound(
     alpha = number(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
-    grid_n = grid_size(grid_n)
+    grid_size(grid_n)
     instance, claim = _CERTIFY[notion]
     inst = instance(alpha)
     claimed = claim(alpha)
-    if notion in ("eopp", "eodds"):
-        exact = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
-        return float(exact), claimed, exact >= claimed
     if notion == "parity_calibration":
         floor = parity_calibration_attack_certify(inst)
+    elif notion == "predictive_parity":
+        dirty = {g: np.array([cells]) for g, cells in mass_table(inst.h_star, inst.corrupted).items()}
+        ((floor, _, _),) = grid_responses([dirty], inst.dist, [inst.h_star], notion, grid_n)
     else:
-        floor = best_response(
-            inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=grid_n
-        ).error_on_original
-    return floor, claimed, floor >= claimed - 2.0 / grid_n
+        floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+    return float(floor), claimed, floor >= claimed
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +411,10 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
     adversary drives minimax fairness infeasible for any gamma below 1/2.
     At alpha = 0 the balanced instance with group B of mass 0.1 stands
     uncorrupted. The per-group randomization makes the game separable, so
-    the minimax value is the max over groups of each group's own grid
-    minimum.
+    the minimax value is the max over groups of each group's own minimum.
+    Error is linear over a group's triangle 0 <= v <= u <= 1 of options,
+    so that minimum is exact at one of its vertices (0, 0), (1, 0) and
+    (1, 1). ``grid_n`` is only checked.
     """
     alpha = number(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
@@ -424,6 +423,7 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
         gamma = number(gamma, "gamma")
         if not 0.0 <= gamma <= 1.0:
             raise InputError(f"gamma must be a number in [0, 1], got {gamma!r}")
+    grid_size(grid_n)
     if alpha > 0.0:
         inst = _duplication(alpha)
         dist, h, corrupted = inst.dist, inst.h_star, inst.corrupted
@@ -431,7 +431,7 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
         dist, h = families.balanced_instance(0.1)
         corrupted = dist
 
-    uu, vv = option_grid(grid_n)
+    uu, vv = np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0])
     dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
     epsilon: dict[str, float] = {}
     opt_terms = []

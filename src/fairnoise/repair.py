@@ -5,11 +5,12 @@ Two kinds of object live here. The witness constructors (``dp_repair``,
 distribution and build an explicit randomized classifier whose fairness gap
 on the corrupted distribution is zero by construction. ``best_response`` is
 the learner-side procedure: it sees only the corrupted distribution and
-minimizes clean error over per-group acceptance probabilities, exactly by
-an LP for dp, eopp and eodds and on a grid for predictive parity. The
-harness uses the witnesses to certify upper bounds and the learner, with
-``certified_floor``'s dual certificate, to certify lower bounds (its
-minimum is what any repair strategy could achieve).
+minimizes clean error over per-group acceptance probabilities exactly, by
+one LP for every notion; for predictive parity it is solved at a few
+candidate common precisions. The harness uses the witnesses to certify
+upper bounds and the learner, with ``certified_floor``'s dual certificate,
+to certify lower bounds (its minimum is what any repair strategy could
+achieve).
 """
 
 from __future__ import annotations
@@ -173,124 +174,30 @@ def _compose(h: BaseClassifier | PQClassifier, params: dict[str, tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# Best response over the randomized family: an LP, or a grid for predictive
-# parity
+# Best response over the randomized family: one LP, at candidate precisions
+# for predictive parity
 # ---------------------------------------------------------------------------
 
 
-#: Largest accepted grid resolution; the option arrays grow as grid_n ** 2.
+#: Largest accepted ``grid_n``. No search reads it; the entry points still
+#: take it and check its range.
 MAX_GRID_N = 1001
 
 
-def grid_size(grid_n: object, low: int = 11) -> int:
-    """``grid_n`` as an int in [low, MAX_GRID_N]. An integral float such as
+def grid_size(grid_n: object) -> int:
+    """``grid_n`` as an int in [11, MAX_GRID_N]. An integral float such as
     41.0 reads as 41; bools, fractions, strings and sizes out of range raise
     ``InputError``."""
     n = integer(grid_n, "grid_n")
-    if not low <= n <= MAX_GRID_N:
-        raise InputError(f"grid_n must lie in [{low}, {MAX_GRID_N}], got {n}")
+    if not 11 <= n <= MAX_GRID_N:
+        raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {n}")
     return n
-
-
-def option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (u, v) acceptance pairs with 0 <= v <= u <= 1 on a grid_n grid,
-    for any grid_n that :func:`grid_size` reads with ``low=2``.
-
-    u is the acceptance probability on base-positive points, v on
-    base-negative points; the randomized family (p, q) maps onto exactly
-    this triangle via u = 1 - p + p q, v = p q.
-    """
-    return _option_grid(grid_size(grid_n, low=2))
-
-
-@functools.lru_cache(maxsize=4)
-def _option_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    g = np.linspace(0.0, 1.0, grid_n)
-    rows, cols = np.triu_indices(grid_n)
-    u, v = g[cols], g[rows]  # v <= u
-    u.flags.writeable = v.flags.writeable = False  # shared by every caller
-    return u, v
 
 
 def params_from_uv(u: float, v: float) -> tuple[float, float]:
     p = 1.0 - (u - v)
     q = v / p if p > 1e-15 else 0.0
     return (min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
-
-
-def pair_min_1d(
-    stat_a: np.ndarray,
-    err_a: np.ndarray,
-    stat_b: np.ndarray,
-    err_b: np.ndarray,
-    tol: float,
-) -> list[tuple[float, int, int] | None]:
-    """Per row r, the min of err_a[i] + err_b[j] over
-    |stat_a[r, i] - stat_b[r, j]| <= tol.
-
-    The statistics are stacked (rows, n) arrays; each error array is either
-    shared by every row, shape (n,), or given per row. Exact and O(n log n)
-    per row. With both sides sorted by statistic, the A options within tol
-    of each B option form one window of sorted A, found by binary search
-    with the same comparisons a sliding window makes, and a sparse table
-    gives each window's minimum. NaN statistics sort last and pair with
-    nothing. The first B option in sorted order with the smallest total
-    wins, paired with the last minimum of its window; a row whose feasible
-    totals are all +inf keeps its first feasible B option. Returns, per row,
-    (total, i, j) in the original indexing, or None.
-    """
-    rows, n = stat_a.shape
-    if not n or not stat_b.shape[1]:
-        return [None] * rows
-    each = np.arange(rows)
-    row = each[:, None]
-
-    def by_row(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-        return values[order] if values.ndim == 1 else values[row, order]
-
-    order_a = np.argsort(stat_a, axis=1, kind="stable")
-    sa, ea = stat_a[row, order_a], by_row(err_a, order_a)
-    order_b = np.argsort(stat_b, axis=1, kind="stable")
-    sb, eb = stat_b[row, order_b], by_row(err_b, order_b)
-
-    hi = np.empty(sb.shape, dtype=np.intp)  # first sa > s + tol
-    lo = np.empty(sb.shape, dtype=np.intp)  # first sa >= s - tol
-    for r in range(rows):
-        hi[r] = np.searchsorted(sa[r], sb[r] + tol, side="right")
-        lo[r] = np.searchsorted(sa[r], sb[r] - tol, side="left")
-    np.minimum(lo, hi, out=lo)
-    feasible = (lo < hi) & ~np.isnan(sb)  # a NaN statistic is within tol of nothing
-
-    # table[k, r, i]: min of ea[r] over [i, i + 2**k); entries past n - 2**k are never read.
-    table = np.full((n.bit_length(), rows, n), np.inf)
-    table[0] = ea
-    for k in range(1, len(table)):
-        w = 2 ** (k - 1)
-        np.minimum(table[k - 1, :, :-w], table[k - 1, :, w:], out=table[k, :, :-w])
-
-    # floor(log2(hi - lo)), exact for integer lengths; 0 for empty windows
-    level = np.maximum(np.frexp(hi - lo)[1] - 1, 0)
-    start = np.minimum(lo, n - 1)  # infeasible windows may start at n
-    window_min = np.minimum(table[level, row, start], table[level, row, hi - 2**level])
-    totals = np.where(feasible, window_min + eb, np.inf)
-
-    first = np.argmin(totals, axis=1)
-    best = totals[each, first]
-    stuck = best == np.inf
-    if stuck.any():
-        first[stuck] = np.argmax(feasible[stuck], axis=1)
-    lo, hi, low = lo[each, first], hi[each, first], window_min[each, first]
-    # the sliding window keeps the last of tied minima
-    pos = np.arange(n)
-    tied = (pos >= lo[:, None]) & (pos < hi[:, None]) & (ea == low[:, None])
-    ia = n - 1 - np.argmax(tied[:, ::-1], axis=1)
-    found = zip(
-        feasible.any(axis=1).tolist(),
-        best.tolist(),
-        order_a[each, ia].tolist(),
-        order_b[each, first].tolist(),
-    )
-    return [(total, i, j) if hit else None for hit, total, i, j in found]
 
 
 def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
@@ -323,20 +230,6 @@ _DENOMINATORS = {
 }
 
 
-def _grid_options(
-    inputs: np.ndarray, err: np.ndarray, uu: np.ndarray, vv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The corrupted precision of every (u, v) option, one row per row of
-    :func:`statistic_inputs`, and the options' clean error ``err``. The
-    caller has checked the denominators. Precision needs accepted mass: an
-    option accepting none has no precision (NaN) and error +inf."""
-    c1p, c1n, c0p, c0n = (inputs[:, i, None] for i in range(4))
-    accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
-    valid = accepted > 0.0
-    ppv = np.where(valid, (uu * c1p + vv * c0p) / np.where(valid, accepted, 1.0), np.nan)
-    return ppv, np.where(valid, err, np.inf)
-
-
 def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str) -> np.ndarray:
     """Per row of both groups' :func:`statistic_inputs`, the coefficients
     over x = (u_A, v_A, u_B, v_B) of each equality s_A - s_B = 0 of the
@@ -348,6 +241,76 @@ def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str) -> np.n
         a, b = inputs_a / d_a[:, None], inputs_b / d_b[:, None]
         rows.append(np.stack((a[:, i], a[:, j], -b[:, i], -b[:, j]), axis=-1))
     return np.stack(rows, axis=1)
+
+
+def _parity_equalities(
+    inputs_a: np.ndarray, inputs_b: np.ndarray, clean_a: Sequence[float], clean_b: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predictive parity's two equalities at four candidate common
+    precisions pi per row of both groups' :func:`statistic_inputs`, as a
+    (rows, 4, 2, 4) array; the candidates; and whether the groups'
+    precision ranges meet, per row. ``clean_a`` and ``clean_b`` are the
+    groups' clean mass-table cells.
+
+    An option t (1, w) of a group, 0 < t <= 1 and 0 <= w <= 1, has
+    precision (c1p + w c0p) / (m1 + w m0), with m1 = c1p + c1n and
+    m0 = c0p + c0n, whatever t is. So precision pi is the homogeneous row
+    (c1p - pi m1, c0p - pi m0) over the group's (u, v) (Charnes & Cooper),
+    met by a segment from the origin, and the LP with both groups' rows
+    gives the floor at pi. The origin accepts nothing and has no precision,
+    but it is the segment's limit, so the floor is an infimum. Outside a
+    group's range [lo_g, hi_g], the precisions of its ends w = 0 and 1,
+    only the origin meets the row, so pi stays in [lo, hi], where both
+    ranges meet. There each group errs on its clean positives plus
+    min(0, s), where s, the clean error its whole segment adds, is
+    linear-fractional in pi with its pole outside the range, so monotone
+    on it. min(0, s) then only bends down, where s crosses 0, and no
+    minimum lies at such a bend: the sum is least at lo, hi or a root of
+    s_A' + s_B' = 0. Each s' is k / (m0 pi - c0p)^2, so after one square
+    root each root solves a linear equation. A candidate that is undefined
+    or outside [lo, hi] becomes lo."""
+    ranges, slopes = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (c1p, c1n, c0p, c0n), clean in ((inputs_a.T, clean_a), (inputs_b.T, clean_b)):
+            m1, m0 = c1p + c1n, c0p + c0n
+            p1 = (c1p + c0p) / (m1 + m0)
+            p0 = np.where(m1 > 0.0, c1p / m1, p1)
+            ranges.append((np.minimum(p0, p1), np.maximum(p0, p1)))
+            k = (clean[3] - clean[2]) * (m1 * c0p - c1p * m0)  # s' = k / (m0 pi - c0p)^2
+            slopes.append((np.sqrt(np.abs(k)), c0p, m0))
+        (r_a, c_a, d_a), (r_b, c_b, d_b) = slopes
+        roots = [(r_a * c_b - sign * r_b * c_a) / (r_a * d_b - sign * r_b * d_a) for sign in (1.0, -1.0)]
+    lo, hi = np.maximum(ranges[0][0], ranges[1][0]), np.minimum(ranges[0][1], ranges[1][1])
+    pis = np.stack((lo, hi, *roots), axis=1)
+    pis = np.where((lo[:, None] <= pis) & (pis <= hi[:, None]), pis, lo[:, None])
+    eq = np.zeros(pis.shape + (2, 4))
+    for i, (c1p, c1n, c0p, c0n) in enumerate(x.T[..., None] for x in (inputs_a, inputs_b)):
+        eq[..., i, 2 * i] = c1p - pis * (c1p + c1n)
+        eq[..., i, 2 * i + 1] = c0p - pis * (c0p + c0n)
+    return eq, pis, lo <= hi
+
+
+def _with_precision(xs: np.ndarray, pis: np.ndarray, inputs_a: np.ndarray, inputs_b: np.ndarray) -> np.ndarray:
+    """Predictive parity options ``xs``, one row per row of both groups'
+    :func:`statistic_inputs` and its common precision ``pis``, where a
+    group that accepts nothing takes instead the start of its segment at
+    that precision, about t (1, w) with t = GAP_TOL / 2: its precision is
+    defined, and it errs at most GAP_TOL more. u - v is rounded to a
+    multiple of 2**-53, so that :func:`params_from_uv`'s p = 1 - (u - v),
+    and with it w, survive the round trip through (p, q); where that
+    multiple is 0, w is within 2**-54 / t of 1 and becomes 1. A group whose
+    options all have one precision takes w = 1, which accepts some of its
+    mass."""
+    t = GAP_TOL / 2.0
+    for i, (c1p, c1n, c0p, c0n) in enumerate((inputs_a.T, inputs_b.T)):
+        m1, den = c1p + c1n, c0p - pis * (c0p + c0n)
+        one = (m1 == 0.0) | (den == 0.0)
+        w = np.where(one, 1.0, np.clip((pis * m1 - c1p) / np.where(one, 1.0, den), 0.0, 1.0))
+        d = np.round(t * (1.0 - w) * 2.0**53) * 2.0**-53
+        v = np.where(d > 0.0, d * w / np.where(d > 0.0, 1.0 - w, 1.0), t)
+        empty = xs[:, 2 * i] <= _LP_TOL
+        xs[empty, 2 * i], xs[empty, 2 * i + 1] = (d + v)[empty], v[empty]
+    return xs
 
 
 #: Each group's triangle 0 <= v <= u <= 1 of options as rows of G x <= h
@@ -383,15 +346,17 @@ def _lp_vertices(
     eq: np.ndarray, clean_table: Mapping[str, tuple[float, ...]], groups: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex of the LP that minimizes clean error over both groups'
-    triangles subject to the equalities ``eq`` of :func:`_equalities`, per
+    triangles subject to the equalities ``eq``, per
     row: (clean error, +inf where infeasible; x; the active sets), where
-    the first two are indexed by row and active set.
+    the first two are indexed by row and active set. ``eq`` is that of
+    :func:`_equalities` or :func:`_parity_equalities`.
 
     Clean error is linear in x, so a vertex attains the minimum: a point
     where four independent constraints hold with equality. Every 4-subset
     is solved; a vertex that misses a constraint by more than ``_LP_TOL`` is
-    infeasible, and the others are clamped to the triangles. Accepting
-    everything meets every equality, so a row always has a feasible vertex.
+    infeasible, and the others are clamped to the triangles. The
+    equalities are homogeneous, so accepting nothing meets them all, and a
+    row always has a feasible vertex.
     No step reduces across rows, so each row gets the same bits in any
     stack."""
     rows, n_eq, _ = eq.shape
@@ -423,18 +388,20 @@ def grid_responses(
     corrupted mass-table cells under hypothesis k, as a (rows, 4) array.
     Returns per row the minimum clean error as (total, k, x): x is (u_A,
     v_A, u_B, v_B), the acceptance probabilities of each group's
-    base-positive and base-negative points. dp, eopp and eodds take the
-    first cheapest of the exact LP's vertices (:func:`_lp_vertices`) in
-    active-set order, row by row. Predictive parity pairs the options of a
-    grid_n grid within 2 / grid_n with :func:`pair_min_1d`. Equal totals go
-    to the lowest k. Raises ``InputError`` first for a ``grid_n`` that
-    :func:`grid_size` rejects, although only predictive parity reads it.
-    For the first row that has one, raises the error :func:`best_response`
-    raises on that row alone:
+    base-positive and base-negative points. Every notion takes the first
+    cheapest of the exact LP's vertices (:func:`_lp_vertices`), row by row:
+    dp, eopp and eodds in active-set order, and predictive parity over its
+    candidate precisions (:func:`_parity_equalities`) in order, then in
+    active-set order, where a group that accepts nothing moves onto its
+    segment (:func:`_with_precision`); the total stays the infimum. Equal
+    totals go to the lowest k. Raises ``InputError`` first for a ``grid_n``
+    that :func:`grid_size` rejects, although nothing reads it. For the
+    first row that has one, raises the error :func:`best_response` raises
+    on that row alone:
     ``InputError`` when a group lacks the mass the notion divides by,
-    ``InfeasibleError`` when no grid pair meets the tolerance.
+    ``InfeasibleError`` when the groups' precision ranges do not meet.
     """
-    grid_n = grid_size(grid_n)
+    grid_size(grid_n)
     if len(clean.groups) != 2:
         raise InputError("best_response searches exactly two groups")
     if not hypotheses:
@@ -451,31 +418,27 @@ def grid_responses(
     rows = int(bad.argmax()) if bad.any() else len(bad)  # the rows before the first bad one
 
     best: list = [None] * rows
+    each = np.arange(rows)
     for k, h in enumerate(hypotheses):
         clean_table = mass_table(h, clean)
         a, b = (inputs[k][g][:rows] for g in (ga, gb))
         if notion == "predictive_parity":
-            uu, vv = option_grid(grid_n)
-            (ppv_a, err_a), (ppv_b, err_b) = (
-                _grid_options(side, sum(error_terms(clean_table[g], uu, vv)), uu, vv)
-                for g, side in ((ga, a), (gb, b))
-            )
-            found = [
-                hit and (hit[0], (float(uu[hit[1]]), float(vv[hit[1]]), float(uu[hit[2]]), float(vv[hit[2]])))
-                for hit in pair_min_1d(ppv_a, err_a, ppv_b, err_b, 2.0 / grid_n)
-            ]
+            eq, pis, meet = _parity_equalities(a, b, clean_table[ga], clean_table[gb])
         else:
-            totals, xs, _ = _lp_vertices(_equalities(a, b, notion), clean_table, clean.groups)
-            pick, each = np.argmin(totals, axis=1), np.arange(rows)  # the first cheapest vertex
-            found = list(zip(totals[each, pick].tolist(), map(tuple, xs[each, pick].tolist())))
-        for r, hit in enumerate(found):
-            if hit and math.isfinite(hit[0]) and (best[r] is None or hit[0] < best[r][0]):
-                best[r] = (hit[0], k, hit[1])
+            eq, meet = _equalities(a, b, notion)[:, None], np.ones(rows, dtype=bool)
+        totals, xs, subsets = _lp_vertices(eq.reshape(-1, *eq.shape[2:]), clean_table, clean.groups)
+        width = eq.shape[1] * len(subsets)  # the vertices of a row's candidates, in order
+        totals = np.where(meet[:, None], totals.reshape(rows, width), np.inf)
+        pick = np.argmin(totals, axis=1)  # the first cheapest vertex
+        xs = xs.reshape(rows, width, 4)[each, pick]
+        if notion == "predictive_parity":
+            xs = _with_precision(xs, pis[each, pick // len(subsets)], a, b)
+        for r, (total, x) in enumerate(zip(totals[each, pick].tolist(), map(tuple, xs.tolist()))):
+            if math.isfinite(total) and (best[r] is None or total < best[r][0]):
+                best[r] = (total, k, x)
 
     if None in best:
-        raise InfeasibleError(
-            f"no grid point satisfies {notion} within tolerance {2.0 / grid_n:.4g} at grid_n={grid_n}"
-        )
+        raise InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
     if rows < len(bad):
         g, what, _ = checks[int(zero[:, rows].argmax())]
         raise InputError(f"group {g!r} has no {what} on the corrupted distribution")
@@ -573,13 +536,15 @@ def best_response(
     fairness notion (dp, eopp, eodds or predictive_parity) on the corrupted
     distribution, with error reported on the clean one.
 
-    For dp, eopp and eodds the minimum is exact: an LP over each group's
-    triangle 0 <= v <= u <= 1 of acceptance probabilities, solved by vertex
+    The minimum is exact: an LP over each group's triangle
+    0 <= v <= u <= 1 of acceptance probabilities, solved by vertex
     enumeration, whose equalities hold to 1e-12 before the vertex is
-    clamped to the triangles; ``grid_n`` is only checked. Predictive parity searches a grid_n grid with fairness
-    tolerance 2 / grid_n, where a pair with a non-finite total is
-    infeasible; it raises ``InfeasibleError`` when no grid pair meets the
-    tolerance, which is never silently relaxed. This is the one-row case of
+    clamped to the triangles. For predictive parity the LP is solved at
+    each candidate common precision, and its minimum is an infimum: where
+    a group does best to accept nothing, which has no precision, it accepts
+    a GAP_TOL / 2 sliver at that precision instead, within GAP_TOL of the
+    infimum. ``InfeasibleError`` when the groups' precision ranges do not
+    meet. ``grid_n`` is only checked. This is the one-row case of
     :func:`grid_responses`.
     """
     dirty = [

@@ -1,13 +1,16 @@
 """Reference implementations of the certifier's exhaustive searches.
 
 These are the straightforward versions the package's pruned searches must
-agree with exactly: a sliding-window deque for one row of ``pair_min_1d``, a
-private precision grid for ``best_response`` under predictive parity on the
-duplication instance, and one ``mix`` plus ``best_response`` per candidate
-for ``grid_worst_case``. ``lp_floor`` is the exact reference for
+agree with exactly: one ``mix`` plus ``best_response`` per candidate for
+``grid_worst_case``. ``lp_floor`` is the exact reference for
 ``best_response`` under dp, eopp and eodds: it solves every 4-subset of the
 LP's constraints in Fractions, from masses summed over atoms, so the
-package's float vertex search must agree with it up to rounding. The full enumeration of every value-grid assignment is
+package's float vertex search must agree with it up to rounding.
+``predictive_parity_scan`` is the reference for ``best_response`` under
+predictive parity: it scores only option pairs that meet the constraint,
+on a dense scan of the common precision, so the package's infimum must
+never lie above it and must come within the scan's resolution of it. The
+full enumeration of every value-grid assignment is
 the reference that ``parity_calibration_attack_certify``'s partition floor
 must not exceed: its values are a subset of those a bin may take.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -32,40 +34,11 @@ import numpy as np
 from fairnoise import families
 from fairnoise.attacks import _simplex_weights, duplicate_flip_attack
 from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
-from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms, mass_table
+from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
 from fairnoise.families import _split
-from fairnoise.repair import best_response, option_grid
-
-
-def pair_min_1d(stat_a, err_a, stat_b, err_b, tol):
-    """Sliding-window minimum over both sides sorted by statistic."""
-    order_a = np.argsort(stat_a, kind="stable")
-    sa = stat_a[order_a]
-    ea = err_a[order_a]
-    order_b = np.argsort(stat_b, kind="stable")
-
-    best = None
-    lo = hi = 0
-    window: deque[int] = deque()  # indices into sorted a, err increasing
-    for jb in order_b:
-        s = stat_b[jb]
-        while hi < len(sa) and sa[hi] <= s + tol:
-            while window and ea[window[-1]] >= ea[hi]:
-                window.pop()
-            window.append(hi)
-            hi += 1
-        while lo < hi and sa[lo] < s - tol:
-            if window and window[0] == lo:
-                window.popleft()
-            lo += 1
-        if window:
-            ia = window[0]
-            total = float(ea[ia] + err_b[jb])
-            if best is None or total < best[0]:
-                best = (total, int(order_a[ia]), int(jb))
-    return best
+from fairnoise.repair import best_response
 
 
 def _solve(rows, rhs):
@@ -218,29 +191,46 @@ def predictive_parity_instance(alpha, r_b=None):
     return dist, h, corrupted
 
 
-def predictive_parity_attack_certify(alpha, r_b=None, grid_n=41):
-    """Equal-precision pairs of grid options that accept some mass, on
-    :func:`predictive_parity_instance`."""
-    dist, h, corrupted = predictive_parity_instance(alpha, r_b)
-    dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
-    uu, vv = option_grid(grid_n)
-    tol = 2.0 / grid_n
+def predictive_parity_scan(corrupted, clean, h, n=1_000_001, t_min=1e-9):
+    """Least clean error over a dense scan of option pairs with one common
+    corrupted precision pi. At each pi, each group's options with precision
+    pi are t (1, w), with w in [0, 1] solving the precision equation; they
+    accept some mass, so every scored pair is feasible. Clean error is
+    linear in t, so each group scores the cheaper of t = t_min and t = 1.
+    The scan is pi on n even points of [0, 1] plus each group's precisions
+    at w = 0 and w = 1. Masses are summed over atoms. Returns +inf when no
+    scanned pi is feasible for both groups. Each group's precision must
+    vary with w: a group whose options all have one precision meets its
+    equation at every w, which this scan does not model."""
+    base = as_pq(h).base
 
-    def group_arrays(group):
-        c1p, c1n, c0p, c0n = dirty[group]
-        accepted = uu * (c1p + c1n) + vv * (c0p + c0n)
-        accepted_pos = uu * c1p + vv * c0p
-        valid = accepted > 0.0  # precision requires some positive predictions
-        ppv = np.where(valid, accepted_pos / np.where(valid, accepted, 1.0), np.nan)
-        err = sum(error_terms(clean[group], uu, vv))
-        return ppv[valid], err[valid]
+    def cells(dist, g):
+        m = [[], [], [], []]
+        for a in dist.atoms:
+            if a.group == g:
+                m[cell_index(base, a.point, g, a.feature, a.label)].append(a.mass)
+        return [math.fsum(c) for c in m]
 
-    ppv_a, err_a = group_arrays("A")
-    ppv_b, err_b = group_arrays("B")
-    found = pair_min_1d(ppv_a, err_a, ppv_b, err_b, tol)
-    if found is None:
-        raise InputError("no grid point satisfies predictive parity; grid too coarse")
-    return found[0]
+    dirty = {g: cells(corrupted, g) for g in clean.groups}
+    extremes = [
+        (c1p + w * c0p) / (c1p + c1n + w * (c0p + c0n)) for c1p, c1n, c0p, c0n in dirty.values() for w in (0, 1)
+    ]
+    if extremes[0] == extremes[1] or extremes[2] == extremes[3]:
+        raise ValueError("a group's precision does not vary with w")
+    pis = np.concatenate((np.linspace(0.0, 1.0, n), extremes))
+    total = np.zeros(len(pis))
+    for g in clean.groups:
+        c1p, c1n, c0p, c0n = dirty[g]
+        k1p, k1n, k0p, k0n = cells(clean, g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (pis * (c1p + c1n) - c1p) / (c0p - pis * (c0p + c0n))
+        feasible = (w >= -1e-12) & (w <= 1.0 + 1e-12)
+        w = np.clip(np.where(feasible, w, 0.0), 0.0, 1.0)
+        # clean error of t (1, w): positives, plus t times the change of accepting
+        slope = (k1n - k1p) + w * (k0n - k0p)
+        best = k1p + k0p + np.minimum(t_min * slope, slope)
+        total += np.where(feasible, best, np.inf)
+    return float(total.min())
 
 
 def error(h, dist):

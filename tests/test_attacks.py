@@ -14,7 +14,7 @@ from fairnoise.attacks import duplicate_flip_attack, grid_worst_case, tpr_shift_
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.repair import best_response, grid_responses, option_classifier, statistic_inputs
-from fairnoise.errors import FairnoiseError, InputError
+from fairnoise.errors import FairnoiseError, InfeasibleError, InputError
 
 from conftest import alphas, assert_close, distributions
 from test_scripts import load_script
@@ -412,10 +412,10 @@ class TestGridWorstCaseMatchesReference:
     @pytest.mark.parametrize("chunk", (16, 256))
     @pytest.mark.parametrize("block", (7, 32))
     def test_late_first_error_is_the_reference_error(self, monkeypatch, block, chunk):
-        # the first candidate without a feasible grid pair has the 39th
-        # distinct statistic input
+        # the first candidate whose groups' precision ranges do not meet
+        # has the 39th distinct statistic input
         dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
-        args = (dist, 0.3, [h], "predictive_parity")
+        args = (dist, 0.25, [h], "predictive_parity")
         with pytest.raises(FairnoiseError) as expected:
             oracles.grid_worst_case(*args, resolution=4)
         received = _count_searched_inputs(monkeypatch, dist, "predictive_parity")
@@ -454,18 +454,29 @@ class TestGridWorstCaseMatchesReference:
 def test_each_stacked_row_is_its_own_best_response(seed):
     # the search stacks rows and a check re-solves each alone, so the two
     # must agree bit for bit: the adversary workload's instances, each with
-    # its first 150 candidate mixtures in one stack
+    # its first 150 candidate mixtures in one stack, under its own notion
+    # and under predictive parity, whose stack keeps the mixtures where the
+    # groups' precision ranges meet
     probe = load_script("adversary_probe")
-    for dist, alpha, (h,), notion, kwargs in probe.strata_searches([seed]):
+    parity_rows = 0
+    for dist, alpha, (h,), own, kwargs in probe.strata_searches([seed]):
         keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
         candidates = itertools.islice(attacks._contaminations(dist, alpha, keys, kwargs["resolution"]), 150)
         mixtures = [mix(dist, build(), alpha) for _, _, build in candidates]
-        tables = [mass_table(h, corrupted) for corrupted in mixtures]
-        stacked = grid_responses(
-            [{g: np.array([t[g] for t in tables]) for g in dist.groups}], dist, [h], notion, kwargs["grid_n"]
-        )
-        for corrupted, table, row in zip(mixtures, tables, stacked):
-            alone = grid_responses([{g: np.array([table[g]]) for g in dist.groups}], dist, [h], notion, kwargs["grid_n"])
-            assert alone == [row]
-            response = best_response(corrupted, dist, [h], notion, grid_n=kwargs["grid_n"])
-            assert response.classifier == option_classifier(h, dist.groups, row[2])
+        for notion in (own, "predictive_parity"):
+            rows = []
+            for corrupted in mixtures:
+                table = mass_table(h, corrupted)
+                dirty = [{g: np.array([table[g]]) for g in dist.groups}]
+                try:
+                    rows.append((corrupted, table, grid_responses(dirty, dist, [h], notion, kwargs["grid_n"])))
+                except InfeasibleError:
+                    assert notion == "predictive_parity"
+            stack = {g: np.reshape([t[g] for _, t, _ in rows], (-1, 4)) for g in dist.groups}
+            stacked = grid_responses([stack], dist, [h], notion, kwargs["grid_n"])
+            for (corrupted, _, alone), row in zip(rows, stacked, strict=True):
+                assert alone == [row]
+                response = best_response(corrupted, dist, [h], notion, grid_n=kwargs["grid_n"])
+                assert response.classifier == option_classifier(h, dist.groups, row[2])
+            parity_rows += len(rows) if notion == "predictive_parity" else 0
+    assert parity_rows >= 100

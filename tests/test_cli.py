@@ -157,7 +157,7 @@ class TestRepair:
 
 class TestCertify:
     def test_pass_exit_zero(self, capsys):
-        code = main(["certify", "--notion", "eopp", "--alpha", "0.04", "--grid", "201"])
+        code = main(["certify", "--notion", "eopp", "--alpha", "0.04"])
         assert code == 0
         out = capsys.readouterr().out
         assert "pass=True" in out and "floor=" in out and "claimed=" in out
@@ -178,13 +178,6 @@ class TestCertify:
     def test_requires_flags(self):
         assert main(["certify", "--notion", "eopp"]) == 2
 
-    def test_grid_above_cap_is_bad_input(self):
-        assert main(["certify", "--notion", "eopp", "--alpha", "0.04", "--grid", "5001"]) == 2
-
-    @pytest.mark.parametrize("notion, grid", [("eopp", "0"), ("parity_calibration", "1")])
-    def test_grid_below_floor_is_bad_input(self, notion, grid):
-        assert main(["certify", "--notion", notion, "--alpha", "0.1", "--grid", grid]) == 2
-
 
 class TestMinimaxAndReport:
     def test_minimax_prints_json(self, capsys):
@@ -195,13 +188,13 @@ class TestMinimaxAndReport:
     @pytest.mark.parametrize(
         "alpha, gamma, expected",
         [
-            ("0.1", None, '{"alpha": 0.1, "epsilon": {"A": 0.0, "B": 0.4999999999999999}, '
-             '"gamma": null, "gamma_feasible": null, "max_group_error": 0.4999999999999999, '
+            ("0.1", None, '{"alpha": 0.1, "epsilon": {"A": 0.0, "B": 0.5}, '
+             '"gamma": null, "gamma_feasible": null, "max_group_error": 0.5, '
              '"opt_clean": 0.0}\n'),
             ("0", None, '{"alpha": 0.0, "epsilon": {"A": 0.0, "B": 0.0}, "gamma": null, '
              '"gamma_feasible": null, "max_group_error": 0.0, "opt_clean": 0.0}\n'),
-            ("0.1", 0.1, '{"alpha": 0.1, "epsilon": {"A": 0.0, "B": 0.4999999999999999}, '
-             '"gamma": 0.1, "gamma_feasible": false, "max_group_error": 0.4999999999999999, '
+            ("0.1", 0.1, '{"alpha": 0.1, "epsilon": {"A": 0.0, "B": 0.5}, '
+             '"gamma": 0.1, "gamma_feasible": false, "max_group_error": 0.5, '
              '"opt_clean": 0.0}\n'),
         ],
     )
@@ -211,9 +204,6 @@ class TestMinimaxAndReport:
             argv += ["--config", str(write_config(tmp_path, {"gamma": gamma}))]
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
-
-    def test_minimax_zero_grid_is_bad_input(self):
-        assert main(["minimax", "--alpha", "0.1", "--grid", "0"]) == 2
 
     @pytest.mark.parametrize("gamma", [True, False, "0.4", [0.4], float("nan"), -0.1, 1.5])
     def test_minimax_rejects_bad_gamma(self, tmp_path, gamma):
@@ -246,10 +236,12 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["certify", "--notion", "eopp", "--alpha", "0.04", "--grid", "201"],
             ["certify", "--notion", "eopp", "--alpha", "0.04", "--jobs", "7"],
             ["certify", "--notion", "eopp", "--alpha", "0.04", "--seed", "3"],
             ["certify", "--notion", "eopp", "--alpha", "0.04", "--format", "svg"],
             ["certify", "--notion", "eopp", "--alpha", "0.04", "--out", "out"],
+            ["minimax", "--alpha", "0.1", "--grid", "101"],
             ["minimax", "--alpha", "0.1", "--notion", "eodds"],
             ["attack", "--config", "c.json", "--grid", "41"],
             ["repair", "--config", "c.json", "--format", "json"],

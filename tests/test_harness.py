@@ -239,6 +239,20 @@ class TestCertify:
         floor, claimed, ok = harness.certify_lower_bound("predictive_parity", 0.1, grid_n=101)
         assert ok and floor >= 0.2 and claimed == 0.2
 
+    @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
+    def test_predictive_parity_floor_is_the_closed_form(self, alpha):
+        floor, _, ok = harness.certify_lower_bound("predictive_parity", alpha)
+        assert ok and abs(floor - (1.0 - 0.9 * alpha) / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("notion, floor", (("predictive_parity", 0.455), ("parity_calibration", 0.5)))
+    def test_claim_just_above_an_exact_floor_fails(self, monkeypatch, notion, floor):
+        # a claim 0.001 above the floor lies inside the slack of 2 / 201
+        # that the grid-era comparison allowed, which passed it
+        instance, _ = harness._CERTIFY[notion]
+        monkeypatch.setitem(harness._CERTIFY, notion, (instance, lambda a: floor + 0.001))
+        found, claimed, ok = harness.certify_lower_bound(notion, 0.1, grid_n=201)
+        assert abs(found - floor) <= 1e-12 and not ok
+
     def test_parity_calibration(self):
         floor, claimed, ok = harness.certify_lower_bound("parity_calibration", 0.1)
         assert ok and floor >= 0.2
@@ -261,8 +275,7 @@ class TestCertify:
     @pytest.mark.parametrize("notion", harness.CERT_NOTIONS)
     @pytest.mark.parametrize("grid_n", (1, 10, 1002))
     def test_rejects_grid_outside_search_bounds(self, notion, grid_n):
-        # parity_calibration never builds a grid, so only this check stops a
-        # vacuous pass at slack 2 / grid_n
+        # no certifier reads grid_n, but the entry point still checks it
         with pytest.raises(InputError, match="grid_n"):
             harness.certify_lower_bound(notion, 0.1, grid_n=grid_n)
 

@@ -1,9 +1,9 @@
-"""The pruned exhaustive searches return exactly what the reference
-implementations in ``oracles`` return: same totals, same winning indices,
-same errors. The exact best response and its certified floor match the
-Fraction vertex enumeration up to rounding. The parity-calibration floor
-never exceeds the reference's value-grid floor. The mass-table statistics
-match the atom sums up to rounding."""
+"""The exact best response and its certified floor match the Fraction
+vertex enumeration up to rounding. Under predictive parity the best
+response is never above the dense precision scan and comes within its
+resolution. The parity-calibration floor never exceeds the reference's
+value-grid floor. The mass-table statistics match the atom sums up to
+rounding."""
 
 import numpy as np
 import pytest
@@ -12,94 +12,11 @@ from hypothesis import strategies as st
 
 import oracles
 from fairnoise import families
-from fairnoise.classifiers import PQClassifier, error, error_terms, group_stats, mass_table
+from fairnoise.classifiers import GAP_TOL, PQClassifier, error, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
-from fairnoise.errors import InputError
+from fairnoise.errors import InfeasibleError, InputError
 from fairnoise.harness import parity_calibration_attack_certify
-from fairnoise.repair import best_response, certified_floor, dp_repair, eopp_repair, option_grid, pair_min_1d
-
-QUANTA = (10, 21, 41, 201)
-
-
-@st.composite
-def stacked_pair_cases(draw, max_rows: int = 5, max_size: int = 40):
-    """Stacks of 1-5 rows of statistics on multiples of 1/q, so many pairs
-    sit exactly tol apart, and errors on a few levels, so totals tie, some
-    of them +inf. Each side's errors are shared by the rows, or given per
-    row with predictive parity's undefined options: a NaN statistic with
-    error +inf."""
-    q = draw(st.sampled_from(QUANTA))
-    tol = draw(st.sampled_from((0.0, 1.0 / q, 2.0 / q, 2.0 / 21, 2.0 / 41, 2.0 / 201)))
-    rows = draw(st.integers(1, max_rows))
-
-    def side():
-        n = draw(st.integers(0, max_size))
-        grid = st.lists(st.integers(0, q), min_size=rows * n, max_size=rows * n)
-        stats = np.array(draw(grid), dtype=float).reshape(rows, n) / q
-        levels = st.lists(st.integers(0, 5), min_size=n, max_size=n)
-        err = np.array(draw(levels), dtype=float) / 7.0
-        err[err > 4.0 / 7.0] = np.inf
-        if draw(st.booleans()):
-            undefined = np.array(
-                draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n)), dtype=bool
-            ).reshape(rows, n)
-            stats[undefined] = np.nan
-            err = np.where(undefined, np.inf, err)
-        return stats, err
-
-    (stat_a, err_a), (stat_b, err_b) = side(), side()
-    return stat_a, err_a, stat_b, err_b, tol
-
-
-def reference_rows(stat_a, err_a, stat_b, err_b, tol):
-    """The oracle applied to each row of a stacked case."""
-    errs_a, errs_b = np.broadcast_to(err_a, stat_a.shape), np.broadcast_to(err_b, stat_b.shape)
-    return [
-        oracles.pair_min_1d(sa, ea, sb, eb, tol)
-        for sa, ea, sb, eb in zip(stat_a, errs_a, stat_b, errs_b)
-    ]
-
-
-def needle_options(alpha, grid_n):
-    """Both groups' one-row (true positive rate, clean error) arrays of
-    the options of a grid_n grid on the needle instance."""
-    inst = families.eopp_needle(alpha)
-    uu, vv = option_grid(grid_n)
-    dirty, clean = mass_table(inst.h_star, inst.corrupted), mass_table(inst.h_star, inst.dist)
-    options = []
-    for g in inst.dist.groups:
-        c1p, _, c0p, _ = dirty[g]
-        options.append((((uu * c1p + vv * c0p) / (c1p + c0p))[None], sum(error_terms(clean[g], uu, vv))))
-    return options
-
-
-class TestPairMin1d:
-    @settings(max_examples=300, deadline=None)
-    @given(stacked_pair_cases())
-    def test_matches_reference(self, case):
-        assert pair_min_1d(*case) == reference_rows(*case)
-
-    def test_nothing_feasible(self):
-        sa, sb = np.linspace(0.0, 0.4, 9), np.linspace(0.6, 1.0, 9)
-        ea, eb = np.zeros(9), np.zeros(9)
-        assert oracles.pair_min_1d(sa, ea, sb, eb, 0.1) is None
-        # the second row is the first shifted into reach
-        stack_a, stack_b = np.stack([sa, sa]), np.stack([sb, sb - 0.2])
-        assert pair_min_1d(stack_a, ea, stack_b, eb, 0.1) == reference_rows(stack_a, ea, stack_b, eb, 0.1)
-        assert pair_min_1d(stack_a, ea, stack_b, eb, 0.1)[0] is None
-        assert pair_min_1d(stack_a[:, :0], ea[:0], stack_b, eb, 0.1) == [None, None]
-
-    def test_undefined_options_pair_with_nothing(self):
-        # only the options without a precision are within tol of each other
-        sa, sb = np.array([[1.0, np.nan]]), np.array([[0.0, np.nan]])
-        ea = eb = np.array([[0.0, np.inf]])
-        assert pair_min_1d(sa, ea, sb, eb, 0.1) == [None]
-        assert oracles.pair_min_1d(sa[0], ea[0], sb[0], eb[0], 0.1) is None
-
-    @pytest.mark.parametrize("alpha", (0.0025, 0.04, 0.09))
-    def test_matches_reference_on_needle_grids(self, alpha):
-        (sa, ea), (sb, eb) = needle_options(alpha, 101)
-        assert pair_min_1d(sa, ea, sb, eb, 2.0 / 101) == reference_rows(sa, ea, sb, eb, 2.0 / 101)
+from fairnoise.repair import best_response, certified_floor, dp_repair, eopp_repair, grid_responses
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -204,11 +121,38 @@ def test_parity_calibration_floor_on_washed_out_instance_is_one_half(alpha):
 PP_ALPHAS = (0.01, 0.02, 0.04, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.5)
 
 
+@pytest.mark.parametrize("alpha", PP_ALPHAS)
 @pytest.mark.parametrize("r_b", (None, 0.05, 0.3, 0.5))  # 0.5: no budget below alpha 1/3
-@pytest.mark.parametrize("grid_n", (11, 21, 41, 101, 201))
-def test_predictive_parity_matches_reference(grid_n, r_b):
-    for alpha in PP_ALPHAS:
-        dist, h, corrupted = oracles.predictive_parity_instance(alpha, r_b)
-        found = best_response(corrupted, dist, [h], "predictive_parity", grid_n=grid_n)
-        expected = oracles.predictive_parity_attack_certify(alpha, r_b, grid_n)
-        assert found.error_on_original == expected, alpha
+def test_predictive_parity_closed_form(r_b, alpha):
+    # washed out, group B has precision 1/2 at every option that accepts
+    # some mass, which pins the common precision and leaves A's (1 - r_B)/2;
+    # without the budget the perfect base stands
+    dist, h, corrupted = oracles.predictive_parity_instance(alpha, r_b)
+    r_b = 0.9 * alpha if r_b is None else r_b
+    expected = 0.0 if corrupted is dist else (1.0 - r_b) / 2.0
+    found = best_response(corrupted, dist, [h], "predictive_parity")
+    assert abs(found.error_on_original - expected) <= 1e-12
+    assert found.gap_on_corrupted <= GAP_TOL
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_predictive_parity_matches_scan(seed):
+    # the exact infimum is never above a feasible pair of the dense scan and
+    # comes within its resolution; where the groups' precision ranges do
+    # not meet, the scan finds no pair either
+    rng = np.random.default_rng(seed)
+    generate = families.random_dp_instance if seed % 2 else families.random_eopp_instance
+    dist, h = generate(rng, max_atoms=12)
+    corrupted = mix(dist, oracles.random_contamination(rng, dist), float(rng.uniform(0.01, 0.5)))
+    scan = oracles.predictive_parity_scan(corrupted, dist, h)
+    try:
+        found = best_response(corrupted, dist, [h], "predictive_parity")
+    except InfeasibleError:
+        assert scan == np.inf
+        return
+    dirty = [{g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()}]
+    ((floor, _, _),) = grid_responses(dirty, dist, [h], "predictive_parity", 41)
+    assert floor <= scan + 1e-12
+    assert scan - floor <= 1e-6
+    assert found.gap_on_corrupted <= GAP_TOL
+    assert -1e-12 <= found.error_on_original - floor <= GAP_TOL

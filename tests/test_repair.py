@@ -14,19 +14,17 @@ from fairnoise.classifiers import (
     error,
     fairness_gap,
     group_stats,
+    mass_table,
 )
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InfeasibleError, InputError
 from fairnoise.repair import (
-    MAX_GRID_N,
-    RepairWitness,
     _match_params,
     best_response,
     certified_floor,
     dp_repair,
     eopp_repair,
-    option_grid,
-    pair_min_1d,
+    grid_responses,
     params_from_uv,
 )
 
@@ -133,21 +131,7 @@ class TestEoppRepair:
             eopp_repair(unfair, inst.dist, inst.corrupted)
 
 
-class TestOptionGrid:
-    def test_triangle_shape(self):
-        uu, vv = option_grid(5)
-        assert len(uu) == 15  # 5*6/2 options with v <= u
-        assert (vv <= uu + 1e-15).all()
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(InputError):
-            option_grid(1)
-
-    def test_rejects_grid_above_cap(self):
-        assert len(option_grid(MAX_GRID_N)[0]) == MAX_GRID_N * (MAX_GRID_N + 1) // 2
-        with pytest.raises(InputError):
-            option_grid(MAX_GRID_N + 1)
-
+class TestParamsFromUv:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_uv_round_trip(self, u, v):
@@ -156,39 +140,6 @@ class TestOptionGrid:
         assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
         assert abs((1.0 - p) + p * q - u) <= 1e-9  # accept prob on base-1
         assert abs(p * q - v) <= 1e-9  # accept prob on base-0
-
-
-def brute_pair_min_1d(sa, ea, sb, eb, tol):
-    best = None
-    for i in range(len(sa)):
-        for j in range(len(sb)):
-            if abs(sa[i] - sb[j]) <= tol:
-                t = ea[i] + eb[j]
-                if best is None or t < best:
-                    best = t
-    return best
-
-
-class TestPairMin:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_1d_matches_brute_force(self, data):
-        n = data.draw(st.integers(2, 30))
-        m = data.draw(st.integers(2, 30))
-        f = st.floats(0.0, 1.0, allow_nan=False)
-        sa = np.array(data.draw(st.lists(f, min_size=n, max_size=n)))
-        ea = np.array(data.draw(st.lists(f, min_size=n, max_size=n)))
-        sb = np.array(data.draw(st.lists(f, min_size=m, max_size=m)))
-        eb = np.array(data.draw(st.lists(f, min_size=m, max_size=m)))
-        tol = data.draw(st.floats(0.01, 0.5))
-        expected = brute_pair_min_1d(sa, ea, sb, eb, tol)
-        (found,) = pair_min_1d(sa[None], ea, sb[None], eb, tol)
-        if expected is None:
-            assert found is None
-        else:
-            total, i, j = found
-            assert abs(sa[i] - sb[j]) <= tol
-            assert_close(total, expected, 1e-12)
 
 
 class TestBestResponse:
@@ -292,3 +243,69 @@ def test_exact_floor_is_the_closed_form(notion, build, closed_form, alpha):
     floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
     assert isinstance(floor, Fraction)
     assert abs(floor - Fraction(closed_form(alpha))) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
+def test_predictive_parity_floor_is_the_closed_form(alpha):
+    # washed out, group B has precision 1/2 at every option that accepts
+    # some mass; that pins the common precision at 1/2, where A errs on
+    # (1 - r_B)/2 whether it accepts its segment or nothing
+    inst = families.eodds_duplicate(alpha, 0.9 * alpha)
+    w = best_response(inst.corrupted, inst.dist, [inst.h_star], "predictive_parity")
+    assert abs(w.error_on_original - (1.0 - 0.9 * alpha) / 2.0) <= 1e-12
+    assert w.gap_on_corrupted <= GAP_TOL
+
+
+#: The perfect base of two groups with one base-positive and one
+#: base-negative point each.
+PRECISION_BASE = BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0})
+
+
+def precision_row(cells_a, cells_b, clean_atoms):
+    """(corrupted, clean) of two groups whose corrupted (m1p, m1n, m0p, m0n)
+    cells are ``cells_a`` and ``cells_b`` sixteenths; ``clean_atoms`` are
+    (point, label, group, mass)."""
+    atoms = []
+    for group, cells in (("A", cells_a), ("B", cells_b)):
+        g = group.lower()
+        for (point, label), m in zip(((g + "P", 1), (g + "P", 0), (g + "N", 1), (g + "N", 0)), cells):
+            if m:
+                atoms.append(Atom(point, label, group, m / 16))
+    return make_distribution(atoms), make_distribution([Atom(*atom) for atom in clean_atoms])
+
+
+def test_predictive_parity_interior_stationary_precision_wins():
+    # A's precision runs over [1/4, 1/2] and B's over [3/8, 3/4]. Both
+    # groups gain by accepting, less so the more base-negative mass their
+    # segment takes: w_A + w_B, with w_A = (4 pi - 1)/(3 - 4 pi) and
+    # w_B = 3/(4 pi) - 1, is least at pi = (9 - 3 sqrt 6)/4, inside
+    # [3/8, 1/2], where the floor is (2 sqrt 6 - 1)/30; the ends give 2/15
+    # and 3/20.
+    corrupted, clean = precision_row(
+        (1, 3, 3, 1), (3, 1, 0, 4), [("aP", 1, "A", 0.4), ("aN", 0, "A", 0.1), ("bP", 1, "B", 0.4), ("bN", 0, "B", 0.1)]
+    )
+    w = best_response(corrupted, clean, [PRECISION_BASE], "predictive_parity")
+    assert abs(w.error_on_original - (2.0 * math.sqrt(6.0) - 1.0) / 30.0) <= 1e-12
+    assert w.gap_on_corrupted <= GAP_TOL
+    assert abs(group_stats(w.classifier, corrupted).ppv["A"] - (9.0 - 3.0 * math.sqrt(6.0)) / 4.0) <= 1e-12
+
+
+def test_predictive_parity_accept_nothing_limit_wins():
+    # B's clean points are all negative, so every option of B that accepts
+    # mass errs more than accepting nothing; A does best at w_A = 0, so the
+    # common precision is 1/2, the low end of A's range [1/2, 5/8]. B takes
+    # a GAP_TOL / 2 sliver of its segment there, w_B = 1/2, which keeps its
+    # precision defined and equal to A's.
+    corrupted, clean = precision_row(
+        (2, 2, 3, 1),
+        (3, 1, 0, 4),
+        [("aP", 1, "A", 0.4), ("aP", 0, "A", 0.05), ("aN", 0, "A", 0.05), ("bP", 0, "B", 0.1), ("bN", 0, "B", 0.4)],
+    )
+    dirty = [{g: np.array([cells]) for g, cells in mass_table(PRECISION_BASE, corrupted).items()}]
+    ((floor, _, x),) = grid_responses(dirty, clean, [PRECISION_BASE], "predictive_parity", 41)
+    assert abs(floor - 0.05) <= 1e-12
+    assert x[:2] == (1.0, 0.0) and 0.0 < x[2] <= GAP_TOL
+    w = best_response(corrupted, clean, [PRECISION_BASE], "predictive_parity")
+    assert w.gap_on_corrupted <= GAP_TOL
+    assert group_stats(w.classifier, corrupted).ppv == {"A": 0.5, "B": 0.5}
+    assert floor <= w.error_on_original <= floor + GAP_TOL

@@ -36,7 +36,7 @@ CERTIFY_OUTPUT = """\
 eopp                 alpha=0.04   floor=0.100000 claimed=0.100000 pass=True
 eopp                 alpha=0.01   floor=0.050000 claimed=0.050000 pass=True
 eodds                alpha=0.1    floor=0.455000 claimed=0.409500 pass=True
-predictive_parity    alpha=0.1    floor=0.439075 claimed=0.200000 pass=True
+predictive_parity    alpha=0.1    floor=0.455000 claimed=0.200000 pass=True
 parity_calibration   alpha=0.1    floor=0.500000 claimed=0.200000 pass=True
 minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=0.1 feasible=False
 """
