@@ -21,7 +21,8 @@ class ContractError(FairnoiseError):
 
 
 class InfeasibleError(FairnoiseError):
-    """A grid search found no point satisfying the fairness tolerance."""
+    """No classifier meets the fairness notion: the groups' predictive-parity
+    precision ranges never meet."""
 
 
 def integer(value: object, what: str) -> int:

@@ -392,7 +392,7 @@ def certify_lower_bound(
         floor = parity_calibration_attack_certify(inst)
     elif notion == "predictive_parity":
         dirty = {g: np.array([cells]) for g, cells in mass_table(inst.h_star, inst.corrupted).items()}
-        ((floor, _, _),) = grid_responses([dirty], inst.dist, [inst.h_star], notion, grid_n)
+        ((floor, _, _),) = grid_responses([dirty], inst.dist, [inst.h_star], notion)
     else:
         floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
     return float(floor), claimed, floor >= claimed

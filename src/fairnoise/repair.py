@@ -379,7 +379,6 @@ def grid_responses(
     clean: Distribution,
     hypotheses: Sequence[BaseClassifier | PQClassifier],
     notion: str,
-    grid_n: int,
 ) -> list[tuple[float, int, tuple[float, ...]]]:
     """The search of :func:`best_response`, for a stack of corrupted
     distributions sharing one clean side.
@@ -394,14 +393,11 @@ def grid_responses(
     candidate precisions (:func:`_parity_equalities`) in order, then in
     active-set order, where a group that accepts nothing moves onto its
     segment (:func:`_with_precision`); the total stays the infimum. Equal
-    totals go to the lowest k. Raises ``InputError`` first for a ``grid_n``
-    that :func:`grid_size` rejects, although nothing reads it. For the
-    first row that has one, raises the error :func:`best_response` raises
-    on that row alone:
+    totals go to the lowest k. For the first row that has one, raises the
+    error :func:`best_response` raises on that row alone:
     ``InputError`` when a group lacks the mass the notion divides by,
     ``InfeasibleError`` when the groups' precision ranges do not meet.
     """
-    grid_size(grid_n)
     if len(clean.groups) != 2:
         raise InputError("best_response searches exactly two groups")
     if not hypotheses:
@@ -550,7 +546,8 @@ def best_response(
     dirty = [
         {g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()} for h in hypotheses
     ]
-    ((_, k, x),) = grid_responses(dirty, clean, hypotheses, notion, grid_n)
+    grid_size(grid_n)
+    ((_, k, x),) = grid_responses(dirty, clean, hypotheses, notion)
     repaired = option_classifier(hypotheses[k], clean.groups, x)
     gap = fairness_gap(group_stats(repaired, corrupted), notion)
     err = error(repaired, clean)

@@ -1,11 +1,15 @@
 """Reference implementations of the certifier's exhaustive searches.
 
 These are the straightforward versions the package's pruned searches must
-agree with exactly: one ``mix`` plus ``best_response`` per candidate for
-``grid_worst_case``. ``lp_floor`` is the exact reference for
-``best_response`` under dp, eopp and eodds: it solves every 4-subset of the
-LP's constraints in Fractions, from masses summed over atoms, so the
-package's float vertex search must agree with it up to rounding.
+agree with. ``class_worst_case`` is one ``mix`` plus ``best_response`` per
+candidate of ``class_candidates``, the class search that the package's
+``grid_worst_case`` must equal exactly; ``grid_worst_case`` here is the
+older search over mixtures of up to three support atoms, a floor that the
+package's excess must not fall below by more than 1e-12. ``lp_floor`` is
+the exact reference for ``best_response`` under dp, eopp and eodds: it
+solves every 4-subset of the LP's constraints in Fractions, from masses
+summed over atoms, so the package's float vertex search must agree with it
+up to rounding.
 ``predictive_parity_scan`` is the reference for ``best_response`` under
 predictive parity: it scores only option pairs that meet the constraint,
 on a dense scan of the common precision, so the package's infimum must
@@ -32,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from fairnoise import families
-from fairnoise.attacks import _simplex_weights, duplicate_flip_attack
+from fairnoise.attacks import duplicate_flip_attack
 from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
 from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
@@ -112,9 +116,19 @@ def _encode(q):
     return tuple((a.group, a.point, a.label, round(a.mass, 12)) for a in q.atoms)
 
 
+def _simplex_weights(k, resolution):
+    """Positive weight vectors of length k on the 1/resolution grid: the
+    cuts strictly increase, so every weight is at least 1/resolution."""
+    for cuts in itertools.combinations(range(1, resolution), k - 1):
+        edges = (0,) + cuts + (resolution,)
+        yield tuple((edges[i + 1] - edges[i]) / resolution for i in range(k))
+
+
 def grid_worst_case(dist, alpha, hypotheses, notion, resolution=10, grid_n=21, max_mix_atoms=3):
-    """Builds every candidate contamination, then runs one best response per
-    corrupted mixture, in candidate order."""
+    """The atom search: every support atom's point mass, the duplicate-flip
+    attack per group, and mixtures of up to three atoms (two past 8 keys)
+    on the simplex grid; one best response per corrupted mixture, in
+    candidate order, ties broken toward the smallest encoding."""
     keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
     candidates = []
     for g, p, f, y in keys:
@@ -149,6 +163,59 @@ def grid_worst_case(dist, alpha, hypotheses, notion, resolution=10, grid_n=21, m
         ):
             best_q, best_excess = q, excess
     return best_q, best_excess
+
+
+def class_candidates(dist, alpha, hypotheses, resolution=10):
+    """The class search's contaminations, in its order. A class is the
+    keys (group, point, label) with one group, one label and one base
+    prediction under every hypothesis, predicted at the key's own clean
+    feature where it has one; its first key's atom stands for it. The
+    candidates are each class's point mass, each group's duplicate-flip
+    attack where the budget suffices, moved onto the class atoms, and every
+    two-class mixture (i / resolution, 1 - i / resolution)."""
+    atoms, class_of = {}, {}
+    for g, p, f in dist.support_points():
+        for y in (0, 1):
+            own = [a.feature for a in dist.atoms if a.key == (g, p, y) and a.feature is not None]
+            x = own[0] if own else f
+            c = (g, y) + tuple(as_pq(h).base.predict(p, g, x) for h in hypotheses)
+            class_of[g, p, y] = c
+            atoms.setdefault(c, (p, y, g, x))
+
+    def build(weights):
+        return make_distribution(
+            [Atom(*atoms[c][:3], w, atoms[c][3]) for c, w in weights.items() if w > 0.0], groups=dist.groups
+        )
+
+    candidates = [build({c: 1.0}) for c in atoms]
+    if 0.0 < alpha < 1.0:
+        for g in dist.groups:
+            try:
+                q, _ = duplicate_flip_attack(dist, g, alpha)
+            except InputError:
+                continue
+            weights = dict.fromkeys(atoms, 0.0)
+            for a in q.atoms:
+                weights[class_of[a.key]] += a.mass
+            candidates.append(build(weights))
+    for c, d in itertools.combinations(atoms, 2):
+        for i in range(1, resolution):
+            candidates.append(build({c: i / resolution, d: 1.0 - i / resolution}))
+    return candidates
+
+
+def class_worst_case(dist, alpha, hypotheses, notion, resolution=10, grid_n=21):
+    """The class search as one ``mix`` plus ``best_response`` per candidate
+    of :func:`class_candidates`: the first candidate within 1e-12 of the
+    largest excess, with its excess. Raises what the first candidate that
+    raises raises."""
+    opt = best_response(dist, dist, hypotheses, notion, grid_n=grid_n).error_on_original
+    candidates = class_candidates(dist, alpha, hypotheses, resolution)
+    excess = [
+        best_response(mix(dist, q, alpha), dist, hypotheses, notion, grid_n=grid_n).error_on_original - opt
+        for q in candidates
+    ]
+    return next((q, e) for q, e in zip(candidates, excess) if e >= max(excess) - 1e-12)
 
 
 def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):

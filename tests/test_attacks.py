@@ -1,5 +1,3 @@
-import functools
-import itertools
 import math
 import re
 
@@ -188,12 +186,15 @@ class TestGridWorstCase:
         assert excess >= 0.0
         assert_close(math.fsum(a.mass for a in q.atoms), 1.0)
 
-    def test_rejects_large_supports(self):
-        atoms = [Atom(f"x{i}", i % 2, "A", 1 / 70) for i in range(70)]
-        dist = make_distribution(atoms)
-        with pytest.raises(InputError):
-            grid_worst_case(dist, 0.1, [BaseClassifier.from_constant(1)], "dp")
-
+    def test_searches_past_64_atoms(self):
+        # 96 atoms in two groups: the search finds the excess of the six-atom
+        # instance whose points they split
+        dist, h = shared_table_instance()
+        big, big_h = split_points(dist, h, 16)
+        assert len(big.atoms) == 96
+        found = grid_worst_case(big, 0.25, [big_h], "dp", resolution=4)
+        assert found == oracles.class_worst_case(big, 0.25, [big_h], "dp", resolution=4)
+        assert found[1] == grid_worst_case(dist, 0.25, [h], "dp", resolution=4)[1]
 
     @pytest.mark.parametrize(
         "name, value",
@@ -232,8 +233,24 @@ def _search(search, *args, **kwargs):
         return type(exc)
 
 
-#: (notion, instance generator, max_atoms): at four atoms the search also
-#: enumerates three-atom mixtures
+def assert_matches_references(*args, **kwargs):
+    """The search equals ``oracles.class_worst_case`` exactly, in (q, excess)
+    or in error class. The atom search ``oracles.grid_worst_case`` is a
+    floor: where it returns, the search's excess is no more than 1e-12 below
+    its excess, and where it raises, the search raises the same class.
+    Returns the search's result."""
+    found = _search(grid_worst_case, *args, **kwargs)
+    assert found == _search(oracles.class_worst_case, *args, **kwargs)
+    floor = _search(oracles.grid_worst_case, *args, **kwargs)
+    if isinstance(floor, tuple):
+        assert isinstance(found, tuple) and found[1] >= floor[1] - 1e-12
+    else:
+        assert found == floor
+    return found
+
+
+#: (notion, instance generator, max_atoms): at four atoms the atom search
+#: also enumerates three-atom mixtures
 SEARCH_CASES = [
     ("dp", families.random_dp_instance, 4),
     ("dp", families.random_dp_instance, 8),
@@ -261,16 +278,19 @@ def shared_table_instance():
     return dist, h
 
 
-@functools.lru_cache(maxsize=None)
-def _shared_table_reference(notion):
-    dist, h = shared_table_instance()
-    return _search(oracles.grid_worst_case, dist, 0.25, [h], notion, resolution=4)
+def split_points(dist, h, n):
+    """``dist`` with each point split into n points that share its labels
+    and 1/n of each of its masses, and the table classifier ``h`` extended
+    to predict each of them as it predicts the point."""
+    atoms = [Atom(f"{a.point}_{i}", a.label, a.group, a.mass / n, a.feature) for a in dist.atoms for i in range(n)]
+    table = {f"{p}_{i}": y for p, y in h.table.items() for i in range(n)}
+    return make_distribution(atoms, groups=dist.groups), BaseClassifier.from_table(table)
 
 
-def _table_and_input(dist, h, build, alpha, notion):
-    """The corrupted mass table of ``mix(dist, build(), alpha)`` and the
-    bytes of its statistic inputs, built one mixture at a time."""
-    table = mass_table(h, mix(dist, build(), alpha))
+def _table_and_input(dist, h, q, alpha, notion):
+    """The corrupted mass table of ``mix(dist, q, alpha)`` and the bytes of
+    its statistic inputs, built one mixture at a time."""
+    table = mass_table(h, mix(dist, q, alpha))
     return (
         tuple(table[g] for g in dist.groups),
         b"".join(statistic_inputs(np.array([table[g]]), notion).tobytes() for g in dist.groups),
@@ -294,17 +314,16 @@ def _count_searched_inputs(monkeypatch, dist, notion):
 
 
 class TestGridWorstCaseMatchesReference:
-    """The blocked search returns the (q, excess) of one best response per
-    candidate mixture, or raises the class that loop raises first."""
+    """The class search returns the (q, excess) of one best response per
+    candidate mixture, or raises the class that loop raises first, and it
+    finds no less than the atom search."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("notion, generate, max_atoms", SEARCH_CASES)
     def test_seeded_instances(self, notion, generate, max_atoms, seed):
         rng = np.random.default_rng(seed)
         dist, h = generate(rng, max_atoms=max_atoms)
-        args = (dist, float(rng.uniform(0.01, 0.2)), [h], notion)
-        found = _search(grid_worst_case, *args, resolution=4)
-        assert found == _search(oracles.grid_worst_case, *args, resolution=4)
+        found = assert_matches_references(dist, float(rng.uniform(0.01, 0.2)), [h], notion, resolution=4)
         if notion != "predictive_parity":
             assert isinstance(found, tuple)
 
@@ -312,33 +331,30 @@ class TestGridWorstCaseMatchesReference:
     @pytest.mark.parametrize("r_b", (0.1, 0.5))
     def test_predictive_parity_on_balanced_instances(self, r_b, alpha):
         dist, h = families.balanced_instance(r_b)
-        args = (dist, alpha, [h], "predictive_parity")
-        found = _search(grid_worst_case, *args, resolution=4)
-        assert found == _search(oracles.grid_worst_case, *args, resolution=4)
+        assert_matches_references(dist, alpha, [h], "predictive_parity", resolution=4)
+
+    @pytest.mark.parametrize("alpha", (0.01, 0.05, 0.15))
+    @pytest.mark.parametrize("max_atoms, seed", [(4, 6), (4, 10), (4, 27), (8, 0), (8, 22), (8, 38)])
+    def test_predictive_parity_feasible_on_the_clean_distribution(self, max_atoms, seed, alpha):
+        # random DP instances whose groups' precision ranges meet on the
+        # clean distribution and on every candidate mixture
+        dist, h = families.random_dp_instance(np.random.default_rng(seed), max_atoms=max_atoms)
+        best_response(dist, dist, [h], "predictive_parity")
+        found = assert_matches_references(dist, alpha, [h], "predictive_parity", resolution=4)
+        assert isinstance(found, tuple)
 
     @pytest.mark.parametrize("notion", ("dp", "eopp"))
     def test_two_hypotheses(self, notion):
         rng = np.random.default_rng(11)
         dist, h = families.random_eopp_instance(rng, max_atoms=10)
-        args = (dist, 0.1, [BaseClassifier.from_constant(0), h], notion)
-        found = grid_worst_case(*args, resolution=3)
-        assert found == oracles.grid_worst_case(*args, resolution=3)
+        found = assert_matches_references(dist, 0.1, [BaseClassifier.from_constant(0), h], notion, resolution=3)
+        assert isinstance(found, tuple)
 
     @pytest.mark.parametrize("alpha", (0.0, 1e-6, 1.0))
     @pytest.mark.parametrize("notion, generate, max_atoms", SEARCH_CASES[::2])
     def test_budget_extremes(self, notion, generate, max_atoms, alpha):
         dist, h = generate(np.random.default_rng(5), max_atoms=max_atoms)
-        args = (dist, alpha, [h], notion)
-        assert _search(grid_worst_case, *args, resolution=3) == _search(
-            oracles.grid_worst_case, *args, resolution=3
-        )
-
-    @pytest.mark.parametrize("block", (1, 7))
-    def test_block_size_does_not_matter(self, monkeypatch, block):
-        dist, h = families.random_dp_instance(np.random.default_rng(3), max_atoms=4)
-        expected = oracles.grid_worst_case(dist, 0.15, [h], "dp", resolution=4)
-        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
-        assert grid_worst_case(dist, 0.15, [h], "dp", resolution=4) == expected
+        assert_matches_references(dist, alpha, [h], notion, resolution=3)
 
     def test_cells_use_each_labels_own_feature(self):
         # a1's two labels sit on opposite sides of the threshold, and b2 has
@@ -354,20 +370,37 @@ class TestGridWorstCaseMatchesReference:
         )
         h = BaseClassifier.from_threshold(0.5)
         for notion in ("dp", "eopp"):
-            args = (dist, 0.2, [h], notion)
-            assert grid_worst_case(*args, resolution=4) == oracles.grid_worst_case(*args, resolution=4)
+            assert isinstance(assert_matches_references(dist, 0.2, [h], notion, resolution=4), tuple)
 
-    @pytest.mark.parametrize("block", (1, 32))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_adversary_strata(self, seed):
+        # the benchmark's adversary instances, at its resolution
+        for dist, alpha, hypotheses, notion, kwargs in load_script("adversary_probe").strata_searches([seed]):
+            assert isinstance(assert_matches_references(dist, alpha, hypotheses, notion, **kwargs), tuple)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((0.0, 1e-6, 0.1, 0.37, 1.0 - 2.0**-53, 1.0)),
+        st.sampled_from(("dp", "eopp")),
+    )
+    def test_random_instances_match_the_class_search(self, seed, alpha, notion):
+        rng = np.random.default_rng(seed)
+        generate = families.random_eopp_instance if notion == "eopp" else families.random_dp_instance
+        dist, h = generate(rng, max_atoms=int(rng.integers(10, 17)))
+        args = (dist, alpha, [h], notion)
+        assert _search(grid_worst_case, *args, resolution=4) == _search(oracles.class_worst_case, *args, resolution=4)
+
     @pytest.mark.parametrize("notion", ("dp", "eopp"))
-    def test_each_distinct_statistic_input_is_searched_once(self, monkeypatch, notion, block):
+    def test_each_distinct_statistic_input_is_searched_once(self, monkeypatch, notion):
         dist, h = shared_table_instance()
         received = _count_searched_inputs(monkeypatch, dist, notion)
-        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
         grid_worst_case(dist, 0.25, [h], notion, resolution=4)
-        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
-        candidates = list(attacks._contaminations(dist, 0.25, keys, 4))
-        tables, inputs = zip(*(_table_and_input(dist, h, build, 0.25, notion) for _, _, build in candidates))
-        assert len(set(received)) == len(received) == len(set(inputs)) < len(set(tables)) < len(candidates) / 2
+        candidates = oracles.class_candidates(dist, 0.25, [h], 4)
+        tables, inputs = zip(*(_table_and_input(dist, h, q, 0.25, notion) for q in candidates))
+        # in order of first occurrence, one row per distinct input
+        assert received == list(dict.fromkeys(inputs))
+        assert len(received) < len(set(tables))
 
     @pytest.mark.parametrize(
         "notion, picked",
@@ -376,78 +409,65 @@ class TestGridWorstCaseMatchesReference:
             # same predicted-positive mass
             ("dp", lambda key: key[:2] == ("A", "a1")),
             # negatives leave every group's positive cells as they are
-            ("eopp", lambda key: key[3] == 0),
+            ("eopp", lambda key: key[2] == 0),
         ],
         ids=("dp", "eopp"),
     )
     def test_different_tables_with_one_statistic_input(self, monkeypatch, notion, picked):
         dist, h = shared_table_instance()
-        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
         candidates = [
-            c for c in attacks._contaminations(dist, 0.25, keys, 4) if all(picked(keys[col]) for col in c[0])
+            q for q in oracles.class_candidates(dist, 0.25, [h], 4) if all(picked(a.key) for a in q.atoms)
         ]
-        tables, inputs = zip(*(_table_and_input(dist, h, build, 0.25, notion) for _, _, build in candidates))
+        tables, inputs = zip(*(_table_and_input(dist, h, q, 0.25, notion) for q in candidates))
         assert len(set(tables)) > len(set(inputs)) == 1
+        responses = {best_response(mix(dist, q, 0.25), dist, [h], notion).error_on_original for q in candidates}
+        assert len(responses) == 1
 
-        monkeypatch.setattr(attacks, "_contaminations", lambda *args: iter(candidates))
         received = _count_searched_inputs(monkeypatch, dist, notion)
-        _, excess = grid_worst_case(dist, 0.25, [h], notion, resolution=4)
-        assert len(received) == 1
-        responses = {
-            best_response(mix(dist, build(), 0.25), dist, [h], notion, grid_n=21).error_on_original
-            for _, _, build in candidates
-        }
-        opt = best_response(dist, dist, [h], notion, grid_n=21).error_on_original
-        assert responses == {excess + opt}
+        grid_worst_case(dist, 0.25, [h], notion, resolution=4)
+        assert received.count(inputs[0]) == 1
 
-    @pytest.mark.parametrize("block", (1, 7, 32))
-    def test_shared_tables_match_reference(self, monkeypatch, block):
+    @pytest.mark.parametrize("notion", ("dp", "eopp", "predictive_parity"))
+    def test_shared_tables_match_reference(self, notion):
         dist, h = shared_table_instance()
-        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
-        for chunk, notion in itertools.product((16, 256), ("dp", "eopp", "predictive_parity")):
-            monkeypatch.setattr(attacks, "_TABLE_CHUNK", chunk)
-            expected = _shared_table_reference(notion)
-            assert _search(grid_worst_case, dist, 0.25, [h], notion, resolution=4) == expected
+        assert_matches_references(dist, 0.25, [h], notion, resolution=4)
 
-    @pytest.mark.parametrize("chunk", (16, 256))
-    @pytest.mark.parametrize("block", (7, 32))
-    def test_late_first_error_is_the_reference_error(self, monkeypatch, block, chunk):
-        # the first candidate whose groups' precision ranges do not meet
-        # has the 39th distinct statistic input
+    def test_late_first_error_is_the_reference_error(self):
+        # the first candidate whose groups' precision ranges do not meet is
+        # the 37th of 92, all searched in one stack
         dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
         args = (dist, 0.25, [h], "predictive_parity")
+        candidates = oracles.class_candidates(dist, 0.25, [h], 4)
+        raised = [_search(best_response, mix(dist, q, 0.25), dist, [h], "predictive_parity") for q in candidates]
+        assert raised.index(InfeasibleError) == 36 and len(raised) == 92
         with pytest.raises(FairnoiseError) as expected:
-            oracles.grid_worst_case(*args, resolution=4)
-        received = _count_searched_inputs(monkeypatch, dist, "predictive_parity")
-        monkeypatch.setattr(attacks, "_SEARCH_BLOCK", block)
-        monkeypatch.setattr(attacks, "_TABLE_CHUNK", chunk)
+            oracles.class_worst_case(*args, resolution=4)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             grid_worst_case(*args, resolution=4)
-        assert len(received) > block
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from((0.0, 1e-6, 0.1, 0.37, 1.0 - 2.0**-53, 1.0)),
-        st.sampled_from((families.random_dp_instance, families.random_eopp_instance)),
-    )
-    def test_corrupted_tables_are_bit_equal_to_mix(self, seed, alpha, generate):
-        rng = np.random.default_rng(seed)
-        dist, h = generate(rng, max_atoms=int(rng.integers(10, 17)))
-        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
-        candidates = list(attacks._contaminations(dist, alpha, keys, 10))
-        block = [candidates[int(i)] for i in rng.choice(len(candidates), size=20)]
-        (tables,) = attacks._corrupted_tables(dist, alpha, keys, block, [attacks._cell_layout(h, dist, keys)])
-        for r, (_, _, build) in enumerate(block):
-            expected = mass_table(h, mix(dist, build(), alpha))
-            for g in dist.groups:
-                assert tuple(tables[g][r].tolist()) == expected[g]
 
     def test_whole_budget_names_the_group_left_empty(self):
         dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=8)
         # the first candidate is a point mass on group A
         with pytest.raises(InputError, match="group 'B' has no mass on the corrupted distribution"):
             grid_worst_case(dist, 1.0, [h], "dp", resolution=3)
+
+
+class TestSearchCost:
+    """The search runs over classes of keys, so its cost does not grow with
+    the number of atoms."""
+
+    @pytest.mark.parametrize("notion", ("dp", "eopp", "eodds", "predictive_parity"))
+    def test_rows_do_not_depend_on_the_atom_count(self, monkeypatch, notion):
+        # 6, 24 and 96 atoms, with one set of classes and, since the masses
+        # are dyadic, bit-equal tables
+        dist, h = shared_table_instance()
+        seen = set()
+        for n in (1, 4, 16):
+            split, split_h = split_points(dist, h, n)
+            received = _count_searched_inputs(monkeypatch, split, notion)
+            found = _search(grid_worst_case, split, 0.25, [split_h], notion, resolution=4)
+            seen.add((len(received), found if isinstance(found, type) else found[1]))
+        assert len(seen) == 1
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -460,20 +480,19 @@ def test_each_stacked_row_is_its_own_best_response(seed):
     probe = load_script("adversary_probe")
     parity_rows = 0
     for dist, alpha, (h,), own, kwargs in probe.strata_searches([seed]):
-        keys = [(g, p, f, y) for (g, p, f) in dist.support_points() for y in (0, 1)]
-        candidates = itertools.islice(attacks._contaminations(dist, alpha, keys, kwargs["resolution"]), 150)
-        mixtures = [mix(dist, build(), alpha) for _, _, build in candidates]
+        candidates = oracles.class_candidates(dist, alpha, [h], kwargs["resolution"])[:150]
+        mixtures = [mix(dist, q, alpha) for q in candidates]
         for notion in (own, "predictive_parity"):
             rows = []
             for corrupted in mixtures:
                 table = mass_table(h, corrupted)
                 dirty = [{g: np.array([table[g]]) for g in dist.groups}]
                 try:
-                    rows.append((corrupted, table, grid_responses(dirty, dist, [h], notion, kwargs["grid_n"])))
+                    rows.append((corrupted, table, grid_responses(dirty, dist, [h], notion)))
                 except InfeasibleError:
                     assert notion == "predictive_parity"
             stack = {g: np.reshape([t[g] for _, t, _ in rows], (-1, 4)) for g in dist.groups}
-            stacked = grid_responses([stack], dist, [h], notion, kwargs["grid_n"])
+            stacked = grid_responses([stack], dist, [h], notion)
             for (corrupted, _, alone), row in zip(rows, stacked, strict=True):
                 assert alone == [row]
                 response = best_response(corrupted, dist, [h], notion, grid_n=kwargs["grid_n"])

@@ -151,7 +151,7 @@ def test_predictive_parity_matches_scan(seed):
         assert scan == np.inf
         return
     dirty = [{g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()}]
-    ((floor, _, _),) = grid_responses(dirty, dist, [h], "predictive_parity", 41)
+    ((floor, _, _),) = grid_responses(dirty, dist, [h], "predictive_parity")
     assert floor <= scan + 1e-12
     assert scan - floor <= 1e-6
     assert found.gap_on_corrupted <= GAP_TOL

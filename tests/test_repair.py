@@ -302,7 +302,7 @@ def test_predictive_parity_accept_nothing_limit_wins():
         [("aP", 1, "A", 0.4), ("aP", 0, "A", 0.05), ("aN", 0, "A", 0.05), ("bP", 0, "B", 0.1), ("bN", 0, "B", 0.4)],
     )
     dirty = [{g: np.array([cells]) for g, cells in mass_table(PRECISION_BASE, corrupted).items()}]
-    ((floor, _, x),) = grid_responses(dirty, clean, [PRECISION_BASE], "predictive_parity", 41)
+    ((floor, _, x),) = grid_responses(dirty, clean, [PRECISION_BASE], "predictive_parity")
     assert abs(floor - 0.05) <= 1e-12
     assert x[:2] == (1.0, 0.0) and 0.0 < x[2] <= GAP_TOL
     w = best_response(corrupted, clean, [PRECISION_BASE], "predictive_parity")

@@ -43,7 +43,7 @@ minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=
 
 #: SHA-256 of the lines adversary_probe.py prints for the adversary
 #: workload's six instances at seed 1
-ADVERSARY_PROBE_SEED_1 = "a5ea103a7937210934acbd7afafae8860b10e4fb2de38408d59125c2e91404b8"
+ADVERSARY_PROBE_SEED_1 = "94ea7428b791a69d70c2e6917baa69ed8051c7903f2db2d6bfcf72d7ceef3373"
 
 
 def load_script(name: str):
