@@ -120,6 +120,12 @@ def tpr_shift_attack(
     return contamination, mix(dist, contamination, alpha)
 
 
+#: Most distinct rows :func:`grid_worst_case` sends to one
+#: :func:`grid_responses` call. The vertex search holds about 75 KB per
+#: predictive-parity row, so a block peaks near 40 MB.
+SEARCH_BLOCK = 512
+
+
 def grid_worst_case(
     dist: Distribution,
     alpha: float,
@@ -144,10 +150,10 @@ def grid_worst_case(
     (1 - alpha) clean + alpha (weights @ class-to-cell map). The learner
     reads a table only through :func:`repair.statistic_inputs`, so each
     distinct input, keyed by its raw bytes (so -0.0 and 0.0 differ), is
-    answered once, in order of first occurrence, by one
-    :func:`grid_responses` stack. The first candidate within 1e-12 of the
-    largest excess wins; its Q is built from the class atoms, and the
-    excess returned is measured again as :func:`best_response` on
+    answered once, in order of first occurrence, by :func:`grid_responses`
+    stacks of at most ``SEARCH_BLOCK`` rows. The first candidate within
+    1e-12 of the largest excess wins; its Q is built from the class atoms,
+    and the excess returned is measured again as :func:`best_response` on
     ``mix(dist, q, alpha)`` minus the clean optimum. The search raises what
     :func:`best_response` raises on the first candidate that raises. Its
     cost is set by the number of classes, at most 2**(len(hypotheses) + 1)
@@ -203,9 +209,12 @@ def grid_worst_case(
     first: dict[bytes, int] = {}  # each distinct input's first candidate
     for r, stat_key in enumerate(stat_keys):
         first.setdefault(stat_key, r)
-    rows = tables[list(first.values())]
-    dirty = [{g: rows[:, k, i] for i, g in enumerate(groups)} for k in range(len(bases))]
-    searched = dict(zip(first, grid_responses(dirty, dist, hypotheses, notion)))
+    order, responses = list(first.values()), []
+    for start in range(0, len(order), SEARCH_BLOCK):  # rows are independent, so blocks move no bit
+        rows = tables[order[start : start + SEARCH_BLOCK]]
+        dirty = [{g: rows[:, k, i] for i, g in enumerate(groups)} for k in range(len(bases))]
+        responses += grid_responses(dirty, dist, hypotheses, notion)
+    searched = dict(zip(first, responses))
     winners = {response[1:] for response in searched.values()}  # each distinct (k, x)
     errors = {(k, x): error(option_classifier(hypotheses[k], groups, x), dist) for k, x in winners}
     excess = [errors[searched[stat_key][1:]] - opt for stat_key in stat_keys]

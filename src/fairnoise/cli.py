@@ -24,6 +24,10 @@ from .errors import ContractError, FairnoiseError, InfeasibleError, InputError, 
 from .repair import dp_repair, eopp_repair
 
 
+#: What ``certify --help`` says of the claims.
+_CERTIFY_HELP = ("Certify each notion's claimed lower bound at every --alpha. The eopp claim sqrt(alpha)/2 is the "
+                 "exact floor only for alpha <= 7 - 4 sqrt(3) (about 0.0718); above it the floor is lower: exit 1.")
+
 #: Subcommand -> the flags it reads; argparse rejects any other.
 _FLAGS = {
     "run": ("config", "alpha", "notion", "grid", "seed", "jobs", "out", "format"),
@@ -54,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report format (repeatable; default json+csv)"),
     }
     for name, read in _FLAGS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, description=_CERTIFY_HELP if name == "certify" else None)
         for flag in read:
             p.add_argument(f"--{flag}", **flags[flag])
     return parser

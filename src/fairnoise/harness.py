@@ -21,7 +21,6 @@ from .calibration import (
     calibrated_value,
     calibration_report,
     l1_error,
-    parity_calibration_check,
     recalibrate_per_group,
     value_shift,
 )
@@ -322,8 +321,7 @@ def parity_calibration_attack_certify(inst: families.Instance) -> float:
     whose per-group occupancy differs by more than GAP_TOL rejects the
     partition. Calibration confines each bin's value to the window within
     GAP_TOL of every group's corrupted label mean there; clean error is
-    linear in the value, so the better end of the window is optimal. The
-    exact :func:`parity_calibration_check` then decides each candidate. On
+    linear in the value, so the better end of the window is optimal. On
     the duplication instance, washed-out labels give the small group
     one-half means; parity drags the large group into one bin with it,
     valued 1/2. More than MAX_CALIBRATION_POINTS points raise ``InputError``
@@ -341,11 +339,10 @@ def parity_calibration_attack_certify(inst: families.Instance) -> float:
         for a in dist.atoms:
             slope[assignment[a.point]] += a.mass * (1 - 2 * a.label)
         values = {b: calibrated_value(report, corrupted.groups, b, slope[b]) for b in slope}
+        # calibrated_value enforces both windows, occupancy and calibration,
+        # so every candidate it values passes parity_calibration_check
         if None not in values.values():
-            predictor = BinnedPredictor(assignment, values)
-            calibrated, occupancy_gap = parity_calibration_check(predictor, corrupted)
-            if calibrated and occupancy_gap <= GAP_TOL:
-                floor = min(floor, l1_error(predictor, dist))
+            floor = min(floor, l1_error(BinnedPredictor(assignment, values), dist))
     if not math.isfinite(floor):
         raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
     return floor
@@ -368,15 +365,17 @@ def certify_lower_bound(
 ) -> tuple[float, float, bool]:
     """(floor, claimed, pass) for the canonical hard instance of a notion.
 
-    Every floor is exact, and pass means floor >= claimed, compared with no
-    slack. For EOpp and EOdds the floor is the LP minimum of clean error,
-    proved by :func:`repair.certified_floor`'s dual certificate and compared
-    exactly. Predictive parity's is the infimum that
+    Every floor is exact, and pass means floor >= claimed, compared as
+    fractions of ints with no slack; the floor returned is that fraction
+    correctly rounded to a float. For EOpp and EOdds the floor is the LP
+    minimum of clean error, proved by :func:`repair.certified_floor`'s dual
+    certificate. Predictive parity's is the infimum that
     :func:`repair.grid_responses` solves over the common precision; parity
     calibration's is :func:`parity_calibration_attack_certify`'s minimum
     over every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
-    sqrt(alpha)/2; EOdds -> (1 - alpha) * r_A / 2; Predictive Parity and
-    Parity Calibration -> the fixed 0.2 floor.
+    sqrt(alpha)/2, which is the exact floor only for alpha <= 7 - 4 sqrt(3)
+    (about 0.0718) and lies above it beyond; EOdds -> (1 - alpha) * r_A / 2;
+    Predictive Parity and Parity Calibration -> the fixed 0.2 floor.
     """
     notion = text(notion, "notion").lower()
     if notion not in _CERTIFY:
@@ -389,13 +388,15 @@ def certify_lower_bound(
     inst = instance(alpha)
     claimed = claim(alpha)
     if notion == "parity_calibration":
-        floor = parity_calibration_attack_certify(inst)
+        floor = parity_calibration_attack_certify(inst).as_integer_ratio()
     elif notion == "predictive_parity":
         dirty = {g: np.array([cells]) for g, cells in mass_table(inst.h_star, inst.corrupted).items()}
         ((floor, _, _),) = grid_responses([dirty], inst.dist, [inst.h_star], notion)
+        floor = floor.as_integer_ratio()
     else:
         floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
-    return float(floor), claimed, floor >= claimed
+    (num, den), (p, q) = floor, claimed.as_integer_ratio()
+    return num / den, claimed, num * q >= p * den
 
 
 # ---------------------------------------------------------------------------

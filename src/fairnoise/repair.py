@@ -8,9 +8,10 @@ the learner-side procedure: it sees only the corrupted distribution and
 minimizes clean error over per-group acceptance probabilities exactly, by
 one LP for every notion; for predictive parity it is solved at a few
 candidate common precisions. The harness uses the witnesses to certify
-upper bounds and the learner, with ``certified_floor``'s dual certificate,
-to certify lower bounds (its minimum is what any repair strategy could
-achieve).
+upper bounds and the learner to certify lower bounds (its minimum is what
+any repair strategy could achieve); ``certified_floor`` proves that
+minimum for dp, eopp and eodds with a dual certificate checked in exact
+integer arithmetic on the float masses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,9 +37,6 @@ from .classifiers import (
 )
 from .distributions import Distribution
 from .errors import ContractError, InfeasibleError, InputError, integer
-
-if TYPE_CHECKING:  # fractions imports decimal; only certified_floor needs it
-    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -230,15 +228,19 @@ _DENOMINATORS = {
 }
 
 
-def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str) -> np.ndarray:
+def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str, exact: bool = False) -> np.ndarray:
     """Per row of both groups' :func:`statistic_inputs`, the coefficients
     over x = (u_A, v_A, u_B, v_B) of each equality s_A - s_B = 0 of the
-    notion, as a (rows, equalities, 4) array, from ``_DENOMINATORS``; exact
-    on an object array of Fractions."""
+    notion, as a (rows, equalities, 4) array, from ``_DENOMINATORS``. With
+    ``exact`` each equality is multiplied by d_A d_B instead of divided, so
+    object arrays of ints give int coefficients."""
     rows = []
     for _, summed, (i, j) in _DENOMINATORS[notion]:
         d_a, d_b = (sum(x[:, k] for k in summed) for x in (inputs_a, inputs_b))
-        a, b = inputs_a / d_a[:, None], inputs_b / d_b[:, None]
+        if exact:
+            a, b = inputs_a * d_b[:, None], inputs_b * d_a[:, None]
+        else:
+            a, b = inputs_a / d_a[:, None], inputs_b / d_b[:, None]
         rows.append(np.stack((a[:, i], a[:, j], -b[:, i], -b[:, j]), axis=-1))
     return np.stack(rows, axis=1)
 
@@ -374,6 +376,19 @@ def _lp_vertices(
     return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
 
 
+def _first_empty(inputs: Mapping[str, np.ndarray], notion: str) -> tuple[int, InputError | None]:
+    """The number of rows of both groups' :func:`statistic_inputs` before
+    the first where a group lacks the mass the notion divides by, and the
+    ``InputError`` of that row; None when no row lacks it."""
+    zero = {(g, what): inputs[g][:, cols].sum(axis=1) <= 0.0 for g in inputs for what, cols, _ in _DENOMINATORS[notion]}
+    bad = np.any(list(zero.values()), axis=0)
+    if not bad.any():
+        return len(bad), None
+    rows = int(bad.argmax())
+    g, what = next(check for check, z in zero.items() if z[rows])
+    return rows, InputError(f"group {g!r} has no {what} on the corrupted distribution")
+
+
 def grid_responses(
     dirty: Sequence[Mapping[str, np.ndarray]],
     clean: Distribution,
@@ -407,11 +422,8 @@ def grid_responses(
 
     ga, gb = clean.groups
     inputs = [{g: statistic_inputs(t[g], notion) for g in (ga, gb)} for t in dirty]
-    # zero[c, r]: row r fails check c; a group's mass does not depend on the hypothesis
-    checks = [(g, what, cols) for g in (ga, gb) for what, cols, _ in _DENOMINATORS[notion]]
-    zero = np.array([inputs[0][g][:, cols].sum(axis=1) <= 0.0 for g, _, cols in checks])
-    bad = zero.any(axis=0)
-    rows = int(bad.argmax()) if bad.any() else len(bad)  # the rows before the first bad one
+    # a group's mass does not depend on the hypothesis
+    rows, empty = _first_empty(inputs[0], notion)
 
     best: list = [None] * rows
     each = np.arange(rows)
@@ -435,9 +447,8 @@ def grid_responses(
 
     if None in best:
         raise InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
-    if rows < len(bad):
-        g, what, _ = checks[int(zero[:, rows].argmax())]
-        raise InputError(f"group {g!r} has no {what} on the corrupted distribution")
+    if empty is not None:
+        raise empty
     return best
 
 
@@ -451,71 +462,76 @@ def option_classifier(
     return PQClassifier(base=as_pq(h).base, params={ga: params_from_uv(*x[:2]), gb: params_from_uv(*x[2:])})
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """y with matrix y = rhs, by Gauss-Jordan elimination in exact
-    arithmetic; None when the matrix is singular."""
-    n = len(rhs)
-    rows = [row + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        k = next((k for k in range(col, n) if rows[k][col]), None)
-        if k is None:
-            return None
-        rows[col], rows[k] = rows[k], rows[col]
-        pivot = rows[col]
-        for r, row in enumerate(rows):
-            if r != col and row[col]:
-                f = row[col] / pivot[col]
-                rows[r] = [x - f * y for x, y in zip(row, pivot)]
-    return [row[n] / row[i] for i, row in enumerate(rows)]
+def _cramer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """(d, d x) for the x with matrix x = rhs, where d is the determinant
+    of the matrix up to sign, so each entry of d x is a Cramer numerator;
+    d = 0 when the matrix is singular. Fraction-free Gauss-Jordan
+    elimination (Bareiss) on ints: each division by the previous pivot is
+    exact."""
+    rows, prev = [list(row) + [r] for row, r in zip(matrix, rhs)], 1
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if p is None:
+            return 0, []
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        rows = [r if r is pivot else [(pivot[k] * x - r[k] * y) // prev for x, y in zip(r, pivot)] for r in rows]
+        prev = pivot[k]
+    return prev, [row[-1] for row in rows]
 
 
 def certified_floor(
     corrupted: Distribution, clean: Distribution, h: BaseClassifier | PQClassifier, notion: str
-) -> Fraction:
+) -> tuple[int, int]:
     """The least clean error of any randomization of ``h`` that meets dp,
-    eopp or eodds on ``corrupted``, as an exact Fraction proved by a dual
-    certificate.
+    eopp or eodds on ``corrupted``, as an exact fraction (numerator,
+    denominator > 0) of ints proved by a dual certificate.
 
-    The float masses are exact binary rationals, and the certificate is
-    checked on them in Fractions. For an active set of a cheapest vertex,
-    the multipliers y solve stationarity, y^T A_active = -c for the clean
-    error's gradient c; that equation must then hold exactly, and every
-    triangle row's multiplier must be >= 0. By weak duality no classifier
-    in the class then errs less than the dual value c_0 - y^T h_active.
-    Active sets are tried in order of their vertex's float clean error,
-    then in active-set order, since at a degenerate vertex only some of
-    them have such multipliers. The first that does gives the floor, which
-    must lie within ``GAP_TOL`` of :func:`best_response`'s error.
-    ``ContractError`` when none does; the input errors of
+    The float masses are exact binary rationals: times one common power of
+    two they are ints, and so is each equality times d_A d_B, whose right
+    side is 0. For an active set of a cheapest vertex, :func:`_cramer`
+    gives the multipliers y of stationarity, y^T A_active = -c for the
+    clean error's gradient c, exactly, as d y for d = +-det(A_active),
+    and the active set needs d != 0 and every triangle row's multiplier
+    >= 0. By weak duality no classifier in the class then errs less
+    than the dual value c_0 - y^T h_active. Active sets are tried in order
+    of their vertex's float clean error, then in active-set order, from
+    one :func:`_lp_vertices` enumeration, since at a degenerate vertex
+    only some of them have such multipliers. The first that does gives
+    the floor, which must lie within ``GAP_TOL`` of that enumeration's
+    least error. ``ContractError`` when none does; the input errors of
     :func:`best_response`.
     """
-    from fractions import Fraction  # imports decimal, which only this needs
-
     if notion not in ("dp", "eopp", "eodds"):
         raise InputError(f"certified_floor supports dp, eopp and eodds, got {notion!r}")
-    primal = best_response(corrupted, clean, [h], notion).error_on_original
+    if len(clean.groups) != 2:
+        raise InputError("best_response searches exactly two groups")
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
-    inputs = [statistic_inputs(np.array([dirty[g]]), notion) for g in clean.groups]
-    totals, _, subsets = _lp_vertices(_equalities(*inputs, notion), table, clean.groups)
+    inputs = {g: statistic_inputs(np.array([dirty[g]]), notion) for g in clean.groups}
+    _, empty = _first_empty(inputs, notion)
+    if empty is not None:
+        raise empty
+    totals, _, subsets = _lp_vertices(_equalities(*inputs.values(), notion), table, clean.groups)
 
-    exact = (np.array([list(map(Fraction, dirty[g]))], dtype=object) for g in clean.groups)
-    a = np.concatenate((_equalities(*(statistic_inputs(t, notion) for t in exact), notion)[0], _TRIANGLE))
-    n_eq = len(a) - 6
-    # clean error is const + c . x, and stationarity asks y^T A_active = target = -c
-    cells = [list(map(Fraction, table[g])) for g in clean.groups]
+    ratios = [[m.as_integer_ratio() for m in t[g]] for t in (dirty, table) for g in clean.groups]
+    scale = max(q for r in ratios for _, q in r)
+    dirty_a, dirty_b, *cells = [[p * (scale // q) for p, q in r] for r in ratios]
+    int_inputs = (statistic_inputs(np.array([x], dtype=object), notion) for x in (dirty_a, dirty_b))
+    eq = _equalities(*int_inputs, notion, exact=True)[0].tolist()
+    a, b = eq + _TRIANGLE.tolist(), [0] * len(eq) + _BOUND.tolist()
+    # clean error is (const + c . x) / scale, and stationarity asks y^T A_active = target = -c
     const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
     target = [t for m1p, m1n, m0p, m0n in cells for t in (m1p - m1n, m0p - m0n)]
     for s in np.argsort(totals[0], kind="stable")[: np.isfinite(totals[0]).sum()]:
         active = subsets[s].tolist()
-        basis = a[active]
-        y = _solve_exact(basis.T.tolist(), target)
-        if y is not None and list(np.array(y, dtype=object) @ basis) == target and all(
-            m >= 0 for m, i in zip(y, active) if i >= n_eq
-        ):
-            floor = const - sum(m * int(_BOUND[i - n_eq]) for m, i in zip(y, active) if i >= n_eq)
-            if abs(float(floor) - primal) > GAP_TOL:
-                raise ContractError(f"dual floor {float(floor)!r} is not the best response's {primal!r}")
-            return floor
+        basis = [a[i] for i in active]
+        d, dy = _cramer(list(zip(*basis)), target)
+        if d != 0 and all(m * d >= 0 for m, i in zip(dy, active) if i >= len(eq)):
+            sign = 1 if d > 0 else -1
+            num, den = sign * (const * d - sum(m * b[i] for m, i in zip(dy, active))), sign * scale * d
+            if abs(num / den - totals[0].min()) > GAP_TOL:
+                raise ContractError(f"dual floor {num / den!r} is not the least vertex error {totals[0].min()}")
+            return num, den
     raise ContractError(f"no active set of a cheapest {notion} vertex has a dual certificate")
 
 

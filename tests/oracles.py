@@ -9,7 +9,9 @@ package's excess must not fall below by more than 1e-12. ``lp_floor`` is
 the exact reference for ``best_response`` under dp, eopp and eodds: it
 solves every 4-subset of the LP's constraints in Fractions, from masses
 summed over atoms, so the package's float vertex search must agree with it
-up to rounding.
+up to rounding. ``certified_floor`` is the dual certificate of
+``repair.certified_floor`` in Fractions, from the same vertex enumeration,
+which the package's integer floor must equal exactly.
 ``predictive_parity_scan`` is the reference for ``best_response`` under
 predictive parity: it scores only option pairs that meet the constraint,
 on a dense scan of the common precision, so the package's infimum must
@@ -38,11 +40,11 @@ import numpy as np
 from fairnoise import families
 from fairnoise.attacks import duplicate_flip_attack
 from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
-from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms
+from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms, mass_table
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
 from fairnoise.families import _split
-from fairnoise.repair import best_response
+from fairnoise.repair import _BOUND, _TRIANGLE, _equalities, _lp_vertices, best_response, statistic_inputs
 
 
 def _solve(rows, rhs):
@@ -110,6 +112,33 @@ def lp_floor(corrupted, clean, h, notion):
             )
             best = err if best is None else min(best, err)
     return best
+
+
+def certified_floor(corrupted, clean, h, notion):
+    """The dual certificate of ``repair.certified_floor`` in Fractions: the
+    same float vertex enumeration orders the active sets, and the first
+    whose multipliers solve stationarity with every triangle multiplier
+    >= 0 gives the floor c_0 - y^T h_active, as a Fraction."""
+    dirty, table = mass_table(h, corrupted), mass_table(h, clean)
+    inputs = [statistic_inputs(np.array([dirty[g]]), notion) for g in clean.groups]
+    totals, _, subsets = _lp_vertices(_equalities(*inputs, notion), table, clean.groups)
+
+    exact = (np.array([list(map(Fraction, dirty[g]))], dtype=object) for g in clean.groups)
+    a = np.concatenate((_equalities(*(statistic_inputs(t, notion) for t in exact), notion)[0], _TRIANGLE))
+    n_eq = len(a) - 6
+    # clean error is const + c . x, and stationarity asks y^T A_active = target = -c
+    cells = [list(map(Fraction, table[g])) for g in clean.groups]
+    const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
+    target = [t for m1p, m1n, m0p, m0n in cells for t in (m1p - m1n, m0p - m0n)]
+    for s in np.argsort(totals[0], kind="stable")[: np.isfinite(totals[0]).sum()]:
+        active = subsets[s].tolist()
+        basis = a[active]
+        y = _solve(basis.T.tolist(), target)
+        if y is not None and list(np.array(y, dtype=object) @ basis) == target and all(
+            m >= 0 for m, i in zip(y, active) if i >= n_eq
+        ):
+            return const - sum(m * int(_BOUND[i - n_eq]) for m, i in zip(y, active) if i >= n_eq)
+    return None
 
 
 def _encode(q):

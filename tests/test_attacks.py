@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,6 +469,47 @@ class TestSearchCost:
             found = _search(grid_worst_case, split, 0.25, [split_h], notion, resolution=4)
             seen.add((len(received), found if isinstance(found, type) else found[1]))
         assert len(seen) == 1
+
+    def test_high_resolution_stays_small_in_memory(self, monkeypatch):
+        # predictive parity at resolution 100 searches 2,780 distinct
+        # rows, in blocks; in one stack the vertex search peaked at 207 MB
+        dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
+        blocks = []
+
+        def counted(dirty, *args):
+            blocks.append(len(dirty[0][dist.groups[0]]))
+            return grid_responses(dirty, *args)
+
+        monkeypatch.setattr(attacks, "grid_responses", counted)
+        tracemalloc.start()
+        try:
+            grid_worst_case(dist, 0.05, [h], "predictive_parity", resolution=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(blocks) == attacks.SEARCH_BLOCK < sum(blocks)
+        assert peak < 64_000_000
+
+    @pytest.mark.parametrize("block", (1, 7))
+    def test_blocks_move_no_bit(self, monkeypatch, block):
+        # rows are independent, and a block that raises raises for its first
+        # raising row, so the blocks change neither the result nor the error:
+        # the predictive-parity case first raises at the 37th candidate
+        dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
+        for alpha, notion in ((0.05, "dp"), (0.25, "predictive_parity")):
+            args = (dist, alpha, [h], notion)
+            expected = _outcome(grid_worst_case, *args, resolution=4)
+            with monkeypatch.context() as patched:
+                patched.setattr(attacks, "SEARCH_BLOCK", block)
+                assert _outcome(grid_worst_case, *args, resolution=4) == expected
+
+
+def _outcome(search, *args, **kwargs):
+    """The search's (q, excess), or its error's class and message."""
+    try:
+        return search(*args, **kwargs)
+    except FairnoiseError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

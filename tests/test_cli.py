@@ -178,6 +178,12 @@ class TestCertify:
     def test_requires_flags(self):
         assert main(["certify", "--notion", "eopp"]) == 2
 
+    def test_help_states_where_the_eopp_claim_is_exact(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["certify", "--help"])
+        assert done.value.code == 0
+        assert "alpha <= 7 - 4 sqrt(3) (about 0.0718)" in " ".join(capsys.readouterr().out.split())
+
 
 class TestMinimaxAndReport:
     def test_minimax_prints_json(self, capsys):

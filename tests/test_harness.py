@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,20 @@ class TestCertify:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_certify_imports_neither_fractions_nor_decimal(self):
+        # the floors are proved in ints; importing fractions pulls in decimal,
+        # which costs a fresh process milliseconds
+        code = (
+            "import sys\n"
+            "from fairnoise import harness\n"
+            "for notion in harness.CERT_NOTIONS:\n"
+            "    harness.certify_lower_bound(notion, 0.1)\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "[]\n"
 
     def test_unknown_notion(self):
         with pytest.raises(InputError):

@@ -1,9 +1,12 @@
 """The exact best response and its certified floor match the Fraction
-vertex enumeration up to rounding. Under predictive parity the best
+vertex enumeration up to rounding, and the floor equals the Fraction dual
+certificate exactly. Under predictive parity the best
 response is never above the dense precision scan and comes within its
 resolution. The parity-calibration floor never exceeds the reference's
 value-grid floor. The mass-table statistics match the atom sums up to
 rounding."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +40,9 @@ def test_exact_best_response_matches_reference(notion, generate, repair, seed):
     exact = oracles.lp_floor(corrupted, dist, h, notion)
     found = best_response(corrupted, dist, [h], notion).error_on_original
     assert abs(found - exact) <= 1e-12
-    assert abs(certified_floor(corrupted, dist, h, notion) - exact) <= 1e-12
+    floor = Fraction(*certified_floor(corrupted, dist, h, notion))
+    assert abs(floor - exact) <= 1e-12
+    assert floor == oracles.certified_floor(corrupted, dist, h, notion)
     if repair is not None:
         # the analytic witness is one classifier of the class
         assert found <= repair(h, dist, corrupted).error_on_original + 1e-12

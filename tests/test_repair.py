@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairnoise import families
+from fairnoise import families, repair
 from fairnoise.classifiers import (
     GAP_TOL,
     BaseClassifier,
@@ -28,6 +28,7 @@ from fairnoise.repair import (
     params_from_uv,
 )
 
+import oracles
 from conftest import assert_close
 
 
@@ -208,7 +209,7 @@ class TestBestResponse:
         w = best_response(corrupted, clean, [h], "eodds")
         assert w.gap_on_corrupted <= GAP_TOL
         assert_close(w.error_on_original, 0.1, 1e-12)
-        assert abs(certified_floor(corrupted, clean, h, "eodds") - Fraction(1, 10)) <= 1e-12
+        assert abs(Fraction(*certified_floor(corrupted, clean, h, "eodds")) - Fraction(1, 10)) <= 1e-12
 
 
 def needle_floor(alpha):
@@ -240,9 +241,46 @@ def test_exact_floor_is_the_closed_form(notion, build, closed_form, alpha):
     assert w.gap_on_corrupted <= GAP_TOL
     # clamped vertices: every acceptance parameter in [0, 1] and none -0.0
     assert all(math.copysign(1.0, c) == 1.0 and c <= 1.0 for pq in w.classifier.params.values() for c in pq)
-    floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
-    assert isinstance(floor, Fraction)
+    num, den = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+    assert type(num) is int and type(den) is int and den > 0
+    floor = Fraction(num, den)
     assert abs(floor - Fraction(closed_form(alpha))) <= 1e-12
+    assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+
+
+def test_certified_floor_enumerates_vertices_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lp_vertices(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("certified_floor ran a best response")
+
+    lp_vertices = repair._lp_vertices
+    monkeypatch.setattr(repair, "_lp_vertices", counted)
+    monkeypatch.setattr(repair, "best_response", refused)
+    for notion, build in (("eopp", families.eopp_needle), ("eodds", lambda a: families.eodds_duplicate(a, 0.9 * a))):
+        inst = build(0.04)
+        certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "notion, label, what", (("eopp", 0, "positives"), ("eodds", 0, "positives"), ("eodds", 1, "negatives"))
+)
+def test_certified_floor_rejects_an_empty_denominator_as_best_response_does(notion, label, what):
+    # every corrupted point of group B carries ``label``
+    h = BaseClassifier.from_table({"a": 1, "b": 1})
+    group_a = [Atom("a", 1, "A", 0.3), Atom("a", 0, "A", 0.2)]
+    clean = make_distribution(group_a + [Atom("b", 1, "B", 0.3), Atom("b", 0, "B", 0.2)])
+    corrupted = make_distribution(group_a + [Atom("b", label, "B", 0.5)])
+    with pytest.raises(InputError) as expected:
+        best_response(corrupted, clean, [h], notion)
+    with pytest.raises(InputError) as found:
+        certified_floor(corrupted, clean, h, notion)
+    assert str(found.value) == str(expected.value) == f"group 'B' has no {what} on the corrupted distribution"
 
 
 @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
