@@ -67,6 +67,11 @@ def random_searches():
                 yield dist, alpha, [h], notion, {"resolution": 4}
 
 
+def all_searches():
+    """The 150 searches: the strata at seeds 1-15, then the random instances."""
+    return itertools.chain(strata_searches(range(1, 16)), random_searches())
+
+
 def probe_lines(searches):
     """One line per search, in order."""
     for dist, alpha, hypotheses, notion, kwargs in searches:
@@ -84,7 +89,7 @@ def digest(lines) -> str:
 
 def main() -> int:
     lines = []
-    for line in probe_lines(itertools.chain(strata_searches(range(1, 16)), random_searches())):
+    for line in probe_lines(all_searches()):
         print(line)
         lines.append(line)
     print(digest(lines))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import BaseClassifier, as_pq, cell_index, error, mass_table
+from .classifiers import BaseClassifier, _table_error, as_pq, cell_index, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError, integer, number
 from .repair import best_response, grid_responses, grid_size, option_classifier, statistic_inputs
@@ -122,8 +122,12 @@ def tpr_shift_attack(
 
 #: Most distinct rows :func:`grid_worst_case` sends to one
 #: :func:`grid_responses` call. The vertex search holds about 75 KB per
-#: predictive-parity row, so a block peaks near 40 MB.
+#: predictive-parity row (four candidate precisions of 70 active sets) and
+#: 7 KB per dp row, so a block peaks near 38 MB (tracemalloc).
 SEARCH_BLOCK = 512
+#: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
+#: mixtures grow with it, C(classes, 2) (resolution - 1) of them.
+MAX_RESOLUTION = 100
 
 
 def grid_worst_case(
@@ -161,14 +165,15 @@ def grid_worst_case(
 
     Raises ``InputError`` before any search when ``alpha`` is not a number
     in [0, 1], or ``resolution`` or ``grid_n`` is not an integer (an
-    integral float such as 4.0 counts as one), or ``resolution`` is below 2
-    or ``grid_n`` outside the range :func:`repair.grid_size` accepts.
+    integral float such as 4.0 counts as one), or ``resolution`` is outside
+    [2, ``MAX_RESOLUTION``] or ``grid_n`` outside the range
+    :func:`repair.grid_size` accepts.
     """
     if not 0.0 <= number(alpha, "alpha") <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
     resolution, grid_n = integer(resolution, "resolution"), grid_size(grid_n)
-    if resolution < 2:
-        raise InputError("resolution must be at least 2")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise InputError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
 
     opt = best_response(dist, dist, hypotheses, notion, grid_n=grid_n).error_on_original
     bases, groups = [as_pq(h).base for h in hypotheses], dist.groups
@@ -202,7 +207,8 @@ def grid_worst_case(
             weights.append(np.zeros(len(atoms)))
             weights[-1][[i, j]] = s / resolution, 1.0 - s / resolution
 
-    clean = np.array([[mass_table(h, dist)[g] for g in groups] for h in hypotheses])
+    clean_tables = [mass_table(h, dist) for h in hypotheses]
+    clean = np.array([[table[g] for g in groups] for table in clean_tables])
     tables = (1.0 - alpha) * clean + alpha * np.tensordot(weights, to_cells, axes=1)
     inputs = statistic_inputs(tables.reshape(-1, 4), notion).reshape(len(tables), -1)
     stat_keys = [row.tobytes() for row in inputs]
@@ -216,7 +222,7 @@ def grid_worst_case(
         responses += grid_responses(dirty, dist, hypotheses, notion)
     searched = dict(zip(first, responses))
     winners = {response[1:] for response in searched.values()}  # each distinct (k, x)
-    errors = {(k, x): error(option_classifier(hypotheses[k], groups, x), dist) for k, x in winners}
+    errors = {(k, x): _table_error(option_classifier(hypotheses[k], groups, x), clean_tables[k]) for k, x in winners}
     excess = [errors[searched[stat_key][1:]] - opt for stat_key in stat_keys]
     top = max(excess)
     win = weights[next(r for r, e in enumerate(excess) if e >= top - 1e-12)]

@@ -209,7 +209,12 @@ def error_terms(cells, u, v):
 def error(h: BaseClassifier | PQClassifier, dist: Distribution) -> float:
     """Exact misclassification probability."""
     pq = as_pq(h)
-    table = mass_table(pq, dist)
+    return _table_error(pq, mass_table(pq, dist))
+
+
+def _table_error(pq: PQClassifier, table: Mapping[str, tuple[float, ...]]) -> float:
+    """:func:`error` of ``pq`` on the distribution whose mass table under
+    pq's base is ``table``."""
     return math.fsum(t for g, cells in table.items() for t in error_terms(cells, *pq.uv(g)))
 
 

@@ -323,25 +323,42 @@ _BOUND = np.array([0, 0, 1, 0, 0, 1])
 _LP_TOL = 1e-12
 
 
-def _vertices(systems: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The solution of each 4 x 4 system of a stack, NaN where it is
-    singular. numpy factors each system on its own, so its solution does
-    not depend on the rest of the stack."""
-    singular = np.linalg.det(systems) == 0.0
-    x = np.linalg.solve(np.where(singular[..., None, None], np.eye(4), systems), bounds[..., None])
-    return np.where(singular[..., None], np.nan, x[..., 0])
-
-
 @functools.lru_cache(maxsize=2)
-def _active_sets(n_eq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _active_sets(n_eq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every 4-subset of n_eq equality rows followed by the six triangle
-    rows, in ``itertools.combinations`` order; which subsets hold an
-    equality; and the vertex of each of the others, which does not depend
-    on the instance."""
+    rows, in ``itertools.combinations`` order, and the face of both
+    triangles its triangle rows pin x to.
+
+    A group's rows among v = 0, v = u and u = 1 pin it to a corner, an
+    edge or the whole of its triangle. Its u is fixed when u = 1 holds, or
+    v = 0 and v = u do; its v is fixed when v = 0 holds, or v = u and u = 1
+    do; otherwise v = u ties v to u. Each other coordinate is free, with a
+    parameter of its own, so the subset's vertex is x0 + D t: x0 is a
+    corner of the face, and D's column for a free u also steps a tied v.
+    There are as many parameters as equalities the subset holds, and each
+    coordinate moves with at most one of them, so x0 + D t is exact.
+
+    Per subset s: those equalities, padded to n_eq with index n_eq (a zero
+    row), as held[:, s]; x0[:, s] and D[:, :, s], in {0, 1}, where a padded
+    parameter's column is 0; and pad[:, :, s], the n_eq x n_eq matrix with
+    a 1 on each padded parameter's diagonal entry, which makes it t = 0.
+    All three rows of a group meet nowhere, so a subset that holds them
+    has no vertex: its D and pad are 0, which makes it singular. x0, D and
+    pad end in an axis of 1 for the rows of a stack."""
     subsets = np.array(list(itertools.combinations(range(n_eq + 6), 4)))
-    mixed = subsets.min(axis=1) < n_eq
-    triangle = subsets[~mixed] - n_eq
-    return subsets, mixed, _vertices(_TRIANGLE[triangle].astype(float), _BOUND[triangle].astype(float))
+    k = (subsets < n_eq).sum(axis=1)
+    held = np.where(np.arange(n_eq)[:, None] < k, subsets[:, :n_eq].T, n_eq)
+    # per subset and group, whether it holds v = 0, v = u and u = 1
+    v0, vu, u1 = (subsets[:, :, None] == n_eq + np.arange(6)).any(axis=1).reshape(-1, 2, 3).transpose(2, 0, 1)
+    valid = ~(v0 & vu & u1).any(axis=1)
+    free = np.stack((~(u1 | v0 & vu), ~(v0 | vu)), axis=2).reshape(-1, 4) & valid[:, None]  # of u_A, v_A, u_B, v_B
+    steps = np.broadcast_to(np.eye(4), (len(subsets), 4, 4)).copy()
+    steps[:, (0, 2), (1, 3)] = vu
+    column = ((np.cumsum(free, axis=1) - 1)[..., None] == np.arange(n_eq)) & free[..., None]
+    d = np.einsum("sfc,sfj->jcs", column, steps)[..., None]
+    x0 = np.stack((u1, vu & u1), axis=2).reshape(-1, 4).T[..., None].astype(float)
+    pad = (np.eye(n_eq)[:, :, None] * ((np.arange(n_eq)[:, None] >= k) & valid))[..., None]
+    return subsets, held, x0, d, pad
 
 
 def _lp_vertices(
@@ -354,26 +371,45 @@ def _lp_vertices(
     :func:`_equalities` or :func:`_parity_equalities`.
 
     Clean error is linear in x, so a vertex attains the minimum: a point
-    where four independent constraints hold with equality. Every 4-subset
-    is solved; a vertex that misses a constraint by more than ``_LP_TOL`` is
-    infeasible, and the others are clamped to the triangles. The
-    equalities are homogeneous, so accepting nothing meets them all, and a
-    row always has a feasible vertex.
-    No step reduces across rows, so each row gets the same bits in any
-    stack."""
+    where four independent constraints hold with equality. Each 4-subset's
+    triangle rows pin x to x0 + D t (:func:`_active_sets`), and its
+    equalities E give (E D) t = -E x0, solved in closed form: one division
+    for one equality, Cramer's rule for two, where a padded parameter's
+    identity row leaves the one division's bits. A zero pivot or
+    determinant makes the subset singular, with no vertex. So every vertex
+    meets its triangle rows exactly. A vertex that misses a constraint by
+    more than ``_LP_TOL`` is infeasible, and the others are clamped to the
+    triangles. The equalities are homogeneous, so accepting nothing meets
+    them all, and a row always has a feasible vertex. Every product with E
+    is summed left to right over its four columns, and no step reduces
+    across rows, so each row gets the same bits in any stack. The work is
+    laid out as (..., subsets, rows), so numpy's inner loops run over the
+    rows."""
     rows, n_eq, _ = eq.shape
-    subsets, mixed, fixed = _active_sets(n_eq)
-    a = np.concatenate((eq, np.broadcast_to(_TRIANGLE, (rows, 6, 4))), axis=1)
-    b = np.concatenate((np.zeros(n_eq), _BOUND))
-    x = np.empty((rows, len(subsets), 4))
-    x[:, ~mixed] = fixed
-    x[:, mixed] = _vertices(a[:, subsets[mixed]], b[subsets[mixed]])
-    miss = sum(a[:, None, :, j] * x[:, :, None, j] for j in range(4)) - b  # (rows, subsets, rows of a)
-    feasible = (np.abs(miss[..., :n_eq]) <= _LP_TOL).all(axis=2) & (miss[..., n_eq:] <= _LP_TOL).all(axis=2)
-    u = np.clip(x[..., ::2], 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
-    v = np.clip(x[..., 1::2], 0.0, u) + 0.0
-    err = sum(sum(error_terms(clean_table[g], u[..., i], v[..., i])) for i, g in enumerate(groups))
-    return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
+    subsets, held, x0, d, pad = _active_sets(n_eq)
+    # the four columns of eq's rows and of one zero row, rows last: (4, n_eq + 1, rows)
+    columns = np.concatenate((eq, np.zeros((rows, 1, 4))), axis=1).transpose(2, 1, 0).copy()
+    e = columns[:, held]  # (4, n_eq, subsets, rows)
+    ed = sum((e[j][:, None] * d[j] for j in range(4)), pad)  # (n_eq, n_eq, subsets, rows)
+    rhs = -sum(e[j] * x0[j] for j in range(4))
+    if n_eq == 1:
+        det, t = ed[0, 0], rhs
+    else:
+        (a, b), (c, f) = ed
+        r, s = rhs
+        det, t = a * f - b * c, np.stack((r * f - b * s, a * s - c * r))
+    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular subset may overflow; it is infeasible
+        # a singular subset's t is NaN, and so is each entry of its x, since 0 * NaN is NaN
+        t = t / np.where(det == 0.0, np.nan, det)
+        x = x0 + sum(d[:, i] * t[i] for i in range(n_eq))  # (4, subsets, rows)
+        miss = sum(columns[j, :n_eq, None] * x[j] for j in range(4))  # (equalities, subsets, rows)
+    u, v = x[::2], x[1::2]
+    feasible = (np.abs(miss) <= _LP_TOL).all(axis=0)
+    feasible &= ((-v <= _LP_TOL) & (v - u <= _LP_TOL) & (u - 1.0 <= _LP_TOL)).all(axis=0)
+    u = np.clip(u, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    v = np.clip(v, 0.0, u) + 0.0
+    err = sum(sum(error_terms(clean_table[g], u[i], v[i])) for i, g in enumerate(groups))
+    return np.where(feasible, err, np.inf).T, np.stack((u, v), axis=1).reshape(x.shape).T, subsets
 
 
 def _first_empty(inputs: Mapping[str, np.ndarray], notion: str) -> tuple[int, InputError | None]:

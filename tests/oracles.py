@@ -12,6 +12,9 @@ summed over atoms, so the package's float vertex search must agree with it
 up to rounding. ``certified_floor`` is the dual certificate of
 ``repair.certified_floor`` in Fractions, from the same vertex enumeration,
 which the package's integer floor must equal exactly.
+``lapack_vertices`` is the vertex enumeration ``repair._lp_vertices``
+replaced: each active set's 4 x 4 system goes to LAPACK, so the package's
+closed-form kernel must give the same feasible vertices up to rounding.
 ``predictive_parity_scan`` is the reference for ``best_response`` under
 predictive parity: it scores only option pairs that meet the constraint,
 on a dense scan of the common precision, so the package's infimum must
@@ -64,6 +67,29 @@ def _solve(rows, rhs):
     for r in reversed(range(n)):
         x[r] = (m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))) / m[r][r]
     return x
+
+
+def lapack_vertices(eq, clean_table, groups):
+    """``repair._lp_vertices`` as a batched LU solve: every 4-subset of the
+    equality and triangle rows is one 4 x 4 system, singular where
+    ``np.linalg.det`` is exactly 0 and solved by ``np.linalg.solve``
+    otherwise; a vertex that misses a constraint by more than 1e-12 is
+    infeasible, and the others are clamped to the triangles. Same return
+    value."""
+    rows, n_eq, _ = eq.shape
+    subsets = np.array(list(itertools.combinations(range(n_eq + 6), 4)))
+    a = np.concatenate((eq, np.broadcast_to(_TRIANGLE, (rows, 6, 4))), axis=1)
+    b = np.concatenate((np.zeros(n_eq), _BOUND))
+    systems = a[:, subsets]
+    singular = np.linalg.det(systems) == 0.0
+    x = np.linalg.solve(np.where(singular[..., None, None], np.eye(4), systems), b[subsets][..., None])[..., 0]
+    x = np.where(singular[..., None], np.nan, x)
+    miss = sum(a[:, None, :, j] * x[:, :, None, j] for j in range(4)) - b  # (rows, subsets, rows of a)
+    feasible = (np.abs(miss[..., :n_eq]) <= 1e-12).all(axis=2) & (miss[..., n_eq:] <= 1e-12).all(axis=2)
+    u = np.clip(x[..., ::2], 0.0, 1.0) + 0.0
+    v = np.clip(x[..., 1::2], 0.0, u) + 0.0
+    err = sum(sum(error_terms(clean_table[g], u[..., i], v[..., i])) for i, g in enumerate(groups))
+    return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
 
 
 def lp_floor(corrupted, clean, h, notion):

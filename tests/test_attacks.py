@@ -201,6 +201,8 @@ class TestGridWorstCase:
         "name, value",
         [
             ("resolution", 2.5),
+            ("resolution", 1),
+            ("resolution", attacks.MAX_RESOLUTION + 1),
             ("grid_n", 21.5),
             ("grid_n", "21"),
             ("alpha", True),
@@ -219,6 +221,17 @@ class TestGridWorstCase:
         args = {"dist": dist, "alpha": 0.1, "hypotheses": [h], "notion": "dp", name: value}
         with pytest.raises(InputError, match=name):
             grid_worst_case(**args)
+
+    def test_resolution_is_capped(self):
+        # the cap's mixtures include every one at resolution 10, so the
+        # search finds at least that excess; one step above it is refused
+        dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=4)
+        _, coarse = grid_worst_case(dist, 0.1, [h], "dp", resolution=10)
+        _, excess = grid_worst_case(dist, 0.1, [h], "dp", resolution=attacks.MAX_RESOLUTION)
+        assert excess >= coarse - 1e-12
+        above = attacks.MAX_RESOLUTION + 1
+        with pytest.raises(InputError, match=rf"resolution must lie in \[2, {above - 1}\], got {above}"):
+            grid_worst_case(dist, 0.1, [h], "dp", resolution=above)
 
     def test_integral_floats_are_integers(self):
         dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=4)
@@ -471,8 +484,9 @@ class TestSearchCost:
         assert len(seen) == 1
 
     def test_high_resolution_stays_small_in_memory(self, monkeypatch):
-        # predictive parity at resolution 100 searches 2,780 distinct
-        # rows, in blocks; in one stack the vertex search peaked at 207 MB
+        # predictive parity at the largest resolution, 100, searches 2,780
+        # distinct rows, in blocks; in one stack the LAPACK vertex search
+        # peaked at 207 MB
         dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
         blocks = []
 
@@ -483,7 +497,7 @@ class TestSearchCost:
         monkeypatch.setattr(attacks, "grid_responses", counted)
         tracemalloc.start()
         try:
-            grid_worst_case(dist, 0.05, [h], "predictive_parity", resolution=100)
+            grid_worst_case(dist, 0.05, [h], "predictive_parity", resolution=attacks.MAX_RESOLUTION)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

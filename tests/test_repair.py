@@ -283,6 +283,68 @@ def test_certified_floor_rejects_an_empty_denominator_as_best_response_does(noti
     assert str(found.value) == str(expected.value) == f"group 'B' has no {what} on the corrupted distribution"
 
 
+def kernel_stack(rng, notion, kind, rows=200):
+    """Equality rows of ``notion`` as best responses send them to
+    ``repair._lp_vertices``, for random corrupted cells of both groups (one
+    row per precision candidate for predictive parity), and a random clean
+    table. Cells are uniform floats or, for ties, multiples of 1/8 with
+    both groups' positives and negatives present; in the first quarter of
+    the rows both groups share one table."""
+    if kind == "uniform":
+        cells = rng.uniform(0.0, 1.0, (2, rows, 4))
+    else:
+        cells = rng.integers(0, 4, (2, rows, 4)) / 8.0
+        cells[..., (0, 3)] += 1.0 / 8.0
+    cells[1, : rows // 4] = cells[0, : rows // 4]
+    clean = rng.uniform(0.0, 1.0, (2, 4))
+    if notion == "predictive_parity":
+        eq = repair._parity_equalities(*cells, *clean)[0].reshape(-1, 2, 4)
+    else:
+        eq = repair._equalities(*(repair.statistic_inputs(c, notion) for c in cells), notion)
+    return eq, {"A": tuple(clean[0]), "B": tuple(clean[1])}
+
+
+@pytest.mark.parametrize("kind", ("uniform", "dyadic"))
+@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds", "predictive_parity"))
+def test_closed_form_vertices_match_the_lapack_solve(notion, kind):
+    # The masks differ only where one solver calls an active set singular:
+    # there the closed form has no vertex, or finds the origin. LU's
+    # rounding can instead find a point on a line of solutions, say both
+    # groups on their u = 1 edges when they share one table. The origin is
+    # also the vertex of both groups' (0, 0) corners.
+    eq, table = kernel_stack(np.random.default_rng(17), notion, kind)
+    totals, x, subsets = repair._lp_vertices(eq, table, ("A", "B"))
+    ref_totals, ref_x, ref_subsets = oracles.lapack_vertices(eq, table, ("A", "B"))
+    assert (subsets == ref_subsets).all()
+    feasible, ref_feasible = np.isfinite(totals), np.isfinite(ref_totals)
+    differ = feasible != ref_feasible
+    assert np.isnan(x[differ & ~feasible]).all() and (x[differ & feasible] == 0.0).all()
+    assert differ.sum() <= 0.05 * differ.size
+    both = feasible & ref_feasible
+    assert np.abs(x - ref_x)[both].max() <= 1e-12
+    assert np.abs(totals.min(axis=1) - ref_totals.min(axis=1)).max() <= 1e-12
+    # each feasible vertex meets its active triangle rows bit for bit
+    n_eq = eq.shape[1]
+    for s, subset in enumerate(subsets.tolist()):
+        for row in (i - n_eq for i in subset if i >= n_eq):
+            u, v = x[feasible[:, s], s, 2 * (row // 3)], x[feasible[:, s], s, 2 * (row // 3) + 1]
+            assert (v == (0.0, u, v)[row % 3]).all() and (u == (u, u, 1.0)[row % 3]).all()
+
+
+def test_subnormal_pivot_overflows_quietly():
+    # B's base negatives weigh 5e-311, so with B on its u = 1 edge the dp
+    # equality's pivot is subnormal and t overflows: that active set is
+    # infeasible, and the search neither warns nor misses the optimum
+    m = 5e-311
+    dist = make_distribution(
+        [Atom("a1", 1, "A", 0.25), Atom("a2", 0, "A", 0.25), Atom("b1", 1, "B", 0.5 - m), Atom("b2", 0, "B", m)]
+    )
+    h = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
+    w = best_response(dist, dist, [h], "dp")
+    assert abs(w.error_on_original - oracles.lp_floor(dist, dist, h, "dp")) <= 1e-12
+    assert w.gap_on_corrupted <= GAP_TOL
+
+
 @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
 def test_predictive_parity_floor_is_the_closed_form(alpha):
     # washed out, group B has precision 1/2 at every option that accepts

@@ -45,6 +45,10 @@ minimax              alpha=0.1    worst-group=0.500000 opt_clean=0.000000 gamma=
 #: workload's six instances at seed 1
 ADVERSARY_PROBE_SEED_1 = "94ea7428b791a69d70c2e6917baa69ed8051c7903f2db2d6bfcf72d7ceef3373"
 
+#: SHA-256 of all 150 lines adversary_probe.py prints, predictive parity
+#: included
+ADVERSARY_PROBE = "8f40e91913960708cd18063c3d789e538bb84375bea4c91235f4ad0f07acef14"
+
 
 def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
@@ -73,6 +77,11 @@ def test_certify_bounds_output(monkeypatch, capsys):
 def test_adversary_probe_digest():
     probe = load_script("adversary_probe")
     assert probe.digest(probe.probe_lines(probe.strata_searches([1]))) == ADVERSARY_PROBE_SEED_1
+
+
+def test_adversary_probe_full_digest():
+    probe = load_script("adversary_probe")
+    assert probe.digest(probe.probe_lines(probe.all_searches())) == ADVERSARY_PROBE
 
 
 #: 8 code lines: the import, the class and def lines, the two lines of the
