@@ -117,25 +117,25 @@ class BaseClassifier:
 
 @dataclass(frozen=True)
 class PQClassifier:
-    """A base classifier overridden, per group, by an independent coin.
+    """A base classifier randomized per group.
 
-    With probability ``p_z`` the base output is ignored and replaced by a
-    Bernoulli(``q_z``) draw; a group without parameters behaves as the base.
+    ``params[z] = (u, v)`` accepts group z's base-positive points with
+    probability u and its base-negative points with probability v; a group
+    without an entry behaves as the base, (u, v) = (1, 0).
     """
 
     base: BaseClassifier
     params: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for group, (p, q) in self.params.items():
-            if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-                raise InputError(f"(p, q) for group {group!r} must lie in [0, 1]^2, got {(p, q)}")
+        for group, (u, v) in self.params.items():
+            if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+                raise InputError(f"(u, v) for group {group!r} must lie in [0, 1]^2, got {(u, v)}")
 
     def uv(self, group: str) -> tuple[float, float]:
-        """Acceptance probabilities (u, v) = (1 - p + p q, p q) of the
-        group's base-positive and base-negative points."""
-        p, q = self.params.get(group, (0.0, 0.0))
-        return 1.0 - p + p * q, p * q
+        """Acceptance probabilities (u, v) of the group's base-positive and
+        base-negative points."""
+        return self.params.get(group, (1.0, 0.0))
 
     def accept_prob(self, point: str, group: str, feature: float | None = None) -> float:
         u, v = self.uv(group)
@@ -144,7 +144,7 @@ class PQClassifier:
     def to_json_dict(self) -> dict:
         return {
             "base": self.base.to_json_dict(),
-            "params": {g: {"p": p, "q": q} for g, (p, q) in sorted(self.params.items())},
+            "params": {g: {"u": u, "v": v} for g, (u, v) in sorted(self.params.items())},
         }
 
     @staticmethod
@@ -152,8 +152,8 @@ class PQClassifier:
         return PQClassifier(
             base=BaseClassifier.from_json_dict(doc["base"]),
             params={
-                str(g): (number(pq["p"], f"p of group {g!r}"), number(pq["q"], f"q of group {g!r}"))
-                for g, pq in doc.get("params", {}).items()
+                str(g): (number(uv["u"], f"u of group {g!r}"), number(uv["v"], f"v of group {g!r}"))
+                for g, uv in doc.get("params", {}).items()
             },
         )
 
@@ -183,7 +183,7 @@ def mass_table(
     (m1p, m1n, m0p, m0n): base-positive positives, base-positive negatives,
     base-negative positives, base-negative negatives.
 
-    Every statistic of a per-group (p, q) classifier is linear or
+    Every statistic of a per-group (u, v) classifier is linear or
     linear-fractional in this table, and ``mix`` acts on it linearly.
     """
     base = as_pq(h).base
@@ -238,7 +238,12 @@ def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupSt
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None
-        ppv[g] = acc_pos / acc_mass if acc_mass > 0.0 else None
+        # precision is unchanged by scaling (u, v), and at max(u, v) = 1 no
+        # accepted mass underflows
+        top = max(u, v) or 1.0
+        us, vs = u / top, v / top
+        acc_scaled = math.fsum((us * m1p, us * m1n, vs * m0p, vs * m0n))
+        ppv[g] = math.fsum((us * m1p, vs * m0p)) / acc_scaled if acc_scaled > 0.0 else None
     return GroupStats(rate=rate, tpr=tpr, fpr=fpr, ppv=ppv)
 
 

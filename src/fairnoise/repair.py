@@ -66,7 +66,9 @@ class RepairWitness:
 
 
 def _match_params(current: float, target: float) -> tuple[float, float]:
-    """(p, q) moving a group's corrupted statistic from ``current`` to ``target``.
+    """The override coin (p, q) moving a group's corrupted statistic from
+    ``current`` to ``target``: with probability p the output is replaced
+    by a Bernoulli(q) draw.
 
     The two branches are the raise (q=1) and lower (q=0) overrides; the 0/0
     corner (statistic already pinned at the target) collapses to p=0.
@@ -91,8 +93,8 @@ def _match_candidates(
     reference = error(h_star, dist)
     best: RepairWitness | None = None
     for label, target in candidates:
-        params = {g: _match_params(current[g], target[g]) for g in dist.groups}
-        repaired = PQClassifier(base=as_pq(h_star).base, params=_compose(h_star, params))
+        coins = {g: _match_params(current[g], target[g]) for g in dist.groups}
+        repaired = PQClassifier(base=as_pq(h_star).base, params=_compose(h_star, coins))
         gap = fairness_gap(group_stats(repaired, corrupted), notion)
         if gap > GAP_TOL:
             who = f"{notion} repair" if label == "direct" else f"{notion} candidate {label}"
@@ -156,19 +158,12 @@ def eopp_repair(
     return _match_candidates(h_star, dist, corrupted, "eopp", tpr, candidates, alpha)  # type: ignore[arg-type]
 
 
-def _compose(h: BaseClassifier | PQClassifier, params: dict[str, tuple[float, float]]) -> dict:
-    """Layer new per-group overrides on top of any the base already carries."""
+def _compose(h: BaseClassifier | PQClassifier, coins: dict[str, tuple[float, float]]) -> dict:
+    """Per group, the (u, v) of ``h`` once its output is overridden with
+    probability p by an independent Bernoulli(q) coin, for (p, q) in
+    ``coins``: each acceptance probability a becomes (1 - p) a + p q."""
     pq = as_pq(h)
-    if not pq.params:
-        return params
-    composed = {}
-    for g, (p, q) in params.items():
-        p0, q0 = pq.params.get(g, (0.0, 0.0))
-        # acceptance after both coins: (1-p)*[(1-p0) b + p0 q0] + p q
-        pc = p + p0 - p * p0
-        qc = (p * q + (1.0 - p) * p0 * q0) / pc if pc > 0.0 else 0.0
-        composed[g] = (min(max(pc, 0.0), 1.0), min(max(qc, 0.0), 1.0))
-    return composed
+    return {g: tuple((1.0 - p) * a + p * q for a in pq.uv(g)) for g, (p, q) in coins.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +185,6 @@ def grid_size(grid_n: object) -> int:
     if not 11 <= n <= MAX_GRID_N:
         raise InputError(f"grid_n must lie in [11, {MAX_GRID_N}], got {n}")
     return n
-
-
-def params_from_uv(u: float, v: float) -> tuple[float, float]:
-    p = 1.0 - (u - v)
-    q = v / p if p > 1e-15 else 0.0
-    return (min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
 
 
 def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
@@ -235,13 +224,14 @@ def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str, exact: 
     ``exact`` each equality is multiplied by d_A d_B instead of divided, so
     object arrays of ints give int coefficients."""
     rows = []
-    for _, summed, (i, j) in _DENOMINATORS[notion]:
+    for _, summed, columns in _DENOMINATORS[notion]:
         d_a, d_b = (sum(x[:, k] for k in summed) for x in (inputs_a, inputs_b))
+        a, b = inputs_a[:, columns], inputs_b[:, columns]  # only the columns the equality reads
         if exact:
-            a, b = inputs_a * d_b[:, None], inputs_b * d_a[:, None]
+            a, b = a * d_b[:, None], b * d_a[:, None]
         else:
-            a, b = inputs_a / d_a[:, None], inputs_b / d_b[:, None]
-        rows.append(np.stack((a[:, i], a[:, j], -b[:, i], -b[:, j]), axis=-1))
+            a, b = a / d_a[:, None], b / d_b[:, None]
+        rows.append(np.concatenate((a, -b), axis=1))
     return np.stack(rows, axis=1)
 
 
@@ -296,22 +286,16 @@ def _with_precision(xs: np.ndarray, pis: np.ndarray, inputs_a: np.ndarray, input
     """Predictive parity options ``xs``, one row per row of both groups'
     :func:`statistic_inputs` and its common precision ``pis``, where a
     group that accepts nothing takes instead the start of its segment at
-    that precision, about t (1, w) with t = GAP_TOL / 2: its precision is
-    defined, and it errs at most GAP_TOL more. u - v is rounded to a
-    multiple of 2**-53, so that :func:`params_from_uv`'s p = 1 - (u - v),
-    and with it w, survive the round trip through (p, q); where that
-    multiple is 0, w is within 2**-54 / t of 1 and becomes 1. A group whose
-    options all have one precision takes w = 1, which accepts some of its
-    mass."""
+    that precision, (u, v) = t (1, w) with t = GAP_TOL / 2: its precision
+    is defined, and it errs at most GAP_TOL more. A group whose options all
+    have one precision takes w = 1, which accepts some of its mass."""
     t = GAP_TOL / 2.0
     for i, (c1p, c1n, c0p, c0n) in enumerate((inputs_a.T, inputs_b.T)):
         m1, den = c1p + c1n, c0p - pis * (c0p + c0n)
         one = (m1 == 0.0) | (den == 0.0)
         w = np.where(one, 1.0, np.clip((pis * m1 - c1p) / np.where(one, 1.0, den), 0.0, 1.0))
-        d = np.round(t * (1.0 - w) * 2.0**53) * 2.0**-53
-        v = np.where(d > 0.0, d * w / np.where(d > 0.0, 1.0 - w, 1.0), t)
         empty = xs[:, 2 * i] <= _LP_TOL
-        xs[empty, 2 * i], xs[empty, 2 * i + 1] = (d + v)[empty], v[empty]
+        xs[empty, 2 * i], xs[empty, 2 * i + 1] = t, (t * w)[empty]
     return xs
 
 
@@ -495,7 +479,7 @@ def option_classifier(
     base-negative points of the first group with probabilities x[0] and
     x[1], and those of the second group with x[2] and x[3]."""
     ga, gb = groups
-    return PQClassifier(base=as_pq(h).base, params={ga: params_from_uv(*x[:2]), gb: params_from_uv(*x[2:])})
+    return PQClassifier(base=as_pq(h).base, params={ga: tuple(x[:2]), gb: tuple(x[2:])})
 
 
 def _cramer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:

@@ -382,7 +382,11 @@ def group_stats(h, dist):
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None
-        ppv[g] = acc_pos / acc_mass if acc_mass > 0.0 else None
+        # precision at (u, v) / max(u, v), which accepts the same share of positives
+        top = max(pq.uv(g)) or 1.0
+        scaled = math.fsum(a.mass * (acc_of[a.key] / top) for a in atoms)
+        scaled_pos = math.fsum(a.mass * (acc_of[a.key] / top) for a in atoms if a.label == 1)
+        ppv[g] = scaled_pos / scaled if scaled > 0.0 else None
     return GroupStats(rate=rate, tpr=tpr, fpr=fpr, ppv=ppv)
 
 
@@ -412,13 +416,9 @@ def sample_predictions(h: PQClassifier, atom: Atom, n: int, rng) -> int:
 
     Smoke-test helper; the evaluation path never samples.
     """
-    p, q = h.params.get(atom.group, (0.0, 0.0))
+    u, v = h.uv(atom.group)
     base = h.base.predict(atom.point, atom.group, atom.feature)
-    override = rng.binomial(n, p)
-    positives = rng.binomial(override, q)
-    if base == 1:
-        positives += n - override
-    return int(positives)
+    return int(rng.binomial(n, u if base == 1 else v))
 
 
 def random_contamination(rng: np.random.Generator, dist: Distribution, max_atoms: int = 4) -> Distribution:

@@ -552,6 +552,9 @@ def test_each_stacked_row_is_its_own_best_response(seed):
             for (corrupted, _, alone), row in zip(rows, stacked, strict=True):
                 assert alone == [row]
                 response = best_response(corrupted, dist, [h], notion, grid_n=kwargs["grid_n"])
-                assert response.classifier == option_classifier(h, dist.groups, row[2])
+                classifier = option_classifier(h, dist.groups, row[2])
+                assert response.classifier == classifier
+                # the witness holds the LP's x bit for bit
+                assert classifier.uv(dist.groups[0]) + classifier.uv(dist.groups[1]) == row[2]
             parity_rows += len(rows) if notion == "predictive_parity" else 0
     assert parity_rows >= 100

@@ -96,20 +96,23 @@ class TestBaseClassifier:
 
 
 class TestPQClassifier:
-    def test_accept_prob_formula(self):
-        h = PQClassifier(BaseClassifier.from_constant(1), {"A": (0.4, 0.25)})
-        assert_close(h.accept_prob("x", "A"), 0.6 + 0.4 * 0.25)
-        assert_close(h.accept_prob("x", "B"), 1.0)  # group without params = base
+    def test_accept_prob_is_u_or_v(self):
+        h = PQClassifier(BaseClassifier.from_table({"x": 1, "y": 0}), {"A": (0.7, 0.1)})
+        assert (h.accept_prob("x", "A"), h.accept_prob("y", "A")) == (0.7, 0.1)
+        # a group without params behaves as the base
+        assert (h.accept_prob("x", "B"), h.accept_prob("y", "B")) == (1.0, 0.0)
 
-    def test_rejects_out_of_range(self):
+    @pytest.mark.parametrize("uv", [(1.2, 0.5), (0.5, -0.1), (float("nan"), 0.0)])
+    def test_rejects_out_of_range(self, uv):
         with pytest.raises(InputError):
-            PQClassifier(BaseClassifier.from_constant(1), {"A": (1.2, 0.5)})
+            PQClassifier(BaseClassifier.from_constant(1), {"A": uv})
 
     def test_json_round_trip(self):
-        h = PQClassifier(BaseClassifier.from_constant(0), {"A": (0.5, 0.5), "B": (0.1, 1.0)})
+        h = PQClassifier(BaseClassifier.from_constant(0), {"A": (0.75, 0.25), "B": (0.1, 1.0)})
+        assert h.to_json_dict()["params"]["A"] == {"u": 0.75, "v": 0.25}
         assert PQClassifier.from_json_dict(h.to_json_dict()) == h
 
-    @pytest.mark.parametrize("name, value", [("p", "0.5"), ("q", True), ("q", None)])
+    @pytest.mark.parametrize("name, value", [("u", "0.5"), ("v", True), ("v", None)])
     def test_json_params_are_read_not_converted(self, name, value):
         doc = PQClassifier(BaseClassifier.from_constant(0), {"A": (0.5, 0.5)}).to_json_dict()
         doc["params"]["A"][name] = value
@@ -179,8 +182,8 @@ class TestFairnessGap:
 class TestSampling:
     def test_monte_carlo_matches_accept_prob(self, rng):
         # smoke test: sampled frequency ~ closed-form acceptance probability
-        h = PQClassifier(BaseClassifier.from_constant(1), {"A": (0.3, 0.4)})
-        atom = Atom("x", 1, "A", 1.0)
+        h = PQClassifier(BaseClassifier.from_table({"x": 1, "y": 0}), {"A": (0.82, 0.12)})
         n = 200_000
-        freq = oracles.sample_predictions(h, atom, n, rng) / n
-        assert abs(freq - h.accept_prob("x", "A")) < 0.01
+        for point, label, accepted in (("x", 1, 0.82), ("y", 0, 0.12)):
+            freq = oracles.sample_predictions(h, Atom(point, label, "A", 1.0), n, rng) / n
+            assert abs(freq - accepted) < 0.01

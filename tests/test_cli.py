@@ -291,7 +291,7 @@ def _valid_configs() -> dict:
             "alpha": 0.1,
             "dist": dp.dist.to_json_dict(),
             "corrupted": dp.corrupted.to_json_dict(),
-            "h_star": {"base": dp.h_star.to_json_dict(), "params": {"A": {"p": 0.0, "q": 0.0}}},
+            "h_star": {"base": dp.h_star.to_json_dict(), "params": {"A": {"u": 1.0, "v": 0.0}}},
         },
         "report": json.loads(harness.report_json(sweep)),
     }
@@ -379,8 +379,9 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         ("attack", ("dist", "atoms", 0, "mass"), "0.455"),
         ("attack", ("dist", "atoms", 0, "feature"), "2"),
         ("repair", ("corrupted", "atoms", 0, "label"), True),
-        ("repair", ("h_star", "params", "A", "p"), "0.0"),
-        ("repair", ("h_star", "params", "A", "q"), True),
+        ("repair", ("h_star", "params", "A", "u"), "1.0"),
+        ("repair", ("h_star", "params", "A", "v"), True),
+        ("repair", ("h_star", "params", "A"), {"p": 0.0, "q": 0.0}),
         ("repair", ("h_star", "base"), {"kind": "bogus", "constant": 1}),
         ("attack", ("dist", "atoms", 0, "point"), 3),
         (
@@ -421,8 +422,9 @@ def test_type_swapped_field_exits_two(tmp_path, data):
         "atom-mass-string",
         "atom-feature-string",
         "corrupted-atom-label-true",
-        "params-p-string",
-        "params-q-true",
+        "params-u-string",
+        "params-v-true",
+        "params-old-p-q",
         "base-kind-bogus",
         "atom-point-int",
         "threshold-string",
@@ -434,6 +436,12 @@ def test_type_swapped_field_exits_two(tmp_path, data):
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):
     cfg = write_config(tmp_path, _swap(VALID[command], path, value))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_valid_configs_exit_zero(tmp_path, command):
+    cfg = write_config(tmp_path, VALID[command])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_integral_float_fields_read_as_integers(tmp_path):

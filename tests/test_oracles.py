@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -59,12 +59,16 @@ class TestMassTable:
         unit,
         st.tuples(unit, unit, unit, unit),
     )
-    def test_statistics_match_atom_sums(self, seed, generate, alpha, pq):
+    # A accepts 5e-324 of its mass, which underflowed to a precision of 0
+    # or none in the package and to none in the atom sums
+    @example(6912, families.random_eopp_instance, 0.5, (0.0, 5e-324, 0.0, 0.0))
+    @example(6912, families.random_eopp_instance, 0.5, (5e-324, 5e-324, 0.0, 0.0))
+    def test_statistics_match_atom_sums(self, seed, generate, alpha, uv):
         rng = np.random.default_rng(seed)
         dist, h = generate(rng, max_atoms=16)
         q = oracles.random_contamination(rng, dist)
         corrupted = mix(dist, q, alpha)
-        h = PQClassifier(h, {"A": pq[:2], "B": pq[2:]})
+        h = PQClassifier(h, {"A": uv[:2], "B": uv[2:]})
         table_d, table_q, table_mix = (mass_table(h, x) for x in (dist, q, corrupted))
         for g in dist.groups:
             for m, md, mq in zip(table_mix[g], table_d[g], table_q[g]):
@@ -79,9 +83,13 @@ class TestMassTable:
             for g in d.groups:
                 # Rates are mass ratios and fpr's numerator is a difference, so
                 # a rounding-level change in a mass moves a rate by that change
-                # over the denominator: compare the masses.
+                # over the denominator: compare the masses. Precision divides
+                # by the mass accepted at (u, v) / max(u, v).
                 r, pos = d.group_mass(g), d.positive_mass(g)
-                denominator = {"rate": r, "tpr": pos, "fpr": r - pos, "ppv": want.rate[g] * r}
+                u, v = (x / (max(h.uv(g)) or 1.0) for x in h.uv(g))
+                m1p, m1n, m0p, m0n = mass_table(h, d)[g]
+                accepted = u * (m1p + m1n) + v * (m0p + m0n)
+                denominator = {"rate": r, "tpr": pos, "fpr": r - pos, "ppv": accepted}
                 for name, mass in denominator.items():
                     value, expected = getattr(got, name)[g], getattr(want, name)[g]
                     assert (value is None) == (expected is None), (name, g)

@@ -25,7 +25,6 @@ from fairnoise.repair import (
     dp_repair,
     eopp_repair,
     grid_responses,
-    params_from_uv,
 )
 
 import oracles
@@ -63,14 +62,14 @@ class TestMatchParams:
 class TestDpRepair:
     def test_worked_example(self):
         # alpha=0.1 on the four-point family: corrupted rate of B is
-        # 0.325/0.55, the lowering override is p_B = 2/13, and the clean
-        # excess is p_B * 0.25 = 1/26
+        # 0.325/0.55, the lowering override accepts B's base positives with
+        # u_B = 11/13, and the clean excess is (1 - u_B) * 0.25 = 1/26
         inst = families.dp_worked(0.1)
         w = dp_repair(inst.h_star, inst.dist, inst.corrupted, alpha=0.1)
         assert w.gap_on_corrupted <= GAP_TOL
-        p_b, q_b = w.classifier.params["B"]
-        assert_close(p_b, 2.0 / 13.0)
-        assert q_b == 0.0
+        u_b, v_b = w.classifier.params["B"]
+        assert_close(u_b, 11.0 / 13.0)
+        assert v_b == 0.0
         assert_close(w.excess_error_on_original, 1.0 / 26.0)
         assert w.excess_error_on_original <= 2 * 0.1 / 0.9 + 1e-9
 
@@ -132,15 +131,32 @@ class TestEoppRepair:
             eopp_repair(unfair, inst.dist, inst.corrupted)
 
 
-class TestParamsFromUv:
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_uv_round_trip(self, u, v):
-        u, v = max(u, v), min(u, v)
-        p, q = params_from_uv(u, v)
-        assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
-        assert abs((1.0 - p) + p * q - u) <= 1e-9  # accept prob on base-1
-        assert abs(p * q - v) <= 1e-9  # accept prob on base-0
+@pytest.mark.parametrize(
+    "repair, build, statistic",
+    ((dp_repair, families.dp_worked, "rate"), (eopp_repair, families.eopp_needle, "tpr")),
+    ids=("dp", "eopp"),
+)
+@pytest.mark.parametrize("alpha", (0.04, 0.09))
+def test_repair_of_a_randomized_base_overrides_it_with_a_coin(repair, build, statistic, alpha):
+    # The same (u, v) in both groups keeps the base fair. Each group's
+    # repaired acceptance probability at an atom is (1 - p) a + p q, where a
+    # is the base's and (p, q) is the coin moving the group's corrupted
+    # statistic, summed over atoms, to its target.
+    inst = build(alpha)
+    h = PQClassifier(inst.h_star, {"A": (0.8, 0.3), "B": (0.8, 0.3)})
+    w = repair(h, inst.dist, inst.corrupted)
+    current = getattr(oracles.group_stats(h, inst.corrupted), statistic)
+    if w.candidate_label == "direct":
+        target = oracles.group_stats(h, inst.dist).rate
+    else:
+        target = dict.fromkeys(current, current[w.candidate_label.removeprefix("match_")])
+    coins = {g: _match_params(current[g], target[g]) for g in current}
+    assert any(p > 0.0 for p, _ in coins.values())
+    for a in inst.dist.atoms + inst.corrupted.atoms:
+        (p, q), base = coins[a.group], h.accept_prob(a.point, a.group, a.feature)
+        assert abs(w.classifier.accept_prob(a.point, a.group, a.feature) - ((1.0 - p) * base + p * q)) <= 1e-15
+    repaired = getattr(oracles.group_stats(w.classifier, inst.corrupted), statistic)
+    assert all(abs(repaired[g] - target[g]) <= 1e-12 for g in target)
 
 
 class TestBestResponse:
@@ -343,6 +359,20 @@ def test_subnormal_pivot_overflows_quietly():
     w = best_response(dist, dist, [h], "dp")
     assert abs(w.error_on_original - oracles.lp_floor(dist, dist, h, "dp")) <= 1e-12
     assert w.gap_on_corrupted <= GAP_TOL
+
+
+def test_eodds_tiny_negative_mass_divides_without_overflow():
+    # B's negatives weigh 5e-311, so dividing B's positives by them would
+    # overflow; the FPR equality reads only the negatives' columns
+    m = 5e-311
+    dist = make_distribution(
+        [Atom("a1", 1, "A", 0.25), Atom("a2", 0, "A", 0.25), Atom("b1", 1, "B", 0.5 - m), Atom("b2", 0, "B", m)]
+    )
+    h = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
+    w = best_response(dist, dist, [h], "eodds")
+    assert w.error_on_original == 0.0
+    assert w.gap_on_corrupted <= GAP_TOL
+    assert Fraction(*certified_floor(dist, dist, h, "eodds")) == 0
 
 
 @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))

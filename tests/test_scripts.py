@@ -11,9 +11,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 #: (grid 41, seed 0).
 REPORT_SHA256 = {
     "calibration_drift": "b3d514fb1c0db0d2b91f2aa36f0d3da274669952310d69ed999850a191a5cedd",
-    "dp_worked": "d509e9a8f29046b1e5213e698daa3eb09990c730418537bcba7b0f622e5e5d6d",
-    "eodds_duplicate": "557ae886ff18c304bb01e584682f19e489598db514d7bc410704b3ad9edf1608",
-    "eopp_needle": "74e7ab5a57dedf87fad067196c6186c6dcaee5e761ac01fcdedf7efdca0bd9d4",
+    "dp_worked": "c23ecade826bfb6f35e21e311c4f7953f430c74ce31509fc0c422fda4f212856",
+    "eodds_duplicate": "528b269e2ce19501ff2f4cf09e78305bc3bd50b8770b6d61d02867030247cd13",
+    "eopp_needle": "eebc44181626f76f56abda40e2321d9748fdf88c94595c0d920f3802b4135c52",
 }
 
 #: SHA-256 of each report.csv, the same run
@@ -47,7 +47,7 @@ ADVERSARY_PROBE_SEED_1 = "94ea7428b791a69d70c2e6917baa69ed8051c7903f2db2d6bfcf72
 
 #: SHA-256 of all 150 lines adversary_probe.py prints, predictive parity
 #: included
-ADVERSARY_PROBE = "8f40e91913960708cd18063c3d789e538bb84375bea4c91235f4ad0f07acef14"
+ADVERSARY_PROBE = "be819fd14a24dcf9685f74621869181648e6f24c1890a7f6925861eb0e7fd019"
 
 
 def load_script(name: str):
