@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import BaseClassifier, _table_error, as_pq, cell_index, mass_table
+from .classifiers import BaseClassifier, as_pq, cell_index, error_terms, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError, integer, number
-from .repair import best_response, grid_responses, grid_size, option_classifier, statistic_inputs
+from .repair import _check_search, best_response, grid_responses, grid_size, statistic_inputs
 
 
 def duplicate_flip_attack(
@@ -123,7 +123,7 @@ def tpr_shift_attack(
 #: Most distinct rows :func:`grid_worst_case` sends to one
 #: :func:`grid_responses` call. The vertex search holds about 75 KB per
 #: predictive-parity row (four candidate precisions of 70 active sets) and
-#: 7 KB per dp row, so a block peaks near 38 MB (tracemalloc).
+#: 6 KB per dp row, so a block peaks near 38 MB (tracemalloc).
 SEARCH_BLOCK = 512
 #: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
 #: mixtures grow with it, C(classes, 2) (resolution - 1) of them.
@@ -147,21 +147,24 @@ def grid_worst_case(
     the same cells of every table. So the search runs over these classes,
     each stood for by the atom of its first key, which takes that key's
     clean feature where it has one, as any mixture with ``dist`` does. The
-    candidates, in order: each class's point mass; the duplicate-flip
-    attack of each group whose budget suffices, as the mass it puts on each
-    class; and every two-class mixture (i / resolution, 1 - i / resolution)
-    for 0 < i < resolution. A candidate's tables are the linear mix
-    (1 - alpha) clean + alpha (weights @ class-to-cell map). The learner
-    reads a table only through :func:`repair.statistic_inputs`, so each
-    distinct input, keyed by its raw bytes (so -0.0 and 0.0 differ), is
-    answered once, in order of first occurrence, by :func:`grid_responses`
-    stacks of at most ``SEARCH_BLOCK`` rows. The first candidate within
+    candidates are the rows of one weight matrix over the classes: each
+    class's point mass; each group's duplicate-flip attack where the budget
+    suffices; and every two-class mixture (i / resolution, 1 - i /
+    resolution), 0 < i < resolution. Their tables, (1 - alpha) clean +
+    alpha (weights @ class-to-cell map), are stacked under the clean tables.
+    The learner reads a table only through :func:`repair.statistic_inputs`,
+    so each distinct input, keyed by its raw bytes, is answered once, in
+    order of first occurrence, by :func:`grid_responses` stacks of at most
+    ``SEARCH_BLOCK`` rows; the clean row's answer is the clean optimum.
+    Each distinct answer (k, x) is scored as :func:`classifiers.error`
+    scores it, on hypothesis k's clean table. The first candidate within
     1e-12 of the largest excess wins; its Q is built from the class atoms,
-    and the excess returned is measured again as :func:`best_response` on
+    and its excess is measured again as :func:`best_response` on
     ``mix(dist, q, alpha)`` minus the clean optimum. The search raises what
-    :func:`best_response` raises on the first candidate that raises. Its
-    cost is set by the number of classes, at most 2**(len(hypotheses) + 1)
-    per group, not by the number of atoms. ``grid_n`` is only checked.
+    :func:`best_response` raises on the clean distribution, else on the
+    first candidate that raises. Its cost is set by the number of classes,
+    at most 2**(len(hypotheses) + 1) per group, not by the number of atoms.
+    ``grid_n`` is only checked.
 
     Raises ``InputError`` before any search when ``alpha`` is not a number
     in [0, 1], or ``resolution`` or ``grid_n`` is not an integer (an
@@ -175,7 +178,8 @@ def grid_worst_case(
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise InputError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
 
-    opt = best_response(dist, dist, hypotheses, notion, grid_n=grid_n).error_on_original
+    clean_tables = [mass_table(h, dist) for h in hypotheses]
+    _check_search(dist.groups, hypotheses, notion)
     bases, groups = [as_pq(h).base for h in hypotheses], dist.groups
     feature = {a.key: a.feature for a in dist.atoms}
     classes: dict[tuple, int] = {}  # (group, cell under each hypothesis) -> class
@@ -188,43 +192,45 @@ def grid_worst_case(
             c = class_of[g, p, y] = classes.setdefault((g, cells), len(classes))
             if c == len(atoms):
                 atoms.append(Atom(p, y, g, 1.0, x))
-    to_cells = np.zeros((len(atoms), len(bases), len(groups), 4))
+    n = len(atoms)
+    to_cells = np.zeros((n, len(bases), len(groups), 4))
     for (g, cells), c in classes.items():
         to_cells[c, range(len(bases)), groups.index(g), cells] = 1.0
 
-    weights = list(np.eye(len(atoms)))
+    flips = []  # each duplicate flip's mass on each class
     if 0.0 < alpha < 1.0:
         for g in groups:
             try:
                 q, _ = duplicate_flip_attack(dist, g, alpha)
             except InputError:
                 continue
-            weights.append(np.zeros(len(atoms)))
-            for a in q.atoms:
-                weights[-1][class_of[a.key]] += a.mass
-    for i, j in itertools.combinations(range(len(atoms)), 2):
-        for s in range(1, resolution):
-            weights.append(np.zeros(len(atoms)))
-            weights[-1][[i, j]] = s / resolution, 1.0 - s / resolution
+            flips.append(np.bincount([class_of[a.key] for a in q.atoms], [a.mass for a in q.atoms], n))
+    pairs = np.reshape(list(itertools.combinations(range(n), 2)), (-1, 1, 2)).astype(int)  # each pair of classes
+    weights = np.zeros((n + len(flips) + len(pairs) * (resolution - 1), n))
+    weights[: n + len(flips)] = np.concatenate((np.eye(n), np.reshape(flips, (-1, n))))  # point masses, flips
+    mixtures = weights[n + len(flips) :].reshape(len(pairs), resolution - 1, n)  # a view: (pairs, steps, classes)
+    share = np.arange(1, resolution)[:, None] / resolution
+    np.put_along_axis(mixtures, pairs, np.hstack((share, 1.0 - share)), axis=2)
 
-    clean_tables = [mass_table(h, dist) for h in hypotheses]
-    clean = np.array([[table[g] for g in groups] for table in clean_tables])
-    tables = (1.0 - alpha) * clean + alpha * np.tensordot(weights, to_cells, axes=1)
-    inputs = statistic_inputs(tables.reshape(-1, 4), notion).reshape(len(tables), -1)
-    stat_keys = [row.tobytes() for row in inputs]
-    first: dict[bytes, int] = {}  # each distinct input's first candidate
-    for r, stat_key in enumerate(stat_keys):
-        first.setdefault(stat_key, r)
-    order, responses = list(first.values()), []
+    clean = np.reshape([[table[g] for g in groups] for table in clean_tables], to_cells.shape[1:])
+    tables = np.concatenate((clean[None], (1.0 - alpha) * clean + alpha * np.tensordot(weights, to_cells, axes=1)))
+    # rows keyed by the raw bytes of their statistic inputs, so -0.0 and 0.0 differ
+    inputs = np.ascontiguousarray(statistic_inputs(tables, notion)).reshape(len(tables), -1)
+    keys = inputs.view(np.dtype((np.void, inputs.itemsize * inputs.shape[1]))).ravel().tolist()
+    distinct: dict[bytes, int] = {}  # each distinct input's index, in order of first occurrence
+    which = np.array([distinct.setdefault(key, len(distinct)) for key in keys])
+    order, responses = np.unique(which, return_index=True)[1], []  # each distinct input's first row
     for start in range(0, len(order), SEARCH_BLOCK):  # rows are independent, so blocks move no bit
-        rows = tables[order[start : start + SEARCH_BLOCK]]
-        dirty = [{g: rows[:, k, i] for i, g in enumerate(groups)} for k in range(len(bases))]
+        block = tables[order[start : start + SEARCH_BLOCK]]
+        dirty = [{g: block[:, k, i] for i, g in enumerate(groups)} for k in range(len(bases))]
         responses += grid_responses(dirty, dist, hypotheses, notion)
-    searched = dict(zip(first, responses))
-    winners = {response[1:] for response in searched.values()}  # each distinct (k, x)
-    errors = {(k, x): _table_error(option_classifier(hypotheses[k], groups, x), clean_tables[k]) for k, x in winners}
-    excess = [errors[searched[stat_key][1:]] - opt for stat_key in stat_keys]
-    top = max(excess)
-    win = weights[next(r for r, e in enumerate(excess) if e >= top - 1e-12)]
+    ga, gb = groups
+    score = {  # each distinct (k, x), as classifiers.error scores it
+        (k, x): math.fsum(error_terms(clean_tables[k][ga], *x[:2]) + error_terms(clean_tables[k][gb], *x[2:]))
+        for k, x in {response[1:] for response in responses}
+    }
+    opt = score[responses[0][1:]]  # row 0 is the clean optimum
+    excess = np.array([score[response[1:]] for response in responses])[which[1:]] - opt
+    win = weights[np.argmax(excess >= excess.max() - 1e-12)]
     q = make_distribution([replace(a, mass=w) for a, w in zip(atoms, win.tolist()) if w > 0.0], groups=groups)
     return q, best_response(mix(dist, q, alpha), dist, hypotheses, notion, grid_n=grid_n).error_on_original - opt

@@ -209,22 +209,23 @@ def error_terms(cells, u, v):
 def error(h: BaseClassifier | PQClassifier, dist: Distribution) -> float:
     """Exact misclassification probability."""
     pq = as_pq(h)
-    return _table_error(pq, mass_table(pq, dist))
-
-
-def _table_error(pq: PQClassifier, table: Mapping[str, tuple[float, ...]]) -> float:
-    """:func:`error` of ``pq`` on the distribution whose mass table under
-    pq's base is ``table``."""
-    return math.fsum(t for g, cells in table.items() for t in error_terms(cells, *pq.uv(g)))
+    return math.fsum(t for g, cells in mass_table(pq, dist).items() for t in error_terms(cells, *pq.uv(g)))
 
 
 def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupStats:
     pq = as_pq(h)
+    return _table_stats(pq, mass_table(pq, dist))
+
+
+def _table_stats(pq: PQClassifier, table: Mapping[str, tuple[float, ...]]) -> GroupStats:
+    """:func:`group_stats` of ``pq`` on the distribution whose mass table
+    under pq's base is ``table``, so a caller that holds the table reads
+    the atoms once."""
     rate: dict[str, float] = {}
     tpr: dict[str, float | None] = {}
     fpr: dict[str, float | None] = {}
     ppv: dict[str, float | None] = {}
-    for g, cells in mass_table(pq, dist).items():
+    for g, cells in table.items():
         m1p, m1n, m0p, m0n = cells
         u, v = pq.uv(g)
         r = math.fsum(cells)
@@ -234,7 +235,7 @@ def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupSt
         neg = math.fsum((m1n, m0n))
         acc_mass = math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
         acc_pos = math.fsum((u * m1p, v * m0p))
-        acc_neg = acc_mass - acc_pos
+        acc_neg = math.fsum((u * m1n, v * m0n))
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None

@@ -28,6 +28,7 @@ from .classifiers import (
     GAP_TOL,
     BaseClassifier,
     PQClassifier,
+    _table_stats,
     as_pq,
     error,
     error_terms,
@@ -188,16 +189,17 @@ def grid_size(grid_n: object) -> int:
 
 
 def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
-    """The floats of stacked mass tables (rows of m1p, m1n, m0p, m0n) that
-    the notion's option statistics and denominator checks read, one row per
-    table: (m1p + m1n, m0p + m0n, m1p + m1n + m0p + m0n) for dp, (m1p, m0p)
-    for eopp, all four cells otherwise. Sums run left to right, as in the
-    statistics. A best response depends on a table only through these."""
+    """The floats of stacked mass tables (m1p, m1n, m0p, m0n on the last
+    axis) that the notion's option statistics and denominator checks read,
+    one row per table: (m1p + m1n, m0p + m0n, m1p + m1n + m0p + m0n) for
+    dp, (m1p, m0p) for eopp, all four cells otherwise. Sums run left to
+    right, as in the statistics. A best response depends on a table only
+    through these."""
     if notion == "dp":
-        pos = cells[:, 0] + cells[:, 1]
-        return np.stack((pos, cells[:, 2] + cells[:, 3], pos + cells[:, 2] + cells[:, 3]), axis=1)
+        pos = cells[..., 0] + cells[..., 1]
+        return np.stack((pos, cells[..., 2] + cells[..., 3], pos + cells[..., 2] + cells[..., 3]), axis=-1)
     if notion == "eopp":
-        return cells[:, (0, 2)]
+        return cells[..., (0, 2)]
     return cells
 
 
@@ -364,9 +366,13 @@ def _lp_vertices(
     meets its triangle rows exactly. A vertex that misses a constraint by
     more than ``_LP_TOL`` is infeasible, and the others are clamped to the
     triangles. The equalities are homogeneous, so accepting nothing meets
-    them all, and a row always has a feasible vertex. Every product with E
-    is summed left to right over its four columns, and no step reduces
-    across rows, so each row gets the same bits in any stack. The work is
+    them all, and a row always has a feasible vertex. Each sum over the
+    four columns is one broadcast product reduced over a non-inner axis,
+    which numpy adds slice by slice in order, and both groups' error terms
+    come from one (4, groups, 1, 1) stack of clean cells. No step reduces
+    across rows, so each row gets the same bits in any stack. A sum begun
+    at 0 differs only in the sign of a zero, which x0 + D t, the
+    ``det == 0.0`` test and the + 0.0 after the clamps erase. The work is
     laid out as (..., subsets, rows), so numpy's inner loops run over the
     rows."""
     rows, n_eq, _ = eq.shape
@@ -374,8 +380,8 @@ def _lp_vertices(
     # the four columns of eq's rows and of one zero row, rows last: (4, n_eq + 1, rows)
     columns = np.concatenate((eq, np.zeros((rows, 1, 4))), axis=1).transpose(2, 1, 0).copy()
     e = columns[:, held]  # (4, n_eq, subsets, rows)
-    ed = sum((e[j][:, None] * d[j] for j in range(4)), pad)  # (n_eq, n_eq, subsets, rows)
-    rhs = -sum(e[j] * x0[j] for j in range(4))
+    ed = (e[:, :, None] * d[:, None]).sum(axis=0) + pad  # (n_eq, n_eq, subsets, rows)
+    rhs = -(e * x0[:, None]).sum(axis=0)
     if n_eq == 1:
         det, t = ed[0, 0], rhs
     else:
@@ -385,15 +391,16 @@ def _lp_vertices(
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular subset may overflow; it is infeasible
         # a singular subset's t is NaN, and so is each entry of its x, since 0 * NaN is NaN
         t = t / np.where(det == 0.0, np.nan, det)
-        x = x0 + sum(d[:, i] * t[i] for i in range(n_eq))  # (4, subsets, rows)
-        miss = sum(columns[j, :n_eq, None] * x[j] for j in range(4))  # (equalities, subsets, rows)
-    u, v = x[::2], x[1::2]
+        x = x0 + (d * t).sum(axis=1)  # (4, subsets, rows)
+        miss = (columns[:, :n_eq, None] * x[:, None]).sum(axis=0)  # (equalities, subsets, rows)
+    u, v = x[::2], x[1::2]  # clamped in place
     feasible = (np.abs(miss) <= _LP_TOL).all(axis=0)
     feasible &= ((-v <= _LP_TOL) & (v - u <= _LP_TOL) & (u - 1.0 <= _LP_TOL)).all(axis=0)
-    u = np.clip(u, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
-    v = np.clip(v, 0.0, u) + 0.0
-    err = sum(sum(error_terms(clean_table[g], u[i], v[i])) for i, g in enumerate(groups))
-    return np.where(feasible, err, np.inf).T, np.stack((u, v), axis=1).reshape(x.shape).T, subsets
+    np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+    np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
+    x += 0.0  # turns -0.0 into 0.0
+    err = sum(error_terms(np.array([clean_table[g] for g in groups]).T[..., None, None], u, v)).sum(axis=0)
+    return np.where(feasible, err, np.inf).T, x.T, subsets
 
 
 def _first_empty(inputs: Mapping[str, np.ndarray], notion: str) -> tuple[int, InputError | None]:
@@ -407,6 +414,16 @@ def _first_empty(inputs: Mapping[str, np.ndarray], notion: str) -> tuple[int, In
     rows = int(bad.argmax())
     g, what = next(check for check, z in zero.items() if z[rows])
     return rows, InputError(f"group {g!r} has no {what} on the corrupted distribution")
+
+
+def _check_search(groups: Sequence[str], hypotheses: Sequence, notion: str) -> None:
+    """The argument checks of :func:`grid_responses`, in its order."""
+    if len(groups) != 2:
+        raise InputError("best_response searches exactly two groups")
+    if not hypotheses:
+        raise InputError("hypothesis list is empty")
+    if notion not in _DENOMINATORS:
+        raise InputError(f"best_response does not support notion {notion!r}")
 
 
 def grid_responses(
@@ -433,13 +450,7 @@ def grid_responses(
     ``InputError`` when a group lacks the mass the notion divides by,
     ``InfeasibleError`` when the groups' precision ranges do not meet.
     """
-    if len(clean.groups) != 2:
-        raise InputError("best_response searches exactly two groups")
-    if not hypotheses:
-        raise InputError("hypothesis list is empty")
-    if notion not in _DENOMINATORS:
-        raise InputError(f"best_response does not support notion {notion!r}")
-
+    _check_search(clean.groups, hypotheses, notion)
     ga, gb = clean.groups
     inputs = [{g: statistic_inputs(t[g], notion) for g in (ga, gb)} for t in dirty]
     # a group's mass does not depend on the hypothesis
@@ -579,13 +590,12 @@ def best_response(
     meet. ``grid_n`` is only checked. This is the one-row case of
     :func:`grid_responses`.
     """
-    dirty = [
-        {g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()} for h in hypotheses
-    ]
+    tables = [mass_table(h, corrupted) for h in hypotheses]
+    dirty = [{g: np.array([cells]) for g, cells in table.items()} for table in tables]
     grid_size(grid_n)
     ((_, k, x),) = grid_responses(dirty, clean, hypotheses, notion)
     repaired = option_classifier(hypotheses[k], clean.groups, x)
-    gap = fairness_gap(group_stats(repaired, corrupted), notion)
+    gap = fairness_gap(_table_stats(repaired, tables[k]), notion)
     err = error(repaired, clean)
     return RepairWitness(
         classifier=repaired,

@@ -378,7 +378,7 @@ def group_stats(h, dist):
         neg = math.fsum(a.mass for a in atoms if a.label == 0)
         acc_mass = math.fsum(a.mass * acc_of[a.key] for a in atoms)
         acc_pos = math.fsum(a.mass * acc_of[a.key] for a in atoms if a.label == 1)
-        acc_neg = acc_mass - acc_pos
+        acc_neg = math.fsum(a.mass * acc_of[a.key] for a in atoms if a.label == 0)
         rate[g] = acc_mass / r
         tpr[g] = acc_pos / pos if pos > 0.0 else None
         fpr[g] = acc_neg / neg if neg > 0.0 else None

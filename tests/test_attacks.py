@@ -412,8 +412,11 @@ class TestGridWorstCaseMatchesReference:
         grid_worst_case(dist, 0.25, [h], notion, resolution=4)
         candidates = oracles.class_candidates(dist, 0.25, [h], 4)
         tables, inputs = zip(*(_table_and_input(dist, h, q, 0.25, notion) for q in candidates))
-        # in order of first occurrence, one row per distinct input
-        assert received == list(dict.fromkeys(inputs))
+        clean = mass_table(h, dist)
+        clean_input = b"".join(statistic_inputs(np.array([clean[g]]), notion).tobytes() for g in dist.groups)
+        # the clean table's input first, then in order of first occurrence,
+        # one row per distinct input
+        assert received == list(dict.fromkeys([clean_input, *inputs]))
         assert len(received) < len(set(tables))
 
     @pytest.mark.parametrize(
@@ -466,6 +469,59 @@ class TestGridWorstCaseMatchesReference:
             grid_worst_case(dist, 1.0, [h], "dp", resolution=3)
 
 
+#: SHA-256 of the adversary probe's lines for its strata at seeds 1-3; a
+#: search that measures the clean optimum with a best_response call of its
+#: own prints the same lines
+STRATA_SEEDS_1_3 = "086c772a2daaeebd786b079e3ae8e7aa9b744dcf8185d9aa71ee4f4d7393e1e0"
+
+
+class TestOneBestResponse:
+    """The clean optimum is row 0 of the search's stack, so the search
+    calls best_response only to measure its winner again."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return best_response(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "best_response", counted)
+        return calls
+
+    def test_strata_measure_only_the_winner(self, monkeypatch):
+        probe = load_script("adversary_probe")
+        calls = self._count(monkeypatch)
+        lines = []
+        for search in probe.strata_searches([1, 2, 3]):
+            lines += probe.probe_lines([search])
+            assert len(calls) == len(lines)
+        assert probe.digest(lines) == STRATA_SEEDS_1_3
+
+    @pytest.mark.parametrize(
+        "dist, h, notion",
+        [
+            # group B has no positives
+            (
+                make_distribution([Atom("a1", 1, "A", 0.4), Atom("a2", 0, "A", 0.3), Atom("b1", 0, "B", 0.3)]),
+                BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 0}),
+                "eopp",
+            ),
+            # the groups' precision ranges do not meet on the clean distribution
+            (*families.random_dp_instance(np.random.default_rng(1), max_atoms=4), "predictive_parity"),
+        ],
+        ids=("eopp-no-positives", "pp-infeasible"),
+    )
+    def test_a_clean_table_that_raises_raises_as_best_response(self, monkeypatch, dist, h, notion):
+        with pytest.raises(FairnoiseError) as expected:
+            best_response(dist, dist, [h], notion)
+        calls = self._count(monkeypatch)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            grid_worst_case(dist, 0.1, [h], notion, resolution=4)
+        assert calls == []
+
+
 class TestSearchCost:
     """The search runs over classes of keys, so its cost does not grow with
     the number of atoms."""
@@ -484,9 +540,9 @@ class TestSearchCost:
         assert len(seen) == 1
 
     def test_high_resolution_stays_small_in_memory(self, monkeypatch):
-        # predictive parity at the largest resolution, 100, searches 2,780
-        # distinct rows, in blocks; in one stack the LAPACK vertex search
-        # peaked at 207 MB
+        # predictive parity at the largest resolution, 100, searches 2,781
+        # distinct rows, the clean table's first, in blocks; in one stack
+        # the LAPACK vertex search peaked at 207 MB
         dist, h = families.random_dp_instance(np.random.default_rng(0), max_atoms=8)
         blocks = []
 

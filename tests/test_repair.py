@@ -375,6 +375,27 @@ def test_eodds_tiny_negative_mass_divides_without_overflow():
     assert Fraction(*certified_floor(dist, dist, h, "eodds")) == 0
 
 
+def test_eodds_false_positive_rate_does_not_cancel():
+    # B's negatives weigh 2e-10 next to its positives' 0.5 - 2e-10, so its
+    # FPR numerator taken as accepted mass minus accepted positives cancels
+    # to 0.5000000413701855; at the LP optimum B's exact FPR is 1/2, as A's
+    m = 1e-10
+    dist = make_distribution(
+        [
+            Atom("a1", 1, "A", 0.25),
+            Atom("a2", 0, "A", 0.25),
+            Atom("b1", 1, "B", 0.5 - 2 * m),
+            Atom("b1", 0, "B", m),
+            Atom("b2", 0, "B", m),
+        ]
+    )
+    h = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
+    w = best_response(dist, dist, [h], "eodds")
+    assert w.classifier.params == {"A": (1.0, 0.5), "B": (1.0, 0.0)}
+    assert group_stats(w.classifier, dist).fpr == {"A": 0.5, "B": 0.5}
+    assert w.gap_on_corrupted == 0.0
+
+
 @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
 def test_predictive_parity_floor_is_the_closed_form(alpha):
     # washed out, group B has precision 1/2 at every option that accepts
