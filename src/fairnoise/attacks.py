@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import BaseClassifier, as_pq, cell_index, error_terms, mass_table
 from .distributions import Atom, Distribution, make_distribution, mix
 from .errors import InputError, integer, number
-from .repair import _check_search, best_response, grid_responses, grid_size, statistic_inputs
+from .repair import _check_search, _one_row, _solve, _witness, grid_size, statistic_inputs
 
 
 def duplicate_flip_attack(
@@ -121,9 +121,10 @@ def tpr_shift_attack(
 
 
 #: Most distinct rows :func:`grid_worst_case` sends to one
-#: :func:`grid_responses` call. The vertex search holds about 75 KB per
-#: predictive-parity row (four candidate precisions of 70 active sets) and
-#: 6 KB per dp row, so a block peaks near 38 MB (tracemalloc).
+#: :func:`repair._solve` stack. The vertex search holds about 75 KB per
+#: predictive-parity row and hypothesis (four candidate precisions of 70
+#: active sets) and 6 KB per dp row, so a one-hypothesis block peaks near
+#: 38 MB (tracemalloc).
 SEARCH_BLOCK = 512
 #: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
 #: mixtures grow with it, C(classes, 2) (resolution - 1) of them.
@@ -154,13 +155,15 @@ def grid_worst_case(
     alpha (weights @ class-to-cell map), are stacked under the clean tables.
     The learner reads a table only through :func:`repair.statistic_inputs`,
     so each distinct input, keyed by its raw bytes, is answered once, in
-    order of first occurrence, by :func:`grid_responses` stacks of at most
-    ``SEARCH_BLOCK`` rows; the clean row's answer is the clean optimum.
-    Each distinct answer (k, x) is scored as :func:`classifiers.error`
-    scores it, on hypothesis k's clean table. The first candidate within
-    1e-12 of the largest excess wins; its Q is built from the class atoms,
-    and its excess is measured again as :func:`best_response` on
-    ``mix(dist, q, alpha)`` minus the clean optimum. The search raises what
+    order of first occurrence, by :func:`repair._solve` stacks of at most
+    ``SEARCH_BLOCK`` rows over the clean tables; the clean row's answer is
+    the clean optimum. Each hypothesis's clean mass table is read once, and
+    each distinct answer (k, x) is scored on hypothesis k's as
+    :func:`classifiers.error` scores it. The first candidate within 1e-12
+    of the largest excess wins; its Q is built from the class atoms, and
+    its excess is measured again as :func:`best_response` measures it on
+    ``mix(dist, q, alpha)``, minus the clean optimum, from the mixture's
+    mass tables and the same clean tables. The search raises what
     :func:`best_response` raises on the clean distribution, else on the
     first candidate that raises. Its cost is set by the number of classes,
     at most 2**(len(hypotheses) + 1) per group, not by the number of atoms.
@@ -221,16 +224,20 @@ def grid_worst_case(
     which = np.array([distinct.setdefault(key, len(distinct)) for key in keys])
     order, responses = np.unique(which, return_index=True)[1], []  # each distinct input's first row
     for start in range(0, len(order), SEARCH_BLOCK):  # rows are independent, so blocks move no bit
-        block = tables[order[start : start + SEARCH_BLOCK]]
-        dirty = [{g: block[:, k, i] for i, g in enumerate(groups)} for k in range(len(bases))]
-        responses += grid_responses(dirty, dist, hypotheses, notion)
+        solved, error, _ = _solve(tables[order[start : start + SEARCH_BLOCK]], clean[None], groups, notion)
+        if error is not None:
+            raise error
+        responses += [(k, x) for _, k, x, _ in solved]
     ga, gb = groups
     score = {  # each distinct (k, x), as classifiers.error scores it
         (k, x): math.fsum(error_terms(clean_tables[k][ga], *x[:2]) + error_terms(clean_tables[k][gb], *x[2:]))
-        for k, x in {response[1:] for response in responses}
+        for k, x in set(responses)
     }
-    opt = score[responses[0][1:]]  # row 0 is the clean optimum
-    excess = np.array([score[response[1:]] for response in responses])[which[1:]] - opt
+    opt = score[responses[0]]  # row 0 is the clean optimum
+    excess = np.array([score[response] for response in responses])[which[1:]] - opt
     win = weights[np.argmax(excess >= excess.max() - 1e-12)]
     q = make_distribution([replace(a, mass=w) for a, w in zip(atoms, win.tolist()) if w > 0.0], groups=groups)
-    return q, best_response(mix(dist, q, alpha), dist, hypotheses, notion, grid_n=grid_n).error_on_original - opt
+    corrupted = mix(dist, q, alpha)
+    mixed = [mass_table(h, corrupted) for h in hypotheses]
+    (_, k, x, _), _ = _one_row(mixed, clean_tables, groups, notion)
+    return q, _witness(hypotheses[k], groups, x, notion, mixed[k], clean_tables[k], opt, None).excess_error_on_original

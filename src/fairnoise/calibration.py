@@ -1,6 +1,6 @@
 """Binned real-valued predictors, group-wise calibration error, per-group
-recalibration, the parity-calibration check, and the binnings and bin values
-the parity-calibration floor searches."""
+recalibration, the parity-calibration check, and the parity-calibration
+floor with the binnings and bin values it searches."""
 
 from __future__ import annotations
 
@@ -182,3 +182,45 @@ def parity_calibration_check(
         occ = [report.occupancy.get((g, b), 0.0) for g in dist.groups]
         gap = max(gap, max(occ) - min(occ))
     return is_calibrated, gap
+
+
+#: Most support points parity_calibration_attack_certify enumerates the set
+#: partitions of: Bell(10) = 115,975 candidate binnings.
+MAX_CALIBRATION_POINTS = 10
+
+
+def parity_calibration_attack_certify(inst) -> float:
+    """Minimum clean L1 error over binned predictors that satisfy parity
+    calibration on the corrupted distribution of ``inst`` (a
+    :class:`families.Instance`) within GAP_TOL.
+
+    Exact over binned predictors with one value per bin: a binning is a set
+    partition of the support points, and every one is enumerated. A bin
+    whose per-group occupancy differs by more than GAP_TOL rejects the
+    partition. Calibration confines each bin's value to the window within
+    GAP_TOL of every group's corrupted label mean there; clean error is
+    linear in the value, so the better end of the window is optimal. On
+    the duplication instance, washed-out labels give the small group
+    one-half means; parity drags the large group into one bin with it,
+    valued 1/2. More than MAX_CALIBRATION_POINTS points raise ``InputError``
+    before any enumeration.
+    """
+    dist, corrupted = inst.dist, inst.corrupted
+    points = sorted({a.point for a in (*dist.atoms, *corrupted.atoms)})
+    if len(points) > MAX_CALIBRATION_POINTS:
+        raise InputError(f"{len(points)} points exceed parity calibration's cap of {MAX_CALIBRATION_POINTS}")
+    floor = math.inf
+    for code in binnings(len(points)):
+        assignment = dict(zip(points, code))
+        report = calibration_report(BinnedPredictor(assignment, dict.fromkeys(code, 0.0)), corrupted)
+        slope = dict.fromkeys(code, 0.0)  # d(clean error) / d(bin value)
+        for a in dist.atoms:
+            slope[assignment[a.point]] += a.mass * (1 - 2 * a.label)
+        values = {b: calibrated_value(report, corrupted.groups, b, slope[b]) for b in slope}
+        # calibrated_value enforces both windows, occupancy and calibration,
+        # so every candidate it values passes parity_calibration_check
+        if None not in values.values():
+            floor = min(floor, l1_error(BinnedPredictor(assignment, values), dist))
+    if not math.isfinite(floor):
+        raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
+    return floor

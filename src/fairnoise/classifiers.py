@@ -208,8 +208,13 @@ def error_terms(cells, u, v):
 
 def error(h: BaseClassifier | PQClassifier, dist: Distribution) -> float:
     """Exact misclassification probability."""
-    pq = as_pq(h)
-    return math.fsum(t for g, cells in mass_table(pq, dist).items() for t in error_terms(cells, *pq.uv(g)))
+    return _table_error(as_pq(h), mass_table(h, dist))
+
+
+def _table_error(pq: PQClassifier, table: Mapping[str, tuple[float, ...]]) -> float:
+    """:func:`error` of ``pq`` on the distribution whose mass table under
+    pq's base is ``table``."""
+    return math.fsum(t for g, cells in table.items() for t in error_terms(cells, *pq.uv(g)))
 
 
 def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupStats:

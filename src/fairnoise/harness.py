@@ -9,24 +9,17 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import families
-from .calibration import (
-    BinnedPredictor,
-    binnings,
-    calibrated_value,
-    calibration_report,
-    l1_error,
-    recalibrate_per_group,
-    value_shift,
-)
-from .classifiers import GAP_TOL, error, error_terms, mass_table
+from .calibration import calibration_report, parity_calibration_attack_certify, recalibrate_per_group, value_shift
+from .classifiers import GAP_TOL, error_terms, mass_table
 from .errors import ContractError, InputError, integer, number, text
-from .repair import best_response, certified_floor, dp_repair, eopp_repair, grid_responses, grid_size
+from .repair import _one_row, _repair, _sweep_responses, certified_floor, grid_size
 
 #: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
 #: family_params). The families function of the same name builds each
@@ -211,42 +204,36 @@ def regime_verdict(slope: float, betas: Sequence[float]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(config: ExperimentConfig, alpha: float) -> SweepPoint:
-    if config.family == "calibration_drift":
-        return _calibration_sweep_point(alpha)
+def _lp_sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
     notion, kind, defaults = SWEEP_FAMILIES[config.family]
     params = {k: config.family_params.get(k, v) for k, v in defaults.items()}
-    inst = getattr(families, config.family)(alpha, **params)
-    oracle = best_response(
-        inst.corrupted, inst.dist, [inst.h_star], notion, grid_n=config.grid_n,
-        reference_error=error(inst.h_star, inst.dist), alpha=alpha,
-    )
-    # no analytic repair exists in the constant regime: the oracle is the witness
-    analytic = {"dp": dp_repair, "eopp": eopp_repair}.get(notion)
-    witness = analytic(inst.h_star, inst.dist, inst.corrupted, alpha=alpha) if analytic else oracle
-
-    # The analytic witnesses are exact, and the best response is the exact
-    # LP minimum, so no witness may beat it.
-    if witness.gap_on_corrupted > GAP_TOL:
-        raise ContractError(
-            f"witness gap {witness.gap_on_corrupted:.3e} exceeds {GAP_TOL} at alpha={alpha}"
-        )
-    if oracle.error_on_original > witness.error_on_original + GAP_TOL:
-        raise ContractError(
-            f"best response ({oracle.error_on_original:.6f}) worse than the analytic "
-            f"witness ({witness.error_on_original:.6f}) at alpha={alpha}"
-        )
-    return SweepPoint(
-        alpha=alpha,
-        notion=witness.notion,
-        gap_corrupted=witness.gap_on_corrupted,
-        beta=witness.excess_error_on_original,
-        excess_oracle=oracle.excess_error_on_original,
-        attack={"kind": kind, "alpha": alpha, "target_group": "B", "parameters": params},
-        witness=witness.to_json_dict(),
-        dist=inst.dist.to_json_dict(),
-        contamination=inst.contamination.to_json_dict(),
-    )
+    instances = [getattr(families, config.family)(alpha, **params) for alpha in config.alphas]
+    # each instance's two mass tables, read once for the stack and the witness
+    rows = [(a, i.h_star, mass_table(i.h_star, i.corrupted), mass_table(i.h_star, i.dist))
+            for a, i in zip(config.alphas, instances)]
+    oracles, error = _sweep_responses(rows, notion)
+    points = []
+    for (alpha, h, dirty, clean), inst, oracle in zip(rows, instances, oracles):
+        # no analytic repair exists in the constant regime: the oracle is the witness
+        witness = oracle if notion == "eodds" else _repair(h, clean, dirty, notion, alpha)
+        # The analytic witnesses are exact, and the best response is the
+        # exact LP minimum, so no witness may beat it.
+        if witness.gap_on_corrupted > GAP_TOL:
+            raise ContractError(f"witness gap {witness.gap_on_corrupted:.3e} exceeds {GAP_TOL} at alpha={alpha}")
+        if oracle.error_on_original > witness.error_on_original + GAP_TOL:
+            raise ContractError(
+                f"best response ({oracle.error_on_original:.6f}) worse than the analytic "
+                f"witness ({witness.error_on_original:.6f}) at alpha={alpha}"
+            )
+        attack = {"kind": kind, "alpha": alpha, "target_group": "B", "parameters": params}
+        points.append(SweepPoint(
+            alpha, witness.notion, witness.gap_on_corrupted, witness.excess_error_on_original,
+            oracle.excess_error_on_original, attack, witness.to_json_dict(), inst.dist.to_json_dict(),
+            inst.contamination.to_json_dict(),
+        ))
+    if error is not None:
+        raise error
+    return points
 
 
 def _calibration_sweep_point(alpha: float) -> SweepPoint:
@@ -256,17 +243,8 @@ def _calibration_sweep_point(alpha: float) -> SweepPoint:
     if gap > GAP_TOL:
         raise ContractError(f"recalibration gap {gap:.3e} exceeds {GAP_TOL} at alpha={alpha}")
     shift = value_shift(predictor, repaired, corrupted)
-    return SweepPoint(
-        alpha=alpha,
-        notion="calibration",
-        gap_corrupted=gap,
-        beta=shift,
-        excess_oracle=shift,
-        attack={"kind": "identity", "alpha": alpha, "target_group": "A", "parameters": {}},
-        witness=repaired.to_json_dict(),
-        dist=dist.to_json_dict(),
-        contamination={},
-    )
+    attack = {"kind": "identity", "alpha": alpha, "target_group": "A", "parameters": {}}
+    return SweepPoint(alpha, "calibration", gap, shift, shift, attack, repaired.to_json_dict(), dist.to_json_dict(), {})
 
 
 def run_sweep(config: ExperimentConfig) -> RobustnessReport:
@@ -276,11 +254,20 @@ def run_sweep(config: ExperimentConfig) -> RobustnessReport:
     violating its gap contract, or beating the best response, aborts the
     sweep.
 
-    Points run one after another in the caller's thread, whatever
-    ``config.jobs`` holds: each is milliseconds of work that holds the
-    interpreter lock, so threads cannot overlap it. ``jobs`` is only
-    recorded in the report."""
-    points = [_sweep_point(config, a) for a in config.alphas]
+    An LP family builds every alpha's instance and reads its clean and
+    corrupted mass tables once. All alphas are then the rows of one solver
+    stack (:func:`repair._solve`), each with its own clean table, and the
+    analytic witness does its rate matching on the same two tables. The
+    sweep raises what the first alpha to fail raises, as if the points ran
+    one by one. A family's build fails only for an alpha below its budget
+    (eodds_duplicate's duplicate flip), and the alphas increase, so a
+    failing build is the first alpha's and raises before any solve. The
+    stack reports its first row that cannot be solved; the points before it
+    are checked in alpha order, and then that row's error is raised.
+    Everything runs in the caller's thread, whatever ``config.jobs`` holds,
+    which is only recorded in the report."""
+    calibration = config.family == "calibration_drift"
+    points = [_calibration_sweep_point(a) for a in config.alphas] if calibration else _lp_sweep_points(config)
 
     betas = [p.beta for p in points]
     slope, intercept, r_squared = fit_loglog([(p.alpha, p.beta) for p in points])
@@ -307,47 +294,6 @@ def _duplication(alpha: float) -> families.Instance:
     return families.eodds_duplicate(alpha, 0.9 * alpha)
 
 
-#: Most support points parity_calibration_attack_certify enumerates the set
-#: partitions of: Bell(10) = 115,975 candidate binnings.
-MAX_CALIBRATION_POINTS = 10
-
-
-def parity_calibration_attack_certify(inst: families.Instance) -> float:
-    """Minimum clean L1 error over binned predictors that satisfy parity
-    calibration on the instance's corrupted distribution within GAP_TOL.
-
-    Exact over binned predictors with one value per bin: a binning is a set
-    partition of the support points, and every one is enumerated. A bin
-    whose per-group occupancy differs by more than GAP_TOL rejects the
-    partition. Calibration confines each bin's value to the window within
-    GAP_TOL of every group's corrupted label mean there; clean error is
-    linear in the value, so the better end of the window is optimal. On
-    the duplication instance, washed-out labels give the small group
-    one-half means; parity drags the large group into one bin with it,
-    valued 1/2. More than MAX_CALIBRATION_POINTS points raise ``InputError``
-    before any enumeration.
-    """
-    dist, corrupted = inst.dist, inst.corrupted
-    points = sorted({a.point for a in (*dist.atoms, *corrupted.atoms)})
-    if len(points) > MAX_CALIBRATION_POINTS:
-        raise InputError(f"{len(points)} points exceed parity calibration's cap of {MAX_CALIBRATION_POINTS}")
-    floor = math.inf
-    for code in binnings(len(points)):
-        assignment = dict(zip(points, code))
-        report = calibration_report(BinnedPredictor(assignment, dict.fromkeys(code, 0.0)), corrupted)
-        slope = dict.fromkeys(code, 0.0)  # d(clean error) / d(bin value)
-        for a in dist.atoms:
-            slope[assignment[a.point]] += a.mass * (1 - 2 * a.label)
-        values = {b: calibrated_value(report, corrupted.groups, b, slope[b]) for b in slope}
-        # calibrated_value enforces both windows, occupancy and calibration,
-        # so every candidate it values passes parity_calibration_check
-        if None not in values.values():
-            floor = min(floor, l1_error(BinnedPredictor(assignment, values), dist))
-    if not math.isfinite(floor):
-        raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
-    return floor
-
-
 #: Certified notion -> (its hard instance at alpha, claimed floor at alpha).
 #: Builders are looked up in ``families`` per call, so a wrapper installed
 #: there sees every build.
@@ -369,10 +315,11 @@ def certify_lower_bound(
     fractions of ints with no slack; the floor returned is that fraction
     correctly rounded to a float. For EOpp and EOdds the floor is the LP
     minimum of clean error, proved by :func:`repair.certified_floor`'s dual
-    certificate. Predictive parity's is the infimum that
-    :func:`repair.grid_responses` solves over the common precision; parity
-    calibration's is :func:`parity_calibration_attack_certify`'s minimum
-    over every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
+    certificate. Predictive parity's is the infimum that one row of
+    :func:`repair._solve` finds over the common precision, on the
+    instance's two mass tables; parity calibration's is
+    :func:`calibration.parity_calibration_attack_certify`'s minimum over
+    every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
     sqrt(alpha)/2, which is the exact floor only for alpha <= 7 - 4 sqrt(3)
     (about 0.0718) and lies above it beyond; EOdds -> (1 - alpha) * r_A / 2;
     Predictive Parity and Parity Calibration -> the fixed 0.2 floor.
@@ -390,9 +337,8 @@ def certify_lower_bound(
     if notion == "parity_calibration":
         floor = parity_calibration_attack_certify(inst).as_integer_ratio()
     elif notion == "predictive_parity":
-        dirty = {g: np.array([cells]) for g, cells in mass_table(inst.h_star, inst.corrupted).items()}
-        ((floor, _, _),) = grid_responses([dirty], inst.dist, [inst.h_star], notion)
-        floor = floor.as_integer_ratio()
+        tables = ([mass_table(inst.h_star, d)] for d in (inst.corrupted, inst.dist))
+        floor = _one_row(*tables, inst.dist.groups, notion)[0][0].as_integer_ratio()
     else:
         floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
     (num, den), (p, q) = floor, claimed.as_integer_ratio()
@@ -470,7 +416,31 @@ def report_csv(report: RobustnessReport) -> str:
 
 
 def report_json(report: RobustnessReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` writes
+    it, with a final newline, rendered by :func:`_render`."""
+    return _render(report.to_json_dict()) + "\n"
+
+
+def _render(doc: object, indent: str = "\n") -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for a
+    document whose dict keys are strings, in one recursive pass; ``indent``
+    is a newline and the current level's indentation. With an indent, json
+    runs its pure-Python encoder, which passes every chunk up through a
+    generator per level of nesting; here each value is one string, and
+    leaves are written by the functions json itself uses."""
+    kind = type(doc)
+    if kind is float and math.isfinite(doc) or kind is int:
+        return repr(doc)
+    if isinstance(doc, str):
+        return _quote(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc:
+        items, ends = [_quote(k) + ": " + _render(v, inner) for k, v in sorted(doc.items())], "{}"
+    elif isinstance(doc, (list, tuple)) and doc:
+        items, ends = [_render(v, inner) for v in doc], "[]"
+    else:  # bools, None, inf, NaN, float subclasses such as np.float64, {} and []
+        return json.dumps(doc)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 def report_svg(report: RobustnessReport) -> str:

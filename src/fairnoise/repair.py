@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,16 +27,15 @@ from .classifiers import (
     GAP_TOL,
     BaseClassifier,
     PQClassifier,
+    _table_error,
     _table_stats,
     as_pq,
-    error,
     error_terms,
     fairness_gap,
-    group_stats,
     mass_table,
 )
 from .distributions import Distribution
-from .errors import ContractError, InfeasibleError, InputError, integer
+from .errors import ContractError, FairnoiseError, InfeasibleError, InputError, integer
 
 
 @dataclass(frozen=True)
@@ -82,42 +80,6 @@ def _match_params(current: float, target: float) -> tuple[float, float]:
     return (min(max(p, 0.0), 1.0), 0.0)
 
 
-def _match_candidates(
-    h_star: BaseClassifier | PQClassifier, dist: Distribution, corrupted: Distribution,
-    notion: str, current: dict[str, float], candidates: Sequence[tuple[str, dict[str, float]]],
-    alpha: float | None,
-) -> RepairWitness:
-    """The rate-matching loop of both repairs. Per (label, per-group target)
-    candidate, move each group's corrupted statistic from ``current`` to its
-    target; keep the candidate cheapest on the clean distribution, the first
-    one on ties."""
-    reference = error(h_star, dist)
-    best: RepairWitness | None = None
-    for label, target in candidates:
-        coins = {g: _match_params(current[g], target[g]) for g in dist.groups}
-        repaired = PQClassifier(base=as_pq(h_star).base, params=_compose(h_star, coins))
-        gap = fairness_gap(group_stats(repaired, corrupted), notion)
-        if gap > GAP_TOL:
-            who = f"{notion} repair" if label == "direct" else f"{notion} candidate {label}"
-            raise ContractError(f"{who} failed its gap contract: {gap:.3e}")
-        err = error(repaired, dist)
-        if best is None or err < best.error_on_original:
-            best = RepairWitness(repaired, notion, gap, err, err - reference, label, alpha)
-    assert best is not None
-    return best
-
-
-def _realizable(h_star: BaseClassifier | PQClassifier, dist: Distribution, notion: str, name: str):
-    """The base's clean group statistics, once its fairness gap is checked."""
-    clean = group_stats(h_star, dist)
-    gap = fairness_gap(clean, notion)
-    if gap > GAP_TOL:
-        raise InputError(
-            f"realizability violated: base classifier has {name} gap {gap:.3e} on the clean distribution"
-        )
-    return clean
-
-
 def dp_repair(
     h_star: BaseClassifier | PQClassifier,
     dist: Distribution,
@@ -131,9 +93,7 @@ def dp_repair(
     across groups (realizability), so do the repaired corrupted rates. The
     excess error on the clean distribution is at most 2 alpha / (1 - alpha).
     """
-    clean = _realizable(h_star, dist, "dp", "DP")
-    dirty = group_stats(h_star, corrupted)
-    return _match_candidates(h_star, dist, corrupted, "dp", dirty.rate, [("direct", clean.rate)], alpha)
+    return _repair(h_star, mass_table(h_star, dist), mass_table(h_star, corrupted), "dp", alpha)
 
 
 def eopp_repair(
@@ -150,21 +110,45 @@ def eopp_repair(
     cheaper on the clean distribution. Ties go to the first group in
     canonical order.
     """
-    _realizable(h_star, dist, "eopp", "EOpp")
-    for g in corrupted.groups:
-        if corrupted.positive_mass(g) <= 0.0:
-            raise InputError(f"group {g!r} has no positives in the corrupted distribution")
-    tpr = group_stats(h_star, corrupted).tpr
-    candidates = [(f"match_{i}", {g: tpr[i] for g in dist.groups}) for i in dist.groups]
-    return _match_candidates(h_star, dist, corrupted, "eopp", tpr, candidates, alpha)  # type: ignore[arg-type]
+    return _repair(h_star, mass_table(h_star, dist), mass_table(h_star, corrupted), "eopp", alpha)
 
 
-def _compose(h: BaseClassifier | PQClassifier, coins: dict[str, tuple[float, float]]) -> dict:
-    """Per group, the (u, v) of ``h`` once its output is overridden with
-    probability p by an independent Bernoulli(q) coin, for (p, q) in
-    ``coins``: each acceptance probability a becomes (1 - p) a + p q."""
-    pq = as_pq(h)
-    return {g: tuple((1.0 - p) * a + p * q for a in pq.uv(g)) for g, (p, q) in coins.items()}
+def _repair(h_star: BaseClassifier | PQClassifier, clean: Mapping, dirty: Mapping, notion: str, alpha) -> RepairWitness:
+    """:func:`dp_repair` or :func:`eopp_repair` on h_star's clean and
+    corrupted mass tables: once the base is fair on the clean table, per
+    (label, per-group target) candidate, move each group's corrupted
+    statistic to its target with the override coins of
+    :func:`_match_params`, each acceptance probability a becoming
+    (1 - p) a + p q, and keep the candidate cheapest on the clean table,
+    the first one on ties."""
+    pq = as_pq(h_star)
+    stats = _table_stats(pq, clean)
+    gap = fairness_gap(stats, notion)
+    if gap > GAP_TOL:
+        name = {"dp": "DP", "eopp": "EOpp"}[notion]
+        raise InputError(f"realizability violated: base classifier has {name} gap {gap:.3e} on the clean distribution")
+    _same_groups(dirty, clean)
+    if notion == "dp":
+        current, candidates = _table_stats(pq, dirty).rate, [("direct", stats.rate)]
+    else:
+        empty = [g for g, (m1p, _, m0p, _) in dirty.items() if m1p + m0p <= 0.0]  # masses are >= 0
+        if empty:
+            raise InputError(f"group {empty[0]!r} has no positives in the corrupted distribution")
+        current = _table_stats(pq, dirty).tpr
+        candidates = [(f"match_{i}", {g: current[i] for g in clean}) for i in clean]
+    reference, best = _table_error(pq, clean), None
+    for label, target in candidates:
+        coins = {g: _match_params(current[g], target[g]) for g in clean}
+        params = {g: tuple((1.0 - p) * a + p * q for a in pq.uv(g)) for g, (p, q) in coins.items()}
+        repaired = PQClassifier(base=pq.base, params=params)
+        gap = fairness_gap(_table_stats(repaired, dirty), notion)
+        if gap > GAP_TOL:
+            who = f"{notion} repair" if label == "direct" else f"{notion} candidate {label}"
+            raise ContractError(f"{who} failed its gap contract: {gap:.3e}")
+        err = _table_error(repaired, clean)
+        if best is None or err < best.error_on_original:
+            best = RepairWitness(repaired, notion, gap, err, err - reference, label, alpha)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +203,25 @@ _DENOMINATORS = {
 }
 
 
-def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str, exact: bool = False) -> np.ndarray:
+def _denominators(inputs: np.ndarray, notion: str) -> list[np.ndarray]:
+    """Each denominator of ``_DENOMINATORS[notion]``, summed left to right
+    over its columns of :func:`statistic_inputs` (the last axis of
+    ``inputs``)."""
+    return [sum(inputs[..., k] for k in summed) for _, summed, _ in _DENOMINATORS[notion]]
+
+
+def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str, denominators: Sequence | None = None):
     """Per row of both groups' :func:`statistic_inputs`, the coefficients
     over x = (u_A, v_A, u_B, v_B) of each equality s_A - s_B = 0 of the
-    notion, as a (rows, equalities, 4) array, from ``_DENOMINATORS``. With
-    ``exact`` each equality is multiplied by d_A d_B instead of divided, so
-    object arrays of ints give int coefficients."""
+    notion, as a (rows, equalities, 4) array, from ``_DENOMINATORS``.
+    ``denominators`` holds each (d_A, d_B) of :func:`_denominators` when
+    the caller has them."""
+    if denominators is None:
+        denominators = zip(_denominators(inputs_a, notion), _denominators(inputs_b, notion))
     rows = []
-    for _, summed, columns in _DENOMINATORS[notion]:
-        d_a, d_b = (sum(x[:, k] for k in summed) for x in (inputs_a, inputs_b))
+    for (_, _, columns), (d_a, d_b) in zip(_DENOMINATORS[notion], denominators):
         a, b = inputs_a[:, columns], inputs_b[:, columns]  # only the columns the equality reads
-        if exact:
-            a, b = a * d_b[:, None], b * d_a[:, None]
-        else:
-            a, b = a / d_a[:, None], b / d_b[:, None]
-        rows.append(np.concatenate((a, -b), axis=1))
+        rows.append(np.concatenate((a / d_a[:, None], -(b / d_b[:, None])), axis=1))
     return np.stack(rows, axis=1)
 
 
@@ -348,13 +336,15 @@ def _active_sets(n_eq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def _lp_vertices(
-    eq: np.ndarray, clean_table: Mapping[str, tuple[float, ...]], groups: Sequence[str]
+    eq: np.ndarray, clean_table: Mapping[str, Sequence], groups: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex of the LP that minimizes clean error over both groups'
     triangles subject to the equalities ``eq``, per
     row: (clean error, +inf where infeasible; x; the active sets), where
     the first two are indexed by row and active set. ``eq`` is that of
-    :func:`_equalities` or :func:`_parity_equalities`.
+    :func:`_equalities` or :func:`_parity_equalities`. ``clean_table[g]``
+    holds group g's four clean cells, as floats for every row alike or as
+    arrays with one entry per row.
 
     Clean error is linear in x, so a vertex attains the minimum: a point
     where four independent constraints hold with equality. Each 4-subset's
@@ -369,9 +359,11 @@ def _lp_vertices(
     them all, and a row always has a feasible vertex. Each sum over the
     four columns is one broadcast product reduced over a non-inner axis,
     which numpy adds slice by slice in order, and both groups' error terms
-    come from one (4, groups, 1, 1) stack of clean cells. No step reduces
-    across rows, so each row gets the same bits in any stack. A sum begun
-    at 0 differs only in the sign of a zero, which x0 + D t, the
+    come from one (4, groups, 1, rows) stack of clean cells, with an axis
+    of 1 for rows when every row has the same table. Each cell multiplies
+    only its own row's terms, and no step reduces across rows, so each row
+    gets the same bits in any stack, whatever the other rows' tables. A
+    sum begun at 0 differs only in the sign of a zero, which x0 + D t, the
     ``det == 0.0`` test and the + 0.0 after the clamps erase. The work is
     laid out as (..., subsets, rows), so numpy's inner loops run over the
     rows."""
@@ -399,25 +391,29 @@ def _lp_vertices(
     np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
     np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
     x += 0.0  # turns -0.0 into 0.0
-    err = sum(error_terms(np.array([clean_table[g] for g in groups]).T[..., None, None], u, v)).sum(axis=0)
+    cells = np.array([clean_table[g] for g in groups]).swapaxes(0, 1).reshape(4, len(groups), 1, -1)
+    err = sum(error_terms(cells, u, v)).sum(axis=0)
     return np.where(feasible, err, np.inf).T, x.T, subsets
 
 
-def _first_empty(inputs: Mapping[str, np.ndarray], notion: str) -> tuple[int, InputError | None]:
-    """The number of rows of both groups' :func:`statistic_inputs` before
-    the first where a group lacks the mass the notion divides by, and the
-    ``InputError`` of that row; None when no row lacks it."""
-    zero = {(g, what): inputs[g][:, cols].sum(axis=1) <= 0.0 for g in inputs for what, cols, _ in _DENOMINATORS[notion]}
-    bad = np.any(list(zero.values()), axis=0)
+def _first_empty(denominators: np.ndarray, groups: Sequence[str], notion: str) -> tuple[int, InputError | None]:
+    """The number of rows before the first where a group lacks the mass the
+    notion divides by, and the ``InputError`` of that row; None when no row
+    lacks it. ``denominators`` holds :func:`_denominators` as (entries of
+    ``_DENOMINATORS[notion]``, rows, groups); a row's groups are checked in
+    order, each for every entry."""
+    zero = denominators <= 0.0
+    bad = zero.any(axis=(0, 2))
     if not bad.any():
         return len(bad), None
     rows = int(bad.argmax())
-    g, what = next(check for check, z in zero.items() if z[rows])
-    return rows, InputError(f"group {g!r} has no {what} on the corrupted distribution")
+    g, entry = divmod(int(zero[:, rows].T.argmax()), len(zero))
+    what = _DENOMINATORS[notion][entry][0]
+    return rows, InputError(f"group {groups[g]!r} has no {what} on the corrupted distribution")
 
 
 def _check_search(groups: Sequence[str], hypotheses: Sequence, notion: str) -> None:
-    """The argument checks of :func:`grid_responses`, in its order."""
+    """The argument checks of a best response, in its order."""
     if len(groups) != 2:
         raise InputError("best_response searches exactly two groups")
     if not hypotheses:
@@ -426,61 +422,108 @@ def _check_search(groups: Sequence[str], hypotheses: Sequence, notion: str) -> N
         raise InputError(f"best_response does not support notion {notion!r}")
 
 
-def grid_responses(
-    dirty: Sequence[Mapping[str, np.ndarray]],
-    clean: Distribution,
-    hypotheses: Sequence[BaseClassifier | PQClassifier],
-    notion: str,
-) -> list[tuple[float, int, tuple[float, ...]]]:
-    """The search of :func:`best_response`, for a stack of corrupted
-    distributions sharing one clean side.
+def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: str) -> tuple:
+    """The search of :func:`best_response` for a stack of rows, on mass
+    tables: the solver core under every best response, search, sweep and
+    floor.
 
-    ``dirty[k][g]`` holds, one row per corrupted distribution, group g's
-    corrupted mass-table cells under hypothesis k, as a (rows, 4) array.
-    Returns per row the minimum clean error as (total, k, x): x is (u_A,
-    v_A, u_B, v_B), the acceptance probabilities of each group's
-    base-positive and base-negative points. Every notion takes the first
-    cheapest of the exact LP's vertices (:func:`_lp_vertices`), row by row:
-    dp, eopp and eodds in active-set order, and predictive parity over its
-    candidate precisions (:func:`_parity_equalities`) in order, then in
-    active-set order, where a group that accepts nothing moves onto its
-    segment (:func:`_with_precision`); the total stays the infimum. Equal
-    totals go to the lowest k. For the first row that has one, raises the
-    error :func:`best_response` raises on that row alone:
-    ``InputError`` when a group lacks the mass the notion divides by,
-    ``InfeasibleError`` when the groups' precision ranges do not meet.
-    """
-    _check_search(clean.groups, hypotheses, notion)
-    ga, gb = clean.groups
-    inputs = [{g: statistic_inputs(t[g], notion) for g in (ga, gb)} for t in dirty]
+    ``dirty[r, k, i]`` holds row r's corrupted mass-table cells under
+    hypothesis k in group i of ``groups``; ``clean`` holds the clean cells
+    the same way and broadcasts against it: (1, hypotheses, 2, 4) for one
+    clean distribution, or one table per row. Each row's denominators are
+    summed once, for the empty check and the equalities, and each (row,
+    hypothesis) is one row of one :func:`_lp_vertices` stack. Returns per
+    row, up to the first that cannot be solved, the minimum clean error as
+    (total, k, x, s): x is (u_A, v_A, u_B, v_B), the acceptance
+    probabilities of each group's base-positive and base-negative points,
+    and s the index of the winning active set (:func:`_active_sets`).
+    Every notion takes the first cheapest of the exact LP's vertices, row
+    by row: dp, eopp and eodds in active-set order, and predictive parity
+    over its candidate precisions (:func:`_parity_equalities`) in order,
+    then in active-set order, where a group that accepts nothing moves onto
+    its segment (:func:`_with_precision`); the total stays the infimum.
+    Equal totals go to the lowest k. Also returns, without raising, the
+    error of the first row that cannot be solved, or None: ``InputError``
+    when a group lacks the mass the notion divides by, ``InfeasibleError``
+    when the groups' precision ranges do not meet; and every vertex's
+    total per solved row and hypothesis, as (rows, hypotheses, vertices),
+    +inf where a vertex is infeasible."""
+    inputs = statistic_inputs(dirty, notion)
+    denominators = np.array(_denominators(inputs, notion))  # (entries, rows, hypotheses, groups)
     # a group's mass does not depend on the hypothesis
-    rows, empty = _first_empty(inputs[0], notion)
+    rows, error = _first_empty(denominators[:, :, 0], groups, notion)
+    hypotheses = dirty.shape[1]
+    n = rows * hypotheses  # LP rows: each row's hypotheses in order
+    a, b = inputs[:rows].reshape(n, 2, inputs.shape[-1]).transpose(1, 0, 2)
+    clean = (clean.repeat(rows, axis=0) if len(clean) == 1 else clean[:rows]).reshape(n, 2, 4)
+    if notion == "predictive_parity":
+        eq, pis, meet = _parity_equalities(a, b, clean[:, 0].T, clean[:, 1].T)
+    else:
+        pairs = denominators[:, :rows].reshape(len(denominators), n, 2).transpose(0, 2, 1)  # (d_A, d_B) per entry
+        eq = _equalities(a, b, notion, denominators=pairs)[:, None]
+    cells = clean.repeat(eq.shape[1], axis=0)  # an LP row's table for each of its candidates
+    cells = {g: cells[:, i].T for i, g in enumerate(groups)}
+    totals, xs, subsets = _lp_vertices(eq.reshape(-1, *eq.shape[2:]), cells, groups)
+    width = eq.shape[1] * len(subsets)  # the vertices of an LP row's candidates, in order
+    totals = totals.reshape(n, width)
+    if notion == "predictive_parity":
+        totals[~meet] = np.inf
+    # a row's first cheapest vertex over its hypotheses in order: the lowest k on equal totals
+    k, vertex = np.divmod(totals.reshape(rows, hypotheses * width).argmin(axis=1), width)
+    won = np.arange(rows) * hypotheses + k  # each row's winning LP row
+    best, xs = totals[won, vertex], xs.reshape(n, width, 4)[won, vertex]
+    if notion == "predictive_parity":
+        xs = _with_precision(xs, pis[won, vertex // len(subsets)], a[won], b[won])
+    infeasible = np.isinf(best)
+    if infeasible.any():
+        rows = int(infeasible.argmax())
+        error = InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
+    solved = zip(best.tolist(), k.tolist(), map(tuple, xs.tolist()), (vertex % len(subsets)).tolist())
+    return list(solved)[:rows], error, totals.reshape(len(k), hypotheses, width)[:rows]
 
-    best: list = [None] * rows
-    each = np.arange(rows)
-    for k, h in enumerate(hypotheses):
-        clean_table = mass_table(h, clean)
-        a, b = (inputs[k][g][:rows] for g in (ga, gb))
-        if notion == "predictive_parity":
-            eq, pis, meet = _parity_equalities(a, b, clean_table[ga], clean_table[gb])
-        else:
-            eq, meet = _equalities(a, b, notion)[:, None], np.ones(rows, dtype=bool)
-        totals, xs, subsets = _lp_vertices(eq.reshape(-1, *eq.shape[2:]), clean_table, clean.groups)
-        width = eq.shape[1] * len(subsets)  # the vertices of a row's candidates, in order
-        totals = np.where(meet[:, None], totals.reshape(rows, width), np.inf)
-        pick = np.argmin(totals, axis=1)  # the first cheapest vertex
-        xs = xs.reshape(rows, width, 4)[each, pick]
-        if notion == "predictive_parity":
-            xs = _with_precision(xs, pis[each, pick // len(subsets)], a, b)
-        for r, (total, x) in enumerate(zip(totals[each, pick].tolist(), map(tuple, xs.tolist()))):
-            if math.isfinite(total) and (best[r] is None or total < best[r][0]):
-                best[r] = (total, k, x)
 
-    if None in best:
-        raise InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
-    if empty is not None:
-        raise empty
-    return best
+def _same_groups(dirty: Mapping, clean: Mapping) -> None:
+    """``InputError`` unless a corrupted and a clean mass table hold the
+    same groups; their order may differ."""
+    if set(dirty) != set(clean):
+        raise InputError(f"the corrupted distribution's groups {list(dirty)} differ from the clean one's {list(clean)}")
+
+
+def _one_row(dirty: Sequence[Mapping], clean: Sequence[Mapping], groups: Sequence[str], notion: str) -> tuple:
+    """:func:`_solve` on one row, given as one corrupted and one clean mass
+    table per hypothesis, after :func:`best_response`'s checks: the row's
+    (total, k, x, s) and vertex totals, or its error raised."""
+    _check_search(groups, dirty, notion)
+    _same_groups(dirty[0], clean[0])
+    sides = (np.array([[[t[g] for g in groups] for t in side]]) for side in (dirty, clean))
+    solved, error, vertices = _solve(*sides, groups, notion)
+    if error is not None:
+        raise error
+    return solved[0], vertices[0]
+
+
+def _witness(h, groups: Sequence[str], x: Sequence, notion: str, dirty: Mapping, clean: Mapping, reference, alpha):
+    """The witness of :func:`best_response` for the core's answer x under
+    h, scored on h's corrupted and clean mass tables."""
+    repaired = option_classifier(h, groups, x)
+    gap, err = fairness_gap(_table_stats(repaired, dirty), notion), _table_error(repaired, clean)
+    return RepairWitness(repaired, notion, gap, err, err - reference, "direct", alpha)
+
+
+def _sweep_responses(rows: Sequence[tuple], notion: str) -> tuple[list[RepairWitness], FairnoiseError | None]:
+    """For each (alpha, h, corrupted table, clean table) of ``rows``, the
+    witness ``best_response(corrupted, clean, [h], notion,
+    reference_error=error(h, clean), alpha=alpha)`` returns, all from one
+    :func:`_solve` stack with a clean table per row. The witnesses stop
+    before the first row that cannot be solved, whose error comes with
+    them, or None."""
+    groups = tuple(rows[0][3])
+    sides = (np.array([[[row[i][g] for g in groups]] for row in rows]) for i in (2, 3))
+    solved, error, _ = _solve(*sides, groups, notion)
+    return [
+        _witness(h, groups, x, notion, dirty, clean, _table_error(as_pq(h), clean), alpha)
+        for (_, _, x, _), (alpha, h, dirty, clean) in zip(solved, rows)
+    ], error
 
 
 def option_classifier(
@@ -527,41 +570,39 @@ def certified_floor(
     >= 0. By weak duality no classifier in the class then errs less
     than the dual value c_0 - y^T h_active. Active sets are tried in order
     of their vertex's float clean error, then in active-set order, from
-    one :func:`_lp_vertices` enumeration, since at a degenerate vertex
-    only some of them have such multipliers. The first that does gives
-    the floor, which must lie within ``GAP_TOL`` of that enumeration's
-    least error. ``ContractError`` when none does; the input errors of
-    :func:`best_response`.
+    the vertex totals of one :func:`_solve` row, so the core's winning
+    active set comes first; at a degenerate vertex only some of them have
+    such multipliers. The first that does gives the floor, which must lie
+    within ``GAP_TOL`` of that row's least error. ``ContractError`` when
+    none does; the input errors of :func:`best_response`.
     """
     if notion not in ("dp", "eopp", "eodds"):
         raise InputError(f"certified_floor supports dp, eopp and eodds, got {notion!r}")
-    if len(clean.groups) != 2:
-        raise InputError("best_response searches exactly two groups")
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
-    inputs = {g: statistic_inputs(np.array([dirty[g]]), notion) for g in clean.groups}
-    _, empty = _first_empty(inputs, notion)
-    if empty is not None:
-        raise empty
-    totals, _, subsets = _lp_vertices(_equalities(*inputs.values(), notion), table, clean.groups)
+    _, (totals,) = _one_row([dirty], [table], clean.groups, notion)
 
     ratios = [[m.as_integer_ratio() for m in t[g]] for t in (dirty, table) for g in clean.groups]
     scale = max(q for r in ratios for _, q in r)
     dirty_a, dirty_b, *cells = [[p * (scale // q) for p, q in r] for r in ratios]
-    int_inputs = (statistic_inputs(np.array([x], dtype=object), notion) for x in (dirty_a, dirty_b))
-    eq = _equalities(*int_inputs, notion, exact=True)[0].tolist()
+    inputs_a, inputs_b = (statistic_inputs(np.array([x], dtype=object), notion)[0].tolist() for x in (dirty_a, dirty_b))
+    eq = []  # the rows of _equalities, each times d_A d_B instead of divided, in ints
+    for _, summed, columns in _DENOMINATORS[notion]:
+        d_a, d_b = (sum(x[k] for k in summed) for x in (inputs_a, inputs_b))
+        eq.append([inputs_a[c] * d_b for c in columns] + [-inputs_b[c] * d_a for c in columns])
     a, b = eq + _TRIANGLE.tolist(), [0] * len(eq) + _BOUND.tolist()
     # clean error is (const + c . x) / scale, and stationarity asks y^T A_active = target = -c
     const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
     target = [t for m1p, m1n, m0p, m0n in cells for t in (m1p - m1n, m0p - m0n)]
-    for s in np.argsort(totals[0], kind="stable")[: np.isfinite(totals[0]).sum()]:
+    subsets = _active_sets(len(eq))[0]
+    for s in np.argsort(totals, kind="stable")[: np.isfinite(totals).sum()]:
         active = subsets[s].tolist()
         basis = [a[i] for i in active]
         d, dy = _cramer(list(zip(*basis)), target)
         if d != 0 and all(m * d >= 0 for m, i in zip(dy, active) if i >= len(eq)):
             sign = 1 if d > 0 else -1
             num, den = sign * (const * d - sum(m * b[i] for m, i in zip(dy, active))), sign * scale * d
-            if abs(num / den - totals[0].min()) > GAP_TOL:
-                raise ContractError(f"dual floor {num / den!r} is not the least vertex error {totals[0].min()}")
+            if abs(num / den - totals.min()) > GAP_TOL:
+                raise ContractError(f"dual floor {num / den!r} is not the least vertex error {totals.min()}")
             return num, den
     raise ContractError(f"no active set of a cheapest {notion} vertex has a dual certificate")
 
@@ -587,22 +628,12 @@ def best_response(
     a group does best to accept nothing, which has no precision, it accepts
     a GAP_TOL / 2 sliver at that precision instead, within GAP_TOL of the
     infimum. ``InfeasibleError`` when the groups' precision ranges do not
-    meet. ``grid_n`` is only checked. This is the one-row case of
-    :func:`grid_responses`.
+    meet; ``InputError`` when the two distributions' groups differ.
+    ``grid_n`` is only checked. Each hypothesis's two mass tables are read
+    once, and this is one row of :func:`_solve`; the witness's gap and
+    error are scored on the same tables.
     """
-    tables = [mass_table(h, corrupted) for h in hypotheses]
-    dirty = [{g: np.array([cells]) for g, cells in table.items()} for table in tables]
+    dirty, tables = ([mass_table(h, d) for h in hypotheses] for d in (corrupted, clean))  # each read once
     grid_size(grid_n)
-    ((_, k, x),) = grid_responses(dirty, clean, hypotheses, notion)
-    repaired = option_classifier(hypotheses[k], clean.groups, x)
-    gap = fairness_gap(_table_stats(repaired, tables[k]), notion)
-    err = error(repaired, clean)
-    return RepairWitness(
-        classifier=repaired,
-        notion=notion,
-        gap_on_corrupted=gap,
-        error_on_original=err,
-        excess_error_on_original=err - reference_error,
-        candidate_label="direct",
-        alpha=alpha,
-    )
+    (_, k, x, _), _ = _one_row(dirty, tables, clean.groups, notion)
+    return _witness(hypotheses[k], clean.groups, x, notion, dirty[k], tables[k], reference_error, alpha)

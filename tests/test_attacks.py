@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fairnoise import attacks, families
+from fairnoise import attacks, families, repair
 from fairnoise.attacks import duplicate_flip_attack, grid_worst_case, tpr_shift_attack
 from fairnoise.classifiers import BaseClassifier, group_stats, mass_table
 from fairnoise.distributions import Atom, make_distribution, mix
-from fairnoise.repair import best_response, grid_responses, option_classifier, statistic_inputs
+from fairnoise.repair import _solve, best_response, option_classifier, statistic_inputs
 from fairnoise.errors import FairnoiseError, InfeasibleError, InputError
 
 from conftest import alphas, assert_close, distributions
@@ -215,8 +215,8 @@ class TestGridWorstCase:
         def no_search(*args, **kwargs):
             raise AssertionError("searched before validating the arguments")
 
-        monkeypatch.setattr(attacks, "best_response", no_search)
-        monkeypatch.setattr(attacks, "grid_responses", no_search)
+        monkeypatch.setattr(attacks, "_one_row", no_search)
+        monkeypatch.setattr(attacks, "_solve", no_search)
         dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=4)
         args = {"dist": dist, "alpha": 0.1, "hypotheses": [h], "notion": "dp", name: value}
         with pytest.raises(InputError, match=name):
@@ -312,18 +312,18 @@ def _table_and_input(dist, h, q, alpha, notion):
 
 
 def _count_searched_inputs(monkeypatch, dist, notion):
-    """Patch the search's ``grid_responses`` to record the statistic inputs
-    of every row it receives; returns the list they are appended to."""
+    """Patch the search's ``_solve`` to record the statistic inputs of
+    every row it receives; returns the list they are appended to."""
     received = []
 
     def counted(dirty, *args):
         received.extend(
-            b"".join(statistic_inputs(t[g][r : r + 1], notion).tobytes() for t in dirty for g in dist.groups)
-            for r in range(len(dirty[0][dist.groups[0]]))
+            b"".join(statistic_inputs(row[k, i][None], notion).tobytes() for k in range(len(row)) for i in range(2))
+            for row in dirty
         )
-        return grid_responses(dirty, *args)
+        return _solve(dirty, *args)
 
-    monkeypatch.setattr(attacks, "grid_responses", counted)
+    monkeypatch.setattr(attacks, "_solve", counted)
     return received
 
 
@@ -477,7 +477,8 @@ STRATA_SEEDS_1_3 = "086c772a2daaeebd786b079e3ae8e7aa9b744dcf8185d9aa71ee4f4d7393
 
 class TestOneBestResponse:
     """The clean optimum is row 0 of the search's stack, so the search
-    calls best_response only to measure its winner again."""
+    solves one row alone (``repair._one_row``, the core of best_response)
+    only to measure its winner again."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -485,9 +486,9 @@ class TestOneBestResponse:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return best_response(*args, **kwargs)
+            return repair._one_row(*args, **kwargs)
 
-        monkeypatch.setattr(attacks, "best_response", counted)
+        monkeypatch.setattr(attacks, "_one_row", counted)
         return calls
 
     def test_strata_measure_only_the_winner(self, monkeypatch):
@@ -547,10 +548,10 @@ class TestSearchCost:
         blocks = []
 
         def counted(dirty, *args):
-            blocks.append(len(dirty[0][dist.groups[0]]))
-            return grid_responses(dirty, *args)
+            blocks.append(len(dirty))
+            return _solve(dirty, *args)
 
-        monkeypatch.setattr(attacks, "grid_responses", counted)
+        monkeypatch.setattr(attacks, "_solve", counted)
         tracemalloc.start()
         try:
             grid_worst_case(dist, 0.05, [h], "predictive_parity", resolution=attacks.MAX_RESOLUTION)
@@ -594,17 +595,18 @@ def test_each_stacked_row_is_its_own_best_response(seed):
     for dist, alpha, (h,), own, kwargs in probe.strata_searches([seed]):
         candidates = oracles.class_candidates(dist, alpha, [h], kwargs["resolution"])[:150]
         mixtures = [mix(dist, q, alpha) for q in candidates]
+        clean = np.array([[[mass_table(h, dist)[g] for g in dist.groups]]])
         for notion in (own, "predictive_parity"):
             rows = []
             for corrupted in mixtures:
-                table = mass_table(h, corrupted)
-                dirty = [{g: np.array([table[g]]) for g in dist.groups}]
-                try:
-                    rows.append((corrupted, table, grid_responses(dirty, dist, [h], notion)))
-                except InfeasibleError:
-                    assert notion == "predictive_parity"
-            stack = {g: np.reshape([t[g] for _, t, _ in rows], (-1, 4)) for g in dist.groups}
-            stacked = grid_responses([stack], dist, [h], notion)
+                table = np.array([[[mass_table(h, corrupted)[g] for g in dist.groups]]])
+                alone, error, _ = _solve(table, clean, dist.groups, notion)
+                if error is None:
+                    rows.append((corrupted, table, alone))
+                else:
+                    assert notion == "predictive_parity" and isinstance(error, InfeasibleError)
+            stacked, error, _ = _solve(np.reshape([t for _, t, _ in rows], (-1, 1, 2, 4)), clean, dist.groups, notion)
+            assert error is None
             for (corrupted, _, alone), row in zip(rows, stacked, strict=True):
                 assert alone == [row]
                 response = best_response(corrupted, dist, [h], notion, grid_n=kwargs["grid_n"])

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairnoise import families, harness
+from fairnoise import calibration, families, harness
 from fairnoise.calibration import (
     BinnedPredictor,
     calibration_report,
     l1_error,
+    parity_calibration_attack_certify,
     parity_calibration_check,
     recalibrate_per_group,
     value_shift,
@@ -17,7 +18,6 @@ from fairnoise.calibration import (
 from fairnoise.classifiers import GAP_TOL, BaseClassifier
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
-from fairnoise.harness import parity_calibration_attack_certify
 
 from conftest import assert_close
 
@@ -195,14 +195,14 @@ class TestCertifiers:
         assert accepted(midpoint) and floor < l1_error(binned(midpoint), dist)
 
     def test_parity_calibration_refuses_more_points_than_the_cap(self, monkeypatch):
-        n = harness.MAX_CALIBRATION_POINTS + 1
+        n = calibration.MAX_CALIBRATION_POINTS + 1
         dist = make_distribution([Atom(f"x{k}", k % 2, "A", 1.0 / n) for k in range(n)])
         h_star = BaseClassifier.from_table({f"x{k}": 1 for k in range(n)})
 
         def enumerated(*args):
             raise AssertionError("a binning was built")
 
-        monkeypatch.setattr(harness, "calibration_report", enumerated)
+        monkeypatch.setattr(calibration, "calibration_report", enumerated)
         with pytest.raises(InputError, match=f"{n} points exceed parity calibration's cap of {n - 1}"):
             parity_calibration_attack_certify(families.Instance(dist, dist, dist, h_star))
 

@@ -140,6 +140,22 @@ class TestRepair:
         assert main(["repair", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "group 'C' has no mass" in capsys.readouterr().err
 
+    def test_mismatched_group_lists_are_bad_input(self, tmp_path, capsys):
+        dist, h = families.balanced_instance(0.3)
+        other = {"atoms": [{"point": p, "label": y, "group": g, "mass": m}
+                           for p, y, g, m in (("aP", 1, "A", 0.35), ("aN", 0, "A", 0.35),
+                                              ("cP", 1, "C", 0.15), ("cN", 0, "C", 0.15))]}
+        table = dict(h.table, cP=1, cN=0)
+        cfg = write_config(
+            tmp_path,
+            {"notion": "dp", "dist": dist.to_json_dict(), "corrupted": other,
+             "h_star": {"kind": "table", "table": table}},
+        )
+        assert main(["repair", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the corrupted distribution's groups ['A', 'C'] differ from the clean one's ['A', 'B']\n"
+        )
+
     @pytest.mark.parametrize("alpha", ({"x": [1]}, 1.5, -0.1, "nan"))
     def test_alpha_outside_unit_interval_is_bad_input(self, tmp_path, alpha):
         inst = families.dp_worked(0.1)

@@ -7,9 +7,12 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairnoise import attacks, distributions, families, harness
+from fairnoise import attacks, classifiers, distributions, families, harness, repair
 from fairnoise.errors import ContractError, InputError
 from fairnoise.repair import best_response
 
@@ -422,3 +425,84 @@ class TestReports:
         assert harness.report_json(a) == harness.report_json(b)
         assert harness.report_csv(a) == harness.report_csv(b)
         assert harness.report_svg(a) == harness.report_svg(b)
+
+
+class TestOneStackPerSweep:
+    """An LP family's sweep reads each distribution once and solves every
+    alpha as a row of one stack, with the bits of one best response per
+    alpha."""
+
+    @pytest.mark.parametrize(
+        "family, notion, alphas",
+        [
+            ("dp_worked", "dp", (0.01, 0.03, 0.05, 0.08)),
+            ("eopp_needle", "eopp", (0.0025, 0.01, 0.04, 0.09)),
+            ("eodds_duplicate", "eodds", (0.05, 0.1, 0.2)),
+        ],
+    )
+    def test_excess_oracle_is_one_best_response_per_alpha(self, family, notion, alphas):
+        report = harness.run_sweep(config(family=family, notion=notion, alphas=alphas))
+        build = getattr(families, family)
+        for point, alpha in zip(report.points, alphas, strict=True):
+            inst = build(alpha) if family != "eodds_duplicate" else build(alpha, 0.045)
+            reference = classifiers.error(inst.h_star, inst.dist)
+            oracle = best_response(inst.corrupted, inst.dist, [inst.h_star], notion, reference_error=reference)
+            assert point.excess_oracle.hex() == oracle.excess_error_on_original.hex()
+
+    @pytest.mark.parametrize(
+        "family, notion", [("dp_worked", "dp"), ("eopp_needle", "eopp"), ("eodds_duplicate", "eodds")]
+    )
+    def test_each_point_builds_two_mass_tables_and_the_sweep_one_stack(self, monkeypatch, family, notion):
+        tables, stacks = [], []
+
+        def counted_table(h, dist):
+            tables.append(dist)
+            return mass_table(h, dist)
+
+        def counted_stack(eq, *args):
+            stacks.append(len(eq))
+            return lp_vertices(eq, *args)
+
+        mass_table, lp_vertices = classifiers.mass_table, repair._lp_vertices
+        for module in (classifiers, repair, harness):
+            monkeypatch.setattr(module, "mass_table", counted_table)
+        monkeypatch.setattr(repair, "_lp_vertices", counted_stack)
+        alphas = (0.05, 0.07, 0.1, 0.2)
+        harness.run_sweep(config(family=family, notion=notion, alphas=alphas))
+        assert len(tables) == 2 * len(alphas)
+        assert stacks == [len(alphas)]
+
+    def test_a_first_alpha_below_the_budget_raises_as_one_point_at_a_time(self):
+        # the message a sweep that builds its points one by one raises
+        with pytest.raises(InputError) as found:
+            harness.run_sweep(config(family="eodds_duplicate", notion="eodds", alphas=(0.01, 0.02, 0.1)))
+        expected = "corruption budget alpha=0.01 insufficient for duplicate_flip on 'B'; need alpha >= 0.043062"
+        assert str(found.value) == expected
+
+
+#: JSON documents as reports hold them: dicts with string keys, lists and
+#: tuples, around numbers of every kind json writes, strings and null.
+JSON_DOCUMENTS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCUMENTS)
+def test_renderer_writes_what_json_writes(doc):
+    assert harness._render(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_renderer_on_the_corners():
+    doc = {"é": ["ü", (), {}, [], -0.0, np.float64(-math.inf), 10**40, True, None], "": {"a": {"b": [math.nan]}}}
+    assert harness._render(doc) == json.dumps(doc, sort_keys=True, indent=2)

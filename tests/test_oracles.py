@@ -14,12 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fairnoise import families
+from fairnoise import families, repair
 from fairnoise.classifiers import GAP_TOL, PQClassifier, error, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InfeasibleError, InputError
 from fairnoise.harness import parity_calibration_attack_certify
-from fairnoise.repair import best_response, certified_floor, dp_repair, eopp_repair, grid_responses
+from fairnoise.repair import best_response, certified_floor, dp_repair, eopp_repair
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -163,8 +163,8 @@ def test_predictive_parity_matches_scan(seed):
     except InfeasibleError:
         assert scan == np.inf
         return
-    dirty = [{g: np.array([cells]) for g, cells in mass_table(h, corrupted).items()}]
-    ((floor, _, _),) = grid_responses(dirty, dist, [h], "predictive_parity")
+    tables = ([mass_table(h, d)] for d in (corrupted, dist))
+    (floor, *_), _ = repair._one_row(*tables, dist.groups, "predictive_parity")
     assert floor <= scan + 1e-12
     assert scan - floor <= 1e-6
     assert found.gap_on_corrupted <= GAP_TOL

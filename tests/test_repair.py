@@ -24,7 +24,6 @@ from fairnoise.repair import (
     certified_floor,
     dp_repair,
     eopp_repair,
-    grid_responses,
 )
 
 import oracles
@@ -452,11 +451,101 @@ def test_predictive_parity_accept_nothing_limit_wins():
         (3, 1, 0, 4),
         [("aP", 1, "A", 0.4), ("aP", 0, "A", 0.05), ("aN", 0, "A", 0.05), ("bP", 0, "B", 0.1), ("bN", 0, "B", 0.4)],
     )
-    dirty = [{g: np.array([cells]) for g, cells in mass_table(PRECISION_BASE, corrupted).items()}]
-    ((floor, _, x),) = grid_responses(dirty, clean, [PRECISION_BASE], "predictive_parity")
+    tables = ([mass_table(PRECISION_BASE, d)] for d in (corrupted, clean))
+    (floor, _, x, _), _ = repair._one_row(*tables, clean.groups, "predictive_parity")
     assert abs(floor - 0.05) <= 1e-12
     assert x[:2] == (1.0, 0.0) and 0.0 < x[2] <= GAP_TOL
     w = best_response(corrupted, clean, [PRECISION_BASE], "predictive_parity")
     assert w.gap_on_corrupted <= GAP_TOL
     assert group_stats(w.classifier, corrupted).ppv == {"A": 0.5, "B": 0.5}
     assert floor <= w.error_on_original <= floor + GAP_TOL
+
+
+def mismatched_groups():
+    """The balanced instance over groups (A, B), a distribution over (A, C),
+    and a table classifier defined on every point of both."""
+    dist, _ = families.balanced_instance(0.3)
+    other = make_distribution(
+        [Atom("aP", 1, "A", 0.35), Atom("aN", 0, "A", 0.35), Atom("cP", 1, "C", 0.15), Atom("cN", 0, "C", 0.15)]
+    )
+    h = BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0, "cP": 1, "cN": 0})
+    return dist, other, h
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, other, h: best_response(other, d, [h], "dp"),
+        lambda d, other, h: best_response(d, other, [h], "dp"),
+        lambda d, other, h: certified_floor(other, d, h, "eopp"),
+        lambda d, other, h: dp_repair(h, d, other),
+        lambda d, other, h: eopp_repair(h, d, other),
+    ],
+    ids=("best_response-corrupted", "best_response-clean", "certified_floor", "dp_repair", "eopp_repair"),
+)
+def test_mismatched_group_lists_are_bad_input(call):
+    dist, other, h = mismatched_groups()
+    with pytest.raises(InputError, match=r"\['A', '[BC]'\] differ from the clean one's \['A', '[BC]'\]"):
+        call(dist, other, h)
+
+
+def test_group_order_does_not_matter():
+    inst = families.eopp_needle(0.04)
+    swapped = make_distribution(inst.corrupted.atoms, groups=("B", "A"))
+    assert swapped.groups == ("B", "A")
+    for notion in ("dp", "eopp", "eodds", "predictive_parity"):
+        assert best_response(swapped, inst.dist, [inst.h_star], notion) == best_response(
+            inst.corrupted, inst.dist, [inst.h_star], notion
+        )
+    for notion in ("eopp", "eodds"):
+        expected = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+        assert certified_floor(swapped, inst.dist, inst.h_star, notion) == expected
+    assert eopp_repair(inst.h_star, inst.dist, swapped) == eopp_repair(inst.h_star, inst.dist, inst.corrupted)
+    dp = families.dp_worked(0.05)
+    swapped = make_distribution(dp.corrupted.atoms, groups=("B", "A"))
+    assert dp_repair(dp.h_star, dp.dist, swapped) == dp_repair(dp.h_star, dp.dist, dp.corrupted)
+
+
+def _table_rows(rng, rows):
+    """``rows`` random instances of ``random_dp_instance`` and
+    ``random_eopp_instance``, alternately, each corrupted by a random
+    contamination at a random alpha, as (corrupted, clean) stacks of one
+    mass table per row under the instance's own classifier."""
+    dirty, clean = [], []
+    for r in range(rows):
+        generate = families.random_dp_instance if r % 2 else families.random_eopp_instance
+        dist, h = generate(rng, max_atoms=12)
+        corrupted = mix(dist, oracles.random_contamination(rng, dist), float(rng.uniform(0.01, 0.5)))
+        for side, d in ((dirty, corrupted), (clean, dist)):
+            side.append([[mass_table(h, d)[g] for g in dist.groups]])
+    return np.array(dirty), np.array(clean)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds", "predictive_parity"))
+def test_each_row_of_a_stack_with_its_own_clean_table_is_solved_alone(seed, notion):
+    # the sweep stacks one clean table per row, so no row may read another
+    dirty, clean = _table_rows(np.random.default_rng(seed), 12)
+    solved, error, vertices = repair._solve(dirty, clean, ("A", "B"), notion)
+    for r in range(len(dirty)):
+        alone, alone_error, alone_vertices = repair._solve(dirty[r : r + 1], clean[r : r + 1], ("A", "B"), notion)
+        if r < len(solved):
+            assert alone == [solved[r]] and alone_error is None
+            assert alone_vertices.tobytes() == vertices[r : r + 1].tobytes()
+        else:  # the stack stops at its first row that cannot be solved
+            assert (type(alone_error), str(alone_error)) == (type(error), str(error))
+            break
+
+
+def test_best_response_reads_each_distribution_once(monkeypatch):
+    built = []
+
+    def counted(h, dist):
+        built.append(dist)
+        return mass_table(h, dist)
+
+    monkeypatch.setattr(repair, "mass_table", counted)
+    inst = families.eodds_duplicate(0.1, 0.09)
+    other = BaseClassifier.from_table({"aP": 1, "aN": 1, "bP": 1, "bN": 0})
+    best_response(inst.corrupted, inst.dist, [inst.h_star, other], "eodds")
+    assert len(built) == 4 and built.count(inst.corrupted) == built.count(inst.dist) == 2
