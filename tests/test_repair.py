@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -549,3 +550,54 @@ def test_best_response_reads_each_distribution_once(monkeypatch):
     other = BaseClassifier.from_table({"aP": 1, "aN": 1, "bP": 1, "bN": 0})
     best_response(inst.corrupted, inst.dist, [inst.h_star, other], "eodds")
     assert len(built) == 4 and built.count(inst.corrupted) == built.count(inst.dist) == 2
+
+
+#: SHA-256 of :func:`core_digest`'s record of the solver core's answers.
+CORE_SHA256 = "ea7192e02d1c12f7a466e646241bb6f76c5d9919bd2f888ddb0d2364ade11142"
+
+
+def core_cells(rng, kind, shape):
+    """Random mass tables of ``shape`` + (groups, 4): uniform floats, or
+    multiples of 1/8 with every group's positives and negatives present,
+    which make ties. Group B copies group A in the first quarter of the
+    rows, rounded up."""
+    if kind == "uniform":
+        cells = rng.uniform(0.0, 1.0, shape + (2, 4))
+    else:
+        cells = rng.integers(0, 4, shape + (2, 4)) / 8.0
+        cells[..., (0, 3)] += 1.0 / 8.0
+    cells[: (len(cells) + 3) // 4, :, 1] = cells[: (len(cells) + 3) // 4, :, 0]
+    return cells
+
+
+def core_digest():
+    """Solve seeded stacks of 1, 4 and 100 rows under every notion, with
+    1 and 2 hypotheses, one shared or one per-row clean table, and uniform
+    or dyadic cells; in a 100-row stack, group B of row 97 has no mass, so
+    the stack stops there. Hash, in float.hex, each solved row's total,
+    k, x and its winning active set's rows; every finite vertex total,
+    keyed by its row, hypothesis, candidate and active set's rows; and
+    the error of the row the stack stops at."""
+    digest, rng = hashlib.sha256(), np.random.default_rng(2026)
+    for notion in ("dp", "eopp", "eodds", "predictive_parity"):
+        subsets = repair._active_sets(1 if notion in ("dp", "eopp") else 2)[0].tolist()
+        for rows in (1, 4, 100):
+            for hypotheses in (1, 2):
+                for shared in (True, False):
+                    for kind in ("uniform", "dyadic"):
+                        dirty = core_cells(rng, kind, (rows, hypotheses))
+                        dirty[97:98, :, 1] = 0.0
+                        clean = core_cells(rng, kind, (1 if shared else rows, hypotheses))
+                        solved, error, vertices = repair._solve(dirty, clean, ("A", "B"), notion)
+                        record = [notion, rows, hypotheses, shared, kind, type(error).__name__, str(error)]
+                        for total, k, x, s in solved:
+                            record.append((total.hex(), k, [c.hex() for c in x], subsets[s]))
+                        for r, k, v in zip(*np.nonzero(np.isfinite(vertices))):
+                            candidate, s = divmod(int(v), len(subsets))
+                            record.append((int(r), int(k), candidate, subsets[s], vertices[r, k, v].hex()))
+                        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_core_answers_match_their_digest():
+    assert core_digest() == CORE_SHA256
