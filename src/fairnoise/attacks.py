@@ -8,9 +8,7 @@ variation budget directly.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +29,12 @@ def duplicate_flip_attack(
     (conditional label mean exactly one half). Leftover budget duplicates
     other groups' atoms with unchanged labels, which adds no information.
     """
+    contamination = _duplicate_flip(dist, target_group, alpha)
+    return contamination, mix(dist, contamination, alpha)
+
+
+def _duplicate_flip(dist: Distribution, target_group: str, alpha: float) -> Distribution:
+    """The contamination of :func:`duplicate_flip_attack`."""
     if target_group not in dist.groups:
         raise InputError(f"group {target_group!r} not in {dist.groups}")
     alpha = number(alpha, "alpha")
@@ -81,8 +85,7 @@ def duplicate_flip_attack(
                 q_atoms.append(Atom(point, 0, target_group, share / 2.0, feature_of[point]))
                 q_atoms.append(Atom(point, 1, target_group, share / 2.0, feature_of[point]))
 
-    contamination = make_distribution(q_atoms, groups=dist.groups if leftover > 1e-15 else None)
-    return contamination, mix(dist, contamination, alpha)
+    return make_distribution(q_atoms, groups=dist.groups if leftover > 1e-15 else None)
 
 
 def tpr_shift_attack(
@@ -197,32 +200,36 @@ def grid_worst_case(
                 atoms.append(Atom(p, y, g, 1.0, x))
     n = len(atoms)
     to_cells = np.zeros((n, len(bases), len(groups), 4))
-    for (g, cells), c in classes.items():
-        to_cells[c, range(len(bases)), groups.index(g), cells] = 1.0
+    to_cells[
+        np.arange(n)[:, None], range(len(bases)), [[groups.index(g)] for g, _ in classes], [cells for _, cells in classes]
+    ] = 1.0
 
     flips = []  # each duplicate flip's mass on each class
     if 0.0 < alpha < 1.0:
         for g in groups:
             try:
-                q, _ = duplicate_flip_attack(dist, g, alpha)
+                q = _duplicate_flip(dist, g, alpha)
             except InputError:
                 continue
             flips.append(np.bincount([class_of[a.key] for a in q.atoms], [a.mass for a in q.atoms], n))
-    pairs = np.reshape(list(itertools.combinations(range(n), 2)), (-1, 1, 2)).astype(int)  # each pair of classes
+    # each pair of classes i < j, in the order of np.triu_indices(n, 1)
+    pairs = np.argwhere(np.arange(n)[:, None] < np.arange(n))[:, None]
     weights = np.zeros((n + len(flips) + len(pairs) * (resolution - 1), n))
     weights[: n + len(flips)] = np.concatenate((np.eye(n), np.reshape(flips, (-1, n))))  # point masses, flips
     mixtures = weights[n + len(flips) :].reshape(len(pairs), resolution - 1, n)  # a view: (pairs, steps, classes)
     share = np.arange(1, resolution)[:, None] / resolution
-    np.put_along_axis(mixtures, pairs, np.hstack((share, 1.0 - share)), axis=2)
+    mixtures[np.arange(len(pairs))[:, None, None], np.arange(resolution - 1)[:, None], pairs] = np.hstack((share, 1.0 - share))
 
     clean = np.reshape([[table[g] for g in groups] for table in clean_tables], to_cells.shape[1:])
-    tables = np.concatenate((clean[None], (1.0 - alpha) * clean + alpha * np.tensordot(weights, to_cells, axes=1)))
+    moved = np.dot(weights, to_cells.reshape(n, -1)).reshape((len(weights),) + clean.shape)  # as np.tensordot
+    tables = np.concatenate((clean[None], (1.0 - alpha) * clean + alpha * moved))
     # rows keyed by the raw bytes of their statistic inputs, so -0.0 and 0.0 differ
     inputs = np.ascontiguousarray(statistic_inputs(tables, notion)).reshape(len(tables), -1)
     keys = inputs.view(np.dtype((np.void, inputs.itemsize * inputs.shape[1]))).ravel().tolist()
     distinct: dict[bytes, int] = {}  # each distinct input's index, in order of first occurrence
     which = np.array([distinct.setdefault(key, len(distinct)) for key in keys])
-    order, responses = np.unique(which, return_index=True)[1], []  # each distinct input's first row
+    # each distinct input's first row: where the largest index so far grows
+    order, responses = np.flatnonzero(np.diff(np.maximum.accumulate(which), prepend=-1)), []
     for start in range(0, len(order), SEARCH_BLOCK):  # rows are independent, so blocks move no bit
         solved, error, _ = _solve(tables[order[start : start + SEARCH_BLOCK]], clean[None], groups, notion)
         if error is not None:
@@ -236,7 +243,7 @@ def grid_worst_case(
     opt = score[responses[0]]  # row 0 is the clean optimum
     excess = np.array([score[response] for response in responses])[which[1:]] - opt
     win = weights[np.argmax(excess >= excess.max() - 1e-12)]
-    q = make_distribution([replace(a, mass=w) for a, w in zip(atoms, win.tolist()) if w > 0.0], groups=groups)
+    q = make_distribution([Atom(a.point, a.label, a.group, w, a.feature) for a, w in zip(atoms, win.tolist()) if w > 0.0], groups=groups)
     corrupted = mix(dist, q, alpha)
     mixed = [mass_table(h, corrupted) for h in hypotheses]
     (_, k, x, _), _ = _one_row(mixed, clean_tables, groups, notion)

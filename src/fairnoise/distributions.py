@@ -113,12 +113,20 @@ def make_distribution(atoms: Iterable[Atom], groups: Iterable[str] | None = None
     if not atoms:
         raise InputError("cannot build a distribution from an empty atom list")
 
+    return _merged(((a.key, a.mass, a.feature) for a in atoms), groups)
+
+
+def _merged(masses: Iterable[tuple], groups: Iterable[str] | None) -> Distribution:
+    """The tail of :func:`make_distribution` on (key, mass, feature) triples
+    of valid atoms: masses summed in order and the first non-None feature
+    kept per (group, point, label) key, then normalized, canonically
+    ordered and checked against ``groups``."""
     merged: dict[tuple[str, str, int], float] = {}
     features: dict[tuple[str, str, int], float | None] = {}
-    for a in atoms:
-        merged[a.key] = merged.get(a.key, 0.0) + a.mass
-        if features.get(a.key) is None:
-            features[a.key] = a.feature
+    for key, mass, feature in masses:
+        merged[key] = merged.get(key, 0.0) + mass
+        if features.get(key) is None:
+            features[key] = feature
 
     total = math.fsum(merged.values())
     if abs(total - 1.0) > MASS_TOL:
@@ -153,9 +161,6 @@ def mix(dist: Distribution, contamination: Distribution, alpha: float) -> Distri
     unknown = set(contamination.groups) - set(dist.groups)
     if unknown:
         raise InputError(f"contamination uses groups outside the base distribution: {sorted(unknown)}")
-    atoms = [
-        Atom(a.point, a.label, a.group, (1.0 - alpha) * a.mass, a.feature) for a in dist.atoms
-    ] + [
-        Atom(a.point, a.label, a.group, alpha * a.mass, a.feature) for a in contamination.atoms
-    ]
-    return make_distribution(atoms, groups=dist.groups)
+    # the scaled atoms, base distribution first: each mass is finite and >= 0
+    scaled = ((a.key, w * a.mass, a.feature) for w, d in ((1.0 - alpha, dist), (alpha, contamination)) for a in d.atoms)
+    return _merged(scaled, dist.groups)

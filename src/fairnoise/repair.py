@@ -180,8 +180,11 @@ def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
     right, as in the statistics. A best response depends on a table only
     through these."""
     if notion == "dp":
-        pos = cells[..., 0] + cells[..., 1]
-        return np.stack((pos, cells[..., 2] + cells[..., 3], pos + cells[..., 2] + cells[..., 3]), axis=-1)
+        out = np.empty(cells.shape[:-1] + (3,), cells.dtype)
+        np.add(cells[..., ::2], cells[..., 1::2], out=out[..., :2])
+        np.add(out[..., 0], cells[..., 2], out=out[..., 2])
+        out[..., 2] += cells[..., 3]
+        return out
     if notion == "eopp":
         return cells[..., (0, 2)]
     return cells
@@ -201,28 +204,40 @@ _DENOMINATORS = {
     "eopp": (("positives", (0, 1), (0, 1)),),
     "eodds": (("positives", (0, 2), (0, 2)), ("negatives", (1, 3), (1, 3))),
 }
+#: The columns of :func:`statistic_inputs` each equality reads, per notion
+#: with equalities, and the sign of each group's denominator in them.
+_COLUMNS = {n: np.array([c for _, _, c in e]) for n, e in _DENOMINATORS.items() if n != "predictive_parity"}
+_SIGNS = np.array([[1], [-1]])
 
 
-def _denominators(inputs: np.ndarray, notion: str) -> list[np.ndarray]:
+def _denominators(inputs: np.ndarray, notion: str) -> np.ndarray:
     """Each denominator of ``_DENOMINATORS[notion]``, summed left to right
     over its columns of :func:`statistic_inputs` (the last axis of
-    ``inputs``)."""
-    return [sum(inputs[..., k] for k in summed) for _, summed, _ in _DENOMINATORS[notion]]
+    ``inputs``), on the last axis in place of the columns."""
+    entries = _DENOMINATORS[notion]
+    out = np.empty(inputs.shape[:-1] + (len(entries),), inputs.dtype)
+    for i, (_, (first, *rest), _) in enumerate(entries):
+        out[..., i] = inputs[..., first]
+        for k in rest:
+            out[..., i] += inputs[..., k]
+    return out
 
 
-def _equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, notion: str, denominators: Sequence | None = None):
-    """Per row of both groups' :func:`statistic_inputs`, the coefficients
-    over x = (u_A, v_A, u_B, v_B) of each equality s_A - s_B = 0 of the
-    notion, as a (rows, equalities, 4) array, from ``_DENOMINATORS``.
-    ``denominators`` holds each (d_A, d_B) of :func:`_denominators` when
-    the caller has them."""
+def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray | None = None) -> np.ndarray:
+    """Per row of :func:`statistic_inputs` stacked over both groups, (...,
+    groups, columns), the coefficients over x = (u_A, v_A, u_B, v_B) of each
+    equality s_A - s_B = 0 of the notion, as an (..., equalities, 4) array,
+    from ``_DENOMINATORS``: group A's columns over d_A, then group B's over
+    -d_B, which is -(b / d_B) to the bit, in one division.
+    ``denominators`` holds :func:`_denominators` of ``inputs`` when the
+    caller has them."""
     if denominators is None:
-        denominators = zip(_denominators(inputs_a, notion), _denominators(inputs_b, notion))
-    rows = []
-    for (_, _, columns), (d_a, d_b) in zip(_DENOMINATORS[notion], denominators):
-        a, b = inputs_a[:, columns], inputs_b[:, columns]  # only the columns the equality reads
-        rows.append(np.concatenate((a / d_a[:, None], -(b / d_b[:, None])), axis=1))
-    return np.stack(rows, axis=1)
+        denominators = _denominators(inputs, notion)
+    columns = _COLUMNS[notion]
+    eq = np.empty(inputs.shape[:-2] + (len(columns), 4), inputs.dtype)
+    quotients = eq.reshape(eq.shape[:-1] + (2, 2)).swapaxes(-3, -2)  # a view: (..., groups, equalities, 2)
+    np.divide(inputs[..., columns], (denominators * _SIGNS)[..., None], out=quotients)
+    return eq
 
 
 def _parity_equalities(
@@ -298,116 +313,142 @@ _LP_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=2)
-def _active_sets(n_eq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
     """Every 4-subset of n_eq equality rows followed by the six triangle
-    rows, in ``itertools.combinations`` order, and the face of both
-    triangles its triangle rows pin x to.
+    rows that can hold a vertex, in ``itertools.combinations`` order, and
+    the face of both triangles its triangle rows pin x to.
 
-    A group's rows among v = 0, v = u and u = 1 pin it to a corner, an
-    edge or the whole of its triangle. Its u is fixed when u = 1 holds, or
-    v = 0 and v = u do; its v is fixed when v = 0 holds, or v = u and u = 1
-    do; otherwise v = u ties v to u. Each other coordinate is free, with a
+    A group's rows v = 0, v = u and u = 1 never hold together (the first
+    two give u = 0), so a subset that holds all three rows of one group has
+    no vertex and is dropped: 8 of 35 subsets for one equality, 10 of 70
+    for two. In the others a group's rows pin it to a corner, an edge or
+    the whole of its triangle. Its u is fixed when u = 1 holds, or v = 0
+    and v = u do; its v is fixed when v = 0 holds, or v = u and u = 1 do;
+    otherwise v = u ties v to u. Each other coordinate is free, with a
     parameter of its own, so the subset's vertex is x0 + D t: x0 is a
     corner of the face, and D's column for a free u also steps a tied v.
     There are as many parameters as equalities the subset holds, and each
-    coordinate moves with at most one of them, so x0 + D t is exact.
+    coordinate moves with at most one of them, so x0 + D t is exact. The
+    subset's equalities E give (E D) t = E (0 - x0); a subset holding k <
+    n_eq equalities pads E with unit rows that make its last parameters 0.
 
-    Per subset s: those equalities, padded to n_eq with index n_eq (a zero
-    row), as held[:, s]; x0[:, s] and D[:, :, s], in {0, 1}, where a padded
-    parameter's column is 0; and pad[:, :, s], the n_eq x n_eq matrix with
-    a 1 on each padded parameter's diagonal entry, which makes it t = 0.
-    All three rows of a group meet nowhere, so a subset that holds them
-    has no vertex: its D and pad are 0, which makes it singular. x0, D and
-    pad end in an axis of 1 for the rows of a stack."""
+    Returns the subsets; x0 and D, as (4, subsets, 1) and (4, n_eq,
+    subsets, 1) arrays in {0, 1}; the distinct columns of D and 0 - x0,
+    as a (4, 1, columns, 1) array; and, as an (entries, subsets) pair of
+    row and column indices, where each entry of (E D | E (0 - x0)) lies in
+    a table whose row i < n_eq is equality i times each distinct column,
+    row n_eq is 0 and row n_eq + 1 is 1. The entries are (E D, E (0 - x0))
+    for one equality and the six products of Cramer's rule for two: a f,
+    r f, a s, b c, b s and r c, for E D = ((a, b), (c, f)) and
+    E (0 - x0) = (r, s)."""
     subsets = np.array(list(itertools.combinations(range(n_eq + 6), 4)))
-    k = (subsets < n_eq).sum(axis=1)
-    held = np.where(np.arange(n_eq)[:, None] < k, subsets[:, :n_eq].T, n_eq)
     # per subset and group, whether it holds v = 0, v = u and u = 1
     v0, vu, u1 = (subsets[:, :, None] == n_eq + np.arange(6)).any(axis=1).reshape(-1, 2, 3).transpose(2, 0, 1)
-    valid = ~(v0 & vu & u1).any(axis=1)
-    free = np.stack((~(u1 | v0 & vu), ~(v0 | vu)), axis=2).reshape(-1, 4) & valid[:, None]  # of u_A, v_A, u_B, v_B
+    kept = ~(v0 & vu & u1).any(axis=1)
+    subsets, v0, vu, u1 = subsets[kept], v0[kept], vu[kept], u1[kept]
+    k = (subsets < n_eq).sum(axis=1)
+    free = np.stack((~(u1 | v0 & vu), ~(v0 | vu)), axis=2).reshape(-1, 4)  # of u_A, v_A, u_B, v_B
     steps = np.broadcast_to(np.eye(4), (len(subsets), 4, 4)).copy()
     steps[:, (0, 2), (1, 3)] = vu
     column = ((np.cumsum(free, axis=1) - 1)[..., None] == np.arange(n_eq)) & free[..., None]
-    d = np.einsum("sfc,sfj->jcs", column, steps)[..., None]
-    x0 = np.stack((u1, vu & u1), axis=2).reshape(-1, 4).T[..., None].astype(float)
-    pad = (np.eye(n_eq)[:, :, None] * ((np.arange(n_eq)[:, None] >= k) & valid))[..., None]
-    return subsets, held, x0, d, pad
+    d = np.einsum("sfc,sfj->jcs", column, steps)
+    x0 = np.stack((u1, vu & u1), axis=2).reshape(-1, 4).T.astype(float)
+    # every column of D and 0 - x0, in {-1, 0, 1}, and the distinct ones among them
+    columns = np.concatenate((d, 0.0 - x0[:, None]), axis=1).reshape(4, -1)
+    _, first, kind = np.unique((3.0 ** np.arange(4)) @ (columns + 1.0), return_index=True, return_inverse=True)
+    # each entry's table row: its equality, or for a padded slot 1 on its diagonal and 0 elsewhere
+    real = np.arange(n_eq)[:, None, None] < k  # (slot, 1, subsets)
+    rows = np.where(real, subsets[:, :n_eq].T[:, None], n_eq + (np.eye(n_eq, n_eq + 1)[..., None] == 1))
+    kinds = np.broadcast_to(kind.reshape(n_eq + 1, -1), rows.shape)  # (slot, column of D | 0 - x0, subsets)
+    entries = [0, 1] if n_eq == 1 else [0, 2, 0, 1, 1, 2, 4, 4, 5, 3, 5, 3]
+    at = rows.reshape(-1, len(subsets))[entries], kinds.reshape(-1, len(subsets))[entries]
+    return subsets, x0[..., None], d[..., None], columns[:, first, None, None].transpose(0, 2, 1, 3), at
 
 
-def _lp_vertices(
-    eq: np.ndarray, clean_table: Mapping[str, Sequence], groups: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex of the LP that minimizes clean error over both groups'
-    triangles subject to the equalities ``eq``, per
-    row: (clean error, +inf where infeasible; x; the active sets), where
-    the first two are indexed by row and active set. ``eq`` is that of
-    :func:`_equalities` or :func:`_parity_equalities`. ``clean_table[g]``
-    holds group g's four clean cells, as floats for every row alike or as
-    arrays with one entry per row.
+    triangles subject to the equalities ``eq``, per row: (clean error,
+    +inf where infeasible; x; the active sets), where the first two are
+    indexed by row and active set. ``eq`` is that of :func:`_equalities`
+    or :func:`_parity_equalities`. ``cells`` holds both groups' four clean
+    cells as (groups, 4, rows), or (groups, 4, 1) for every row alike.
 
     Clean error is linear in x, so a vertex attains the minimum: a point
-    where four independent constraints hold with equality. Each 4-subset's
-    triangle rows pin x to x0 + D t (:func:`_active_sets`), and its
-    equalities E give (E D) t = -E x0, solved in closed form: one division
-    for one equality, Cramer's rule for two, where a padded parameter's
-    identity row leaves the one division's bits. A zero pivot or
-    determinant makes the subset singular, with no vertex. So every vertex
-    meets its triangle rows exactly. A vertex that misses a constraint by
-    more than ``_LP_TOL`` is infeasible, and the others are clamped to the
-    triangles. The equalities are homogeneous, so accepting nothing meets
-    them all, and a row always has a feasible vertex. Each sum over the
-    four columns is one broadcast product reduced over a non-inner axis,
-    which numpy adds slice by slice in order, and both groups' error terms
-    come from one (4, groups, 1, rows) stack of clean cells, with an axis
-    of 1 for rows when every row has the same table. Each cell multiplies
-    only its own row's terms, and no step reduces across rows, so each row
-    gets the same bits in any stack, whatever the other rows' tables. A
-    sum begun at 0 differs only in the sign of a zero, which x0 + D t, the
-    ``det == 0.0`` test and the + 0.0 after the clamps erase. The work is
-    laid out as (..., subsets, rows), so numpy's inner loops run over the
-    rows."""
+    where four independent constraints hold with equality. Each active
+    set's triangle rows pin x to x0 + D t (:func:`_active_sets`), and its
+    equalities E give (E D) t = E (0 - x0). Every entry of both sides is an
+    equality row times one of a few distinct columns, so each such product
+    is taken once per row and gathered per set. The system is solved in
+    closed form: one division for one equality, Cramer's rule for two,
+    where a padded parameter's unit row leaves the one division's bits. A
+    zero pivot or determinant makes the set singular, with no vertex. So
+    every vertex meets its triangle rows exactly. A vertex that misses a
+    constraint by more than ``_LP_TOL`` is infeasible, which the largest of
+    its misses, gathered in one array, decides; every vertex is clamped to
+    the triangles in place. The equalities are homogeneous, so accepting
+    nothing meets them all, and a row always has a feasible vertex. Each
+    sum over the four columns is one broadcast product reduced over a
+    non-inner axis, which numpy adds slice by slice in order, and both
+    groups' error terms, (1 - u) m1p, u m1n, (1 - v) m0p and v m0n, are one
+    product of (1 - x, x) with the cells, added in that order. Each cell
+    multiplies only its own row's terms, and no step reduces across rows,
+    so each row gets the same bits in any stack, whatever the other rows'
+    tables. A sum differs from one begun at 0, and a sum of negated terms
+    from the negated sum, only in the sign of a zero, which the ``det ==
+    0.0`` test ignores and x0 + D t erases: x0 is +0.0 or 1.0, so no entry
+    of x, and so none of its clamps, is -0.0. The work is laid out as
+    (..., subsets, rows), so numpy's inner loops run over the rows."""
     rows, n_eq, _ = eq.shape
-    subsets, held, x0, d, pad = _active_sets(n_eq)
-    # the four columns of eq's rows and of one zero row, rows last: (4, n_eq + 1, rows)
-    columns = np.concatenate((eq, np.zeros((rows, 1, 4))), axis=1).transpose(2, 1, 0).copy()
-    e = columns[:, held]  # (4, n_eq, subsets, rows)
-    ed = (e[:, :, None] * d[:, None]).sum(axis=0) + pad  # (n_eq, n_eq, subsets, rows)
-    rhs = -(e * x0[:, None]).sum(axis=0)
-    if n_eq == 1:
-        det, t = ed[0, 0], rhs
-    else:
-        (a, b), (c, f) = ed
-        r, s = rhs
-        det, t = a * f - b * c, np.stack((r * f - b * s, a * s - c * r))
+    subsets, x0, d, distinct, at = _active_sets(n_eq)
+    columns = np.ascontiguousarray(eq.transpose(2, 1, 0))[:, :, None]  # (4, equalities, 1, rows)
+    # each equality times each distinct column of D and 0 - x0, then a row of 0s and a row of 1s
+    table = np.empty((n_eq + 2, distinct.shape[2], rows))
+    table[n_eq], table[n_eq + 1] = 0.0, 1.0
+    (columns * distinct).sum(axis=0, out=table[:n_eq])
+    system = table[at]  # per set, (E D, E (0 - x0)) or the products of Cramer's rule: (entries, subsets, rows)
+    if n_eq == 2:
+        system = system[:6] * system[6:]
+        system = system[:3] - system[3:]
+    det, t = system[0], system[1:]
+    # each group's (u, v) times (1 - x, x): x is a (4, subsets, rows) view
+    terms = np.empty((len(cells), 2, 2) + x0.shape[1:2] + (rows,))
+    x = terms[:, :, 1].reshape(x0.shape[:2] + (rows,))
+    # how far a vertex misses each equality, and each group's -v <= 0, v - u <= 0 and u <= 1
+    u, v, misses = x[::2], x[1::2], np.empty((n_eq + 6,) + x.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular subset may overflow; it is infeasible
         # a singular subset's t is NaN, and so is each entry of its x, since 0 * NaN is NaN
-        t = t / np.where(det == 0.0, np.nan, det)
-        x = x0 + (d * t).sum(axis=1)  # (4, subsets, rows)
-        miss = (columns[:, :n_eq, None] * x[:, None]).sum(axis=0)  # (equalities, subsets, rows)
-    u, v = x[::2], x[1::2]  # clamped in place
-    feasible = (np.abs(miss) <= _LP_TOL).all(axis=0)
-    feasible &= ((-v <= _LP_TOL) & (v - u <= _LP_TOL) & (u - 1.0 <= _LP_TOL)).all(axis=0)
-    np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
-    np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
-    x += 0.0  # turns -0.0 into 0.0
-    cells = np.array([clean_table[g] for g in groups]).swapaxes(0, 1).reshape(4, len(groups), 1, -1)
-    err = sum(error_terms(cells, u, v)).sum(axis=0)
+        t /= np.where(det == 0.0, np.nan, det)
+        np.multiply(d[:, 0], t[0], out=x)  # x0 + D t: (4, subsets, rows)
+        if n_eq == 2:
+            x += d[:, 1] * t[1]
+        x += x0
+        (columns * x[:, None]).sum(axis=0, out=misses[:n_eq])
+    np.abs(misses[:n_eq], out=misses[:n_eq])
+    np.negative(v, out=misses[n_eq : n_eq + 2])
+    np.subtract(v, u, out=misses[n_eq + 2 : n_eq + 4])
+    np.subtract(u, 1.0, out=misses[n_eq + 4 :])
+    feasible = misses.max(axis=0) <= _LP_TOL
+    np.maximum(x, 0.0, out=x)
+    np.minimum(u, 1.0, out=u)
+    np.minimum(v, u, out=v)
+    np.subtract(1.0, terms[:, :, 1], out=terms[:, :, 0])
+    err = terms * cells.reshape(len(cells), 2, 2, 1, cells.shape[-1])  # times ((m1p, m1n), (m0p, m0n))
+    err = err.reshape(len(cells), 4, *x.shape[1:]).sum(axis=1).sum(axis=0)
     return np.where(feasible, err, np.inf).T, x.T, subsets
 
 
 def _first_empty(denominators: np.ndarray, groups: Sequence[str], notion: str) -> tuple[int, InputError | None]:
     """The number of rows before the first where a group lacks the mass the
     notion divides by, and the ``InputError`` of that row; None when no row
-    lacks it. ``denominators`` holds :func:`_denominators` as (entries of
-    ``_DENOMINATORS[notion]``, rows, groups); a row's groups are checked in
-    order, each for every entry."""
+    lacks it. ``denominators`` holds :func:`_denominators` as (rows,
+    groups, entries of ``_DENOMINATORS[notion]``); a row's groups are
+    checked in order, each for every entry."""
     zero = denominators <= 0.0
-    bad = zero.any(axis=(0, 2))
+    bad = zero.any(axis=(1, 2))
     if not bad.any():
         return len(bad), None
     rows = int(bad.argmax())
-    g, entry = divmod(int(zero[:, rows].T.argmax()), len(zero))
+    g, entry = divmod(int(zero[rows].argmax()), zero.shape[2])
     what = _DENOMINATORS[notion][entry][0]
     return rows, InputError(f"group {groups[g]!r} has no {what} on the corrupted distribution")
 
@@ -430,13 +471,16 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     ``dirty[r, k, i]`` holds row r's corrupted mass-table cells under
     hypothesis k in group i of ``groups``; ``clean`` holds the clean cells
     the same way and broadcasts against it: (1, hypotheses, 2, 4) for one
-    clean distribution, or one table per row. Each row's denominators are
-    summed once, for the empty check and the equalities, and each (row,
-    hypothesis) is one row of one :func:`_lp_vertices` stack. Returns per
-    row, up to the first that cannot be solved, the minimum clean error as
-    (total, k, x, s): x is (u_A, v_A, u_B, v_B), the acceptance
-    probabilities of each group's base-positive and base-negative points,
-    and s the index of the winning active set (:func:`_active_sets`).
+    clean distribution, or one table per row. Each row's statistic inputs
+    and denominators are built once, into arrays, for the empty check,
+    which looks for the first empty row only when some denominator is not
+    positive, and for the equalities, one division for the whole stack.
+    Each (row, hypothesis) is one row of one :func:`_lp_vertices` stack.
+    Returns per row, up to the first that cannot be solved, the minimum
+    clean error as (total, k, x, s): x is (u_A, v_A, u_B, v_B), the
+    acceptance probabilities of each group's base-positive and
+    base-negative points, and s the index of the winning active set among
+    those :func:`_active_sets` keeps.
     Every notion takes the first cheapest of the exact LP's vertices, row
     by row: dp, eopp and eodds in active-set order, and predictive parity
     over its candidate precisions (:func:`_parity_equalities`) in order,
@@ -449,37 +493,40 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     total per solved row and hypothesis, as (rows, hypotheses, vertices),
     +inf where a vertex is infeasible."""
     inputs = statistic_inputs(dirty, notion)
-    denominators = np.array(_denominators(inputs, notion))  # (entries, rows, hypotheses, groups)
-    # a group's mass does not depend on the hypothesis
-    rows, error = _first_empty(denominators[:, :, 0], groups, notion)
+    denominators = _denominators(inputs, notion)  # (rows, hypotheses, groups, entries)
+    rows, error = len(dirty), None
+    if not (denominators > 0.0).all():  # a group's mass does not depend on the hypothesis
+        rows, error = _first_empty(denominators[:, 0], groups, notion)
     hypotheses = dirty.shape[1]
     n = rows * hypotheses  # LP rows: each row's hypotheses in order
-    a, b = inputs[:rows].reshape(n, 2, inputs.shape[-1]).transpose(1, 0, 2)
-    clean = (clean.repeat(rows, axis=0) if len(clean) == 1 else clean[:rows]).reshape(n, 2, 4)
+    tables = (clean.repeat(rows, axis=0) if len(clean) < rows else clean[:rows]).reshape(n, 2, 4)
     if notion == "predictive_parity":
-        eq, pis, meet = _parity_equalities(a, b, clean[:, 0].T, clean[:, 1].T)
+        a, b = inputs[:rows].reshape(n, 2, 4).transpose(1, 0, 2)
+        eq, pis, meet = _parity_equalities(a, b, tables[:, 0].T, tables[:, 1].T)
+        tables = tables.repeat(eq.shape[1], axis=0)  # an LP row's table for each of its candidates
     else:
-        pairs = denominators[:, :rows].reshape(len(denominators), n, 2).transpose(0, 2, 1)  # (d_A, d_B) per entry
-        eq = _equalities(a, b, notion, denominators=pairs)[:, None]
-    cells = clean.repeat(eq.shape[1], axis=0)  # an LP row's table for each of its candidates
-    cells = {g: cells[:, i].T for i, g in enumerate(groups)}
-    totals, xs, subsets = _lp_vertices(eq.reshape(-1, *eq.shape[2:]), cells, groups)
-    width = eq.shape[1] * len(subsets)  # the vertices of an LP row's candidates, in order
-    totals = totals.reshape(n, width)
+        eq = _equalities(inputs[:rows], notion, denominators[:rows])
+        eq = eq.reshape(n, 1, *eq.shape[-2:])
+    candidates = eq.shape[1]
+    totals, xs, subsets = _lp_vertices(eq.reshape(-1, *eq.shape[2:]), tables.transpose(1, 2, 0))
+    width = candidates * len(subsets)  # the vertices of an LP row's candidates, in order
+    totals = totals.reshape(rows, hypotheses, width)
     if notion == "predictive_parity":
-        totals[~meet] = np.inf
+        totals[~meet.reshape(rows, hypotheses)] = np.inf
     # a row's first cheapest vertex over its hypotheses in order: the lowest k on equal totals
-    k, vertex = np.divmod(totals.reshape(rows, hypotheses * width).argmin(axis=1), width)
-    won = np.arange(rows) * hypotheses + k  # each row's winning LP row
-    best, xs = totals[won, vertex], xs.reshape(n, width, 4)[won, vertex]
+    flat, at = totals.reshape(rows, hypotheses * width), np.arange(rows)
+    pick = flat.argmin(axis=1)
+    k, s = pick // width, pick % len(subsets)
+    best, xs = flat[at, pick], xs.reshape(rows, hypotheses * candidates * len(subsets), 4)[at, pick]
     if notion == "predictive_parity":
-        xs = _with_precision(xs, pis[won, vertex // len(subsets)], a[won], b[won])
-    infeasible = np.isinf(best)
-    if infeasible.any():
-        rows = int(infeasible.argmax())
-        error = InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
-    solved = zip(best.tolist(), k.tolist(), map(tuple, xs.tolist()), (vertex % len(subsets)).tolist())
-    return list(solved)[:rows], error, totals.reshape(len(k), hypotheses, width)[:rows]
+        won = at * hypotheses + k  # each row's winning hypothesis, as an LP row before candidates
+        xs = _with_precision(xs, pis[won, pick % width // len(subsets)], a[won], b[won])
+        infeasible = np.isinf(best)
+        if infeasible.any():
+            rows = int(infeasible.argmax())
+            error = InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
+    solved = zip(best.tolist(), k.tolist(), map(tuple, xs.tolist()), s.tolist())
+    return list(solved)[:rows], error, totals[:rows]
 
 
 def _same_groups(dirty: Mapping, clean: Mapping) -> None:

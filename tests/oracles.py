@@ -69,7 +69,7 @@ def _solve(rows, rhs):
     return x
 
 
-def lapack_vertices(eq, clean_table, groups):
+def lapack_vertices(eq, cells):
     """``repair._lp_vertices`` as a batched LU solve: every 4-subset of the
     equality and triangle rows is one 4 x 4 system, singular where
     ``np.linalg.det`` is exactly 0 and solved by ``np.linalg.solve``
@@ -88,7 +88,7 @@ def lapack_vertices(eq, clean_table, groups):
     feasible = (np.abs(miss[..., :n_eq]) <= 1e-12).all(axis=2) & (miss[..., n_eq:] <= 1e-12).all(axis=2)
     u = np.clip(x[..., ::2], 0.0, 1.0) + 0.0
     v = np.clip(x[..., 1::2], 0.0, u) + 0.0
-    err = sum(sum(error_terms(clean_table[g], u[..., i], v[..., i])) for i, g in enumerate(groups))
+    err = sum(sum(error_terms(table[:, 0], u[..., i], v[..., i])) for i, table in enumerate(cells))
     return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
 
 
@@ -146,11 +146,11 @@ def certified_floor(corrupted, clean, h, notion):
     whose multipliers solve stationarity with every triangle multiplier
     >= 0 gives the floor c_0 - y^T h_active, as a Fraction."""
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
-    inputs = [statistic_inputs(np.array([dirty[g]]), notion) for g in clean.groups]
-    totals, _, subsets = _lp_vertices(_equalities(*inputs, notion), table, clean.groups)
+    inputs = statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion)
+    totals, _, subsets = _lp_vertices(_equalities(inputs, notion), np.array([table[g] for g in clean.groups])[..., None])
 
-    exact = (np.array([list(map(Fraction, dirty[g]))], dtype=object) for g in clean.groups)
-    a = np.concatenate((_equalities(*(statistic_inputs(t, notion) for t in exact), notion)[0], _TRIANGLE))
+    exact = np.array([[list(map(Fraction, dirty[g])) for g in clean.groups]], dtype=object)
+    a = np.concatenate((_equalities(statistic_inputs(exact, notion), notion)[0], _TRIANGLE))
     n_eq = len(a) - 6
     # clean error is const + c . x, and stationarity asks y^T A_active = target = -c
     cells = [list(map(Fraction, table[g])) for g in clean.groups]

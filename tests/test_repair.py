@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -316,8 +317,8 @@ def kernel_stack(rng, notion, kind, rows=200):
     if notion == "predictive_parity":
         eq = repair._parity_equalities(*cells, *clean)[0].reshape(-1, 2, 4)
     else:
-        eq = repair._equalities(*(repair.statistic_inputs(c, notion) for c in cells), notion)
-    return eq, {"A": tuple(clean[0]), "B": tuple(clean[1])}
+        eq = repair._equalities(repair.statistic_inputs(cells.swapaxes(0, 1), notion), notion)
+    return eq, clean[..., None]
 
 
 @pytest.mark.parametrize("kind", ("uniform", "dyadic"))
@@ -329,9 +330,13 @@ def test_closed_form_vertices_match_the_lapack_solve(notion, kind):
     # groups on their u = 1 edges when they share one table. The origin is
     # also the vertex of both groups' (0, 0) corners.
     eq, table = kernel_stack(np.random.default_rng(17), notion, kind)
-    totals, x, subsets = repair._lp_vertices(eq, table, ("A", "B"))
-    ref_totals, ref_x, ref_subsets = oracles.lapack_vertices(eq, table, ("A", "B"))
-    assert (subsets == ref_subsets).all()
+    totals, x, subsets = repair._lp_vertices(eq, table)
+    ref_totals, ref_x, ref_subsets = oracles.lapack_vertices(eq, table)
+    # the oracle solves every subset; the dropped ones have no feasible vertex
+    column = {subset: s for s, subset in enumerate(map(tuple, ref_subsets.tolist()))}
+    kept = [column[subset] for subset in map(tuple, subsets.tolist())]
+    assert np.isinf(np.delete(ref_totals, kept, axis=1)).all()
+    ref_totals, ref_x = ref_totals[:, kept], ref_x[:, kept]
     feasible, ref_feasible = np.isfinite(totals), np.isfinite(ref_totals)
     differ = feasible != ref_feasible
     assert np.isnan(x[differ & ~feasible]).all() and (x[differ & feasible] == 0.0).all()
@@ -345,6 +350,16 @@ def test_closed_form_vertices_match_the_lapack_solve(notion, kind):
         for row in (i - n_eq for i in subset if i >= n_eq):
             u, v = x[feasible[:, s], s, 2 * (row // 3)], x[feasible[:, s], s, 2 * (row // 3) + 1]
             assert (v == (0.0, u, v)[row % 3]).all() and (u == (u, u, 1.0)[row % 3]).all()
+
+
+@pytest.mark.parametrize("n_eq, kept", ((1, 27), (2, 60)))
+def test_active_sets_drop_only_the_sets_holding_a_whole_triangle(n_eq, kept):
+    # a group's rows v = 0, v = u and u = 1 are n_eq + 3 g, ..., n_eq + 3 g + 2
+    subsets = repair._active_sets(n_eq)[0].tolist()
+    whole = [set(range(n_eq + 3 * g, n_eq + 3 * g + 3)) for g in (0, 1)]
+    every = [list(c) for c in itertools.combinations(range(n_eq + 6), 4)]
+    assert subsets == [c for c in every if not any(rows <= set(c) for rows in whole)]
+    assert len(subsets) == kept
 
 
 def test_subnormal_pivot_overflows_quietly():
