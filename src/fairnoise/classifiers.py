@@ -222,35 +222,39 @@ def group_stats(h: BaseClassifier | PQClassifier, dist: Distribution) -> GroupSt
     return _table_stats(pq, mass_table(pq, dist))
 
 
-def _table_stats(pq: PQClassifier, table: Mapping[str, tuple[float, ...]]) -> GroupStats:
+#: The statistics :func:`fairness_gap` reads for each notion.
+_READS = {"dp": ("rate",), "eopp": ("tpr",), "eodds": ("tpr", "fpr"), "predictive_parity": ("ppv",)}
+
+
+def _table_stats(pq: PQClassifier, table: Mapping[str, tuple[float, ...]], notion: str | None = None) -> GroupStats:
     """:func:`group_stats` of ``pq`` on the distribution whose mass table
     under pq's base is ``table``, so a caller that holds the table reads
-    the atoms once."""
-    rate: dict[str, float] = {}
-    tpr: dict[str, float | None] = {}
-    fpr: dict[str, float | None] = {}
-    ppv: dict[str, float | None] = {}
+    the atoms once. With a ``notion``, only the statistics
+    :func:`fairness_gap` reads for it are computed; the others stay empty."""
+    reads = _READS.get(notion, ("rate", "tpr", "fpr", "ppv"))
+    stats = GroupStats(rate={}, tpr={}, fpr={}, ppv={})
     for g, cells in table.items():
         m1p, m1n, m0p, m0n = cells
         u, v = pq.uv(g)
         r = math.fsum(cells)
         if r <= 0.0:
             raise InputError(f"group {g!r} has no mass")
-        pos = math.fsum((m1p, m0p))
-        neg = math.fsum((m1n, m0n))
-        acc_mass = math.fsum((u * m1p, u * m1n, v * m0p, v * m0n))
-        acc_pos = math.fsum((u * m1p, v * m0p))
-        acc_neg = math.fsum((u * m1n, v * m0n))
-        rate[g] = acc_mass / r
-        tpr[g] = acc_pos / pos if pos > 0.0 else None
-        fpr[g] = acc_neg / neg if neg > 0.0 else None
-        # precision is unchanged by scaling (u, v), and at max(u, v) = 1 no
-        # accepted mass underflows
-        top = max(u, v) or 1.0
-        us, vs = u / top, v / top
-        acc_scaled = math.fsum((us * m1p, us * m1n, vs * m0p, vs * m0n))
-        ppv[g] = math.fsum((us * m1p, vs * m0p)) / acc_scaled if acc_scaled > 0.0 else None
-    return GroupStats(rate=rate, tpr=tpr, fpr=fpr, ppv=ppv)
+        if "rate" in reads:
+            stats.rate[g] = math.fsum((u * m1p, u * m1n, v * m0p, v * m0n)) / r
+        if "tpr" in reads:
+            pos = math.fsum((m1p, m0p))
+            stats.tpr[g] = math.fsum((u * m1p, v * m0p)) / pos if pos > 0.0 else None
+        if "fpr" in reads:
+            neg = math.fsum((m1n, m0n))
+            stats.fpr[g] = math.fsum((u * m1n, v * m0n)) / neg if neg > 0.0 else None
+        if "ppv" in reads:
+            # precision is unchanged by scaling (u, v), and at max(u, v) = 1 no
+            # accepted mass underflows
+            top = max(u, v) or 1.0
+            us, vs = u / top, v / top
+            acc_scaled = math.fsum((us * m1p, us * m1n, vs * m0p, vs * m0n))
+            stats.ppv[g] = math.fsum((us * m1p, vs * m0p)) / acc_scaled if acc_scaled > 0.0 else None
+    return stats
 
 
 def _pairwise_gap(values: dict[str, float | None], notion: str) -> float:

@@ -122,26 +122,26 @@ def _repair(h_star: BaseClassifier | PQClassifier, clean: Mapping, dirty: Mappin
     (1 - p) a + p q, and keep the candidate cheapest on the clean table,
     the first one on ties."""
     pq = as_pq(h_star)
-    stats = _table_stats(pq, clean)
+    stats = _table_stats(pq, clean, notion)
     gap = fairness_gap(stats, notion)
     if gap > GAP_TOL:
         name = {"dp": "DP", "eopp": "EOpp"}[notion]
         raise InputError(f"realizability violated: base classifier has {name} gap {gap:.3e} on the clean distribution")
     _same_groups(dirty, clean)
     if notion == "dp":
-        current, candidates = _table_stats(pq, dirty).rate, [("direct", stats.rate)]
+        current, candidates = _table_stats(pq, dirty, notion).rate, [("direct", stats.rate)]
     else:
         empty = [g for g, (m1p, _, m0p, _) in dirty.items() if m1p + m0p <= 0.0]  # masses are >= 0
         if empty:
             raise InputError(f"group {empty[0]!r} has no positives in the corrupted distribution")
-        current = _table_stats(pq, dirty).tpr
+        current = _table_stats(pq, dirty, notion).tpr
         candidates = [(f"match_{i}", {g: current[i] for g in clean}) for i in clean]
     reference, best = _table_error(pq, clean), None
     for label, target in candidates:
         coins = {g: _match_params(current[g], target[g]) for g in clean}
         params = {g: tuple((1.0 - p) * a + p * q for a in pq.uv(g)) for g, (p, q) in coins.items()}
         repaired = PQClassifier(base=pq.base, params=params)
-        gap = fairness_gap(_table_stats(repaired, dirty), notion)
+        gap = fairness_gap(_table_stats(repaired, dirty, notion), notion)
         if gap > GAP_TOL:
             who = f"{notion} repair" if label == "direct" else f"{notion} candidate {label}"
             raise ContractError(f"{who} failed its gap contract: {gap:.3e}")
@@ -553,7 +553,7 @@ def _witness(h, groups: Sequence[str], x: Sequence, notion: str, dirty: Mapping,
     """The witness of :func:`best_response` for the core's answer x under
     h, scored on h's corrupted and clean mass tables."""
     repaired = option_classifier(h, groups, x)
-    gap, err = fairness_gap(_table_stats(repaired, dirty), notion), _table_error(repaired, clean)
+    gap, err = fairness_gap(_table_stats(repaired, dirty, notion), notion), _table_error(repaired, clean)
     return RepairWitness(repaired, notion, gap, err, err - reference, "direct", alpha)
 
 
