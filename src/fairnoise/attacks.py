@@ -124,10 +124,10 @@ def tpr_shift_attack(
 
 
 #: Most distinct rows :func:`grid_worst_case` sends to one
-#: :func:`repair._solve` stack. The vertex search holds about 75 KB per
-#: predictive-parity row and hypothesis (four candidate precisions of 70
-#: active sets) and 6 KB per dp row, so a one-hypothesis block peaks near
-#: 38 MB (tracemalloc).
+#: :func:`repair._solve` stack. The vertex search holds about 61 KB per
+#: predictive-parity row and hypothesis (four candidate precisions of 60
+#: active sets) and 7 KB per dp row, so a one-hypothesis block peaks near
+#: 31 MB (tracemalloc).
 SEARCH_BLOCK = 512
 #: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
 #: mixtures grow with it, C(classes, 2) (resolution - 1) of them.
@@ -200,9 +200,8 @@ def grid_worst_case(
                 atoms.append(Atom(p, y, g, 1.0, x))
     n = len(atoms)
     to_cells = np.zeros((n, len(bases), len(groups), 4))
-    to_cells[
-        np.arange(n)[:, None], range(len(bases)), [[groups.index(g)] for g, _ in classes], [cells for _, cells in classes]
-    ] = 1.0
+    group_of, cells_of = [[groups.index(g)] for g, _ in classes], [cells for _, cells in classes]
+    to_cells[np.arange(n)[:, None], range(len(bases)), group_of, cells_of] = 1.0  # each class's cell in each table
 
     flips = []  # each duplicate flip's mass on each class
     if 0.0 < alpha < 1.0:
@@ -213,12 +212,13 @@ def grid_worst_case(
                 continue
             flips.append(np.bincount([class_of[a.key] for a in q.atoms], [a.mass for a in q.atoms], n))
     # each pair of classes i < j, in the order of np.triu_indices(n, 1)
-    pairs = np.argwhere(np.arange(n)[:, None] < np.arange(n))[:, None]
+    pairs = np.array((np.arange(n)[:, None] < np.arange(n)).nonzero()).T[:, None]
     weights = np.zeros((n + len(flips) + len(pairs) * (resolution - 1), n))
     weights[: n + len(flips)] = np.concatenate((np.eye(n), np.reshape(flips, (-1, n))))  # point masses, flips
     mixtures = weights[n + len(flips) :].reshape(len(pairs), resolution - 1, n)  # a view: (pairs, steps, classes)
     share = np.arange(1, resolution)[:, None] / resolution
-    mixtures[np.arange(len(pairs))[:, None, None], np.arange(resolution - 1)[:, None], pairs] = np.hstack((share, 1.0 - share))
+    steps = np.arange(resolution - 1)[:, None]
+    mixtures[np.arange(len(pairs))[:, None, None], steps, pairs] = np.hstack((share, 1.0 - share))
 
     clean = np.reshape([[table[g] for g in groups] for table in clean_tables], to_cells.shape[1:])
     moved = np.dot(weights, to_cells.reshape(n, -1)).reshape((len(weights),) + clean.shape)  # as np.tensordot
@@ -228,8 +228,8 @@ def grid_worst_case(
     keys = inputs.view(np.dtype((np.void, inputs.itemsize * inputs.shape[1]))).ravel().tolist()
     distinct: dict[bytes, int] = {}  # each distinct input's index, in order of first occurrence
     which = np.array([distinct.setdefault(key, len(distinct)) for key in keys])
-    # each distinct input's first row: where the largest index so far grows
-    order, responses = np.flatnonzero(np.diff(np.maximum.accumulate(which), prepend=-1)), []
+    # each distinct input's first row, where the largest index so far first reaches it
+    order, responses = np.maximum.accumulate(which).searchsorted(np.arange(len(distinct))), []
     for start in range(0, len(order), SEARCH_BLOCK):  # rows are independent, so blocks move no bit
         solved, error, _ = _solve(tables[order[start : start + SEARCH_BLOCK]], clean[None], groups, notion)
         if error is not None:
@@ -243,7 +243,8 @@ def grid_worst_case(
     opt = score[responses[0]]  # row 0 is the clean optimum
     excess = np.array([score[response] for response in responses])[which[1:]] - opt
     win = weights[np.argmax(excess >= excess.max() - 1e-12)]
-    q = make_distribution([Atom(a.point, a.label, a.group, w, a.feature) for a, w in zip(atoms, win.tolist()) if w > 0.0], groups=groups)
+    q_atoms = [Atom(a.point, a.label, a.group, w, a.feature) for a, w in zip(atoms, win.tolist()) if w > 0.0]
+    q = make_distribution(q_atoms, groups=groups)
     corrupted = mix(dist, q, alpha)
     mixed = [mass_table(h, corrupted) for h in hypotheses]
     (_, k, x, _), _ = _one_row(mixed, clean_tables, groups, notion)

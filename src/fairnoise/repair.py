@@ -353,16 +353,16 @@ def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
     column = ((np.cumsum(free, axis=1) - 1)[..., None] == np.arange(n_eq)) & free[..., None]
     d = np.einsum("sfc,sfj->jcs", column, steps)
     x0 = np.stack((u1, vu & u1), axis=2).reshape(-1, 4).T.astype(float)
-    # every column of D and 0 - x0, in {-1, 0, 1}, and the distinct ones among them
-    columns = np.concatenate((d, 0.0 - x0[:, None]), axis=1).reshape(4, -1)
-    _, first, kind = np.unique((3.0 ** np.arange(4)) @ (columns + 1.0), return_index=True, return_inverse=True)
+    distinct: dict[tuple, int] = {}  # each distinct column of D and 0 - x0, in order of first occurrence
+    columns = zip(*np.concatenate((d, 0.0 - x0[:, None]), axis=1).reshape(4, -1).tolist())
+    kind = np.array([distinct.setdefault(column, len(distinct)) for column in columns])
     # each entry's table row: its equality, or for a padded slot 1 on its diagonal and 0 elsewhere
     real = np.arange(n_eq)[:, None, None] < k  # (slot, 1, subsets)
     rows = np.where(real, subsets[:, :n_eq].T[:, None], n_eq + (np.eye(n_eq, n_eq + 1)[..., None] == 1))
-    kinds = np.broadcast_to(kind.reshape(n_eq + 1, -1), rows.shape)  # (slot, column of D | 0 - x0, subsets)
+    kinds = kind.reshape(1, n_eq + 1, -1).repeat(n_eq, axis=0)  # (slot, column of D | 0 - x0, subsets)
     entries = [0, 1] if n_eq == 1 else [0, 2, 0, 1, 1, 2, 4, 4, 5, 3, 5, 3]
     at = rows.reshape(-1, len(subsets))[entries], kinds.reshape(-1, len(subsets))[entries]
-    return subsets, x0[..., None], d[..., None], columns[:, first, None, None].transpose(0, 2, 1, 3), at
+    return subsets, x0[..., None], d[..., None], np.array(list(distinct)).T[:, None, :, None], at
 
 
 def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,7 +404,7 @@ def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
     # each equality times each distinct column of D and 0 - x0, then a row of 0s and a row of 1s
     table = np.empty((n_eq + 2, distinct.shape[2], rows))
     table[n_eq], table[n_eq + 1] = 0.0, 1.0
-    (columns * distinct).sum(axis=0, out=table[:n_eq])
+    np.add.reduce(columns * distinct, axis=0, out=table[:n_eq])
     system = table[at]  # per set, (E D, E (0 - x0)) or the products of Cramer's rule: (entries, subsets, rows)
     if n_eq == 2:
         system = system[:6] * system[6:]
@@ -422,18 +422,18 @@ def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
         if n_eq == 2:
             x += d[:, 1] * t[1]
         x += x0
-        (columns * x[:, None]).sum(axis=0, out=misses[:n_eq])
+        np.add.reduce(columns * x[:, None], axis=0, out=misses[:n_eq])
     np.abs(misses[:n_eq], out=misses[:n_eq])
     np.negative(v, out=misses[n_eq : n_eq + 2])
     np.subtract(v, u, out=misses[n_eq + 2 : n_eq + 4])
     np.subtract(u, 1.0, out=misses[n_eq + 4 :])
-    feasible = misses.max(axis=0) <= _LP_TOL
+    feasible = np.maximum.reduce(misses, axis=0) <= _LP_TOL
     np.maximum(x, 0.0, out=x)
     np.minimum(u, 1.0, out=u)
     np.minimum(v, u, out=v)
     np.subtract(1.0, terms[:, :, 1], out=terms[:, :, 0])
     err = terms * cells.reshape(len(cells), 2, 2, 1, cells.shape[-1])  # times ((m1p, m1n), (m0p, m0n))
-    err = err.reshape(len(cells), 4, *x.shape[1:]).sum(axis=1).sum(axis=0)
+    err = np.add.reduce(np.add.reduce(err.reshape(len(cells), 4, *x.shape[1:]), axis=1), axis=0)
     return np.where(feasible, err, np.inf).T, x.T, subsets
 
 

@@ -147,7 +147,8 @@ def certified_floor(corrupted, clean, h, notion):
     >= 0 gives the floor c_0 - y^T h_active, as a Fraction."""
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
     inputs = statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion)
-    totals, _, subsets = _lp_vertices(_equalities(inputs, notion), np.array([table[g] for g in clean.groups])[..., None])
+    clean_cells = np.array([table[g] for g in clean.groups])[..., None]
+    totals, _, subsets = _lp_vertices(_equalities(inputs, notion), clean_cells)
 
     exact = np.array([[list(map(Fraction, dirty[g])) for g in clean.groups]], dtype=object)
     a = np.concatenate((_equalities(statistic_inputs(exact, notion), notion)[0], _TRIANGLE))
