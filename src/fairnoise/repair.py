@@ -182,8 +182,7 @@ def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
     if notion == "dp":
         out = np.empty(cells.shape[:-1] + (3,), cells.dtype)
         np.add(cells[..., ::2], cells[..., 1::2], out=out[..., :2])
-        np.add(out[..., 0], cells[..., 2], out=out[..., 2])
-        out[..., 2] += cells[..., 3]
+        np.add(out[..., 0] + cells[..., 2], cells[..., 3], out=out[..., 2])
         return out
     if notion == "eopp":
         return cells[..., (0, 2)]
@@ -214,13 +213,11 @@ def _denominators(inputs: np.ndarray, notion: str) -> np.ndarray:
     """Each denominator of ``_DENOMINATORS[notion]``, summed left to right
     over its columns of :func:`statistic_inputs` (the last axis of
     ``inputs``), on the last axis in place of the columns."""
-    entries = _DENOMINATORS[notion]
-    out = np.empty(inputs.shape[:-1] + (len(entries),), inputs.dtype)
-    for i, (_, (first, *rest), _) in enumerate(entries):
-        out[..., i] = inputs[..., first]
-        for k in rest:
-            out[..., i] += inputs[..., k]
-    return out
+    summed = [columns for _, columns, _ in _DENOMINATORS[notion]]  # as many for each entry
+    total = inputs[..., [columns[0] for columns in summed]]
+    for j in range(1, len(summed[0])):
+        total += inputs[..., [columns[j] for columns in summed]]
+    return total
 
 
 def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray | None = None) -> np.ndarray:
@@ -499,11 +496,12 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
         rows, error = _first_empty(denominators[:, 0], groups, notion)
     hypotheses = dirty.shape[1]
     n = rows * hypotheses  # LP rows: each row's hypotheses in order
-    tables = (clean.repeat(rows, axis=0) if len(clean) < rows else clean[:rows]).reshape(n, 2, 4)
+    # each LP row's clean table; one shared table stays one, which broadcasts
+    tables = (clean.repeat(rows, axis=0) if hypotheses > 1 and len(clean) < rows else clean[:rows]).reshape(-1, 2, 4)
     if notion == "predictive_parity":
         a, b = inputs[:rows].reshape(n, 2, 4).transpose(1, 0, 2)
         eq, pis, meet = _parity_equalities(a, b, tables[:, 0].T, tables[:, 1].T)
-        tables = tables.repeat(eq.shape[1], axis=0)  # an LP row's table for each of its candidates
+        tables = np.broadcast_to(tables, (n, 2, 4)).repeat(eq.shape[1], axis=0)  # each row's for each candidate
     else:
         eq = _equalities(inputs[:rows], notion, denominators[:rows])
         eq = eq.reshape(n, 1, *eq.shape[-2:])
