@@ -30,7 +30,6 @@ from .classifiers import (
     _table_error,
     _table_stats,
     as_pq,
-    error_terms,
     fairness_gap,
     mass_table,
 )
@@ -213,7 +212,7 @@ def _denominators(inputs: np.ndarray, notion: str) -> np.ndarray:
     """Each denominator of ``_DENOMINATORS[notion]``, summed left to right
     over its columns of :func:`statistic_inputs` (the last axis of
     ``inputs``), on the last axis in place of the columns."""
-    summed = [columns for _, columns, _ in _DENOMINATORS[notion]]  # as many for each entry
+    summed = [columns for _, columns, _ in _DENOMINATORS[notion]]  # each entry sums as many columns
     total = inputs[..., [columns[0] for columns in summed]]
     for j in range(1, len(summed[0])):
         total += inputs[..., [columns[j] for columns in summed]]
