@@ -332,9 +332,11 @@ def test_closed_form_vertices_match_the_lapack_solve(notion, kind):
     eq, table = kernel_stack(np.random.default_rng(17), notion, kind)
     totals, x, subsets = repair._lp_vertices(eq, table)
     ref_totals, ref_x, ref_subsets = oracles.lapack_vertices(eq, table)
-    # the oracle solves every subset; the dropped ones have no feasible vertex
+    # the oracle solves every subset in combinations order: the kept ones are
+    # among them in the same order, and the dropped ones have no feasible vertex
     column = {subset: s for s, subset in enumerate(map(tuple, ref_subsets.tolist()))}
-    kept = [column[subset] for subset in map(tuple, subsets.tolist())]
+    kept = [column.get(subset) for subset in map(tuple, subsets.tolist())]
+    assert None not in kept and kept == sorted(kept)
     assert np.isinf(np.delete(ref_totals, kept, axis=1)).all()
     ref_totals, ref_x = ref_totals[:, kept], ref_x[:, kept]
     feasible, ref_feasible = np.isfinite(totals), np.isfinite(ref_totals)
