@@ -202,21 +202,21 @@ _DENOMINATORS = {
     "eopp": (("positives", (0, 1), (0, 1)),),
     "eodds": (("positives", (0, 2), (0, 2)), ("negatives", (1, 3), (1, 3))),
 }
-#: The columns of :func:`statistic_inputs` each equality reads, per notion
-#: with equalities, and the sign of each group's denominator in them.
+#: Per notion, the columns of :func:`statistic_inputs` each denominator
+#: sums and, where it has equalities, those each equality reads; and the
+#: sign of each group's denominator in them.
+_SUMMED = {n: np.array([s for _, s, _ in e]) for n, e in _DENOMINATORS.items()}
 _COLUMNS = {n: np.array([c for _, _, c in e]) for n, e in _DENOMINATORS.items() if n != "predictive_parity"}
 _SIGNS = np.array([[1], [-1]])
 
 
 def _denominators(inputs: np.ndarray, notion: str) -> np.ndarray:
-    """Each denominator of ``_DENOMINATORS[notion]``, summed left to right
-    over its columns of :func:`statistic_inputs` (the last axis of
-    ``inputs``), on the last axis in place of the columns."""
-    summed = [columns for _, columns, _ in _DENOMINATORS[notion]]  # each entry sums as many columns
-    total = inputs[..., [columns[0] for columns in summed]]
-    for j in range(1, len(summed[0])):
-        total += inputs[..., [columns[j] for columns in summed]]
-    return total
+    """Each denominator of ``_DENOMINATORS[notion]``, summed over its
+    columns of :func:`statistic_inputs` (the last axis of ``inputs``), on
+    the last axis in place of the columns. A sum of one or two columns is
+    the left-to-right sum to the bit, up to the sign of a zero; predictive
+    parity's sum of four is only tested for zero."""
+    return np.add.reduce(inputs[..., _SUMMED[notion]], axis=-1)
 
 
 def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray | None = None) -> np.ndarray:
