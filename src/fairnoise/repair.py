@@ -337,11 +337,10 @@ def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
     for one equality and the six products of Cramer's rule for two: a f,
     r f, a s, b c, b s and r c, for E D = ((a, b), (c, f)) and
     E (0 - x0) = (r, s)."""
-    subsets = np.array(list(itertools.combinations(range(n_eq + 6), 4)))
+    whole = [set(range(n_eq + 3 * g, n_eq + 3 * g + 3)) for g in (0, 1)]  # each group's v = 0, v = u and u = 1
+    subsets = np.array([s for s in itertools.combinations(range(n_eq + 6), 4) if not any(w <= set(s) for w in whole)])
     # per subset and group, whether it holds v = 0, v = u and u = 1
     v0, vu, u1 = (subsets[:, :, None] == n_eq + np.arange(6)).any(axis=1).reshape(-1, 2, 3).transpose(2, 0, 1)
-    kept = ~(v0 & vu & u1).any(axis=1)
-    subsets, v0, vu, u1 = subsets[kept], v0[kept], vu[kept], u1[kept]
     k = (subsets < n_eq).sum(axis=1)
     free = np.stack((~(u1 | v0 & vu), ~(v0 | vu)), axis=2).reshape(-1, 4)  # of u_A, v_A, u_B, v_B
     steps = np.broadcast_to(np.eye(4), (len(subsets), 4, 4)).copy()
