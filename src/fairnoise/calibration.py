@@ -1,12 +1,13 @@
 """Binned real-valued predictors, group-wise calibration error, per-group
 recalibration, the parity-calibration check, and the parity-calibration
-floor with the binnings and bin values it searches."""
+floor: the bin values it allows and the subset DP that finds its cheapest
+binning."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .classifiers import GAP_TOL
 from .distributions import Distribution
@@ -76,11 +77,12 @@ class CalibrationReport:
 def calibration_report(h: BinnedPredictor, dist: Distribution) -> CalibrationReport:
     """Occupancies and conditional label means per (group, bin).
 
-    Cells with no mass never appear, so they contribute no gap.
+    Cells with no mass never appear, so they contribute no gap: atoms of
+    mass 0 are skipped, and no cell or group is divided by 0.
     """
     cell_mass: dict[tuple[str, int], float] = {}
     cell_pos: dict[tuple[str, int], float] = {}
-    for a in dist.atoms:
+    for a in (atom for atom in dist.atoms if atom.mass > 0.0):
         cell = (a.group, h.bin_of(a.point))
         cell_mass[cell] = cell_mass.get(cell, 0.0) + a.mass
         if a.label == 1:
@@ -132,20 +134,6 @@ def value_shift(h1: BinnedPredictor, h2: BinnedPredictor, dist: Distribution) ->
     return math.fsum(terms)
 
 
-def l1_error(h: BinnedPredictor, dist: Distribution) -> float:
-    """Expected |y - predicted value| over the atoms."""
-    return math.fsum(a.mass * abs(a.label - h.value(a.point, a.group)) for a in dist.atoms)
-
-
-def binnings(n: int) -> Iterator[tuple[int, ...]]:
-    """Every binning of n ordered points, one per set partition, as a
-    restricted growth string: point k joins a bin opened before it or opens
-    the next one. Lazy, so memory stays O(n) however many there are."""
-    if n == 0:
-        return iter([()])
-    return (code + (b,) for code in binnings(n - 1) for b in range(max(code, default=-1) + 2))
-
-
 def calibrated_value(report: CalibrationReport, groups: tuple[str, ...], b: int, slope: float) -> float | None:
     """Bin b's value: inside [0, 1] and within GAP_TOL of each group's
     corrupted label mean in the bin, at the end of that window that clean
@@ -184,9 +172,13 @@ def parity_calibration_check(
     return is_calibrated, gap
 
 
-#: Most support points parity_calibration_attack_certify enumerates the set
-#: partitions of: Bell(10) = 115,975 candidate binnings.
-MAX_CALIBRATION_POINTS = 10
+#: Most support points parity_calibration_attack_certify partitions into
+#: bins: 2**13 - 1 bins valued and about 3**12 / 2 steps of its subset DP.
+MAX_CALIBRATION_POINTS = 13
+#: Every finite float is an int times 2**-1074, so clean error summed in
+#: these units is exact; every float is below 2**1024, so no sum of fewer
+#: than 2**100 of them reaches _INFEASIBLE, the cost of a rejected bin.
+_UNIT, _INFEASIBLE = 1 << 1074, 1 << 2200
 
 
 def parity_calibration_attack_certify(inst) -> float:
@@ -195,32 +187,48 @@ def parity_calibration_attack_certify(inst) -> float:
     :class:`families.Instance`) within GAP_TOL.
 
     Exact over binned predictors with one value per bin: a binning is a set
-    partition of the support points, and every one is enumerated. A bin
-    whose per-group occupancy differs by more than GAP_TOL rejects the
-    partition. Calibration confines each bin's value to the window within
-    GAP_TOL of every group's corrupted label mean there; clean error is
-    linear in the value, so the better end of the window is optimal. On
-    the duplication instance, washed-out labels give the small group
-    one-half means; parity drags the large group into one bin with it,
-    valued 1/2. More than MAX_CALIBRATION_POINTS points raise ``InputError``
-    before any enumeration.
+    partition of the support points. A bin whose per-group occupancy
+    differs by more than GAP_TOL rejects the partition. Calibration confines
+    each bin's value to the window within GAP_TOL of every group's
+    corrupted label mean there; clean error is linear in the value, so the
+    better end of the window is optimal. A bin's acceptance, value and
+    clean error read only its own points, so the floor is a min-cost set
+    partition, f(S) = min over bins B holding S's first point of cost(B) +
+    f(S - B), found by a DP over subsets. Each bin is valued once, on a
+    two-bin predictor whose bin 1 holds it, and costs the exact sum, in
+    ints, of the float terms of its clean L1 error; so the floor, the least
+    sum correctly rounded, is the least ``math.fsum`` of any partition's
+    terms. On the duplication instance, washed-out labels give the small
+    group one-half means; parity drags the large group into one bin with
+    it, valued 1/2. More than MAX_CALIBRATION_POINTS points raise
+    ``InputError`` before any bin is valued.
     """
-    dist, corrupted = inst.dist, inst.corrupted
-    points = sorted({a.point for a in (*dist.atoms, *corrupted.atoms)})
+    points = sorted({a.point for a in (*inst.dist.atoms, *inst.corrupted.atoms)})
     if len(points) > MAX_CALIBRATION_POINTS:
         raise InputError(f"{len(points)} points exceed parity calibration's cap of {MAX_CALIBRATION_POINTS}")
-    floor = math.inf
-    for code in binnings(len(points)):
-        assignment = dict(zip(points, code))
-        report = calibration_report(BinnedPredictor(assignment, dict.fromkeys(code, 0.0)), corrupted)
-        slope = dict.fromkeys(code, 0.0)  # d(clean error) / d(bin value)
-        for a in dist.atoms:
-            slope[assignment[a.point]] += a.mass * (1 - 2 * a.label)
-        values = {b: calibrated_value(report, corrupted.groups, b, slope[b]) for b in slope}
-        # calibrated_value enforces both windows, occupancy and calibration,
-        # so every candidate it values passes parity_calibration_check
-        if None not in values.values():
-            floor = min(floor, l1_error(BinnedPredictor(assignment, values), dist))
-    if not math.isfinite(floor):
+    # least[s], for the set s of the points[k] with bit k set, starts as the
+    # cost of s as one bin
+    least = [0] + [_INFEASIBLE] * ((1 << len(points)) - 1)
+    for s in range(1, len(least)):
+        assignment = {p: s >> k & 1 for k, p in enumerate(points)}
+        report = calibration_report(BinnedPredictor(assignment, {0: 0.0, 1: 0.0}), inst.corrupted)
+        atoms = [a for a in inst.dist.atoms if assignment[a.point]]
+        slope = 0.0  # d(clean error) / d(bin value), summed left to right
+        for a in atoms:
+            slope += a.mass * (1 - 2 * a.label)
+        v = calibrated_value(report, inst.corrupted.groups, 1, slope)
+        if v is not None:
+            least[s] = sum(p * _UNIT // q for p, q in (float.as_integer_ratio(a.mass * abs(a.label - v)) for a in atoms))
+    # then, in place, the least cost of a partition of each set without
+    # points[0], and of all points: the bin holding a set's first point
+    # leaves such a set. A bin without points[0] is read at its own least
+    # partition cost, which is no more than its cost as one bin and is a
+    # partition's cost, so the minimum stays the same.
+    for s in (*range(2, len(least) - 1, 2), len(least) - 1):
+        rest = sub = s & (s - 1)  # s without its first point
+        for _ in range(1 << rest.bit_count()):  # each subset of rest, as what that point's bin leaves
+            least[s] = min(least[s], least[s ^ sub] + least[sub])
+            sub = (sub - 1) & rest
+    if least[-1] >= _INFEASIBLE:
         raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
-    return floor
+    return least[-1] / _UNIT

@@ -611,7 +611,10 @@ def certified_floor(
     clean error's gradient c, exactly, as d y for d = +-det(A_active),
     and the active set needs d != 0 and every triangle row's multiplier
     >= 0. By weak duality no classifier in the class then errs less
-    than the dual value c_0 - y^T h_active. Active sets are tried in order
+    than the dual value c_0 - y^T h_active. The set's vertex, also from
+    :func:`_cramer`, must meet every equality exactly and every triangle
+    row, in ints: then it errs the dual value, which is the LP minimum and
+    not only a bound below it. Active sets are tried in order
     of their vertex's float clean error, then in active-set order, from
     the vertex totals of one :func:`_solve` row, so the core's winning
     active set comes first; at a degenerate vertex only some of them have
@@ -641,7 +644,11 @@ def certified_floor(
         active = subsets[s].tolist()
         basis = [a[i] for i in active]
         d, dy = _cramer(list(zip(*basis)), target)
-        if d != 0 and all(m * d >= 0 for m, i in zip(dy, active) if i >= len(eq)):
+        if d == 0 or any(m * d < 0 for m, i in zip(dy, active) if i >= len(eq)):
+            continue
+        e, ex = _cramer(basis, [b[i] for i in active])  # the set's vertex, ex / e
+        misses = ((sum(c * x for c, x in zip(row, ex)) - r * e) * e for row, r in zip(a, b))  # (A x - b) e^2
+        if all(m <= 0 if i >= len(eq) else m == 0 for i, m in enumerate(misses)):
             sign = 1 if d > 0 else -1
             num, den = sign * (const * d - sum(m * b[i] for m, i in zip(dy, active))), sign * scale * d
             if abs(num / den - totals.min()) > GAP_TOL:

@@ -7,21 +7,28 @@ candidate of ``class_candidates``, the class search that the package's
 older search over mixtures of up to three support atoms, a floor that the
 package's excess must not fall below by more than 1e-12. ``lp_floor`` is
 the exact reference for ``best_response`` under dp, eopp and eodds: it
-solves every 4-subset of the LP's constraints in Fractions, from masses
-summed over atoms, so the package's float vertex search must agree with it
-up to rounding. ``certified_floor`` is the dual certificate of
-``repair.certified_floor`` in Fractions, from the same vertex enumeration,
-which the package's integer floor must equal exactly.
+solves every 4-subset of the LP's constraints and scores each vertex in
+Fractions, from masses summed over atoms, so the package's float vertex
+search must agree with it up to rounding, and the package's certified
+floor exactly. ``certified_floor`` is the dual certificate of
+``repair.certified_floor`` in Fractions, from the same vertex enumeration
+and with the same exact check of the vertex, which the package's integer
+floor must equal exactly.
 ``lapack_vertices`` is the vertex enumeration ``repair._lp_vertices``
 replaced: each active set's 4 x 4 system goes to LAPACK, so the package's
 closed-form kernel must give the same feasible vertices up to rounding.
 ``predictive_parity_scan`` is the reference for ``best_response`` under
 predictive parity: it scores only option pairs that meet the constraint,
 on a dense scan of the common precision, so the package's infimum must
-never lie above it and must come within the scan's resolution of it. The
-full enumeration of every value-grid assignment is
-the reference that ``parity_calibration_attack_certify``'s partition floor
-must not exceed: its values are a subset of those a bin may take.
+never lie above it and must come within the scan's resolution of it.
+``parity_calibration_partitions`` is the enumeration that
+``calibration.parity_calibration_attack_certify``'s subset DP replaced:
+every set partition of the support points is one binned predictor,
+scored by ``l1_error``, and the DP's floor must equal its least error bit
+for bit, or raise the same ``InputError``. The full enumeration of every
+value-grid assignment, ``parity_calibration_attack_certify`` here, is the
+reference that the package's partition floor must not exceed: its values
+are a subset of those a bin may take.
 ``group_stats``, ``error`` and ``corruption_masses`` sum over atoms instead
 of reading the mass table, so the package's versions must agree with them up
 to rounding.
@@ -29,7 +36,8 @@ to rounding.
 The test-side helpers at the end (total variation distance, Monte Carlo
 sampling of a randomized classifier, and two seeded random generators) are
 references on package code; the acceptance corpora draw their instances
-from the generators, so their draws must not change.
+from the generators, so their draws must not change. Nor must those of
+``random_binned_instance``, whose seeds pin a floor.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import numpy as np
 
 from fairnoise import families
 from fairnoise.attacks import duplicate_flip_attack
-from fairnoise.calibration import BinnedPredictor, l1_error, parity_calibration_check
+from fairnoise.calibration import BinnedPredictor, calibrated_value, calibration_report, parity_calibration_check
 from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell_index, error_terms, mass_table
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
@@ -52,8 +60,9 @@ from fairnoise.repair import _BOUND, _TRIANGLE, _equalities, _lp_vertices, best_
 
 def _solve(rows, rhs):
     """x with rows x = rhs in Fractions by Gaussian elimination, or None
-    when the system is singular."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    when the system is singular. Every entry becomes a Fraction first, so
+    rows of ints are solved exactly too."""
+    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
     n = len(m)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -90,6 +99,14 @@ def lapack_vertices(eq, cells):
     v = np.clip(x[..., 1::2], 0.0, u) + 0.0
     err = sum(sum(error_terms(table[:, 0], u[..., i], v[..., i])) for i, table in enumerate(cells))
     return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
+
+
+def exact_error(cells, u, v):
+    """Misclassified mass of a group's four cells at option (u, v), in
+    Fractions when they are: ``classifiers.error_terms``' 1.0 - u would
+    round to a float."""
+    m1p, m1n, m0p, m0n = cells
+    return (1 - u) * m1p + u * m1n + (1 - v) * m0p + v * m0n
 
 
 def lp_floor(corrupted, clean, h, notion):
@@ -133,9 +150,7 @@ def lp_floor(corrupted, clean, h, notion):
             continue
         values = [(sum(c * xi for c, xi in zip(row, x)), b, eq) for row, b, eq in constraints]
         if all(v == b if eq else v <= b for v, b, eq in values):
-            err = sum(
-                sum(error_terms(cells(clean, g), x[i], x[i + 1])) for i, g in zip((0, 2), (ga, gb))
-            )
+            err = sum(exact_error(cells(clean, g), x[i], x[i + 1]) for i, g in zip((0, 2), (ga, gb)))
             best = err if best is None else min(best, err)
     return best
 
@@ -143,8 +158,9 @@ def lp_floor(corrupted, clean, h, notion):
 def certified_floor(corrupted, clean, h, notion):
     """The dual certificate of ``repair.certified_floor`` in Fractions: the
     same float vertex enumeration orders the active sets, and the first
-    whose multipliers solve stationarity with every triangle multiplier
-    >= 0 gives the floor c_0 - y^T h_active, as a Fraction."""
+    whose vertex meets every constraint exactly and whose multipliers
+    solve stationarity with every triangle multiplier >= 0 gives the floor
+    c_0 - y^T h_active, as a Fraction."""
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
     inputs = statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion)
     clean_cells = np.array([table[g] for g in clean.groups])[..., None]
@@ -153,6 +169,7 @@ def certified_floor(corrupted, clean, h, notion):
     exact = np.array([[list(map(Fraction, dirty[g])) for g in clean.groups]], dtype=object)
     a = np.concatenate((_equalities(statistic_inputs(exact, notion), notion)[0], _TRIANGLE))
     n_eq = len(a) - 6
+    bound = [0] * n_eq + _BOUND.tolist()
     # clean error is const + c . x, and stationarity asks y^T A_active = target = -c
     cells = [list(map(Fraction, table[g])) for g in clean.groups]
     const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
@@ -160,9 +177,12 @@ def certified_floor(corrupted, clean, h, notion):
     for s in np.argsort(totals[0], kind="stable")[: np.isfinite(totals[0]).sum()]:
         active = subsets[s].tolist()
         basis = a[active]
-        y = _solve(basis.T.tolist(), target)
-        if y is not None and list(np.array(y, dtype=object) @ basis) == target and all(
-            m >= 0 for m, i in zip(y, active) if i >= n_eq
+        y, x = _solve(basis.T.tolist(), target), _solve(basis.tolist(), [bound[i] for i in active])
+        if (
+            y is not None
+            and list(np.array(y, dtype=object) @ basis) == target
+            and all(m >= 0 for m, i in zip(y, active) if i >= n_eq)
+            and all(v == 0 if i < n_eq else v <= bound[i] for i, v in enumerate(a @ np.array(x, dtype=object)))
         ):
             return const - sum(m * int(_BOUND[i - n_eq]) for m, i in zip(y, active) if i >= n_eq)
     return None
@@ -297,6 +317,78 @@ def parity_calibration_attack_certify(alpha, r_b=None, value_grid_n=11):
     if not math.isfinite(floor):
         raise InputError("no predictor on the value grid satisfies parity calibration")
     return floor
+
+
+def l1_error(h, dist):
+    """Expected |y - predicted value| over the atoms."""
+    return math.fsum(a.mass * abs(a.label - h.value(a.point, a.group)) for a in dist.atoms)
+
+
+def binnings(n):
+    """Every binning of n ordered points, one per set partition, as a
+    restricted growth string: point k joins a bin opened before it or opens
+    the next one. Lazy, so memory stays O(n) however many there are."""
+    if n == 0:
+        return iter([()])
+    return (code + (b,) for code in binnings(n - 1) for b in range(max(code, default=-1) + 2))
+
+
+def parity_calibration_partitions(inst):
+    """``calibration.parity_calibration_attack_certify`` by enumeration:
+    every set partition of the support points is one binned predictor,
+    valued by ``calibration_report`` and ``calibrated_value`` on the whole
+    partition and scored by :func:`l1_error`; the least error wins."""
+    dist, corrupted = inst.dist, inst.corrupted
+    points = sorted({a.point for a in (*dist.atoms, *corrupted.atoms)})
+    floor = math.inf
+    for code in binnings(len(points)):
+        assignment = dict(zip(points, code))
+        report = calibration_report(BinnedPredictor(assignment, dict.fromkeys(code, 0.0)), corrupted)
+        slope = dict.fromkeys(code, 0.0)  # d(clean error) / d(bin value)
+        for a in dist.atoms:
+            slope[assignment[a.point]] += a.mass * (1 - 2 * a.label)
+        values = {b: calibrated_value(report, corrupted.groups, b, slope[b]) for b in slope}
+        if None not in values.values():
+            floor = min(floor, l1_error(BinnedPredictor(assignment, values), dist))
+    if not math.isfinite(floor):
+        raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
+    return floor
+
+
+def random_binned_instance(rng, n_points):
+    """A random two-group instance on ``n_points`` points for the
+    parity-calibration floor. Each corrupted point lies in both groups, or
+    in one as half of a pair of points, one per group, with one weight; a
+    weight is 1..3, and the two groups' weights sum alike. Each point has a
+    positive share in quarters, which group B moves by up to 1.5 GAP_TOL
+    for some points and by 1/4 for a few, so that many bins meet parity
+    calibration and some do not. The clean distribution puts random masses
+    and labels on all but maybe the last point, which is then found only
+    in the corrupted distribution. The base classifier is unused."""
+    points = [f"x{k}" for k in range(n_points)]
+    member = []
+    while len(member) < n_points:
+        member += [("A",), ("B",)] if len(member) + 1 < n_points and rng.random() < 0.3 else [("A", "B")]
+    weight, share = rng.integers(1, 4, n_points), rng.integers(0, 5, n_points) / 4.0
+    for k in range(1, n_points):
+        if member[k] == ("B",):
+            weight[k], share[k] = weight[k - 1], share[k - 1]
+    shift = np.where(rng.random(n_points) < 0.15, 0.25, rng.uniform(-1.5, 1.5, n_points) * GAP_TOL)
+    moved = np.clip(share + shift * (rng.random(n_points) < 0.4), 0.0, 1.0)
+    total = 2 * sum(w for w, m in zip(weight, member) if "A" in m)
+    atoms = []
+    for p, m, w, share_a, share_b in zip(points, member, weight, share, moved):
+        for g in m:
+            mass, positive = float(w / total), float(share_a if g == "A" else share_b)
+            atoms += [Atom(p, 1, g, mass * positive), Atom(p, 0, g, mass * (1.0 - positive))]
+    corrupted = make_distribution(atoms, groups=("A", "B"))
+    clean_points = points[: n_points - int(rng.integers(0, 2))] or points
+    masses = _split(rng, 1.0, 2 * len(clean_points))
+    dist = make_distribution(
+        [Atom(p, y, "AB"[int(rng.integers(0, 2))], masses[2 * k + y]) for k, p in enumerate(clean_points) for y in (0, 1)],
+        groups=("A", "B"),
+    )
+    return families.Instance(dist, corrupted, corrupted, None)
 
 
 def predictive_parity_instance(alpha, r_b=None):

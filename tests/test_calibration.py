@@ -9,7 +9,6 @@ from fairnoise import calibration, families, harness
 from fairnoise.calibration import (
     BinnedPredictor,
     calibration_report,
-    l1_error,
     parity_calibration_attack_certify,
     parity_calibration_check,
     recalibrate_per_group,
@@ -19,7 +18,9 @@ from fairnoise.classifiers import GAP_TOL, BaseClassifier
 from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
 
+import oracles
 from conftest import assert_close
+from oracles import l1_error
 
 
 def two_bin_instance():
@@ -80,6 +81,16 @@ class TestCalibrationReport:
         assert_close(report.conditional_mean[("B", 1)], 0.8)
         # A is perfectly calibrated; B's hi bin is off by 0.05
         assert_close(report.max_gap, 0.05)
+
+    def test_cells_with_no_mass_are_skipped(self):
+        # mixing at alpha = 0 keeps the contamination's keys at mass 0
+        dist, predictor = two_bin_instance()
+        q = make_distribution([Atom("z", 1, "A", 1.0)], groups=dist.groups)
+        corrupted = mix(dist, q, 0.0)
+        assert ("A", "z", 1) in corrupted.mass_by_key and corrupted.mass("z", 1, "A") == 0.0
+        h = BinnedPredictor({**predictor.assignment, "z": 2}, {**predictor.values, 2: 0.5})
+        assert calibration_report(h, corrupted) == calibration_report(h, mix(dist, dist, 0.0))
+        assert ("A", 2) not in calibration_report(h, corrupted).occupancy
 
     def test_unassigned_point_raises(self):
         dist, _ = two_bin_instance()
@@ -194,6 +205,23 @@ class TestCertifiers:
         midpoint = (low + high) / 2.0
         assert accepted(midpoint) and floor < l1_error(binned(midpoint), dist)
 
+    def test_parity_calibration_skips_points_of_no_mass(self):
+        inst = families.eodds_duplicate(0.1, 0.09)
+        q = make_distribution([Atom("z", 1, "B", 1.0)], groups=inst.dist.groups)
+        floors = [
+            parity_calibration_attack_certify(families.Instance(inst.dist, c, mix(inst.corrupted, c, 0.0), inst.h_star))
+            for c in (q, inst.corrupted)
+        ]
+        assert floors == [0.5, 0.5]
+
+    def test_parity_calibration_with_a_massless_group_is_bad_input(self):
+        # at alpha = 5e-324 group B's corrupted atoms round to mass 0, so no
+        # bin has equal occupancy in both groups
+        inst = families.eodds_duplicate(5e-324, 0.9 * 5e-324)
+        assert {a.mass for a in inst.corrupted.atoms if a.group == "B"} == {0.0}
+        with pytest.raises(InputError, match="no predictor satisfies parity calibration"):
+            harness.certify_lower_bound("parity_calibration", 5e-324)
+
     def test_parity_calibration_refuses_more_points_than_the_cap(self, monkeypatch):
         n = calibration.MAX_CALIBRATION_POINTS + 1
         dist = make_distribution([Atom(f"x{k}", k % 2, "A", 1.0 / n) for k in range(n)])
@@ -209,3 +237,37 @@ class TestCertifiers:
     def test_certify_validates_alpha(self):
         with pytest.raises(InputError):
             harness.certify_lower_bound("predictive_parity", 0.0)
+
+
+def floor_or_error(certify, inst):
+    try:
+        return certify(inst).hex()
+    except InputError as exc:
+        return str(exc)
+
+
+#: Seeds of oracles.random_binned_instance on 1 to 8 points (1 + seed % 8).
+BINNED_SEEDS = range(48)
+
+
+@pytest.mark.parametrize("seed", BINNED_SEEDS)
+def test_parity_calibration_floor_equals_the_partition_enumeration(seed):
+    inst = oracles.random_binned_instance(np.random.default_rng(seed), 1 + seed % 8)
+    floor = floor_or_error(parity_calibration_attack_certify, inst)
+    assert floor == floor_or_error(oracles.parity_calibration_partitions, inst)
+
+
+def test_binned_instances_cover_rejections_and_points_only_corrupted():
+    instances = [oracles.random_binned_instance(np.random.default_rng(s), 1 + s % 8) for s in BINNED_SEEDS]
+    only_corrupted = [{a.point for a in i.corrupted.atoms} - {a.point for a in i.dist.atoms} for i in instances]
+    rejected = [floor_or_error(parity_calibration_attack_certify, i).startswith("no predictor") for i in instances]
+    assert 0 < sum(rejected) < len(instances) / 2
+    assert sum(map(bool, only_corrupted)) > len(instances) / 4
+
+
+def test_parity_calibration_floor_on_ten_points():
+    # the partition enumeration's floor over Bell(10) = 115,975 binnings;
+    # one of the ten points is found only in the corrupted distribution
+    inst = oracles.random_binned_instance(np.random.default_rng(2), 10)
+    assert len({a.point for a in inst.dist.atoms}) == 9
+    assert parity_calibration_attack_certify(inst).hex() == "0x1.022e05e8e7f70p-1"

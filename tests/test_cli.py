@@ -182,6 +182,15 @@ class TestCertify:
         assert main(["certify", "--notion", "eopp", "--alpha", "0.075"]) == 1
         assert "floor=0.135030 claimed=0.136931 pass=False" in capsys.readouterr().out
 
+    def test_eopp_claim_holds_at_a_tiny_alpha(self, capsys):
+        assert main(["certify", "--notion", "eopp", "--alpha", "1e-30"]) == 0
+        assert "pass=True" in capsys.readouterr().out
+
+    def test_parity_calibration_with_a_massless_group_exits_two(self, capsys):
+        # at alpha = 5e-324 group B's corrupted atoms round to mass 0
+        assert main(["certify", "--notion", "parity_calibration", "--alpha", "5e-324"]) == 2
+        assert "no predictor satisfies parity calibration" in capsys.readouterr().err
+
     def test_fail_exit_one(self, monkeypatch):
         # a failed certification, simulated, pins the exit-code contract
         import fairnoise.cli as cli_mod

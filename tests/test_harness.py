@@ -265,8 +265,8 @@ class TestCertify:
         assert ok and floor >= 0.2
 
     def test_parity_calibration_stays_small_in_memory(self):
-        # the floor builds its 15 binnings one at a time; a dense array over
-        # all 11^4 value-grid assignments peaked at 11.7 MB
+        # the floor values the 15 subsets of the 4 points one at a time; a
+        # dense array over all 11^4 value-grid assignments peaked at 11.7 MB
         tracemalloc.start()
         try:
             harness.certify_lower_bound("parity_calibration", 0.1)

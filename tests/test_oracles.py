@@ -48,6 +48,17 @@ def test_exact_best_response_matches_reference(notion, generate, repair, seed):
         assert found <= repair(h, dist, corrupted).error_on_original + 1e-12
 
 
+@pytest.mark.parametrize("alpha", (1e-30, 1e-200))
+def test_needle_floor_at_a_tiny_alpha_is_the_exact_minimum(alpha):
+    # a vertex that misses the equality by about alpha passes a float check
+    # with 1e-12 slack, and its dual value lies below the minimum
+    inst = families.eopp_needle(alpha)
+    floor = Fraction(*certified_floor(inst.corrupted, inst.dist, inst.h_star, "eopp"))
+    assert floor >= 0
+    assert floor == oracles.lp_floor(inst.corrupted, inst.dist, inst.h_star, "eopp")
+    assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, "eopp")
+
+
 unit = st.floats(0.0, 1.0)
 
 
