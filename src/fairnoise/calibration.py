@@ -181,10 +181,11 @@ MAX_CALIBRATION_POINTS = 13
 _UNIT, _INFEASIBLE = 1 << 1074, 1 << 2200
 
 
-def parity_calibration_attack_certify(inst) -> float:
+def parity_calibration_attack_certify(inst) -> tuple[int, int]:
     """Minimum clean L1 error over binned predictors that satisfy parity
     calibration on the corrupted distribution of ``inst`` (a
-    :class:`families.Instance`) within GAP_TOL.
+    :class:`families.Instance`) within GAP_TOL, as an exact (numerator,
+    denominator) pair of ints.
 
     Exact over binned predictors with one value per bin: a binning is a set
     partition of the support points. A bin whose per-group occupancy
@@ -196,12 +197,13 @@ def parity_calibration_attack_certify(inst) -> float:
     partition, f(S) = min over bins B holding S's first point of cost(B) +
     f(S - B), found by a DP over subsets. Each bin is valued once, on a
     two-bin predictor whose bin 1 holds it, and costs the exact sum, in
-    ints, of the float terms of its clean L1 error; so the floor, the least
-    sum correctly rounded, is the least ``math.fsum`` of any partition's
-    terms. On the duplication instance, washed-out labels give the small
-    group one-half means; parity drags the large group into one bin with
-    it, valued 1/2. More than MAX_CALIBRATION_POINTS points raise
-    ``InputError`` before any bin is valued.
+    ints, of the float terms of its clean L1 error; so the floor is the
+    least such sum, and ``numerator / denominator``, that sum correctly
+    rounded, is the least ``math.fsum`` of any partition's terms. On the
+    duplication instance, washed-out labels give the small group one-half
+    means; parity drags the large group into one bin with it, valued 1/2.
+    More than MAX_CALIBRATION_POINTS points raise ``InputError`` before any
+    bin is valued.
     """
     points = sorted({a.point for a in (*inst.dist.atoms, *inst.corrupted.atoms)})
     if len(points) > MAX_CALIBRATION_POINTS:
@@ -231,4 +233,4 @@ def parity_calibration_attack_certify(inst) -> float:
             sub = (sub - 1) & rest
     if least[-1] >= _INFEASIBLE:
         raise InputError("no predictor satisfies parity calibration on the corrupted distribution")
-    return least[-1] / _UNIT
+    return least[-1], _UNIT

@@ -81,6 +81,8 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config {args.config} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"config {args.config} is nested too deeply to read") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -4,7 +4,6 @@ the minimax-fairness demonstration, and deterministic report emission."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -102,6 +101,8 @@ class ExperimentConfig:
         return ExperimentConfig(family=doc["family"], notion=doc["notion"], alphas=doc["alphas"], **optional)
 
     def sha256(self) -> str:
+        import hashlib  # here, not at the top: it loads OpenSSL, which only a hashed config needs
+
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -318,8 +319,8 @@ def certify_lower_bound(
     certificate. Predictive parity's is the infimum that one row of
     :func:`repair._solve` finds over the common precision, on the
     instance's two mass tables; parity calibration's is
-    :func:`calibration.parity_calibration_attack_certify`'s minimum over
-    every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
+    :func:`calibration.parity_calibration_attack_certify`'s exact minimum
+    over every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
     sqrt(alpha)/2, which is the exact floor only for alpha <= 7 - 4 sqrt(3)
     (about 0.0718) and lies above it beyond; EOdds -> (1 - alpha) * r_A / 2;
     Predictive Parity and Parity Calibration -> the fixed 0.2 floor.
@@ -335,7 +336,7 @@ def certify_lower_bound(
     inst = instance(alpha)
     claimed = claim(alpha)
     if notion == "parity_calibration":
-        floor = parity_calibration_attack_certify(inst).as_integer_ratio()
+        floor = parity_calibration_attack_certify(inst)
     elif notion == "predictive_parity":
         tables = ([mass_table(inst.h_star, d)] for d in (inst.corrupted, inst.dist))
         floor = _one_row(*tables, inst.dist.groups, notion)[0][0].as_integer_ratio()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from fairnoise.calibration import parity_calibration_attack_certify
 from fairnoise.distributions import Atom, make_distribution
 
 
@@ -36,3 +37,9 @@ def alphas(draw, lo: float = 0.01, hi: float = 0.3):
 def assert_close(actual: float, expected: float, tol: float = 1e-9):
     assert math.isfinite(actual)
     assert abs(actual - expected) <= tol, f"{actual} != {expected} (tol {tol})"
+
+
+def calibration_floor(inst) -> float:
+    """The parity-calibration floor of ``inst``, its exact pair correctly rounded."""
+    num, den = parity_calibration_attack_certify(inst)
+    return num / den

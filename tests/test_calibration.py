@@ -19,7 +19,7 @@ from fairnoise.distributions import Atom, make_distribution, mix
 from fairnoise.errors import InputError
 
 import oracles
-from conftest import assert_close
+from conftest import assert_close, calibration_floor
 from oracles import l1_error
 
 
@@ -165,7 +165,7 @@ class TestCertifiers:
         assert floor >= 0.2
 
     def test_parity_calibration_floor(self):
-        floor = parity_calibration_attack_certify(families.eodds_duplicate(0.1, 0.9 * 0.1))
+        floor = calibration_floor(families.eodds_duplicate(0.1, 0.9 * 0.1))
         assert floor >= 0.2
 
     def test_parity_calibration_without_a_calibrated_predictor(self):
@@ -186,7 +186,7 @@ class TestCertifiers:
             [Atom("a", 1, "A", 0.25), Atom("a", 0, "A", 0.25), Atom("b", 1, "B", 0.25 + d), Atom("b", 0, "B", 0.25 - d)]
         )
         h_star = BaseClassifier.from_table({"a": 1, "b": 1})
-        floor = parity_calibration_attack_certify(families.Instance(dist, corrupted, corrupted, h_star))
+        floor = calibration_floor(families.Instance(dist, corrupted, corrupted, h_star))
 
         def binned(v):
             return BinnedPredictor(assignment={"a": 0, "b": 0}, values={0: v})
@@ -209,7 +209,7 @@ class TestCertifiers:
         inst = families.eodds_duplicate(0.1, 0.09)
         q = make_distribution([Atom("z", 1, "B", 1.0)], groups=inst.dist.groups)
         floors = [
-            parity_calibration_attack_certify(families.Instance(inst.dist, c, mix(inst.corrupted, c, 0.0), inst.h_star))
+            calibration_floor(families.Instance(inst.dist, c, mix(inst.corrupted, c, 0.0), inst.h_star))
             for c in (q, inst.corrupted)
         ]
         assert floors == [0.5, 0.5]
@@ -253,14 +253,14 @@ BINNED_SEEDS = range(48)
 @pytest.mark.parametrize("seed", BINNED_SEEDS)
 def test_parity_calibration_floor_equals_the_partition_enumeration(seed):
     inst = oracles.random_binned_instance(np.random.default_rng(seed), 1 + seed % 8)
-    floor = floor_or_error(parity_calibration_attack_certify, inst)
+    floor = floor_or_error(calibration_floor, inst)
     assert floor == floor_or_error(oracles.parity_calibration_partitions, inst)
 
 
 def test_binned_instances_cover_rejections_and_points_only_corrupted():
     instances = [oracles.random_binned_instance(np.random.default_rng(s), 1 + s % 8) for s in BINNED_SEEDS]
     only_corrupted = [{a.point for a in i.corrupted.atoms} - {a.point for a in i.dist.atoms} for i in instances]
-    rejected = [floor_or_error(parity_calibration_attack_certify, i).startswith("no predictor") for i in instances]
+    rejected = [floor_or_error(calibration_floor, i).startswith("no predictor") for i in instances]
     assert 0 < sum(rejected) < len(instances) / 2
     assert sum(map(bool, only_corrupted)) > len(instances) / 4
 
@@ -270,4 +270,4 @@ def test_parity_calibration_floor_on_ten_points():
     # one of the ten points is found only in the corrupted distribution
     inst = oracles.random_binned_instance(np.random.default_rng(2), 10)
     assert len({a.point for a in inst.dist.atoms}) == 9
-    assert parity_calibration_attack_certify(inst).hex() == "0x1.022e05e8e7f70p-1"
+    assert calibration_floor(inst).hex() == "0x1.022e05e8e7f70p-1"

@@ -1,12 +1,16 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairnoise import families, harness
-from fairnoise.cli import main
+from fairnoise.cli import _FLAGS, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -199,6 +203,22 @@ class TestCertify:
             cli_mod.harness, "certify_lower_bound", lambda *a, **k: (0.01, 0.1, False)
         )
         assert main(["certify", "--notion", "eopp", "--alpha", "0.04"]) == 1
+
+    def test_never_loads_openssl(self):
+        # hashlib loads OpenSSL's libcrypto, about 3.5 MB resident; only a
+        # sweep's config hash needs it
+        code = (
+            "import contextlib, io, sys\n"
+            "from fairnoise import cli, harness\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for notion in harness.CERT_NOTIONS:\n"
+            "        assert cli.main(['certify', '--notion', notion, '--alpha', '0.04']) == 0\n"
+            "    assert cli.main(['minimax', '--alpha', '0.1']) == 0\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "[]\n"
 
     def test_requires_flags(self):
         assert main(["certify", "--notion", "eopp"]) == 2
@@ -461,6 +481,16 @@ def test_type_swapped_field_exits_two(tmp_path, data):
 def test_reproduced_malformed_configs_exit_two(tmp_path, command, path, value):
     cfg = write_config(tmp_path, _swap(VALID[command], path, value))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", sorted(c for c, flags in _FLAGS.items() if "config" in flags))
+def test_deeply_nested_config_exits_two(tmp_path, command, capsys):
+    # the JSON decoder recurses once per level and raises RecursionError past the interpreter's limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    alpha = ["--alpha", "0.1"] if command == "minimax" else []
+    assert main([command, "--config", str(deep), *alpha]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(VALID))

@@ -277,17 +277,27 @@ class TestCertify:
 
     def test_certify_imports_neither_fractions_nor_decimal(self):
         # the floors are proved in ints; importing fractions pulls in decimal,
-        # which costs a fresh process milliseconds
+        # which costs a fresh process milliseconds. hashlib loads OpenSSL,
+        # about 3.5 MB resident, which only a sweep's config hash needs
         code = (
             "import sys\n"
             "from fairnoise import harness\n"
             "for notion in harness.CERT_NOTIONS:\n"
             "    harness.certify_lower_bound(notion, 0.1)\n"
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+            "harness.minimax_demo(0.1, gamma=0.1)\n"
+            "print(sorted({'fractions', 'decimal', 'hashlib', '_hashlib'} & set(sys.modules)))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout == "[]\n"
+        assert out.stdout == "[]\n[]\n"
+
+    def test_parity_calibration_compares_the_exact_floor(self, monkeypatch):
+        # a quarter of an ulp below the claim 0.2: the floor rounds to 0.2,
+        # yet falls short of the claim
+        p, q = (0.2).as_integer_ratio()
+        monkeypatch.setattr(harness, "parity_calibration_attack_certify", lambda inst: (4 * p - 1, 4 * q))
+        assert harness.certify_lower_bound("parity_calibration", 0.1) == (0.2, 0.2, False)
 
     def test_unknown_notion(self):
         with pytest.raises(InputError):

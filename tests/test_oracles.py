@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import calibration_floor
 from fairnoise import families, repair
 from fairnoise.classifiers import GAP_TOL, PQClassifier, error, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InfeasibleError, InputError
-from fairnoise.harness import parity_calibration_attack_certify
 from fairnoise.repair import best_response, certified_floor, dp_repair, eopp_repair
 
 
@@ -121,7 +121,7 @@ def _stats_or_error(stats, h, dist):
 @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.3))
 def test_parity_calibration_matches_reference(alpha):
     inst = families.eodds_duplicate(alpha, 0.9 * alpha)
-    assert parity_calibration_attack_certify(inst) == oracles.parity_calibration_attack_certify(alpha)
+    assert calibration_floor(inst) == oracles.parity_calibration_attack_certify(alpha)
 
 
 @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.3))
@@ -131,7 +131,7 @@ def test_parity_calibration_floor_is_at_most_the_grid_floor(alpha, r_b_share):
     # partition floor can only lie at or below the grid's; at these
     # (alpha, r_b) the grid finds a predictor
     r_b = r_b_share * alpha
-    floor = parity_calibration_attack_certify(families.eodds_duplicate(alpha, r_b))
+    floor = calibration_floor(families.eodds_duplicate(alpha, r_b))
     assert floor <= oracles.parity_calibration_attack_certify(alpha, r_b)
 
 
@@ -139,7 +139,7 @@ def test_parity_calibration_floor_is_at_most_the_grid_floor(alpha, r_b_share):
 def test_parity_calibration_floor_on_washed_out_instance_is_one_half(alpha):
     # one bin of every point, valued 1/2: group B's washed-out mean
     inst = families.eodds_duplicate(alpha, 0.9 * alpha)
-    assert parity_calibration_attack_certify(inst) == 0.5
+    assert calibration_floor(inst) == 0.5
 
 
 PP_ALPHAS = (0.01, 0.02, 0.04, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.5)
