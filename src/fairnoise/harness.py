@@ -101,10 +101,18 @@ class ExperimentConfig:
         return ExperimentConfig(family=doc["family"], notion=doc["notion"], alphas=doc["alphas"], **optional)
 
     def sha256(self) -> str:
-        import hashlib  # here, not at the top: it loads OpenSSL, which only a hashed config needs
+        # CPython's builtin SHA-256 gives the same digest as hashlib's, which
+        # loads OpenSSL's libcrypto (about 3.4 MB resident) for this one hash
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            try:
+                from _sha2 import sha256  # CPython 3.12+
+            except ImportError:
+                from hashlib import sha256
 
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ class SweepPoint:
     notion: str
     gap_corrupted: float
     beta: float  # witness excess error on the clean distribution
-    excess_oracle: float  # best response (exact LP minimum) excess on the clean distribution
+    excess_oracle: float  # best response excess on the clean distribution (float LP minimum, equalities to 1e-12)
     attack: dict
     witness: dict
     dist: dict
@@ -218,7 +226,8 @@ def _lp_sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
         # no analytic repair exists in the constant regime: the oracle is the witness
         witness = oracle if notion == "eodds" else _repair(h, clean, dirty, notion, alpha)
         # The analytic witnesses are exact, and the best response is the
-        # exact LP minimum, so no witness may beat it.
+        # float LP minimum, whose equalities hold to repair._LP_TOL (only
+        # certified_floor is exact), so no witness may beat it by GAP_TOL.
         if witness.gap_on_corrupted > GAP_TOL:
             raise ContractError(f"witness gap {witness.gap_on_corrupted:.3e} exceeds {GAP_TOL} at alpha={alpha}")
         if oracle.error_on_original > witness.error_on_original + GAP_TOL:
@@ -250,10 +259,11 @@ def _calibration_sweep_point(alpha: float) -> SweepPoint:
 
 def run_sweep(config: ExperimentConfig) -> RobustnessReport:
     """Run every alpha in the config, fit the scaling exponent, and classify
-    the regime. Each point's ``excess_oracle`` is the exact LP best
-    response, so ``config.grid_n`` is only checked and recorded. A witness
-    violating its gap contract, or beating the best response, aborts the
-    sweep.
+    the regime. Each point's ``excess_oracle`` is the best response, the
+    minimum of the float LP whose equalities hold to ``repair._LP_TOL`` =
+    1e-12 (only ``repair.certified_floor`` is exact); no grid is searched,
+    so ``config.grid_n`` is only checked and recorded. A witness violating
+    its gap contract, or beating the best response, aborts the sweep.
 
     An LP family builds every alpha's instance and reads its clean and
     corrupted mass tables once. All alphas are then the rows of one solver

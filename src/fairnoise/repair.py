@@ -1,15 +1,16 @@
-"""Randomized-classifier repairs and the exact best-response learner.
+"""Randomized-classifier repairs and the LP best-response learner.
 
 Two kinds of object live here. The witness constructors (``dp_repair``,
 ``eopp_repair``) are omniscient: they see both the clean and the corrupted
 distribution and build an explicit randomized classifier whose fairness gap
 on the corrupted distribution is zero by construction. ``best_response`` is
 the learner-side procedure: it sees only the corrupted distribution and
-minimizes clean error over per-group acceptance probabilities exactly, by
-one LP for every notion; for predictive parity it is solved at a few
-candidate common precisions. The harness uses the witnesses to certify
-upper bounds and the learner to certify lower bounds (its minimum is what
-any repair strategy could achieve); ``certified_floor`` proves that
+minimizes clean error over per-group acceptance probabilities by one LP
+for every notion, solved in floats with its equalities held to
+``_LP_TOL``; for predictive parity it is solved at a few candidate common
+precisions. The harness uses the witnesses to certify upper bounds and the
+learner to certify lower bounds (its minimum is what any repair strategy
+could achieve); only ``certified_floor`` is exact: it proves the LP's
 minimum for dp, eopp and eodds with a dual certificate checked in exact
 integer arithmetic on the float masses.
 """
@@ -476,7 +477,7 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     acceptance probabilities of each group's base-positive and
     base-negative points, and s the index of the winning active set among
     those :func:`_active_sets` keeps.
-    Every notion takes the first cheapest of the exact LP's vertices, row
+    Every notion takes the first cheapest of the LP's feasible vertices, row
     by row: dp, eopp and eodds in active-set order, and predictive parity
     over its candidate precisions (:func:`_parity_equalities`) in order,
     then in active-set order, where a group that accepts nothing moves onto
@@ -670,11 +671,14 @@ def best_response(
     fairness notion (dp, eopp, eodds or predictive_parity) on the corrupted
     distribution, with error reported on the clean one.
 
-    The minimum is exact: an LP over each group's triangle
-    0 <= v <= u <= 1 of acceptance probabilities, solved by vertex
-    enumeration, whose equalities hold to 1e-12 before the vertex is
-    clamped to the triangles. For predictive parity the LP is solved at
-    each candidate common precision, and its minimum is an infimum: where
+    The minimum is that of an LP over each group's triangle
+    0 <= v <= u <= 1 of acceptance probabilities, solved in floats by
+    vertex enumeration. A vertex counts as feasible when it misses each
+    equality by at most ``_LP_TOL`` = 1e-12, before it is clamped to the
+    triangles, so the minimum need not be the exact LP's: on the EOpp
+    needle at alpha = 1e-30 it is 0.0, where :func:`certified_floor`, the
+    one exact minimum, proves 5e-16. For predictive parity the LP is solved
+    at each candidate common precision, and its minimum is an infimum: where
     a group does best to accept nothing, which has no precision, it accepts
     a GAP_TOL / 2 sliver at that precision instead, within GAP_TOL of the
     infimum. ``InfeasibleError`` when the groups' precision ranges do not

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -205,8 +206,8 @@ class TestCertify:
         assert main(["certify", "--notion", "eopp", "--alpha", "0.04"]) == 1
 
     def test_never_loads_openssl(self):
-        # hashlib loads OpenSSL's libcrypto, about 3.5 MB resident; only a
-        # sweep's config hash needs it
+        # hashlib loads OpenSSL's libcrypto, about 3.5 MB resident; nothing
+        # in the package needs it where a builtin SHA-256 module exists
         code = (
             "import contextlib, io, sys\n"
             "from fairnoise import cli, harness\n"
@@ -276,6 +277,42 @@ class TestMinimaxAndReport:
         assert code == 0
         for name in ("report.json", "report.csv", "sweep.svg"):
             assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.skipif(
+        not (importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2")),
+        reason="this interpreter has no builtin SHA-256 module",
+    )
+    def test_writing_reports_never_loads_openssl(self, tmp_path):
+        # every report stamps its config's SHA-256; hashlib would load
+        # OpenSSL's libcrypto, about 3.4 MB resident, for that one digest
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from pathlib import Path\n"
+            "from fairnoise import cli\n"
+            "tmp = Path(sys.argv[1])\n"
+            "formats = ['--format', 'json', '--format', 'csv', '--format', 'svg']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for family, notion, alphas in json.loads(sys.argv[2]):\n"
+            "        config = tmp / f'{family}.json'\n"
+            "        config.write_text(json.dumps({'family': family, 'notion': notion, 'alphas': alphas}))\n"
+            "        assert cli.main(['run', '--config', str(config), '--out', str(tmp / family), *formats]) == 0\n"
+            "    report = tmp / 'dp_worked' / 'report.json'\n"
+            "    assert cli.main(['report', '--config', str(report), '--out', str(tmp / 'again'), '--format', 'json']) == 0\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        sweeps = [
+            ("dp_worked", "dp", [0.01, 0.02, 0.04, 0.08]),
+            ("eopp_needle", "eopp", [0.0025, 0.01, 0.04, 0.09]),
+            ("eodds_duplicate", "eodds", [0.05, 0.1, 0.2]),
+            ("calibration_drift", "calibration", [0.01, 0.02, 0.04, 0.08]),
+        ]
+        assert sorted(family for family, _, _ in sweeps) == sorted(harness.SWEEP_FAMILIES)
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), json.dumps(sweeps)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout == "[]\n"
 
 
 class TestUsage:

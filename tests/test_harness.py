@@ -127,6 +127,23 @@ class TestExperimentConfig:
         with_out = config(out_dir="out/dp")
         assert harness.ExperimentConfig.from_json_dict(with_out.to_json_dict()) == with_out
 
+    def test_hash_is_hashlibs_sha256_with_or_without_a_builtin_module(self, monkeypatch):
+        import hashlib
+
+        # every family param off its default; only eodds_duplicate takes one
+        configs = [
+            config(family=family, notion=notion, family_params={k: 0.5 * v for k, v in defaults.items()},
+                   seed=11, jobs=3, out_dir=f"out/{family}")
+            for family, (notion, _, defaults) in harness.SWEEP_FAMILIES.items()
+        ]
+        expected = [
+            hashlib.sha256(json.dumps(c.to_json_dict(), sort_keys=True).encode()).hexdigest() for c in configs
+        ]
+        assert [c.sha256() for c in configs] == expected
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        assert [c.sha256() for c in configs] == expected
+
 
 class TestFitLoglog:
     def test_linear_exact(self):
@@ -278,7 +295,7 @@ class TestCertify:
     def test_certify_imports_neither_fractions_nor_decimal(self):
         # the floors are proved in ints; importing fractions pulls in decimal,
         # which costs a fresh process milliseconds. hashlib loads OpenSSL,
-        # about 3.5 MB resident, which only a sweep's config hash needs
+        # about 3.5 MB resident, which no certificate needs
         code = (
             "import sys\n"
             "from fairnoise import harness\n"
