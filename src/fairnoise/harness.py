@@ -12,8 +12,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import families
 from .calibration import calibration_report, parity_calibration_attack_certify, recalibrate_per_group, value_shift
 from .classifiers import GAP_TOL, error_terms, mass_table
@@ -178,23 +176,38 @@ class MinimaxReport:
 def fit_loglog(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
     """OLS fit of ln(beta) on ln(alpha); returns (slope, intercept, R^2).
 
-    Points with beta <= 0 are excluded with a warning; fewer than three
-    usable points is an error rather than a garbage fit.
+    The fit is closed form: slope = sum(dx dy) / sum(dx^2) over the centred
+    logs, intercept = mean(ln beta) - slope mean(ln alpha), and R^2 = 1 -
+    ss_res / ss_tot, or 1 when ss_tot <= 1e-20; every sum is ``math.fsum``.
+    Points with a finite beta <= 0 are excluded with a warning. A
+    non-number, an alpha that is not finite and positive, a beta that is
+    NaN or infinite, fewer than three usable points, or usable points that
+    share one ln(alpha) raise ``InputError`` rather than give a garbage fit.
     """
+    points = [(number(a, "alpha"), number(b, "beta")) for a, b in points]
+    for a, b in points:
+        if not (math.isfinite(a) and a > 0.0):
+            raise InputError(f"alpha {a!r} of a log-log fit must be a finite positive number")
+        if not math.isfinite(b):
+            raise InputError(f"beta {b!r} of a log-log fit must be finite")
     usable = [(a, b) for a, b in points if b > 0.0]
     if len(usable) < len(points):
         warnings.warn(f"excluded {len(points) - len(usable)} non-positive beta point(s) from fit")
     if len(usable) < 3:
         raise InputError(f"need >= 3 positive points for a log-log fit, have {len(usable)}")
-    x = np.log([a for a, _ in usable])
-    y = np.log([b for _, b in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    ss_res = float(np.dot(residuals, residuals))
-    centered = y - y.mean()
-    ss_tot = float(np.dot(centered, centered))
+    xs = [math.log(a) for a, _ in usable]
+    ys = [math.log(b) for _, b in usable]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx, dy = [x - x_mean for x in xs], [y - y_mean for y in ys]
+    ss_x = math.fsum(d * d for d in dx)
+    if ss_x == 0.0:
+        raise InputError("a log-log fit needs points at two or more distinct alphas")
+    slope = math.fsum(p * q for p, q in zip(dx, dy)) / ss_x
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum(d * d for d in dy)
     r_squared = 1.0 if ss_tot <= 1e-20 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r_squared
+    return slope, intercept, r_squared
 
 
 def regime_verdict(slope: float, betas: Sequence[float]) -> str:
@@ -389,13 +402,13 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
         dist, h = families.balanced_instance(0.1)
         corrupted = dist
 
-    uu, vv = np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0])
+    vertices = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
     dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
     epsilon: dict[str, float] = {}
     opt_terms = []
     for g in dist.groups:
-        epsilon[g] = float((sum(error_terms(dirty[g], uu, vv)) / sum(dirty[g])).min())
-        opt_terms.append(float(sum(error_terms(clean[g], uu, vv)).min()))
+        epsilon[g] = min(sum(error_terms(dirty[g], u, v)) / sum(dirty[g]) for u, v in vertices)
+        opt_terms.append(min(sum(error_terms(clean[g], u, v)) for u, v in vertices))
 
     max_err = max(epsilon.values())
     feasible = None if gamma is None else bool(max_err <= gamma + GAP_TOL)

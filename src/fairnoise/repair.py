@@ -337,28 +337,43 @@ def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
     row n_eq is 0 and row n_eq + 1 is 1. The entries are (E D, E (0 - x0))
     for one equality and the six products of Cramer's rule for two: a f,
     r f, a s, b c, b s and r c, for E D = ((a, b), (c, f)) and
-    E (0 - x0) = (r, s)."""
-    whole = [set(range(n_eq + 3 * g, n_eq + 3 * g + 3)) for g in (0, 1)]  # each group's v = 0, v = u and u = 1
-    subsets = np.array([s for s in itertools.combinations(range(n_eq + 6), 4) if not any(w <= set(s) for w in whole)])
-    # per subset and group, whether it holds v = 0, v = u and u = 1
-    v0, vu, u1 = (subsets[:, :, None] == n_eq + np.arange(6)).any(axis=1).reshape(-1, 2, 3).transpose(2, 0, 1)
-    k = (subsets < n_eq).sum(axis=1)
-    free = np.stack((~(u1 | v0 & vu), ~(v0 | vu)), axis=2).reshape(-1, 4)  # of u_A, v_A, u_B, v_B
-    steps = np.broadcast_to(np.eye(4), (len(subsets), 4, 4)).copy()
-    steps[:, (0, 2), (1, 3)] = vu
-    column = ((np.cumsum(free, axis=1) - 1)[..., None] == np.arange(n_eq)) & free[..., None]
-    d = np.einsum("sfc,sfj->jcs", column, steps)
-    x0 = np.stack((u1, vu & u1), axis=2).reshape(-1, 4).T.astype(float)
+    E (0 - x0) = (r, s). The tables are built in Python and each made one
+    array at the end, so building them touches no numpy routine beyond
+    array creation, reshape and transpose."""
+    # per group and the triangle rows v = 0, v = u and u = 1 it holds: its entries of x0, and D's columns
+    # for its coordinates that are free, a free u also stepping a tied v
+    faces = [{}, {}]
+    for g, (v0, vu, u1) in itertools.product((0, 1), itertools.product((False, True), repeat=3)):
+        u, v = [0.0] * 4, [0.0] * 4
+        u[2 * g], u[2 * g + 1], v[2 * g + 1] = 1.0, float(vu), 1.0
+        free = [tuple(u)] * (not (u1 or v0 and vu)) + [tuple(v)] * (not (v0 or vu))
+        faces[g][v0, vu, u1] = [float(u1), float(vu and u1)], free
+    # the kept subsets and their x0, flat so that few containers stay alive to set off a garbage collection,
+    # and per slot each subset's column of D, or of 0 - x0 in the last
+    subsets, corners, slots = [], [], [[] for _ in range(n_eq + 1)]
+    for s in itertools.combinations(range(n_eq + 6), 4):
+        held = tuple(n_eq + i in s for i in range(6))
+        if all(held[:3]) or all(held[3:]):
+            continue
+        (corner_a, free_a), (corner_b, free_b) = faces[0][held[:3]], faces[1][held[3:]]
+        corner = corner_a + corner_b
+        subsets += s
+        corners += corner
+        columns = (free_a + free_b + [(0.0,) * 4] * n_eq)[:n_eq] + [tuple([0.0 - x for x in corner])]
+        for slot, column in zip(slots, columns):
+            slot.append(column)
     distinct: dict[tuple, int] = {}  # each distinct column of D and 0 - x0, in order of first occurrence
-    columns = zip(*np.concatenate((d, 0.0 - x0[:, None]), axis=1).reshape(4, -1).tolist())
-    kind = np.array([distinct.setdefault(column, len(distinct)) for column in columns])
-    # each entry's table row: its equality, or for a padded slot 1 on its diagonal and 0 elsewhere
-    real = np.arange(n_eq)[:, None, None] < k  # (slot, 1, subsets)
-    rows = np.where(real, subsets[:, :n_eq].T[:, None], n_eq + (np.eye(n_eq, n_eq + 1)[..., None] == 1))
-    kinds = kind.reshape(1, n_eq + 1, -1).repeat(n_eq, axis=0)  # (slot, column of D | 0 - x0, subsets)
-    entries = [0, 1] if n_eq == 1 else [0, 2, 0, 1, 1, 2, 4, 4, 5, 3, 5, 3]
-    at = rows.reshape(-1, len(subsets))[entries], kinds.reshape(-1, len(subsets))[entries]
-    return subsets, x0[..., None], d[..., None], np.array(list(distinct)).T[:, None, :, None], at
+    kind = [[distinct.setdefault(c, len(distinct)) for c in slot] for slot in slots]
+    # each entry's (slot i, column j) of (E D | E (0 - x0)): its table row is the subset's equality i, or for
+    # a padded slot 1 where j == i and 0 elsewhere; its distinct column is that of column j
+    entries = [divmod(e, n_eq + 1) for e in ((0, 1) if n_eq == 1 else (0, 2, 0, 1, 1, 2, 4, 4, 5, 3, 5, 3))]
+    at = (
+        np.array([[r if r < n_eq else n_eq + (i == j) for r in subsets[i::4]] for i, j in entries]),
+        np.array([kind[j] for _, j in entries]),
+    )
+    d = np.array(slots[:n_eq]).transpose(2, 0, 1)[..., None]  # (4, n_eq, subsets, 1)
+    x0 = np.array(corners).reshape(-1, 4).T[..., None]
+    return np.array(subsets).reshape(-1, 4), x0, d, np.array(list(distinct)).T[:, None, :, None], at
 
 
 def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

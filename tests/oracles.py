@@ -17,6 +17,10 @@ floor must equal exactly.
 ``lapack_vertices`` is the vertex enumeration ``repair._lp_vertices``
 replaced: each active set's 4 x 4 system goes to LAPACK, so the package's
 closed-form kernel must give the same feasible vertices up to rounding.
+``active_sets`` derives ``repair._active_sets``' tables with numpy array
+operations, and the package's Python-built tables must equal them bit for
+bit. ``polyfit_loglog`` is ``harness.fit_loglog`` by ``np.polyfit``, which
+the package's closed-form fit must match to 1e-12.
 ``predictive_parity_scan`` is the reference for ``best_response`` under
 predictive parity: it scores only option pairs that meet the constraint,
 on a dense scan of the common precision, so the package's infimum must
@@ -99,6 +103,45 @@ def lapack_vertices(eq, cells):
     v = np.clip(x[..., 1::2], 0.0, u) + 0.0
     err = sum(sum(error_terms(table[:, 0], u[..., i], v[..., i])) for i, table in enumerate(cells))
     return np.where(feasible, err, np.inf), np.stack((u, v), axis=-1).reshape(x.shape), subsets
+
+
+def active_sets(n_eq):
+    """``repair._active_sets`` derived with numpy array operations (einsum,
+    cumsum, broadcast_to and where) instead of built in Python: the same
+    subsets, x0, D, distinct columns and table indices, which the package's
+    tables must equal in shape, dtype, value and sign bit."""
+    whole = [set(range(n_eq + 3 * g, n_eq + 3 * g + 3)) for g in (0, 1)]  # each group's v = 0, v = u and u = 1
+    subsets = np.array([s for s in itertools.combinations(range(n_eq + 6), 4) if not any(w <= set(s) for w in whole)])
+    # per subset and group, whether it holds v = 0, v = u and u = 1
+    v0, vu, u1 = (subsets[:, :, None] == n_eq + np.arange(6)).any(axis=1).reshape(-1, 2, 3).transpose(2, 0, 1)
+    k = (subsets < n_eq).sum(axis=1)
+    free = np.stack((~(u1 | v0 & vu), ~(v0 | vu)), axis=2).reshape(-1, 4)  # of u_A, v_A, u_B, v_B
+    steps = np.broadcast_to(np.eye(4), (len(subsets), 4, 4)).copy()
+    steps[:, (0, 2), (1, 3)] = vu
+    column = ((np.cumsum(free, axis=1) - 1)[..., None] == np.arange(n_eq)) & free[..., None]
+    d = np.einsum("sfc,sfj->jcs", column, steps)
+    x0 = np.stack((u1, vu & u1), axis=2).reshape(-1, 4).T.astype(float)
+    distinct = {}  # each distinct column of D and 0 - x0, in order of first occurrence
+    columns = zip(*np.concatenate((d, 0.0 - x0[:, None]), axis=1).reshape(4, -1).tolist())
+    kind = np.array([distinct.setdefault(column, len(distinct)) for column in columns])
+    # each entry's table row: its equality, or for a padded slot 1 on its diagonal and 0 elsewhere
+    real = np.arange(n_eq)[:, None, None] < k  # (slot, 1, subsets)
+    rows = np.where(real, subsets[:, :n_eq].T[:, None], n_eq + (np.eye(n_eq, n_eq + 1)[..., None] == 1))
+    kinds = kind.reshape(1, n_eq + 1, -1).repeat(n_eq, axis=0)  # (slot, column of D | 0 - x0, subsets)
+    entries = [0, 1] if n_eq == 1 else [0, 2, 0, 1, 1, 2, 4, 4, 5, 3, 5, 3]
+    at = rows.reshape(-1, len(subsets))[entries], kinds.reshape(-1, len(subsets))[entries]
+    return subsets, x0[..., None], d[..., None], np.array(list(distinct)).T[:, None, :, None], at
+
+
+def polyfit_loglog(points):
+    """``harness.fit_loglog`` on points it accepts, by ``np.polyfit``'s
+    least squares on the logs: (slope, intercept, R^2), R^2 = 1 when the
+    total sum of squares is <= 1e-20."""
+    x, y = np.log([a for a, _ in points]), np.log([b for _, b in points])
+    slope, intercept = np.polyfit(x, y, 1)
+    residuals, centered = y - (slope * x + intercept), y - y.mean()
+    ss_res, ss_tot = float(np.dot(residuals, residuals)), float(np.dot(centered, centered))
+    return float(slope), float(intercept), 1.0 if ss_tot <= 1e-20 else 1.0 - ss_res / ss_tot
 
 
 def exact_error(cells, u, v):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,14 @@ from fairnoise.errors import ContractError, InputError
 from fairnoise.repair import best_response
 
 from conftest import assert_close
+
+#: The four sweeps of scripts/run_all_sweeps.py, one per family
+SWEEPS = [
+    ("dp_worked", "dp", (0.01, 0.02, 0.04, 0.08)),
+    ("eopp_needle", "eopp", (0.0025, 0.01, 0.04, 0.09)),
+    ("eodds_duplicate", "eodds", (0.05, 0.1, 0.2)),
+    ("calibration_drift", "calibration", (0.01, 0.02, 0.04, 0.08)),
+]
 
 
 def config(**overrides):
@@ -172,6 +181,26 @@ class TestFitLoglog:
         with pytest.raises(InputError):
             harness.fit_loglog([(0.1, 0.1), (0.2, 0.2)])
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.01, math.nan, math.inf])
+    def test_alpha_not_finite_and_positive_is_bad_input(self, alpha):
+        with pytest.raises(InputError, match="alpha"):
+            harness.fit_loglog([(alpha, 0.01), (0.02, 0.02), (0.04, 0.04)])
+
+    def test_points_at_one_alpha_are_bad_input(self):
+        # no slope is determined: not a fit with R^2 = 0, nor a division by zero
+        with pytest.raises(InputError, match="distinct alphas"):
+            harness.fit_loglog([(0.1, 0.1), (0.1, 0.2), (0.1, 0.4)])
+
+    def test_infinite_beta_is_bad_input(self):
+        with pytest.raises(InputError, match="beta"):
+            harness.fit_loglog([(0.01, math.inf), (0.02, 0.02), (0.04, 0.04), (0.08, 0.08)])
+
+    def test_nan_beta_is_bad_input_not_a_dropped_point(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="beta"):
+                harness.fit_loglog([(0.01, math.nan), (0.02, 0.02), (0.04, 0.04), (0.08, 0.08)])
+
 
 class TestVerdicts:
     @pytest.mark.parametrize(
@@ -227,6 +256,17 @@ class TestSweeps:
             p.to_json_dict() for p in parallel.points
         ]
         assert (serial.slope, serial.verdict) == (parallel.slope, parallel.verdict)
+
+    def test_sweeps_never_call_lapack_or_the_array_table_builders(self, monkeypatch):
+        # the fit is closed form and the active-set tables are built in Python
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep called a numpy routine it should not need")
+
+        for module, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np, "einsum"), (np, "cumsum")):
+            monkeypatch.setattr(module, name, refuse)
+        repair._active_sets.cache_clear()
+        for family, notion, alphas in SWEEPS:
+            assert harness.run_sweep(config(family=family, notion=notion, alphas=alphas)).verdict != "unclassified"
 
     def test_sweep_starts_no_thread(self, monkeypatch):
         def no_thread(self):
@@ -367,6 +407,30 @@ class TestMinimax:
     def test_no_attack_control(self):
         report = harness.minimax_demo(0.0, grid_n=101)
         assert_close(report.max_group_error, report.opt_clean, 1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.1, 0.3])
+    def test_vertices_give_the_bits_of_the_array_expression(self, alpha):
+        # the three vertices (0, 0), (1, 0) and (1, 1) scored as one numpy array per group
+        if alpha > 0.0:
+            inst = families.eodds_duplicate(alpha, 0.9 * alpha)
+            dist, h, corrupted = inst.dist, inst.h_star, inst.corrupted
+        else:
+            dist, h = families.balanced_instance(0.1)
+            corrupted = dist
+        uu, vv = np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0])
+        dirty, clean = classifiers.mass_table(h, corrupted), classifiers.mass_table(h, dist)
+        terms = classifiers.error_terms
+        epsilon = {g: float((sum(terms(dirty[g], uu, vv)) / sum(dirty[g])).min()) for g in dist.groups}
+        expected = {
+            "alpha": alpha,
+            "epsilon": dict(sorted(epsilon.items())),
+            "max_group_error": max(epsilon.values()),
+            "opt_clean": math.fsum(float(sum(terms(clean[g], uu, vv)).min()) for g in dist.groups),
+            "gamma": None,
+            "gamma_feasible": None,
+        }
+        # repr tells the sign of a zero and a numpy scalar from a float
+        assert repr(harness.minimax_demo(alpha).to_json_dict()) == repr(expected)
 
 
 _BALANCED, _PERFECT = families.balanced_instance(0.1)

@@ -4,7 +4,8 @@ certificate exactly. Under predictive parity the best
 response is never above the dense precision scan and comes within its
 resolution. The parity-calibration floor never exceeds the reference's
 value-grid floor. The mass-table statistics match the atom sums up to
-rounding."""
+rounding. The active-set tables equal their numpy derivation bit for bit,
+and the closed-form log-log fit matches ``np.polyfit`` to 1e-12."""
 
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import calibration_floor
-from fairnoise import families, repair
+from fairnoise import families, harness, repair
 from fairnoise.classifiers import GAP_TOL, PQClassifier, error, group_stats, mass_table
 from fairnoise.distributions import EQ_TOL, mix
 from fairnoise.errors import InfeasibleError, InputError
@@ -180,3 +181,27 @@ def test_predictive_parity_matches_scan(seed):
     assert scan - floor <= 1e-6
     assert found.gap_on_corrupted <= GAP_TOL
     assert -1e-12 <= found.error_on_original - floor <= GAP_TOL
+
+
+@pytest.mark.parametrize("n_eq", (1, 2))
+def test_active_sets_equal_the_array_derivation(n_eq):
+    got, ref = repair._active_sets(n_eq), oracles.active_sets(n_eq)
+    got, ref = (*got[:4], *got[4]), (*ref[:4], *ref[4])
+    assert len(got) == len(ref) == 6
+    for a, b in zip(got, ref):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert (a == b).all() and (np.signbit(a) == np.signbit(b)).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_loglog_matches_polyfit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        n = int(rng.integers(3, 9))
+        alphas = np.sort(rng.uniform(1e-4, 0.5, n))
+        slope = float(rng.choice([0.0, 0.5, 1.0, rng.uniform(-1.0, 2.0)]))
+        noise = rng.normal(0.0, float(rng.choice([0.0, 0.01, 0.3])), n)
+        betas = float(rng.uniform(0.01, 2.0)) * alphas**slope * np.exp(noise)
+        points = list(zip(alphas.tolist(), betas.tolist()))
+        got, ref = harness.fit_loglog(points), oracles.polyfit_loglog(points)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12, points

@@ -10,10 +10,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 #: SHA-256 of each report.json that run_all_sweeps.py writes at its defaults
 #: (grid 41, seed 0).
 REPORT_SHA256 = {
-    "calibration_drift": "b3d514fb1c0db0d2b91f2aa36f0d3da274669952310d69ed999850a191a5cedd",
-    "dp_worked": "c23ecade826bfb6f35e21e311c4f7953f430c74ce31509fc0c422fda4f212856",
-    "eodds_duplicate": "528b269e2ce19501ff2f4cf09e78305bc3bd50b8770b6d61d02867030247cd13",
-    "eopp_needle": "eebc44181626f76f56abda40e2321d9748fdf88c94595c0d920f3802b4135c52",
+    "calibration_drift": "46432e0fdc731ab853b4d37ade795e488f966a4820ac36aacb27049f8de4697d",
+    "dp_worked": "4bcd865d1aae760e16e8aba8bf766d15a66f477a96869e6a15b91aefc354a1e1",
+    "eodds_duplicate": "15fdb3d7ea6b023f7c914cbc1bc74ddb991d33f8d1f6ab1583a2eddfaa5b516f",
+    "eopp_needle": "9e3c4cfb8261505150c02093d4229a2b911ec00972b6fda2f66ef0282bd004c8",
 }
 
 #: SHA-256 of each report.csv, the same run
