@@ -124,10 +124,10 @@ def tpr_shift_attack(
 
 
 #: Most distinct rows :func:`grid_worst_case` sends to one
-#: :func:`repair._solve` stack. The vertex search holds about 61 KB per
+#: :func:`repair._solve` stack. The vertex search holds about 22 KB per
 #: predictive-parity row and hypothesis (four candidate precisions of 60
-#: active sets) and 7 KB per dp row, so a one-hypothesis block peaks near
-#: 31 MB (tracemalloc).
+#: active sets) and 2.6 KB per dp row, so a one-hypothesis block peaks near
+#: 11.5 MB (tracemalloc).
 SEARCH_BLOCK = 512
 #: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
 #: mixtures grow with it, C(classes, 2) (resolution - 1) of them.

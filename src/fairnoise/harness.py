@@ -534,15 +534,17 @@ def report_from_json_dict(doc: Mapping) -> RobustnessReport:
 def write_report(
     report: RobustnessReport, out_dir: str | Path, formats: Sequence[str] = ("json", "csv")
 ) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    """Write ``report`` to ``out_dir`` in each of ``formats`` and return the
+    paths written. An unknown format raises ``InputError`` before the
+    directory or any file is made."""
     renderers = {"json": report_json, "csv": report_csv, "svg": report_svg}
     suffixes = {"json": "report.json", "csv": "report.csv", "svg": "sweep.svg"}
     for fmt in formats:
         if fmt not in renderers:
             raise InputError(f"unknown report format {fmt!r}; expected json/csv/svg")
-        path = out / suffixes[fmt]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = [out / suffixes[fmt] for fmt in formats]
+    for fmt, path in zip(formats, written):
         path.write_text(renderers[fmt](report))
-        written.append(path)
     return written

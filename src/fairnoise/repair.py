@@ -394,58 +394,82 @@ def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
     where a padded parameter's unit row leaves the one division's bits. A
     zero pivot or determinant makes the set singular, with no vertex. So
     every vertex meets its triangle rows exactly. A vertex that misses a
-    constraint by more than ``_LP_TOL`` is infeasible, which the largest of
-    its misses, gathered in one array, decides; every vertex is clamped to
-    the triangles in place. The equalities are homogeneous, so accepting
-    nothing meets them all, and a row always has a feasible vertex. Each
-    sum over the four columns is one broadcast product reduced over a
-    non-inner axis, which numpy adds slice by slice in order, and both
-    groups' error terms, (1 - u) m1p, u m1n, (1 - v) m0p and v m0n, are one
-    product of (1 - x, x) with the cells, added in that order. Each cell
-    multiplies only its own row's terms, and no step reduces across rows,
-    so each row gets the same bits in any stack, whatever the other rows'
-    tables. A sum differs from one begun at 0, and a sum of negated terms
-    from the negated sum, only in the sign of a zero, which the ``det ==
-    0.0`` test ignores and x0 + D t erases: x0 is +0.0 or 1.0, so no entry
-    of x, and so none of its clamps, is -0.0. The work is laid out as
-    (..., subsets, rows), so numpy's inner loops run over the rows."""
+    constraint by more than ``_LP_TOL`` is infeasible, which a running
+    maximum of its misses decides; every vertex is clamped to the
+    triangles in place. The equalities are homogeneous, so accepting
+    nothing meets them all, and a row always has a feasible vertex.
+
+    No step stacks terms, misses or Cramer entries. Every sum is
+    accumulated in place, in the order numpy's reduce over a non-inner
+    axis adds: each sum over the four coordinates is coordinate 0, then
+    + 1, + 2 and + 3, one product at a time; Cramer's rule takes its
+    entries a pair at a time; and a group's error is (1 - u) m1p + u m1n
+    + (1 - v) m0p + v m0n, in that order, then group A's plus group B's. A
+    maximum is exact, so the misses' order does not matter. So each work
+    array holds a few (subsets, rows) slices: the system's det and t, x's
+    four coordinates, and each group's largest miss or error term; numpy's
+    inner loops run over the rows. Each cell multiplies only its own row's
+    terms, and no step reduces across rows, so each row gets the same bits
+    in any stack, whatever the other rows' tables. A sum here differs from
+    numpy's reduce, which begins at 0, and a sum of negated terms from the
+    negated sum, only in the sign of a zero, which the ``det == 0.0`` test
+    ignores and x0 + D t erases: x0 is +0.0 or 1.0, so no entry of x, and
+    so none of its clamps, is -0.0. An error term is then -0.0 only at a
+    -0.0 cell, which no mass table holds."""
     rows, n_eq, _ = eq.shape
-    subsets, x0, d, distinct, at = _active_sets(n_eq)
+    subsets, x0, d, distinct, (at_row, at_col) = _active_sets(n_eq)
     columns = np.ascontiguousarray(eq.transpose(2, 1, 0))[:, :, None]  # (4, equalities, 1, rows)
     # each equality times each distinct column of D and 0 - x0, then a row of 0s and a row of 1s
     table = np.empty((n_eq + 2, distinct.shape[2], rows))
     table[n_eq], table[n_eq + 1] = 0.0, 1.0
-    np.add.reduce(columns * distinct, axis=0, out=table[:n_eq])
-    system = table[at]  # per set, (E D, E (0 - x0)) or the products of Cramer's rule: (entries, subsets, rows)
-    if n_eq == 2:
-        system = system[:6] * system[6:]
-        system = system[:3] - system[3:]
+    np.multiply(columns[0], distinct[0], out=table[:n_eq])
+    for k in range(1, 4):
+        table[:n_eq] += columns[k] * distinct[k]
+    # per set (det, t): (E D, E (0 - x0)), or Cramer's a f - b c, r f - b s and a s - r c, with the entries
+    # gathered a pair at a time from the table's rows
+    if n_eq == 1:
+        system = table[at_row, at_col]
+    else:
+        products, at = table.reshape(len(table) * table.shape[1], rows), at_row * table.shape[1] + at_col
+        system = np.empty((3, len(subsets), rows))
+        for j, out in enumerate(system):
+            np.multiply(products[at[j]], products[at[j + 6]], out=out)
+            out -= products[at[j + 3]] * products[at[j + 9]]
     det, t = system[0], system[1:]
-    # each group's (u, v) times (1 - x, x): x is a (4, subsets, rows) view
-    terms = np.empty((len(cells), 2, 2) + x0.shape[1:2] + (rows,))
-    x = terms[:, :, 1].reshape(x0.shape[:2] + (rows,))
-    # how far a vertex misses each equality, and each group's -v <= 0, v - u <= 0 and u <= 1
-    u, v, misses = x[::2], x[1::2], np.empty((n_eq + 6,) + x.shape[1:])
+    x = np.empty((4, len(subsets), rows))
+    u, v = x[::2], x[1::2]
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular subset may overflow; it is infeasible
         # a singular subset's t is NaN, and so is each entry of its x, since 0 * NaN is NaN
-        t /= np.where(det == 0.0, np.nan, det)
-        np.multiply(d[:, 0], t[0], out=x)  # x0 + D t: (4, subsets, rows)
+        det[det == 0.0] = np.nan
+        t /= det
+        np.multiply(d[:, 0], t[0], out=x)  # x0 + D t
         if n_eq == 2:
-            x += d[:, 1] * t[1]
+            for x_k, d_k in zip(x, d[:, 1]):
+                x_k += d_k * t[1]
         x += x0
-        np.add.reduce(columns * x[:, None], axis=0, out=misses[:n_eq])
-    np.abs(misses[:n_eq], out=misses[:n_eq])
-    np.negative(v, out=misses[n_eq : n_eq + 2])
-    np.subtract(v, u, out=misses[n_eq + 2 : n_eq + 4])
-    np.subtract(u, 1.0, out=misses[n_eq + 4 :])
-    feasible = np.maximum.reduce(misses, axis=0) <= _LP_TOL
+        # per group, the largest of how far a vertex misses -v <= 0, v - u <= 0 and u <= 1, and in group A's
+        # each equality too; the spent system's first two rows hold the next misses, and later the next error terms
+        worst, term = np.negative(v), system[:2]
+        np.maximum(worst, np.subtract(v, u, out=term), out=worst)
+        np.maximum(worst, np.subtract(u, 1.0, out=term), out=worst)
+        for i in range(n_eq):
+            miss = np.multiply(columns[0, i], x[0], out=term[0])
+            for k in range(1, 4):
+                miss += columns[k, i] * x[k]
+            np.maximum(worst[0], np.abs(miss, out=miss), out=worst[0])
+    feasible = np.maximum(worst[0], worst[1], out=worst[0]) <= _LP_TOL
     np.maximum(x, 0.0, out=x)
     np.minimum(u, 1.0, out=u)
     np.minimum(v, u, out=v)
-    np.subtract(1.0, terms[:, :, 1], out=terms[:, :, 0])
-    err = terms * cells.reshape(len(cells), 2, 2, 1, cells.shape[-1])  # times ((m1p, m1n), (m0p, m0n))
-    err = np.add.reduce(np.add.reduce(err.reshape(len(cells), 4, *x.shape[1:]), axis=1), axis=0)
-    return np.where(feasible, err, np.inf).T, x.T, subsets
+    # each group's (1 - u) m1p + u m1n + (1 - v) m0p + v m0n, term by term, then group A's plus group B's
+    m1p, m1n, m0p, m0n = cells.transpose(1, 0, 2)[:, :, None]  # each (groups, 1, rows)
+    err = np.multiply(np.subtract(1.0, u, out=worst), m1p, out=worst)
+    err += np.multiply(u, m1n, out=term)
+    err += np.multiply(np.subtract(1.0, v, out=term), m0p, out=term)
+    err += np.multiply(v, m0n, out=term)
+    err = err[0] + err[1]
+    err[~feasible] = np.inf
+    return err.T, x.T, subsets
 
 
 def _first_empty(denominators: np.ndarray, groups: Sequence[str], notion: str) -> tuple[int, InputError | None]:

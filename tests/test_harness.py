@@ -510,6 +510,14 @@ class TestReports:
         with pytest.raises(InputError):
             harness.write_report(report, tmp_path, ("pdf",))
 
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        # every format is checked first: a known one before it leaves neither
+        # its file nor the directory behind
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="'xml'"):
+            harness.write_report(harness.run_sweep(config()), out, ("json", "xml"))
+        assert not out.exists()
+
     def test_byte_identical_across_runs(self, tmp_path):
         a = harness.run_sweep(config())
         b = harness.run_sweep(config())

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +320,24 @@ def kernel_stack(rng, notion, kind, rows=200):
     else:
         eq = repair._equalities(repair.statistic_inputs(cells.swapaxes(0, 1), notion), notion)
     return eq, clean[..., None]
+
+
+@pytest.mark.parametrize("notion, n_eq, bound", (("eopp", 1, 3_500), ("eodds", 2, 8_000)))
+def test_lp_vertices_stay_small_per_row(notion, n_eq, bound):
+    # every sum is accumulated in place, so an LP row holds its x, its
+    # totals and a few working rows over its active sets: 2.4 KB for one
+    # equality and 5.5 KB for two, where stacked error terms, misses and
+    # Cramer entries took 6.5 and 15.0 KB
+    eq, table = kernel_stack(np.random.default_rng(5), notion, "uniform", rows=1000)
+    assert eq.shape[1] == n_eq
+    repair._lp_vertices(eq[:1], table)  # builds the cached active-set tables
+    tracemalloc.start()
+    try:
+        repair._lp_vertices(eq, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * len(eq)
 
 
 @pytest.mark.parametrize("kind", ("uniform", "dyadic"))
