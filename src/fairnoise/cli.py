@@ -6,7 +6,7 @@ lower-bound certification), minimax (worst-group error demonstration),
 report (re-render CSV/SVG from a stored report JSON).
 
 Exit codes: 0 success, 1 contract violation or failed certification,
-2 bad input.
+2 bad input, an unwritable --out among it.
 """
 
 from __future__ import annotations
@@ -229,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
+        return 2
+    except OSError as exc:  # configs are read under InputError: this is --out naming a file or a path through one
+        print(f"error: cannot write output ({exc})", file=sys.stderr)
         return 2
 
 

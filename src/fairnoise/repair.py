@@ -11,8 +11,9 @@ for every notion, solved in floats with its equalities held to
 precisions. The harness uses the witnesses to certify upper bounds and the
 learner to certify lower bounds (its minimum is what any repair strategy
 could achieve); only ``certified_floor`` is exact: it proves the LP's
-minimum for dp, eopp and eodds with a dual certificate checked in exact
-integer arithmetic on the float masses.
+minimum for dp, eopp and eodds on one active set's face, with multipliers
+whose corner bound meets the face's vertex, in exact integer arithmetic on
+the float masses.
 """
 
 from __future__ import annotations
@@ -301,10 +302,6 @@ def _with_precision(xs: np.ndarray, pis: np.ndarray, inputs_a: np.ndarray, input
     return xs
 
 
-#: Each group's triangle 0 <= v <= u <= 1 of options as rows of G x <= h
-#: over x = (u_A, v_A, u_B, v_B): -v <= 0, v - u <= 0 and u <= 1, A first.
-_TRIANGLE = np.array([[0, -1, 0, 0], [-1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 1], [0, 0, 1, 0]])
-_BOUND = np.array([0, 0, 1, 0, 0, 1])
 #: How far a vertex may miss a constraint and still count as feasible.
 _LP_TOL = 1e-12
 
@@ -328,6 +325,9 @@ def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
     coordinate moves with at most one of them, so x0 + D t is exact. The
     subset's equalities E give (E D) t = E (0 - x0); a subset holding k <
     n_eq equalities pads E with unit rows that make its last parameters 0.
+    The float core solves these systems (:func:`_lp_vertices`), and
+    :func:`certified_floor` proves its minimum on the same faces, from x0
+    and D's first k columns.
 
     Returns the subsets; x0 and D, as (4, subsets, 1) and (4, n_eq,
     subsets, 1) arrays in {0, 1}; the distinct columns of D and 0 - x0,
@@ -619,22 +619,19 @@ def option_classifier(
     return PQClassifier(base=as_pq(h).base, params={ga: tuple(x[:2]), gb: tuple(x[2:])})
 
 
-def _cramer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
-    """(d, d x) for the x with matrix x = rhs, where d is the determinant
-    of the matrix up to sign, so each entry of d x is a Cramer numerator;
-    d = 0 when the matrix is singular. Fraction-free Gauss-Jordan
-    elimination (Bareiss) on ints: each division by the previous pivot is
-    exact."""
-    rows, prev = [list(row) + [r] for row, r in zip(matrix, rhs)], 1
-    for k in range(len(rows)):
-        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
-        if p is None:
-            return 0, []
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        rows = [r if r is pivot else [(pivot[k] * x - r[k] * y) // prev for x, y in zip(r, pivot)] for r in rows]
-        prev = pivot[k]
-    return prev, [row[-1] for row in rows]
+def _dot(p: Sequence[int], q: Sequence[int]) -> int:
+    """The dot product p . q, in ints."""
+    return sum(a * b for a, b in zip(p, q))
+
+
+def _adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(|det m|, adj m times the sign of det m) for a k x k matrix of ints,
+    k <= 2, so that m adj = |det m| I: Cramer's rule with no division."""
+    if len(m) < 2:
+        return (abs(m[0][0]), [[1 if m[0][0] > 0 else -1]]) if m else (1, [])
+    (a, b), (c, d) = m
+    sign = 1 if a * d >= b * c else -1
+    return sign * (a * d - b * c), [[sign * d, -sign * b], [-sign * c, sign * a]]
 
 
 def certified_floor(
@@ -642,25 +639,30 @@ def certified_floor(
 ) -> tuple[int, int]:
     """The least clean error of any randomization of ``h`` that meets dp,
     eopp or eodds on ``corrupted``, as an exact fraction (numerator,
-    denominator > 0) of ints proved by a dual certificate.
+    denominator > 0) of ints, proved on the face of one active set.
 
     The float masses are exact binary rationals: times one common power of
     two they are ints, and so is each equality times d_A d_B, whose right
-    side is 0. For an active set of a cheapest vertex, :func:`_cramer`
-    gives the multipliers y of stationarity, y^T A_active = -c for the
-    clean error's gradient c, exactly, as d y for d = +-det(A_active),
-    and the active set needs d != 0 and every triangle row's multiplier
-    >= 0. By weak duality no classifier in the class then errs less
-    than the dual value c_0 - y^T h_active. The set's vertex, also from
-    :func:`_cramer`, must meet every equality exactly and every triangle
-    row, in ints: then it errs the dual value, which is the LP minimum and
-    not only a bound below it. Active sets are tried in order
-    of their vertex's float clean error, then in active-set order, from
-    the vertex totals of one :func:`_solve` row, so the core's winning
-    active set comes first; at a degenerate vertex only some of them have
-    such multipliers. The first that does gives the floor, which must lie
-    within ``GAP_TOL`` of that row's least error. ``ContractError`` when
-    none does; the input errors of :func:`best_response`.
+    side is 0; clean error is then (c_0 + c . x) / scale. An active set's
+    triangle rows pin x to its face x0 + D t (:func:`_active_sets`), with
+    one column of D per equality it holds, k <= 2 of them, the rows E. On
+    the face the set is the k x k system M t = -E x0, M = E D, which
+    Cramer's rule solves with no division (:func:`_adjugate`): with
+    det = |det M| > 0, det x = det x0 - D adj(M) E x0 is the set's vertex,
+    and det y = -adj(M)^T D^T c solves M^T y = -D^T c, so lambda =
+    c + E^T y is flat along the face. Every classifier of the class meets
+    E x = 0, so it errs c_0 + lambda . x, which is linear on each group's
+    triangle and so at least its value at the best corner, (0, 0), (1, 0)
+    or (1, 1): the corner bound c_0 + sum_g min(0, lambda_u, lambda_u +
+    lambda_v). When the vertex meets every equality and both triangles
+    exactly, in ints, and errs the corner bound, no classifier errs less:
+    the floor is (det times the bound, scale det). Active sets are tried
+    in order of their vertex's float clean error, then in active-set
+    order, from the vertex totals of one :func:`_solve` row, so the core's
+    winning active set comes first; at a degenerate vertex only some of
+    them meet the bound. The first that does gives the floor, which must
+    lie within ``GAP_TOL`` of that row's least error. ``ContractError``
+    when none does; the input errors of :func:`best_response`.
     """
     if notion not in ("dp", "eopp", "eodds"):
         raise InputError(f"certified_floor supports dp, eopp and eodds, got {notion!r}")
@@ -675,25 +677,24 @@ def certified_floor(
     for _, summed, columns in _DENOMINATORS[notion]:
         d_a, d_b = (sum(x[k] for k in summed) for x in (inputs_a, inputs_b))
         eq.append([inputs_a[c] * d_b for c in columns] + [-inputs_b[c] * d_a for c in columns])
-    a, b = eq + _TRIANGLE.tolist(), [0] * len(eq) + _BOUND.tolist()
-    # clean error is (const + c . x) / scale, and stationarity asks y^T A_active = target = -c
     const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
-    target = [t for m1p, m1n, m0p, m0n in cells for t in (m1p - m1n, m0p - m0n)]
-    subsets = _active_sets(len(eq))[0]
+    c = [t for m1p, m1n, m0p, m0n in cells for t in (m1n - m1p, m0n - m0p)]
+    subsets, x0, d = _active_sets(len(eq))[:3]
     for s in np.argsort(totals, kind="stable")[: np.isfinite(totals).sum()]:
-        active = subsets[s].tolist()
-        basis = [a[i] for i in active]
-        d, dy = _cramer(list(zip(*basis)), target)
-        if d == 0 or any(m * d < 0 for m, i in zip(dy, active) if i >= len(eq)):
-            continue
-        e, ex = _cramer(basis, [b[i] for i in active])  # the set's vertex, ex / e
-        misses = ((sum(c * x for c, x in zip(row, ex)) - r * e) * e for row, r in zip(a, b))  # (A x - b) e^2
-        if all(m <= 0 if i >= len(eq) else m == 0 for i, m in enumerate(misses)):
-            sign = 1 if d > 0 else -1
-            num, den = sign * (const * d - sum(m * b[i] for m, i in zip(dy, active))), sign * scale * d
-            if abs(num / den - totals.min()) > GAP_TOL:
-                raise ContractError(f"dual floor {num / den!r} is not the least vertex error {totals.min()}")
-            return num, den
+        held = [eq[i] for i in subsets[s] if i < len(eq)]  # the k equalities E the set holds
+        # x0, and D's k nonzero columns as one row per coordinate, so that zip(*face) gives the columns
+        corner, face = x0[:, s, 0].astype(int).tolist(), d[:, : len(held), s, 0].astype(int).tolist()
+        det, adj = _adjugate([[_dot(e, f) for f in zip(*face)] for e in held])
+        t = [_dot(row, [-_dot(e, corner) for e in held]) for row in adj]  # det t
+        y = [_dot(col, [-_dot(f, c) for f in zip(*face)]) for col in zip(*adj)]  # det y
+        x = [det * v + _dot(t, r) for v, r in zip(corner, face)]  # det times the vertex
+        lam = [det * v + sum(y_j * e[n] for y_j, e in zip(y, held)) for n, v in enumerate(c)]  # det times lambda
+        bound = const * det + sum(min(0, u, u + v) for u, v in zip(lam[::2], lam[1::2]))
+        inside = all(0 <= v <= u <= det for u, v in zip(x[::2], x[1::2]))
+        if det and inside and not any(_dot(e, x) for e in eq) and const * det + _dot(c, x) == bound:  # det 0: singular
+            if abs(bound / (scale * det) - totals.min()) > GAP_TOL:
+                raise ContractError(f"dual floor {bound / (scale * det)!r} is not the least vertex error {totals.min()}")
+            return bound, scale * det
     raise ContractError(f"no active set of a cheapest {notion} vertex has a dual certificate")
 
 

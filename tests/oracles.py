@@ -10,10 +10,12 @@ the exact reference for ``best_response`` under dp, eopp and eodds: it
 solves every 4-subset of the LP's constraints and scores each vertex in
 Fractions, from masses summed over atoms, so the package's float vertex
 search must agree with it up to rounding, and the package's certified
-floor exactly. ``certified_floor`` is the dual certificate of
-``repair.certified_floor`` in Fractions, from the same vertex enumeration
-and with the same exact check of the vertex, which the package's integer
-floor must equal exactly.
+floor exactly. ``certified_floor`` reaches the floor by an independent
+route, in Fractions: each active set's full 4 x 4 stationarity system, its
+triangle multipliers all >= 0, and the set's vertex checked exactly, in
+the order of the same float vertex enumeration. The package proves the
+floor on the set's face, with at most a 2 x 2 system and a corner bound
+in place of the triangle multipliers, and must equal it exactly.
 ``lapack_vertices`` is the vertex enumeration ``repair._lp_vertices``
 replaced: each active set's 4 x 4 system goes to LAPACK, so the package's
 closed-form kernel must give the same feasible vertices up to rounding.
@@ -59,7 +61,12 @@ from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
 from fairnoise.families import _split
-from fairnoise.repair import _BOUND, _TRIANGLE, _equalities, _lp_vertices, best_response, statistic_inputs
+from fairnoise.repair import _equalities, _lp_vertices, best_response, statistic_inputs
+
+#: Each group's triangle 0 <= v <= u <= 1 of options as rows of G x <= h
+#: over x = (u_A, v_A, u_B, v_B): -v <= 0, v - u <= 0 and u <= 1, A first.
+_TRIANGLE = np.array([[0, -1, 0, 0], [-1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 1], [0, 0, 1, 0]])
+_BOUND = np.array([0, 0, 1, 0, 0, 1])
 
 
 def _solve(rows, rhs):
@@ -199,11 +206,12 @@ def lp_floor(corrupted, clean, h, notion):
 
 
 def certified_floor(corrupted, clean, h, notion):
-    """The dual certificate of ``repair.certified_floor`` in Fractions: the
-    same float vertex enumeration orders the active sets, and the first
-    whose vertex meets every constraint exactly and whose multipliers
-    solve stationarity with every triangle multiplier >= 0 gives the floor
-    c_0 - y^T h_active, as a Fraction."""
+    """The LP floor by the KKT conditions of a whole active set, in
+    Fractions: the float vertex enumeration of ``repair.certified_floor``
+    orders the active sets, and the first whose vertex meets every
+    constraint exactly and whose multipliers solve the 4 x 4 stationarity
+    system y^T A_active = -c with every triangle multiplier >= 0 gives the
+    floor c_0 - y^T h_active, as a Fraction."""
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
     inputs = statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion)
     clean_cells = np.array([table[g] for g in clean.groups])[..., None]

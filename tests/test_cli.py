@@ -530,6 +530,19 @@ def test_deeply_nested_config_exits_two(tmp_path, command, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("through", (False, True), ids=("a-file", "through-a-file"))
+@pytest.mark.parametrize("command", sorted(c for c, flags in _FLAGS.items() if "out" in flags))
+def test_unwritable_out_exits_two(tmp_path, command, through, capsys):
+    # --out names an existing file, or a path whose parent is one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "out" if through else blocker
+    cfg = write_config(tmp_path, VALID[command])
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output (")
+    assert blocker.read_text() == "kept"
+
+
 @pytest.mark.parametrize("command", sorted(VALID))
 def test_valid_configs_exit_zero(tmp_path, command):
     cfg = write_config(tmp_path, VALID[command])

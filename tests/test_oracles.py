@@ -49,15 +49,27 @@ def test_exact_best_response_matches_reference(notion, generate, repair, seed):
         assert found <= repair(h, dist, corrupted).error_on_original + 1e-12
 
 
-@pytest.mark.parametrize("alpha", (1e-30, 1e-200))
-def test_needle_floor_at_a_tiny_alpha_is_the_exact_minimum(alpha):
-    # a vertex that misses the equality by about alpha passes a float check
-    # with 1e-12 slack, and its dual value lies below the minimum
-    inst = families.eopp_needle(alpha)
-    floor = Fraction(*certified_floor(inst.corrupted, inst.dist, inst.h_star, "eopp"))
+#: Each LP notion's closed-form family at alpha: the dp worked example, the
+#: EOpp needle and the EOdds duplication at r_B = 0.9 alpha.
+FAMILIES = (
+    ("dp", families.dp_worked),
+    ("eopp", families.eopp_needle),
+    ("eodds", lambda a: families.eodds_duplicate(a, 0.9 * a)),
+)
+
+
+@pytest.mark.parametrize("alpha", (1e-300, 1e-200, 1e-30, 0.5, 0.9, 0.99))
+@pytest.mark.parametrize("notion, build", FAMILIES, ids=[n for n, _ in FAMILIES])
+def test_floor_at_an_extreme_alpha_is_the_exact_minimum(notion, build, alpha):
+    # at a tiny alpha a vertex that misses the equality by about alpha
+    # passes a float check with 1e-12 slack, and its dual value lies below
+    # the minimum; at a large one only faces whose system has a negative
+    # determinant prove the dp floor, so the proof must flip its sign
+    inst = build(alpha)
+    floor = Fraction(*certified_floor(inst.corrupted, inst.dist, inst.h_star, notion))
     assert floor >= 0
-    assert floor == oracles.lp_floor(inst.corrupted, inst.dist, inst.h_star, "eopp")
-    assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, "eopp")
+    assert floor == oracles.lp_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+    assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
 
 
 unit = st.floats(0.0, 1.0)

@@ -266,6 +266,20 @@ def test_exact_floor_is_the_closed_form(notion, build, closed_form, alpha):
     assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
 
 
+@pytest.mark.parametrize(
+    "notion, build, witness, alpha",
+    [("dp", families.dp_worked, dp_repair, a) for a in (0.01, 0.05, 0.1, 0.2)]
+    + [("eopp", families.eopp_needle, eopp_repair, a) for a in (0.01, 0.04, 0.09)],
+)
+def test_analytic_witness_meets_the_certified_floor(notion, build, witness, alpha):
+    # the witness is one classifier of the class, so its excess is at least
+    # the floor; here it is the floor: the sandwich closes
+    inst = build(alpha)
+    excess = witness(inst.h_star, inst.dist, inst.corrupted).excess_error_on_original
+    floor = Fraction(*certified_floor(inst.corrupted, inst.dist, inst.h_star, notion))
+    assert abs(excess - floor) <= 1e-12
+
+
 def test_certified_floor_enumerates_vertices_once(monkeypatch):
     calls = []
 
