@@ -16,7 +16,7 @@ from . import families
 from .calibration import calibration_report, parity_calibration_attack_certify, recalibrate_per_group, value_shift
 from .classifiers import GAP_TOL, error_terms, mass_table
 from .errors import ContractError, InputError, integer, number, text
-from .repair import _one_row, _repair, _sweep_responses, certified_floor, grid_size
+from .repair import _repair, _sweep_responses, certified_floor, grid_size
 
 #: Sweep family -> (the one notion it sweeps, attack kind, defaults of its
 #: family_params). The families function of the same name builds each
@@ -239,8 +239,9 @@ def _lp_sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
         # no analytic repair exists in the constant regime: the oracle is the witness
         witness = oracle if notion == "eodds" else _repair(h, clean, dirty, notion, alpha)
         # The analytic witnesses are exact, and the best response is the
-        # float LP minimum, whose equalities hold to repair._LP_TOL (only
-        # certified_floor is exact), so no witness may beat it by GAP_TOL.
+        # float LP minimum, whose equalities hold to repair._LP_TOL, so it
+        # lies above the exact minimum by rounding at most: no witness may
+        # beat it by GAP_TOL.
         if witness.gap_on_corrupted > GAP_TOL:
             raise ContractError(f"witness gap {witness.gap_on_corrupted:.3e} exceeds {GAP_TOL} at alpha={alpha}")
         if oracle.error_on_original > witness.error_on_original + GAP_TOL:
@@ -274,7 +275,8 @@ def run_sweep(config: ExperimentConfig) -> RobustnessReport:
     """Run every alpha in the config, fit the scaling exponent, and classify
     the regime. Each point's ``excess_oracle`` is the best response, the
     minimum of the float LP whose equalities hold to ``repair._LP_TOL`` =
-    1e-12 (only ``repair.certified_floor`` is exact); no grid is searched,
+    1e-12, which may lie below the exact LP minimum that
+    ``repair.certified_floor`` proves; no grid is searched,
     so ``config.grid_n`` is only checked and recorded. A witness violating
     its gap contract, or beating the best response, aborts the sweep.
 
@@ -337,13 +339,13 @@ def certify_lower_bound(
 
     Every floor is exact, and pass means floor >= claimed, compared as
     fractions of ints with no slack; the floor returned is that fraction
-    correctly rounded to a float. For EOpp and EOdds the floor is the LP
-    minimum of clean error, proved by :func:`repair.certified_floor`'s dual
-    certificate. Predictive parity's is the infimum that one row of
-    :func:`repair._solve` finds over the common precision, on the
-    instance's two mass tables; parity calibration's is
+    correctly rounded to a float. For EOpp, EOdds and predictive parity the
+    floor is the LP minimum of clean error, over the common precision for
+    predictive parity, proved in ints by :func:`repair.certified_floor`'s
+    dual certificate; parity calibration's is
     :func:`calibration.parity_calibration_attack_certify`'s exact minimum
-    over every binned predictor. ``grid_n`` is only checked. Claims: EOpp ->
+    over every binned predictor. No floor calls a numpy routine.
+    ``grid_n`` is only checked. Claims: EOpp ->
     sqrt(alpha)/2, which is the exact floor only for alpha <= 7 - 4 sqrt(3)
     (about 0.0718) and lies above it beyond; EOdds -> (1 - alpha) * r_A / 2;
     Predictive Parity and Parity Calibration -> the fixed 0.2 floor.
@@ -356,16 +358,12 @@ def certify_lower_bound(
         raise InputError("alpha must lie in (0, 1)")
     grid_size(grid_n)
     instance, claim = _CERTIFY[notion]
-    inst = instance(alpha)
-    claimed = claim(alpha)
+    inst, claimed = instance(alpha), claim(alpha)
     if notion == "parity_calibration":
-        floor = parity_calibration_attack_certify(inst)
-    elif notion == "predictive_parity":
-        tables = ([mass_table(inst.h_star, d)] for d in (inst.corrupted, inst.dist))
-        floor = _one_row(*tables, inst.dist.groups, notion)[0][0].as_integer_ratio()
+        num, den = parity_calibration_attack_certify(inst)
     else:
-        floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
-    (num, den), (p, q) = floor, claimed.as_integer_ratio()
+        num, den = certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
+    p, q = claimed.as_integer_ratio()
     return num / den, claimed, num * q >= p * den
 
 
@@ -404,22 +402,13 @@ def minimax_demo(alpha: float, gamma: float | None = None, grid_n: int = 101) ->
 
     vertices = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
     dirty, clean = mass_table(h, corrupted), mass_table(h, dist)
-    epsilon: dict[str, float] = {}
-    opt_terms = []
-    for g in dist.groups:
-        epsilon[g] = min(sum(error_terms(dirty[g], u, v)) / sum(dirty[g]) for u, v in vertices)
-        opt_terms.append(min(sum(error_terms(clean[g], u, v)) for u, v in vertices))
+    epsilon = {g: min(sum(error_terms(dirty[g], u, v)) / sum(dirty[g]) for u, v in vertices) for g in dist.groups}
+    opt_clean = math.fsum(min(sum(error_terms(clean[g], u, v)) for u, v in vertices) for g in dist.groups)
 
     max_err = max(epsilon.values())
     feasible = None if gamma is None else bool(max_err <= gamma + GAP_TOL)
-    return MinimaxReport(
-        alpha=alpha,
-        epsilon=epsilon,
-        max_group_error=max_err,
-        opt_clean=math.fsum(opt_terms),
-        gamma=gamma,
-        gamma_feasible=feasible,
-    )
+    return MinimaxReport(alpha=alpha, epsilon=epsilon, max_group_error=max_err, opt_clean=opt_clean, gamma=gamma,
+                         gamma_feasible=feasible)
 
 
 # ---------------------------------------------------------------------------

@@ -8,33 +8,27 @@ the learner-side procedure: it sees only the corrupted distribution and
 minimizes clean error over per-group acceptance probabilities by one LP
 for every notion, solved in floats with its equalities held to
 ``_LP_TOL``; for predictive parity it is solved at a few candidate common
-precisions. The harness uses the witnesses to certify upper bounds and the
-learner to certify lower bounds (its minimum is what any repair strategy
-could achieve); only ``certified_floor`` is exact: it proves the LP's
-minimum for dp, eopp and eodds on one active set's face, with multipliers
-whose corner bound meets the face's vertex, in exact integer arithmetic on
-the float masses.
+precisions. The harness uses the witnesses to certify upper bounds.
+Its lower bounds are the exact LP's: ``certified_floor`` proves the
+minimum for every notion on one active set's face, with multipliers whose
+corner bound meets the face's vertex, in Python ints on the float masses,
+and calls no numpy routine. For it the float core is only a fast search,
+which may lie below the exact minimum by the slack ``_LP_TOL`` lets an
+equality miss.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifiers import (
-    GAP_TOL,
-    BaseClassifier,
-    PQClassifier,
-    _table_error,
-    _table_stats,
-    as_pq,
-    fairness_gap,
-    mass_table,
-)
+from .classifiers import (GAP_TOL, BaseClassifier, PQClassifier, _table_error, _table_stats, as_pq, fairness_gap,
+                          mass_table)
 from .distributions import Distribution
 from .errors import ContractError, FairnoiseError, InfeasibleError, InputError, integer
 
@@ -306,11 +300,12 @@ def _with_precision(xs: np.ndarray, pis: np.ndarray, inputs_a: np.ndarray, input
 _LP_TOL = 1e-12
 
 
-@functools.lru_cache(maxsize=2)
-def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
+@functools.lru_cache(maxsize=3)
+def _faces(n_eq: int) -> tuple[tuple, ...]:
     """Every 4-subset of n_eq equality rows followed by the six triangle
-    rows that can hold a vertex, in ``itertools.combinations`` order, and
-    the face of both triangles its triangle rows pin x to.
+    rows that can hold a vertex, in ``itertools.combinations`` order, with
+    the face of both triangles its triangle rows pin x to, in ints: per
+    subset (its rows, x0, D's columns).
 
     A group's rows v = 0, v = u and u = 1 never hold together (the first
     two give u = 0), so a subset that holds all three rows of one group has
@@ -319,61 +314,62 @@ def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
     the whole of its triangle. Its u is fixed when u = 1 holds, or v = 0
     and v = u do; its v is fixed when v = 0 holds, or v = u and u = 1 do;
     otherwise v = u ties v to u. Each other coordinate is free, with a
-    parameter of its own, so the subset's vertex is x0 + D t: x0 is a
-    corner of the face, and D's column for a free u also steps a tied v.
-    There are as many parameters as equalities the subset holds, and each
-    coordinate moves with at most one of them, so x0 + D t is exact. The
-    subset's equalities E give (E D) t = E (0 - x0); a subset holding k <
-    n_eq equalities pads E with unit rows that make its last parameters 0.
-    The float core solves these systems (:func:`_lp_vertices`), and
-    :func:`certified_floor` proves its minimum on the same faces, from x0
-    and D's first k columns.
-
-    Returns the subsets; x0 and D, as (4, subsets, 1) and (4, n_eq,
-    subsets, 1) arrays in {0, 1}; the distinct columns of D and 0 - x0,
-    as a (4, 1, columns, 1) array; and, as an (entries, subsets) pair of
-    row and column indices, where each entry of (E D | E (0 - x0)) lies in
-    a table whose row i < n_eq is equality i times each distinct column,
-    row n_eq is 0 and row n_eq + 1 is 1. The entries are (E D, E (0 - x0))
-    for one equality and the six products of Cramer's rule for two: a f,
-    r f, a s, b c, b s and r c, for E D = ((a, b), (c, f)) and
-    E (0 - x0) = (r, s). The tables are built in Python and each made one
-    array at the end, so building them touches no numpy routine beyond
-    array creation, reshape and transpose."""
+    parameter of its own, so the subset's points are x0 + D t: x0 is a
+    corner of the face, in {0, 1}^4, and D's column for a free u also steps
+    a tied v. There are as many parameters, and columns of D, as
+    equalities the subset holds, k of them, and each coordinate moves with
+    at most one parameter, so x0 + D t is exact. The subset's equalities E
+    give the k x k system (E D) t = E (0 - x0). :func:`certified_floor`
+    walks these faces, and :func:`_active_sets` makes them the float
+    core's arrays."""
     # per group and the triangle rows v = 0, v = u and u = 1 it holds: its entries of x0, and D's columns
     # for its coordinates that are free, a free u also stepping a tied v
     faces = [{}, {}]
     for g, (v0, vu, u1) in itertools.product((0, 1), itertools.product((False, True), repeat=3)):
-        u, v = [0.0] * 4, [0.0] * 4
-        u[2 * g], u[2 * g + 1], v[2 * g + 1] = 1.0, float(vu), 1.0
-        free = [tuple(u)] * (not (u1 or v0 and vu)) + [tuple(v)] * (not (v0 or vu))
-        faces[g][v0, vu, u1] = [float(u1), float(vu and u1)], free
-    # the kept subsets and their x0, flat so that few containers stay alive to set off a garbage collection,
-    # and per slot each subset's column of D, or of 0 - x0 in the last
-    subsets, corners, slots = [], [], [[] for _ in range(n_eq + 1)]
+        u, v = [0] * 4, [0] * 4
+        u[2 * g], u[2 * g + 1], v[2 * g + 1] = 1, int(vu), 1
+        free = (tuple(u),) * (not (u1 or v0 and vu)) + (tuple(v),) * (not (v0 or vu))
+        faces[g][v0, vu, u1] = (int(u1), int(vu and u1)), free
+    kept = []
     for s in itertools.combinations(range(n_eq + 6), 4):
         held = tuple(n_eq + i in s for i in range(6))
-        if all(held[:3]) or all(held[3:]):
-            continue
-        (corner_a, free_a), (corner_b, free_b) = faces[0][held[:3]], faces[1][held[3:]]
-        corner = corner_a + corner_b
-        subsets += s
-        corners += corner
-        columns = (free_a + free_b + [(0.0,) * 4] * n_eq)[:n_eq] + [tuple([0.0 - x for x in corner])]
-        for slot, column in zip(slots, columns):
-            slot.append(column)
+        if not (all(held[:3]) or all(held[3:])):
+            (corner_a, free_a), (corner_b, free_b) = faces[0][held[:3]], faces[1][held[3:]]
+            kept.append((s, corner_a + corner_b, free_a + free_b))
+    return tuple(kept)
+
+
+@functools.lru_cache(maxsize=2)
+def _active_sets(n_eq: int) -> tuple[np.ndarray, ...]:
+    """The faces of :func:`_faces` as the float core's arrays.
+
+    Returns the subsets; x0 and D, as (4, subsets, 1) and (4, n_eq,
+    subsets, 1) arrays in {0, 1}, D padded with 0 columns to n_eq; the
+    distinct columns of D and 0 - x0, as a (4, 1, columns, 1) array; and,
+    as an (entries, subsets) pair of row and column indices, where each
+    entry of (E D | E (0 - x0)) lies in a table whose row i < n_eq is
+    equality i times each distinct column, row n_eq is 0 and row n_eq + 1
+    is 1: a subset holding k < n_eq equalities pads E with unit rows that
+    make its last parameters 0. The entries are (E D, E (0 - x0)) for one
+    equality and the six products of Cramer's rule for two: a f, r f, a s,
+    b c, b s and r c, for E D = ((a, b), (c, f)) and E (0 - x0) = (r, s).
+    The tables are built in Python and each made one float array at the
+    end, so building them touches no numpy routine beyond array creation,
+    reshape and transpose."""
+    subsets, corners, frees = zip(*_faces(n_eq))
+    # per slot each subset's column of D, padded with 0s, or of 0 - x0 in the last
+    slots = [[(f + ((0,) * 4,) * n_eq)[i] for f in frees] for i in range(n_eq)]
+    slots.append([tuple(-x for x in corner) for corner in corners])
     distinct: dict[tuple, int] = {}  # each distinct column of D and 0 - x0, in order of first occurrence
     kind = [[distinct.setdefault(c, len(distinct)) for c in slot] for slot in slots]
     # each entry's (slot i, column j) of (E D | E (0 - x0)): its table row is the subset's equality i, or for
     # a padded slot 1 where j == i and 0 elsewhere; its distinct column is that of column j
     entries = [divmod(e, n_eq + 1) for e in ((0, 1) if n_eq == 1 else (0, 2, 0, 1, 1, 2, 4, 4, 5, 3, 5, 3))]
-    at = (
-        np.array([[r if r < n_eq else n_eq + (i == j) for r in subsets[i::4]] for i, j in entries]),
-        np.array([kind[j] for _, j in entries]),
-    )
-    d = np.array(slots[:n_eq]).transpose(2, 0, 1)[..., None]  # (4, n_eq, subsets, 1)
-    x0 = np.array(corners).reshape(-1, 4).T[..., None]
-    return np.array(subsets).reshape(-1, 4), x0, d, np.array(list(distinct)).T[:, None, :, None], at
+    at_row = np.array([[r if r < n_eq else n_eq + (i == j) for r in (s[i] for s in subsets)] for i, j in entries])
+    at_col = np.array([kind[j] for _, j in entries])
+    d = np.array(slots[:n_eq], dtype=float).transpose(2, 0, 1)[..., None]  # (4, n_eq, subsets, 1)
+    x0 = np.array(corners, dtype=float).T[..., None]
+    return np.array(subsets), x0, d, np.array(list(distinct), dtype=float).T[:, None, :, None], (at_row, at_col)
 
 
 def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -472,20 +468,16 @@ def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
     return err.T, x.T, subsets
 
 
-def _first_empty(denominators: np.ndarray, groups: Sequence[str], notion: str) -> tuple[int, InputError | None]:
-    """The number of rows before the first where a group lacks the mass the
-    notion divides by, and the ``InputError`` of that row; None when no row
-    lacks it. ``denominators`` holds :func:`_denominators` as (rows,
-    groups, entries of ``_DENOMINATORS[notion]``); a row's groups are
-    checked in order, each for every entry."""
-    zero = denominators <= 0.0
-    bad = zero.any(axis=(1, 2))
-    if not bad.any():
-        return len(bad), None
-    rows = int(bad.argmax())
-    g, entry = divmod(int(zero[rows].argmax()), zero.shape[2])
-    what = _DENOMINATORS[notion][entry][0]
-    return rows, InputError(f"group {groups[g]!r} has no {what} on the corrupted distribution")
+def _lacking(groups: Sequence[str], denominators: Sequence[Sequence], notion: str) -> InputError | None:
+    """The ``InputError`` of the first group, in order, that lacks a mass
+    the notion divides by, or None when none does. ``denominators`` holds
+    each group's sums of ``_DENOMINATORS[notion]``, checked in order;
+    masses are >= 0, so a sum lacks its mass when it is not positive."""
+    for g, sums in zip(groups, denominators):
+        for (what, _, _), d in zip(_DENOMINATORS[notion], sums):
+            if d <= 0:
+                return InputError(f"group {g!r} has no {what} on the corrupted distribution")
+    return None
 
 
 def _check_search(groups: Sequence[str], hypotheses: Sequence, notion: str) -> None:
@@ -531,7 +523,8 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     denominators = _denominators(inputs, notion)  # (rows, hypotheses, groups, entries)
     rows, error = len(dirty), None
     if not (denominators > 0.0).all():  # a group's mass does not depend on the hypothesis
-        rows, error = _first_empty(denominators[:, 0], groups, notion)
+        rows = int((denominators[:, 0] <= 0.0).any(axis=(1, 2)).argmax())
+        error = _lacking(groups, denominators[rows, 0].tolist(), notion)
     hypotheses = dirty.shape[1]
     n = rows * hypotheses  # LP rows: each row's hypotheses in order
     # each LP row's clean table; one shared table stays one, which broadcasts
@@ -620,8 +613,14 @@ def option_classifier(
 
 
 def _dot(p: Sequence[int], q: Sequence[int]) -> int:
-    """The dot product p . q, in ints."""
-    return sum(a * b for a, b in zip(p, q))
+    """The dot product p . q of ints; ``int.__mul__`` refuses a float, so
+    none can enter a proof."""
+    return sum(map(int.__mul__, p, q))
+
+
+def _step(scale: int, x: Sequence[int], coefficients: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
+    """scale x + sum_j coefficients[j] vectors[j], in ints."""
+    return [scale * v + _dot(coefficients, w) for v, *w in zip(x, *vectors)]
 
 
 def _adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -634,68 +633,136 @@ def _adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     return sign * (a * d - b * c), [[sign * d, -sign * b], [-sign * c, sign * a]]
 
 
-def certified_floor(
-    corrupted: Distribution, clean: Distribution, h: BaseClassifier | PQClassifier, notion: str
-) -> tuple[int, int]:
-    """The least clean error of any randomization of ``h`` that meets dp,
-    eopp or eodds on ``corrupted``, as an exact fraction (numerator,
-    denominator > 0) of ints, proved on the face of one active set.
+#: Orders fractions (numerator, denominator > 0) of ints by value.
+_BY_VALUE = functools.cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _face_floor(eq: Sequence[Sequence[int]], const: int, c: Sequence[int], notion: str) -> tuple[int, int]:
+    """The least of const + c . x over x in both triangles with eq x = 0, as
+    (numerator, denominator > 0) of ints, proved on the face of the first
+    active set of :func:`_faces` whose vertex meets every constraint and
+    its corner bound; see :func:`certified_floor`. A row of 0s constrains
+    nothing and is dropped first, so a predictive parity group whose
+    options all have the candidate precision leaves one equality, or
+    none."""
+    eq = [e for e in eq if any(e)]
+    for s, corner, free in _faces(len(eq)):
+        held = [eq[i] for i in s if i < len(eq)]  # the k equalities E the set holds
+        det, adj = _adjugate([[_dot(e, f) for f in free] for e in held])
+        # det times the vertex; a singular set has none
+        x = _step(det, corner, [_dot(row, [-_dot(e, corner) for e in held]) for row in adj], free) if det else None
+        if x and all(0 <= v <= u <= det for u, v in zip(x[::2], x[1::2])) and not any(_dot(e, x) for e in eq):
+            lam = _step(det, c, [_dot(col, [-_dot(f, c) for f in free]) for col in zip(*adj)], held)  # det lambda
+            bound = const * det + sum(min(0, u, u + v) for u, v in zip(lam[::2], lam[1::2]))
+            if const * det + _dot(c, x) == bound:
+                return bound, det
+    raise ContractError(f"no active set of a {notion} vertex has a dual certificate")
+
+
+def _parity_rows(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+    """Predictive parity's two equalities over x at each candidate common
+    precision pi = p / q, times q, in ints, from both groups' corrupted and
+    clean mass-table cells in ints (see :func:`_parity_equalities`).
+
+    The candidates are lo and hi, where the groups' precision ranges meet,
+    each the ratio of two of the ints. The floor's other candidates are
+    the local minima inside (lo, hi) of s_A + s_B, s_g being the clean
+    error group g's whole segment adds. There s_A' + s_B' = k_A / D_A^2 +
+    k_B / D_B^2, D_g = m0_g pi - c0p_g, goes from negative to positive, and
+    so does the quadratic k_A D_B^2 + k_B D_A^2 with int coefficients. It
+    is monotone between lo, its turning point, when that lies between, and
+    hi, so its signs there, in ints, decide whether it does. Its root is
+    irrational in general, so it is not certified. ``InfeasibleError`` when
+    the ranges do not meet; ``ContractError``, naming the root, when such a
+    minimum lies inside, even where a group's s_g > 0 there leaves the
+    floor, whose terms are min(0, s_g), no minimum at it."""
+    ranges, slopes = [], []
+    for (c1p, c1n, c0p, c0n), (_, _, e0p, e0n) in zip(dirty, clean):
+        m1, m0 = c1p + c1n, c0p + c0n
+        whole = (c1p + c0p, m1 + m0)  # the precision at w = 1, and at w = 0 too when m1 = 0
+        ranges.append(sorted(((c1p, m1) if m1 else whole, whole), key=_BY_VALUE))
+        slopes.append(((e0n - e0p) * (m1 * c0p - c1p * m0), m0, c0p))  # s' = k / (m0 pi - c0p)^2
+    lo, hi = max((r[0] for r in ranges), key=_BY_VALUE), min((r[1] for r in ranges), key=_BY_VALUE)
+    if _BY_VALUE(lo) > _BY_VALUE(hi):
+        raise InfeasibleError("no classifier meets predictive_parity: the groups' precision ranges never meet")
+    (k_a, m_a, c_a), (k_b, m_b, c_b) = slopes
+    a, b, c = k_a * m_b**2 + k_b * m_a**2, -2 * (k_a * m_b * c_b + k_b * m_a * c_a), k_a * c_b**2 + k_b * c_a**2
+    turn = (-b, 2 * a) if a > 0 else (b, -2 * a)
+    points = [lo, turn, hi] if a and _BY_VALUE(lo) < _BY_VALUE(turn) < _BY_VALUE(hi) else [lo, hi]
+    signs = [a * p * p + b * p * q + c * q * q for p, q in points]  # q^2 times the quadratic
+    if any(s < 0 < t for s, t in zip(signs, signs[1:])):
+        root = (-b + math.isqrt(b * b - 4 * a * c)) / (2 * a) if a else -c / b
+        raise ContractError(f"predictive_parity's floor may lie at the uncertified stationary precision {root!r}")
+    # at each candidate pi = p / q, each group's row (c1p - pi m1, c0p - pi m0), times q
+    rows = ([[q * x[0] - p * (x[0] + x[1]), q * x[2] - p * (x[2] + x[3])] for x in dirty] for p, q in {lo, hi})
+    return [[row_a + [0, 0], [0, 0] + row_b] for row_a, row_b in rows]
+
+
+def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassifier | PQClassifier,
+                    notion: str) -> tuple[int, int]:
+    """The least clean error of any randomization of ``h`` that meets
+    ``notion`` (dp, eopp, eodds or predictive_parity) on ``corrupted``, as
+    an exact fraction (numerator, denominator > 0) of ints, proved on the
+    face of one active set, with no float solve.
 
     The float masses are exact binary rationals: times one common power of
     two they are ints, and so is each equality times d_A d_B, whose right
     side is 0; clean error is then (c_0 + c . x) / scale. An active set's
-    triangle rows pin x to its face x0 + D t (:func:`_active_sets`), with
-    one column of D per equality it holds, k <= 2 of them, the rows E. On
-    the face the set is the k x k system M t = -E x0, M = E D, which
-    Cramer's rule solves with no division (:func:`_adjugate`): with
-    det = |det M| > 0, det x = det x0 - D adj(M) E x0 is the set's vertex,
-    and det y = -adj(M)^T D^T c solves M^T y = -D^T c, so lambda =
-    c + E^T y is flat along the face. Every classifier of the class meets
-    E x = 0, so it errs c_0 + lambda . x, which is linear on each group's
-    triangle and so at least its value at the best corner, (0, 0), (1, 0)
-    or (1, 1): the corner bound c_0 + sum_g min(0, lambda_u, lambda_u +
-    lambda_v). When the vertex meets every equality and both triangles
-    exactly, in ints, and errs the corner bound, no classifier errs less:
-    the floor is (det times the bound, scale det). Active sets are tried
-    in order of their vertex's float clean error, then in active-set
-    order, from the vertex totals of one :func:`_solve` row, so the core's
-    winning active set comes first; at a degenerate vertex only some of
-    them meet the bound. The first that does gives the floor, which must
-    lie within ``GAP_TOL`` of that row's least error. ``ContractError``
-    when none does; the input errors of :func:`best_response`.
-    """
-    if notion not in ("dp", "eopp", "eodds"):
-        raise InputError(f"certified_floor supports dp, eopp and eodds, got {notion!r}")
-    dirty, table = mass_table(h, corrupted), mass_table(h, clean)
-    _, (totals,) = _one_row([dirty], [table], clean.groups, notion)
+    triangle rows pin x to its face x0 + D t (:func:`_faces`), with one
+    column of D per equality it holds, k <= 2 of them, the rows E. On the
+    face the set is the k x k system M t = -E x0, M = E D, which Cramer's
+    rule solves with no division (:func:`_adjugate`): with det = |det M|
+    > 0, det x = det x0 - D adj(M) E x0 is the set's vertex, and det y =
+    -adj(M)^T D^T c solves M^T y = -D^T c, so lambda = c + E^T y is flat
+    along the face. Every classifier of the class meets E x = 0, so it
+    errs c_0 + lambda . x, which is linear on each group's triangle and so
+    at least its value at the best corner, (0, 0), (1, 0) or (1, 1): the
+    corner bound c_0 + sum_g min(0, lambda_u, lambda_u + lambda_v). When
+    the vertex meets every equality and both triangles exactly, in ints,
+    and errs the corner bound, no classifier errs less: the floor is (det
+    times the bound, scale det). Active sets are tried in active-set
+    order. An optimal basis is both primal and dual feasible, so one of
+    them passes, and any set that passes proves the same value; at a
+    degenerate vertex only some of them do.
 
-    ratios = [[m.as_integer_ratio() for m in t[g]] for t in (dirty, table) for g in clean.groups]
+    Predictive parity is the LP at a common precision pi with each group's
+    homogeneous row (c1p - pi m1, c0p - pi m0) over its (u, v), whose
+    floor is an infimum over pi in [lo, hi], where the groups' precision
+    ranges meet (:func:`_parity_equalities`). lo and hi are ratios of the
+    ints, each a candidate: at pi = p / q the rows times q are ints, and
+    the floor is the lesser of the two proved floors. A stationary
+    precision strictly inside (lo, hi), a root of a quadratic with int
+    coefficients, is irrational in general, so it is not certified:
+    ``ContractError`` names it whenever one lies there, even where the
+    error is largest at it.
+
+    The errors of :func:`best_response`, in its order: ``InputError`` when
+    there are not two groups, when the two distributions' groups differ or
+    when a group lacks the mass the notion divides by, and
+    ``InfeasibleError`` when the precision ranges do not meet.
+    ``ContractError`` when no active set passes.
+    """
+    groups, tables = clean.groups, [mass_table(h, corrupted), mass_table(h, clean)]
+    _check_search(groups, tables[:1], notion)
+    _same_groups(*tables)
+    ratios = [[m.as_integer_ratio() for m in t[g]] for t in tables for g in groups]
     scale = max(q for r in ratios for _, q in r)
-    dirty_a, dirty_b, *cells = [[p * (scale // q) for p, q in r] for r in ratios]
-    inputs_a, inputs_b = (statistic_inputs(np.array([x], dtype=object), notion)[0].tolist() for x in (dirty_a, dirty_b))
-    eq = []  # the rows of _equalities, each times d_A d_B instead of divided, in ints
-    for _, summed, columns in _DENOMINATORS[notion]:
-        d_a, d_b = (sum(x[k] for k in summed) for x in (inputs_a, inputs_b))
-        eq.append([inputs_a[c] * d_b for c in columns] + [-inputs_b[c] * d_a for c in columns])
-    const = sum(m1p + m0p for m1p, _, m0p, _ in cells)
-    c = [t for m1p, m1n, m0p, m0n in cells for t in (m1n - m1p, m0n - m0p)]
-    subsets, x0, d = _active_sets(len(eq))[:3]
-    for s in np.argsort(totals, kind="stable")[: np.isfinite(totals).sum()]:
-        held = [eq[i] for i in subsets[s] if i < len(eq)]  # the k equalities E the set holds
-        # x0, and D's k nonzero columns as one row per coordinate, so that zip(*face) gives the columns
-        corner, face = x0[:, s, 0].astype(int).tolist(), d[:, : len(held), s, 0].astype(int).tolist()
-        det, adj = _adjugate([[_dot(e, f) for f in zip(*face)] for e in held])
-        t = [_dot(row, [-_dot(e, corner) for e in held]) for row in adj]  # det t
-        y = [_dot(col, [-_dot(f, c) for f in zip(*face)]) for col in zip(*adj)]  # det y
-        x = [det * v + _dot(t, r) for v, r in zip(corner, face)]  # det times the vertex
-        lam = [det * v + sum(y_j * e[n] for y_j, e in zip(y, held)) for n, v in enumerate(c)]  # det times lambda
-        bound = const * det + sum(min(0, u, u + v) for u, v in zip(lam[::2], lam[1::2]))
-        inside = all(0 <= v <= u <= det for u, v in zip(x[::2], x[1::2]))
-        if det and inside and not any(_dot(e, x) for e in eq) and const * det + _dot(c, x) == bound:  # det 0: singular
-            if abs(bound / (scale * det) - totals.min()) > GAP_TOL:
-                raise ContractError(f"dual floor {bound / (scale * det)!r} is not the least vertex error {totals.min()}")
-            return bound, scale * det
-    raise ContractError(f"no active set of a cheapest {notion} vertex has a dual certificate")
+    *dirty, cells_a, cells_b = [[p * (scale // q) for p, q in r] for r in ratios]
+    # each group's statistic_inputs and its denominators, in ints
+    inputs = [{"dp": (a + b, c + d, a + b + c + d), "eopp": (a, c)}.get(notion, (a, b, c, d)) for a, b, c, d in dirty]
+    entries = _DENOMINATORS[notion]
+    sums = [[sum(x[k] for k in summed) for _, summed, _ in entries] for x in inputs]
+    if error := _lacking(groups, sums, notion):
+        raise error
+    const = sum(m1p + m0p for m1p, _, m0p, _ in (cells_a, cells_b))
+    c = [t for m1p, m1n, m0p, m0n in (cells_a, cells_b) for t in (m1n - m1p, m0n - m0p)]
+    if notion == "predictive_parity":
+        systems = _parity_rows(dirty, (cells_a, cells_b))
+    else:  # the rows of _equalities, each times d_A d_B instead of divided
+        a, b = inputs
+        systems = [[[a[k] * db for k in ks] + [-b[k] * da for k in ks] for (_, _, ks), da, db in zip(entries, *sums)]]
+    num, den = min((_face_floor(eq, const, c, notion) for eq in systems), key=_BY_VALUE)
+    return num, scale * den
 
 
 def best_response(
@@ -715,9 +782,10 @@ def best_response(
     0 <= v <= u <= 1 of acceptance probabilities, solved in floats by
     vertex enumeration. A vertex counts as feasible when it misses each
     equality by at most ``_LP_TOL`` = 1e-12, before it is clamped to the
-    triangles, so the minimum need not be the exact LP's: on the EOpp
-    needle at alpha = 1e-30 it is 0.0, where :func:`certified_floor`, the
-    one exact minimum, proves 5e-16. For predictive parity the LP is solved
+    triangles, so the minimum may lie below the exact LP's that
+    :func:`certified_floor` proves: on the EOpp needle at alpha = 1e-30 it
+    is 0.0, at a vertex whose true positive rates differ by 2e-15, where
+    the exact minimum is 5e-16. For predictive parity the LP is solved
     at each candidate common precision, and its minimum is an infimum: where
     a group does best to accept nothing, which has no precision, it accepts
     a GAP_TOL / 2 sliver at that precision instead, within GAP_TOL of the

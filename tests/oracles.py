@@ -13,9 +13,13 @@ search must agree with it up to rounding, and the package's certified
 floor exactly. ``certified_floor`` reaches the floor by an independent
 route, in Fractions: each active set's full 4 x 4 stationarity system, its
 triangle multipliers all >= 0, and the set's vertex checked exactly, in
-the order of the same float vertex enumeration. The package proves the
-floor on the set's face, with at most a 2 x 2 system and a corner bound
-in place of the triangle multipliers, and must equal it exactly.
+the order of the float vertex enumeration, on the float masses
+(``float_cells``). The package proves the floor on the set's face, with
+at most a 2 x 2 system and a corner bound in place of the triangle
+multipliers, and must equal it exactly. Both take predictive parity at a
+given common precision (``precision_rows``); ``precision_range`` gives
+the ends of the range where both groups' precisions meet, where the
+package proves that floor.
 ``lapack_vertices`` is the vertex enumeration ``repair._lp_vertices``
 replaced: each active set's 4 x 4 system goes to LAPACK, so the package's
 closed-form kernel must give the same feasible vertices up to rounding.
@@ -159,19 +163,50 @@ def exact_error(cells, u, v):
     return (1 - u) * m1p + u * m1n + (1 - v) * m0p + v * m0n
 
 
-def lp_floor(corrupted, clean, h, notion):
+def exact_cells(dist, h, g):
+    """Group g's (m1p, m1n, m0p, m0n) under h's base, in Fractions, summed
+    over atoms."""
+    base, m = as_pq(h).base, [Fraction(0)] * 4
+    for a in dist.atoms:
+        if a.group == g:
+            m[cell_index(base, a.point, g, a.feature, a.label)] += Fraction(a.mass)
+    return m
+
+
+def precision_rows(cells, precision):
+    """Predictive parity's two equalities at a common precision pi, from
+    both groups' corrupted cells (m1p, m1n, m0p, m0n) in Fractions: each
+    group's row (c1p - pi m1, c0p - pi m0) over its own (u, v), A's
+    first."""
+    rows = [[m1p - precision * (m1p + m1n), m0p - precision * (m0p + m0n)] for m1p, m1n, m0p, m0n in cells]
+    return [rows[0] + [0, 0], [0, 0] + rows[1]]
+
+
+def float_cells(dist, h, groups):
+    """Each group's cells of h's mass table on dist: the float masses the
+    package proves its floors on, as Fractions."""
+    table = mass_table(h, dist)
+    return [list(map(Fraction, table[g])) for g in groups]
+
+
+def precision_range(cells):
+    """(lo, hi), where both groups' precision ranges meet, from their
+    corrupted cells in Fractions: each group's options (1, w), 0 <= w <= 1,
+    have precision from c1p / m1 (or the w = 1 value when m1 = 0) to
+    (c1p + c0p) / (m1 + m0)."""
+    ends = []
+    for m1p, m1n, m0p, m0n in cells:
+        whole = (m1p + m0p) / (m1p + m1n + m0p + m0n)
+        ends.append(sorted((m1p / (m1p + m1n) if m1p + m1n else whole, whole)))
+    return max(e[0] for e in ends), min(e[1] for e in ends)
+
+
+def lp_floor(corrupted, clean, h, notion, precision=None):
     """Least clean error over (u_A, v_A, u_B, v_B) in both triangles
     0 <= v <= u <= 1 whose corrupted statistics meet the notion, exactly:
     every 4-subset of the equalities and triangle rows is solved, and the
-    cheapest vertex that meets every constraint exactly wins."""
-    base = as_pq(h).base
-
-    def cells(dist, g):
-        m = [Fraction(0)] * 4
-        for a in dist.atoms:
-            if a.group == g:
-                m[cell_index(base, a.point, g, a.feature, a.label)] += Fraction(a.mass)
-        return m
+    cheapest vertex that meets every constraint exactly wins. Predictive
+    parity is solved at the common ``precision`` given."""
 
     def statistics(m):
         """Each equated statistic (u a + v b) / d as (a, b, d)."""
@@ -180,10 +215,13 @@ def lp_floor(corrupted, clean, h, notion):
         return {"dp": [(m1p + m1n, m0p + m0n, sum(m))], "eopp": [tpr], "eodds": [tpr, fpr]}[notion]
 
     ga, gb = clean.groups
-    equalities = [
-        [a / d, b / d, -e / f, -g / f]
-        for (a, b, d), (e, g, f) in zip(statistics(cells(corrupted, ga)), statistics(cells(corrupted, gb)))
-    ]
+    if notion == "predictive_parity":
+        equalities = precision_rows([exact_cells(corrupted, h, g) for g in (ga, gb)], precision)
+    else:
+        equalities = [
+            [a / d, b / d, -e / f, -g / f]
+            for (a, b, d), (e, g, f) in zip(*(statistics(exact_cells(corrupted, h, group)) for group in (ga, gb)))
+        ]
     # (row, bound) of -v <= 0, v - u <= 0 and u <= 1 for each group
     triangle = []
     for off in (0, 2):
@@ -200,25 +238,30 @@ def lp_floor(corrupted, clean, h, notion):
             continue
         values = [(sum(c * xi for c, xi in zip(row, x)), b, eq) for row, b, eq in constraints]
         if all(v == b if eq else v <= b for v, b, eq in values):
-            err = sum(exact_error(cells(clean, g), x[i], x[i + 1]) for i, g in zip((0, 2), (ga, gb)))
+            err = sum(exact_error(exact_cells(clean, h, g), x[i], x[i + 1]) for i, g in zip((0, 2), (ga, gb)))
             best = err if best is None else min(best, err)
     return best
 
 
-def certified_floor(corrupted, clean, h, notion):
+def certified_floor(corrupted, clean, h, notion, precision=None):
     """The LP floor by the KKT conditions of a whole active set, in
-    Fractions: the float vertex enumeration of ``repair.certified_floor``
+    Fractions: the float vertex enumeration of ``repair._lp_vertices``
     orders the active sets, and the first whose vertex meets every
     constraint exactly and whose multipliers solve the 4 x 4 stationarity
     system y^T A_active = -c with every triangle multiplier >= 0 gives the
-    floor c_0 - y^T h_active, as a Fraction."""
+    floor c_0 - y^T h_active, as a Fraction. Predictive parity is solved
+    at the common ``precision`` given."""
     dirty, table = mass_table(h, corrupted), mass_table(h, clean)
-    inputs = statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion)
     clean_cells = np.array([table[g] for g in clean.groups])[..., None]
-    totals, _, subsets = _lp_vertices(_equalities(inputs, notion), clean_cells)
-
-    exact = np.array([[list(map(Fraction, dirty[g])) for g in clean.groups]], dtype=object)
-    a = np.concatenate((_equalities(statistic_inputs(exact, notion), notion)[0], _TRIANGLE))
+    if notion == "predictive_parity":
+        rows = np.array(precision_rows(float_cells(corrupted, h, clean.groups), precision), dtype=object)
+        eq = rows.astype(float)[None]
+    else:
+        eq = _equalities(statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion), notion)
+        exact = np.array([[list(map(Fraction, dirty[g])) for g in clean.groups]], dtype=object)
+        rows = _equalities(statistic_inputs(exact, notion), notion)[0]
+    totals, _, subsets = _lp_vertices(eq, clean_cells)
+    a = np.concatenate((rows, _TRIANGLE))
     n_eq = len(a) - 6
     bound = [0] * n_eq + _BOUND.tolist()
     # clean error is const + c . x, and stationarity asks y^T A_active = target = -c

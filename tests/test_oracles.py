@@ -72,6 +72,72 @@ def test_floor_at_an_extreme_alpha_is_the_exact_minimum(notion, build, alpha):
     assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
 
 
+#: The corpus's alphas for every closed-form family, down to 1e-300.
+CORPUS_ALPHAS = (1e-300, 1e-200, 1e-30, 1e-12, 0.01, 0.05, 0.0718, 0.2, 0.5, 0.9)
+
+#: The largest gap each way between the float core's least error (one
+#: ``repair._one_row``) and the proved floor over :func:`floor_corpus`.
+#: The float core solves a relaxed LP: it counts a vertex feasible when it
+#: misses an equality by up to ``repair._LP_TOL`` = 1e-12. So it lies below
+#: the proof where the best such vertex misses by a hair, by up to half the
+#: miss here. On ``dp_worked`` at alpha = 1e-12 the perfect classifier's
+#: rates differ by 9.9998e-13: the core reads 0.0 and the proof 5.0e-13. On
+#: the EOpp needle at alpha = 1e-30, B's true positive rate is 1 - 2e-15
+#: after the adversary's 1e-30 of base-negative positives: the core reads
+#: 0.0 and the proof 5e-16. Above the proof the core lies by rounding only.
+FLOAT_BELOW_PROOF, FLOAT_ABOVE_PROOF = 5.00002816926247e-13, 5.5467355721356666e-17
+
+
+def floor_corpus():
+    """(label, corrupted, clean, base, notion): the three LP families and
+    predictive parity on the EOdds duplication instance at every
+    ``CORPUS_ALPHAS``, then 25 seeded random instances per notion, alpha
+    drawn from U(0.001, 0.3), U(0, 1) or 10^-U(1, 300)."""
+    for notion, build in FAMILIES + (("predictive_parity", FAMILIES[2][1]),):
+        for alpha in CORPUS_ALPHAS:
+            inst = build(alpha)
+            yield f"{notion}@{alpha}", inst.corrupted, inst.dist, inst.h_star, notion
+    for notion in ("dp", "eopp", "eodds", "predictive_parity"):
+        for seed in range(25):
+            rng = np.random.default_rng([2026, seed])
+            dp = notion == "dp" or notion == "predictive_parity" and seed % 2
+            dist, h = (families.random_dp_instance if dp else families.random_eopp_instance)(rng, max_atoms=12)
+            q = oracles.random_contamination(rng, dist)
+            alpha = (rng.uniform(0.001, 0.3), rng.uniform(0.0, 1.0), 10.0 ** -rng.uniform(1, 300))[seed % 3]
+            if 0.0 < alpha < 1.0:
+                yield f"{notion}-{seed}", mix(dist, q, float(alpha)), dist, h, notion
+
+
+def test_certified_floors_match_the_oracle_and_the_float_core():
+    # Every floor equals the Fraction KKT route exactly (for predictive
+    # parity, the lesser of its floors at both ends of the precision range),
+    # and the float core's relaxed minimum within GAP_TOL; the largest gaps
+    # each way are pinned. A predictive parity instance whose precision
+    # ranges do not meet is infeasible exactly.
+    gaps, infeasible = [], 0
+    for label, corrupted, clean, h, notion in floor_corpus():
+        cells = oracles.float_cells(corrupted, h, clean.groups)
+        try:
+            floor = Fraction(*certified_floor(corrupted, clean, h, notion))
+        except InfeasibleError:
+            lo, hi = oracles.precision_range(cells)
+            assert notion == "predictive_parity" and lo > hi, label
+            infeasible += 1
+            continue
+        if notion == "predictive_parity":
+            lo, hi = oracles.precision_range(cells)
+            oracle = min(oracles.certified_floor(corrupted, clean, h, notion, pi) for pi in (lo, hi))
+        else:
+            oracle = oracles.certified_floor(corrupted, clean, h, notion)
+        assert floor == oracle, label
+        tables = ([mass_table(h, d)] for d in (corrupted, clean))
+        (total, *_), _ = repair._one_row(*tables, clean.groups, notion)
+        gaps.append(Fraction(total) - floor)
+        assert abs(gaps[-1]) <= GAP_TOL, label
+    assert (len(gaps), infeasible) == (127, 13)
+    assert (float(-min(gaps)), float(max(gaps))) == (FLOAT_BELOW_PROOF, FLOAT_ABOVE_PROOF)
+
+
 unit = st.floats(0.0, 1.0)
 
 

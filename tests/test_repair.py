@@ -20,7 +20,7 @@ from fairnoise.classifiers import (
     mass_table,
 )
 from fairnoise.distributions import Atom, make_distribution, mix
-from fairnoise.errors import InfeasibleError, InputError
+from fairnoise.errors import ContractError, InfeasibleError, InputError
 from fairnoise.repair import (
     _match_params,
     best_response,
@@ -280,23 +280,68 @@ def test_analytic_witness_meets_the_certified_floor(notion, build, witness, alph
     assert abs(excess - floor) <= 1e-12
 
 
-def test_certified_floor_enumerates_vertices_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2, 0.5))
+def test_predictive_parity_floor_is_the_lp_at_precision_one_half(alpha):
+    # on the duplication instance both groups' precision ranges meet only
+    # at 1/2, so the floor is the Fraction LP there, exactly
+    inst = families.eodds_duplicate(alpha, 0.9 * alpha)
+    cells = oracles.float_cells(inst.corrupted, inst.h_star, inst.dist.groups)
+    assert oracles.precision_range(cells) == (Fraction(1, 2), Fraction(1, 2))
+    floor = Fraction(*certified_floor(inst.corrupted, inst.dist, inst.h_star, "predictive_parity"))
+    half = Fraction(1, 2)
+    assert floor == oracles.lp_floor(inst.corrupted, inst.dist, inst.h_star, "predictive_parity", half)
+    assert floor == oracles.certified_floor(inst.corrupted, inst.dist, inst.h_star, "predictive_parity", half)
+    assert abs(floor - Fraction((1.0 - 0.9 * alpha) / 2.0)) <= 1e-12
 
-    def counted(*args):
-        calls.append(args)
-        return lp_vertices(*args)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("certified_floor ran a best response")
+def test_predictive_parity_floor_where_every_option_has_the_precision():
+    # all points are base-positive and each group's are half positive, so
+    # both equalities at precision 1/2 are rows of 0s and the floor is the
+    # LP with none: A accepts everything and B nothing
+    h = BaseClassifier.from_table({"a": 1, "b": 1})
+    corrupted = make_distribution([Atom(p, y, p.upper(), 0.25) for p in ("a", "b") for y in (0, 1)])
+    clean = make_distribution(
+        [Atom("a", 1, "A", 0.3), Atom("a", 0, "A", 0.2), Atom("b", 1, "B", 0.1), Atom("b", 0, "B", 0.4)]
+    )
+    floor = Fraction(*certified_floor(corrupted, clean, h, "predictive_parity"))
+    assert floor == oracles.lp_floor(corrupted, clean, h, "predictive_parity", Fraction(1, 2))
+    assert abs(floor - Fraction(3, 10)) <= 1e-16
 
-    lp_vertices = repair._lp_vertices
-    monkeypatch.setattr(repair, "_lp_vertices", counted)
-    monkeypatch.setattr(repair, "best_response", refused)
-    for notion, build in (("eopp", families.eopp_needle), ("eodds", lambda a: families.eodds_duplicate(a, 0.9 * a))):
-        inst = build(0.04)
-        certified_floor(inst.corrupted, inst.dist, inst.h_star, notion)
-    assert len(calls) == 2
+
+def test_predictive_parity_floor_with_disjoint_precision_ranges_is_infeasible():
+    # A's options have precisions in [1/2, 1] and all of B's precision 0
+    h = BaseClassifier.from_table({"a1": 1, "a2": 0, "b1": 1, "b2": 0})
+    clean = make_distribution([Atom(p, y, p[0].upper(), 0.125) for p in ("a1", "a2", "b1", "b2") for y in (0, 1)])
+    corrupted = make_distribution(
+        [Atom("a1", 1, "A", 0.25), Atom("a2", 0, "A", 0.25), Atom("b1", 0, "B", 0.25), Atom("b2", 0, "B", 0.25)]
+    )
+    with pytest.raises(InfeasibleError) as expected:
+        best_response(corrupted, clean, [h], "predictive_parity")
+    with pytest.raises(InfeasibleError) as found:
+        certified_floor(corrupted, clean, h, "predictive_parity")
+    assert str(found.value) == str(expected.value)
+
+
+def test_predictive_parity_floor_at_an_interior_stationary_precision_is_not_certified():
+    # The precision ranges meet on [5/8, 1], and the error is least at a
+    # stationary precision near 0.684311 inside it: the float core, which
+    # tries it, errs 0.226923 there, below the exact floors at both ends,
+    # 0.275 and 1/3. So the ends alone would overstate the floor.
+    h = BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0})
+
+    def dist(cells, total):
+        points = (("aP", "A"), ("aN", "A"), ("bP", "B"), ("bN", "B"))
+        atoms = [Atom(p, y, g, m / total) for (p, g), pair in zip(points, cells) for y, m in zip((1, 0), pair) if m]
+        return make_distribution(atoms)
+
+    corrupted = dist(((1, 0), (4, 3), (3, 0), (0, 2)), 13)
+    clean = dist(((4, 0), (0, 2), (1, 0), (4, 1)), 12)
+    lo, hi = oracles.precision_range(oracles.float_cells(corrupted, h, clean.groups))
+    ends = [oracles.lp_floor(corrupted, clean, h, "predictive_parity", pi) for pi in (lo, hi)]
+    found = best_response(corrupted, clean, [h], "predictive_parity").error_on_original
+    assert (lo, hi) == (Fraction(5, 8), 1) and found < min(ends) - 0.04
+    with pytest.raises(ContractError, match=r"uncertified stationary precision 0\.6843105"):
+        certified_floor(corrupted, clean, h, "predictive_parity")
 
 
 @pytest.mark.parametrize(
@@ -313,6 +358,28 @@ def test_certified_floor_rejects_an_empty_denominator_as_best_response_does(noti
     with pytest.raises(InputError) as found:
         certified_floor(corrupted, clean, h, notion)
     assert str(found.value) == str(expected.value) == f"group 'B' has no {what} on the corrupted distribution"
+
+
+@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds", "predictive_parity"))
+def test_certified_floor_raises_best_responses_input_errors_in_its_order(notion):
+    # two groups are checked before the groups match, and they before a
+    # group's denominator: each pair fails its check and every later one
+    h = BaseClassifier.from_table({"a": 1, "b": 1, "c": 0})
+    ab = make_distribution([Atom("a", 1, "A", 0.5), Atom("b", 0, "B", 0.25), Atom("b", 1, "B", 0.25)])
+    abc = make_distribution([Atom("a", 1, "A", 0.4), Atom("b", 0, "B", 0.3), Atom("c", 1, "C", 0.3)])
+    ac_empty = make_distribution([Atom("a", 1, "A", 1.0)], groups=("A", "C"))
+    ab_empty = make_distribution([Atom("a", 1, "A", 0.5), Atom("a", 0, "A", 0.5)], groups=("A", "B"))
+    what = "mass" if notion in ("dp", "predictive_parity") else "positives"
+    for corrupted, clean, message in (
+        (ac_empty, abc, "best_response searches exactly two groups"),
+        (ac_empty, ab, r"the corrupted distribution's groups \['A', 'C'\] differ from the clean one's \['A', 'B'\]"),
+        (ab_empty, ab, f"group 'B' has no {what} on the corrupted distribution"),
+    ):
+        with pytest.raises(InputError, match=message) as expected:
+            best_response(corrupted, clean, [h], notion)
+        with pytest.raises(InputError) as found:
+            certified_floor(corrupted, clean, h, notion)
+        assert str(found.value) == str(expected.value)
 
 
 def kernel_stack(rng, notion, kind, rows=200):

@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from fairnoise import repair
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 #: SHA-256 of each report.json that run_all_sweeps.py writes at its defaults
@@ -72,6 +74,17 @@ def test_certify_bounds_output(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["certify_bounds.py"])
     assert load_script("certify_bounds").main() == 0
     assert capsys.readouterr().out == CERTIFY_OUTPUT
+
+
+def test_certify_bounds_output_without_the_float_core(monkeypatch, capsys):
+    # every floor is proved in ints on plain-Python faces, so the float LP
+    # core and its arrays are never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate reached the float LP core")
+
+    for name in ("_solve", "_lp_vertices", "_active_sets"):
+        monkeypatch.setattr(repair, name, refuse)
+    test_certify_bounds_output(monkeypatch, capsys)
 
 
 def test_adversary_probe_digest():
