@@ -124,10 +124,10 @@ def tpr_shift_attack(
 
 
 #: Most distinct rows :func:`grid_worst_case` sends to one
-#: :func:`repair._solve` stack. The vertex search holds about 22 KB per
-#: predictive-parity row and hypothesis (four candidate precisions of 60
+#: :func:`repair._solve` stack. The vertex search holds about 17 KB per
+#: predictive-parity row and hypothesis (three candidate precisions of 60
 #: active sets) and 2.6 KB per dp row, so a one-hypothesis block peaks near
-#: 11.5 MB (tracemalloc).
+#: 8.7 MB (tracemalloc).
 SEARCH_BLOCK = 512
 #: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
 #: mixtures grow with it, C(classes, 2) (resolution - 1) of them.
@@ -247,5 +247,5 @@ def grid_worst_case(
     q = make_distribution(q_atoms, groups=groups)
     corrupted = mix(dist, q, alpha)
     mixed = [mass_table(h, corrupted) for h in hypotheses]
-    (_, k, x, _), _ = _one_row(mixed, clean_tables, groups, notion)
+    _, k, x, _ = _one_row(mixed, clean_tables, groups, notion)
     return q, _witness(hypotheses[k], groups, x, notion, mixed[k], clean_tables[k], opt, None).excess_error_on_original

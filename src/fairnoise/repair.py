@@ -215,16 +215,13 @@ def _denominators(inputs: np.ndarray, notion: str) -> np.ndarray:
     return np.add.reduce(inputs[..., _SUMMED[notion]], axis=-1)
 
 
-def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray | None = None) -> np.ndarray:
+def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray) -> np.ndarray:
     """Per row of :func:`statistic_inputs` stacked over both groups, (...,
     groups, columns), the coefficients over x = (u_A, v_A, u_B, v_B) of each
     equality s_A - s_B = 0 of the notion, as an (..., equalities, 4) array,
     from ``_DENOMINATORS``: group A's columns over d_A, then group B's over
     -d_B, which is -(b / d_B) to the bit, in one division.
-    ``denominators`` holds :func:`_denominators` of ``inputs`` when the
-    caller has them."""
-    if denominators is None:
-        denominators = _denominators(inputs, notion)
+    ``denominators`` holds :func:`_denominators` of ``inputs``."""
     columns = _COLUMNS[notion]
     eq = np.empty(inputs.shape[:-2] + (len(columns), 4), inputs.dtype)
     quotients = eq.reshape(eq.shape[:-1] + (2, 2)).swapaxes(-3, -2)  # a view: (..., groups, equalities, 2)
@@ -232,14 +229,26 @@ def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray | None
     return eq
 
 
-def _parity_equalities(
-    inputs_a: np.ndarray, inputs_b: np.ndarray, clean_a: Sequence[float], clean_b: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predictive parity's two equalities at four candidate common
-    precisions pi per row of both groups' :func:`statistic_inputs`, as a
-    (rows, 4, 2, 4) array; the candidates; and whether the groups'
-    precision ranges meet, per row. ``clean_a`` and ``clean_b`` are the
-    groups' clean mass-table cells.
+def _integers(*cells: Sequence[float]) -> tuple[int, list[list[int]]]:
+    """Float masses, which are exact binary rationals, times one common
+    power of two: (that power, the ints, one list per sequence of
+    ``cells``)."""
+    ratios = [[m.as_integer_ratio() for m in c] for c in cells]
+    scale = max(q for r in ratios for _, q in r)
+    return scale, [[p * (scale // q) for p, q in r] for r in ratios]
+
+
+#: Orders fractions (numerator, denominator > 0) of ints by value.
+_BY_VALUE = functools.cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _precisions(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) -> tuple | None:
+    """Where predictive parity's floor can lie, from both groups' corrupted
+    and clean mass-table cells in ints: (lo, hi, root), the ends of the
+    range of common precisions, each a reduced (numerator, denominator > 0)
+    of the ints, and the local minimum of s_A + s_B strictly inside (lo,
+    hi) as a float, or None; or None when the groups' precision ranges do
+    not meet.
 
     An option t (1, w) of a group, 0 < t <= 1 and 0 <= w <= 1, has
     precision (c1p + w c0p) / (m1 + w m0), with m1 = c1p + c1n and
@@ -254,29 +263,59 @@ def _parity_equalities(
     min(0, s), where s, the clean error its whole segment adds, is
     linear-fractional in pi with its pole outside the range, so monotone
     on it. min(0, s) then only bends down, where s crosses 0, and no
-    minimum lies at such a bend: the sum is least at lo, hi or a root of
-    s_A' + s_B' = 0. Each s' is k / (m0 pi - c0p)^2, so after one square
-    root each root solves a linear equation. A candidate that is undefined
-    or outside [lo, hi] becomes lo."""
+    minimum lies at such a bend: the floor is least at lo, hi or a local
+    minimum of s_A + s_B inside. There s_A' + s_B' = k_A / D_A^2 + k_B /
+    D_B^2, D_g = m0_g pi - c0p_g, goes from negative to positive, and so
+    does the quadratic k_A D_B^2 + k_B D_A^2 with int coefficients. It is
+    monotone between lo, its turning point, when that lies between, and
+    hi, so its signs there, in ints, decide whether it does; its root there
+    is irrational in general."""
     ranges, slopes = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for (c1p, c1n, c0p, c0n), clean in ((inputs_a.T, clean_a), (inputs_b.T, clean_b)):
-            m1, m0 = c1p + c1n, c0p + c0n
-            p1 = (c1p + c0p) / (m1 + m0)
-            p0 = np.where(m1 > 0.0, c1p / m1, p1)
-            ranges.append((np.minimum(p0, p1), np.maximum(p0, p1)))
-            k = (clean[3] - clean[2]) * (m1 * c0p - c1p * m0)  # s' = k / (m0 pi - c0p)^2
-            slopes.append((np.sqrt(np.abs(k)), c0p, m0))
-        (r_a, c_a, d_a), (r_b, c_b, d_b) = slopes
-        roots = [(r_a * c_b - sign * r_b * c_a) / (r_a * d_b - sign * r_b * d_a) for sign in (1.0, -1.0)]
-    lo, hi = np.maximum(ranges[0][0], ranges[1][0]), np.minimum(ranges[0][1], ranges[1][1])
-    pis = np.stack((lo, hi, *roots), axis=1)
-    pis = np.where((lo[:, None] <= pis) & (pis <= hi[:, None]), pis, lo[:, None])
+    for (c1p, c1n, c0p, c0n), (_, _, e0p, e0n) in zip(dirty, clean):
+        m1, m0 = c1p + c1n, c0p + c0n
+        whole = (c1p + c0p, m1 + m0)  # the precision at w = 1, and at w = 0 too when m1 = 0
+        ranges.append(sorted(((c1p, m1) if m1 else whole, whole), key=_BY_VALUE))
+        slopes.append(((e0n - e0p) * (m1 * c0p - c1p * m0), m0, c0p))  # s' = k / (m0 pi - c0p)^2
+    lo, hi = max((r[0] for r in ranges), key=_BY_VALUE), min((r[1] for r in ranges), key=_BY_VALUE)
+    if _BY_VALUE(lo) > _BY_VALUE(hi):
+        return None
+    lo, hi = ((p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in (lo, hi))
+    (k_a, m_a, c_a), (k_b, m_b, c_b) = slopes
+    a, b, c = k_a * m_b**2 + k_b * m_a**2, -2 * (k_a * m_b * c_b + k_b * m_a * c_a), k_a * c_b**2 + k_b * c_a**2
+    turn = (-b, 2 * a) if a > 0 else (b, -2 * a)
+    points = [lo, turn, hi] if a and _BY_VALUE(lo) < _BY_VALUE(turn) < _BY_VALUE(hi) else [lo, hi]
+    signs = [a * p * p + b * p * q + c * q * q for p, q in points]  # q^2 times the quadratic
+    if not any(s < 0 < t for s, t in zip(signs, signs[1:])):
+        return lo, hi, None
+    # the root where it rises, (d - b) / 2a = 2c / (-b - d) with d = sqrt(b^2 - 4ac), in the form that
+    # cancels nothing (b > 0 when a = 0), from d times 2^64 rounded down
+    d = math.isqrt((b * b - 4 * a * c) << 128)
+    return lo, hi, (c << 65) / -((b << 64) + d) if b > 0 else (d - (b << 64)) / (a << 65)
+
+
+def _parity_equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, clean: np.ndarray) -> tuple:
+    """Predictive parity's two equalities at three candidate common
+    precisions pi per row of both groups' :func:`statistic_inputs`, as a
+    (rows, 3, 2, 4) array; the candidates; and whether the groups'
+    precision ranges meet, per row. ``clean`` holds the rows' clean mass
+    tables, (rows, groups, 4), or (1, groups, 4) for every row alike. The
+    candidates are :func:`_precisions`' on the row's masses in ints: lo,
+    hi and the local minimum inside, or lo in its place, as the floats
+    nearest them; 0s where the ranges do not meet."""
+    pis, meet = [], []
+    rows = zip(inputs_a.tolist(), inputs_b.tolist(), np.broadcast_to(clean, (len(inputs_a), 2, 4)).tolist())
+    for dirty_a, dirty_b, (clean_a, clean_b) in rows:
+        _, cells = _integers(dirty_a, dirty_b, clean_a, clean_b)
+        found = _precisions(cells[:2], cells[2:])
+        meet.append(found is not None)
+        (p, q), (r, s), root = found or ((0, 1), (0, 1), None)
+        pis.append((p / q, r / s, p / q if root is None else root))
+    pis = np.reshape(pis, (-1, 3))
     eq = np.zeros(pis.shape + (2, 4))
     for i, (c1p, c1n, c0p, c0n) in enumerate(x.T[..., None] for x in (inputs_a, inputs_b)):
         eq[..., i, 2 * i] = c1p - pis * (c1p + c1n)
         eq[..., i, 2 * i + 1] = c0p - pis * (c0p + c0n)
-    return eq, pis, lo <= hi
+    return eq, pis, np.array(meet, dtype=bool)
 
 
 def _with_precision(xs: np.ndarray, pis: np.ndarray, inputs_a: np.ndarray, inputs_b: np.ndarray) -> np.ndarray:
@@ -510,15 +549,16 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     those :func:`_active_sets` keeps.
     Every notion takes the first cheapest of the LP's feasible vertices, row
     by row: dp, eopp and eodds in active-set order, and predictive parity
-    over its candidate precisions (:func:`_parity_equalities`) in order,
-    then in active-set order, where a group that accepts nothing moves onto
-    its segment (:func:`_with_precision`); the total stays the infimum.
-    Equal totals go to the lowest k. Also returns, without raising, the
-    error of the first row that cannot be solved, or None: ``InputError``
-    when a group lacks the mass the notion divides by, ``InfeasibleError``
-    when the groups' precision ranges do not meet; and every vertex's
-    total per solved row and hypothesis, as (rows, hypotheses, vertices),
-    +inf where a vertex is infeasible."""
+    over its three candidate precisions (:func:`_parity_equalities`) in
+    order, then in active-set order, where a group that accepts nothing
+    moves onto its segment (:func:`_with_precision`); the total stays the
+    infimum. Equal totals go to the lowest k. Also returns, without
+    raising, the error of the first row that cannot be solved, or None:
+    ``InputError`` when a group lacks the mass the notion divides by,
+    ``InfeasibleError`` when the groups' precision ranges do not meet, as
+    :func:`_precisions` decides in ints; and every vertex's total per
+    solved row and hypothesis, as (rows, hypotheses, vertices), +inf where
+    a vertex is infeasible."""
     inputs = statistic_inputs(dirty, notion)
     denominators = _denominators(inputs, notion)  # (rows, hypotheses, groups, entries)
     rows, error = len(dirty), None
@@ -531,7 +571,7 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     tables = (clean.repeat(rows, axis=0) if hypotheses > 1 and len(clean) < rows else clean[:rows]).reshape(-1, 2, 4)
     if notion == "predictive_parity":
         a, b = inputs[:rows].reshape(n, 2, 4).transpose(1, 0, 2)
-        eq, pis, meet = _parity_equalities(a, b, tables[:, 0].T, tables[:, 1].T)
+        eq, pis, meet = _parity_equalities(a, b, tables)
         tables = np.broadcast_to(tables, (n, 2, 4)).repeat(eq.shape[1], axis=0)  # each row's for each candidate
     else:
         eq = _equalities(inputs[:rows], notion, denominators[:rows])
@@ -568,14 +608,14 @@ def _same_groups(dirty: Mapping, clean: Mapping) -> None:
 def _one_row(dirty: Sequence[Mapping], clean: Sequence[Mapping], groups: Sequence[str], notion: str) -> tuple:
     """:func:`_solve` on one row, given as one corrupted and one clean mass
     table per hypothesis, after :func:`best_response`'s checks: the row's
-    (total, k, x, s) and vertex totals, or its error raised."""
+    (total, k, x, s), or its error raised."""
     _check_search(groups, dirty, notion)
     _same_groups(dirty[0], clean[0])
     sides = (np.array([[[t[g] for g in groups] for t in side]]) for side in (dirty, clean))
-    solved, error, vertices = _solve(*sides, groups, notion)
+    solved, error, _ = _solve(*sides, groups, notion)
     if error is not None:
         raise error
-    return solved[0], vertices[0]
+    return solved[0]
 
 
 def _witness(h, groups: Sequence[str], x: Sequence, notion: str, dirty: Mapping, clean: Mapping, reference, alpha):
@@ -633,10 +673,6 @@ def _adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     return sign * (a * d - b * c), [[sign * d, -sign * b], [-sign * c, sign * a]]
 
 
-#: Orders fractions (numerator, denominator > 0) of ints by value.
-_BY_VALUE = functools.cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
-
-
 def _face_floor(eq: Sequence[Sequence[int]], const: int, c: Sequence[int], notion: str) -> tuple[int, int]:
     """The least of const + c . x over x in both triangles with eq x = 0, as
     (numerator, denominator > 0) of ints, proved on the face of the first
@@ -657,45 +693,6 @@ def _face_floor(eq: Sequence[Sequence[int]], const: int, c: Sequence[int], notio
             if const * det + _dot(c, x) == bound:
                 return bound, det
     raise ContractError(f"no active set of a {notion} vertex has a dual certificate")
-
-
-def _parity_rows(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) -> list[list[list[int]]]:
-    """Predictive parity's two equalities over x at each candidate common
-    precision pi = p / q, times q, in ints, from both groups' corrupted and
-    clean mass-table cells in ints (see :func:`_parity_equalities`).
-
-    The candidates are lo and hi, where the groups' precision ranges meet,
-    each the ratio of two of the ints. The floor's other candidates are
-    the local minima inside (lo, hi) of s_A + s_B, s_g being the clean
-    error group g's whole segment adds. There s_A' + s_B' = k_A / D_A^2 +
-    k_B / D_B^2, D_g = m0_g pi - c0p_g, goes from negative to positive, and
-    so does the quadratic k_A D_B^2 + k_B D_A^2 with int coefficients. It
-    is monotone between lo, its turning point, when that lies between, and
-    hi, so its signs there, in ints, decide whether it does. Its root is
-    irrational in general, so it is not certified. ``InfeasibleError`` when
-    the ranges do not meet; ``ContractError``, naming the root, when such a
-    minimum lies inside, even where a group's s_g > 0 there leaves the
-    floor, whose terms are min(0, s_g), no minimum at it."""
-    ranges, slopes = [], []
-    for (c1p, c1n, c0p, c0n), (_, _, e0p, e0n) in zip(dirty, clean):
-        m1, m0 = c1p + c1n, c0p + c0n
-        whole = (c1p + c0p, m1 + m0)  # the precision at w = 1, and at w = 0 too when m1 = 0
-        ranges.append(sorted(((c1p, m1) if m1 else whole, whole), key=_BY_VALUE))
-        slopes.append(((e0n - e0p) * (m1 * c0p - c1p * m0), m0, c0p))  # s' = k / (m0 pi - c0p)^2
-    lo, hi = max((r[0] for r in ranges), key=_BY_VALUE), min((r[1] for r in ranges), key=_BY_VALUE)
-    if _BY_VALUE(lo) > _BY_VALUE(hi):
-        raise InfeasibleError("no classifier meets predictive_parity: the groups' precision ranges never meet")
-    (k_a, m_a, c_a), (k_b, m_b, c_b) = slopes
-    a, b, c = k_a * m_b**2 + k_b * m_a**2, -2 * (k_a * m_b * c_b + k_b * m_a * c_a), k_a * c_b**2 + k_b * c_a**2
-    turn = (-b, 2 * a) if a > 0 else (b, -2 * a)
-    points = [lo, turn, hi] if a and _BY_VALUE(lo) < _BY_VALUE(turn) < _BY_VALUE(hi) else [lo, hi]
-    signs = [a * p * p + b * p * q + c * q * q for p, q in points]  # q^2 times the quadratic
-    if any(s < 0 < t for s, t in zip(signs, signs[1:])):
-        root = (-b + math.isqrt(b * b - 4 * a * c)) / (2 * a) if a else -c / b
-        raise ContractError(f"predictive_parity's floor may lie at the uncertified stationary precision {root!r}")
-    # at each candidate pi = p / q, each group's row (c1p - pi m1, c0p - pi m0), times q
-    rows = ([[q * x[0] - p * (x[0] + x[1]), q * x[2] - p * (x[2] + x[3])] for x in dirty] for p, q in {lo, hi})
-    return [[row_a + [0, 0], [0, 0] + row_b] for row_a, row_b in rows]
 
 
 def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassifier | PQClassifier,
@@ -728,13 +725,13 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     Predictive parity is the LP at a common precision pi with each group's
     homogeneous row (c1p - pi m1, c0p - pi m0) over its (u, v), whose
     floor is an infimum over pi in [lo, hi], where the groups' precision
-    ranges meet (:func:`_parity_equalities`). lo and hi are ratios of the
-    ints, each a candidate: at pi = p / q the rows times q are ints, and
-    the floor is the lesser of the two proved floors. A stationary
-    precision strictly inside (lo, hi), a root of a quadratic with int
-    coefficients, is irrational in general, so it is not certified:
-    ``ContractError`` names it whenever one lies there, even where the
-    error is largest at it.
+    ranges meet (:func:`_precisions`). lo and hi are reduced ratios of the
+    ints, each a candidate, one when they are equal: at pi = p / q the
+    rows times q are ints, and the floor is the lesser of the proved
+    floors. A local minimum strictly inside (lo, hi) is irrational in
+    general, so it is not certified: ``ContractError`` names it whenever
+    one lies there, even where a group's s_g > 0 leaves the floor, whose
+    terms are min(0, s_g), no minimum at it.
 
     The errors of :func:`best_response`, in its order: ``InputError`` when
     there are not two groups, when the two distributions' groups differ or
@@ -745,9 +742,7 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     groups, tables = clean.groups, [mass_table(h, corrupted), mass_table(h, clean)]
     _check_search(groups, tables[:1], notion)
     _same_groups(*tables)
-    ratios = [[m.as_integer_ratio() for m in t[g]] for t in tables for g in groups]
-    scale = max(q for r in ratios for _, q in r)
-    *dirty, cells_a, cells_b = [[p * (scale // q) for p, q in r] for r in ratios]
+    scale, (*dirty, cells_a, cells_b) = _integers(*(t[g] for t in tables for g in groups))
     # each group's statistic_inputs and its denominators, in ints
     inputs = [{"dp": (a + b, c + d, a + b + c + d), "eopp": (a, c)}.get(notion, (a, b, c, d)) for a, b, c, d in dirty]
     entries = _DENOMINATORS[notion]
@@ -757,7 +752,14 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     const = sum(m1p + m0p for m1p, _, m0p, _ in (cells_a, cells_b))
     c = [t for m1p, m1n, m0p, m0n in (cells_a, cells_b) for t in (m1n - m1p, m0n - m0p)]
     if notion == "predictive_parity":
-        systems = _parity_rows(dirty, (cells_a, cells_b))
+        if (found := _precisions(dirty, (cells_a, cells_b))) is None:
+            raise InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
+        *ends, root = found
+        if root is not None:
+            raise ContractError(f"{notion}'s floor may lie at the uncertified stationary precision {root!r}")
+        # at each candidate pi = p / q, each group's row (c1p - pi m1, c0p - pi m0), times q
+        rows = ([[q * x[0] - p * (x[0] + x[1]), q * x[2] - p * (x[2] + x[3])] for x in dirty] for p, q in {*ends})
+        systems = [[row_a + [0, 0], [0, 0] + row_b] for row_a, row_b in rows]
     else:  # the rows of _equalities, each times d_A d_B instead of divided
         a, b = inputs
         systems = [[[a[k] * db for k in ks] + [-b[k] * da for k in ks] for (_, _, ks), da, db in zip(entries, *sums)]]
@@ -785,17 +787,21 @@ def best_response(
     triangles, so the minimum may lie below the exact LP's that
     :func:`certified_floor` proves: on the EOpp needle at alpha = 1e-30 it
     is 0.0, at a vertex whose true positive rates differ by 2e-15, where
-    the exact minimum is 5e-16. For predictive parity the LP is solved
-    at each candidate common precision, and its minimum is an infimum: where
-    a group does best to accept nothing, which has no precision, it accepts
-    a GAP_TOL / 2 sliver at that precision instead, within GAP_TOL of the
-    infimum. ``InfeasibleError`` when the groups' precision ranges do not
-    meet; ``InputError`` when the two distributions' groups differ.
+    the exact minimum is 5e-16. For predictive parity the LP is solved at
+    three candidate common precisions, which :func:`_precisions` finds in
+    ints as it does for :func:`certified_floor`: the ends of the range
+    where the groups' precisions meet and the local minimum inside, or the
+    low end again. Its minimum is an infimum: where a group does best to
+    accept nothing, which has no precision, it accepts a GAP_TOL / 2 sliver
+    at that precision instead, within GAP_TOL of the infimum.
+    ``InfeasibleError`` when the groups' precision ranges do not meet, as
+    :func:`certified_floor` decides; ``InputError`` when the two
+    distributions' groups differ.
     ``grid_n`` is only checked. Each hypothesis's two mass tables are read
     once, and this is one row of :func:`_solve`; the witness's gap and
     error are scored on the same tables.
     """
     dirty, tables = ([mass_table(h, d) for h in hypotheses] for d in (corrupted, clean))  # each read once
     grid_size(grid_n)
-    (_, k, x, _), _ = _one_row(dirty, tables, clean.groups, notion)
+    _, k, x, _ = _one_row(dirty, tables, clean.groups, notion)
     return _witness(hypotheses[k], clean.groups, x, notion, dirty[k], tables[k], reference_error, alpha)

@@ -65,7 +65,7 @@ from fairnoise.classifiers import GAP_TOL, GroupStats, PQClassifier, as_pq, cell
 from fairnoise.distributions import Atom, Distribution, make_distribution, mix
 from fairnoise.errors import InputError
 from fairnoise.families import _split
-from fairnoise.repair import _equalities, _lp_vertices, best_response, statistic_inputs
+from fairnoise.repair import _denominators, _equalities, _lp_vertices, best_response, statistic_inputs
 
 #: Each group's triangle 0 <= v <= u <= 1 of options as rows of G x <= h
 #: over x = (u_A, v_A, u_B, v_B): -v <= 0, v - u <= 0 and u <= 1, A first.
@@ -257,9 +257,11 @@ def certified_floor(corrupted, clean, h, notion, precision=None):
         rows = np.array(precision_rows(float_cells(corrupted, h, clean.groups), precision), dtype=object)
         eq = rows.astype(float)[None]
     else:
-        eq = _equalities(statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion), notion)
+        inputs = statistic_inputs(np.array([[dirty[g] for g in clean.groups]]), notion)
+        eq = _equalities(inputs, notion, _denominators(inputs, notion))
         exact = np.array([[list(map(Fraction, dirty[g])) for g in clean.groups]], dtype=object)
-        rows = _equalities(statistic_inputs(exact, notion), notion)[0]
+        exact = statistic_inputs(exact, notion)
+        rows = _equalities(exact, notion, _denominators(exact, notion))[0]
     totals, _, subsets = _lp_vertices(eq, clean_cells)
     a = np.concatenate((rows, _TRIANGLE))
     n_eq = len(a) - 6

@@ -131,7 +131,7 @@ def test_certified_floors_match_the_oracle_and_the_float_core():
             oracle = oracles.certified_floor(corrupted, clean, h, notion)
         assert floor == oracle, label
         tables = ([mass_table(h, d)] for d in (corrupted, clean))
-        (total, *_), _ = repair._one_row(*tables, clean.groups, notion)
+        total, *_ = repair._one_row(*tables, clean.groups, notion)
         gaps.append(Fraction(total) - floor)
         assert abs(gaps[-1]) <= GAP_TOL, label
     assert (len(gaps), infeasible) == (127, 13)
@@ -254,7 +254,7 @@ def test_predictive_parity_matches_scan(seed):
         assert scan == np.inf
         return
     tables = ([mass_table(h, d)] for d in (corrupted, dist))
-    (floor, *_), _ = repair._one_row(*tables, dist.groups, "predictive_parity")
+    floor, *_ = repair._one_row(*tables, dist.groups, "predictive_parity")
     assert floor <= scan + 1e-12
     assert scan - floor <= 1e-6
     assert found.gap_on_corrupted <= GAP_TOL

@@ -345,6 +345,47 @@ def test_predictive_parity_floor_at_an_interior_stationary_precision_is_not_cert
 
 
 @pytest.mark.parametrize(
+    "w, q, alpha",
+    (
+        ((7, 8, 4, 8, 6, 2, 2, 5), (3, 2, 2, 2, 2, 2, 0, 1), 0.25),  # the ranges meet on a hair below 1/2
+        ((3, 6, 4, 5, 5, 4, 1, 8), (0, 0, 0, 0, 4, 4, 0, 0), 0.2),  # the ranges miss by a hair at 7/18
+    ),
+)
+def test_predictive_parity_search_and_proof_agree_where_the_ranges_meet(w, q, alpha):
+    # the search and the proof decide whether the precision ranges meet by
+    # one integer test, so they agree even where rounded quotients would not
+    h = BaseClassifier.from_table({"a1": 1, "a0": 0, "b1": 1, "b0": 0})
+    cells = [(p, y, p[0].upper()) for p in ("a1", "a0", "b1", "b0") for y in (1, 0)]
+    clean = make_distribution([Atom(p, y, g, m / sum(w)) for (p, y, g), m in zip(cells, w)])
+    atoms = [Atom(p, y, g, m / sum(q)) for (p, y, g), m in zip(cells, q) if m]
+    corrupted = mix(clean, make_distribution(atoms, groups=("A", "B")), alpha)
+    try:
+        floor = Fraction(*certified_floor(corrupted, clean, h, "predictive_parity"))
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            best_response(corrupted, clean, [h], "predictive_parity")
+        return
+    found = best_response(corrupted, clean, [h], "predictive_parity")
+    assert floor <= found.error_on_original <= floor + GAP_TOL
+
+
+def test_predictive_parity_floor_proves_equal_ends_once(monkeypatch):
+    # on certify's duplication instance lo and hi are both 1/2, so one face
+    # walk proves the floor
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return face_floor(*args)
+
+    face_floor = repair._face_floor
+    monkeypatch.setattr(repair, "_face_floor", counted)
+    inst = families.eodds_duplicate(0.1, 0.09)
+    floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, "predictive_parity")
+    assert len(calls) == 1 and abs(Fraction(*floor) - Fraction(0.91 / 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
     "notion, label, what", (("eopp", 0, "positives"), ("eodds", 0, "positives"), ("eodds", 1, "negatives"))
 )
 def test_certified_floor_rejects_an_empty_denominator_as_best_response_does(notion, label, what):
@@ -397,9 +438,10 @@ def kernel_stack(rng, notion, kind, rows=200):
     cells[1, : rows // 4] = cells[0, : rows // 4]
     clean = rng.uniform(0.0, 1.0, (2, 4))
     if notion == "predictive_parity":
-        eq = repair._parity_equalities(*cells, *clean)[0].reshape(-1, 2, 4)
+        eq = repair._parity_equalities(*cells, clean[None])[0].reshape(-1, 2, 4)
     else:
-        eq = repair._equalities(repair.statistic_inputs(cells.swapaxes(0, 1), notion), notion)
+        inputs = repair.statistic_inputs(cells.swapaxes(0, 1), notion)
+        eq = repair._equalities(inputs, notion, repair._denominators(inputs, notion))
     return eq, clean[..., None]
 
 
@@ -570,7 +612,7 @@ def test_predictive_parity_accept_nothing_limit_wins():
         [("aP", 1, "A", 0.4), ("aP", 0, "A", 0.05), ("aN", 0, "A", 0.05), ("bP", 0, "B", 0.1), ("bN", 0, "B", 0.4)],
     )
     tables = ([mass_table(PRECISION_BASE, d)] for d in (corrupted, clean))
-    (floor, _, x, _), _ = repair._one_row(*tables, clean.groups, "predictive_parity")
+    floor, _, x, _ = repair._one_row(*tables, clean.groups, "predictive_parity")
     assert abs(floor - 0.05) <= 1e-12
     assert x[:2] == (1.0, 0.0) and 0.0 < x[2] <= GAP_TOL
     w = best_response(corrupted, clean, [PRECISION_BASE], "predictive_parity")
@@ -669,8 +711,14 @@ def test_best_response_reads_each_distribution_once(monkeypatch):
     assert len(built) == 4 and built.count(inst.corrupted) == built.count(inst.dist) == 2
 
 
-#: SHA-256 of :func:`core_digest`'s record of the solver core's answers.
-CORE_SHA256 = "ea7192e02d1c12f7a466e646241bb6f76c5d9919bd2f888ddb0d2364ade11142"
+#: SHA-256 per notion of :func:`core_digests`' record of the solver core's
+#: answers, so that a re-pin shows which notion moved.
+CORE_SHA256 = {
+    "dp": "15809825b77c58a71968028ecacce34962fa63f222e40516319fbfca6967313a",
+    "eopp": "759759d56840878b5baafbc1c6cdd110f9adec3c42821af350704647429c1ee5",
+    "eodds": "9288aca431e24758d65706c00f75f1258d9d7fc279663d26e229a222cce20406",
+    "predictive_parity": "3d6db60401c408d723023f4c32556e780bfbd64be61ee3b36938e178385987f8",
+}
 
 
 def core_cells(rng, kind, shape):
@@ -687,16 +735,18 @@ def core_cells(rng, kind, shape):
     return cells
 
 
-def core_digest():
+def core_digests():
     """Solve seeded stacks of 1, 4 and 100 rows under every notion, with
     1 and 2 hypotheses, one shared or one per-row clean table, and uniform
     or dyadic cells; in a 100-row stack, group B of row 97 has no mass, so
-    the stack stops there. Hash, in float.hex, each solved row's total,
-    k, x and its winning active set's rows; every finite vertex total,
-    keyed by its row, hypothesis, candidate and active set's rows; and
-    the error of the row the stack stops at."""
-    digest, rng = hashlib.sha256(), np.random.default_rng(2026)
+    the stack stops there. Hash per notion, in float.hex, each solved row's
+    total, k, x and its winning active set's rows; every finite vertex
+    total, keyed by its row, hypothesis, candidate and active set's rows;
+    and the error of the row the stack stops at. One generator draws every
+    notion's stacks in turn."""
+    digests, rng = {}, np.random.default_rng(2026)
     for notion in ("dp", "eopp", "eodds", "predictive_parity"):
+        digest = digests[notion] = hashlib.sha256()
         subsets = repair._active_sets(1 if notion in ("dp", "eopp") else 2)[0].tolist()
         for rows in (1, 4, 100):
             for hypotheses in (1, 2):
@@ -713,8 +763,8 @@ def core_digest():
                             candidate, s = divmod(int(v), len(subsets))
                             record.append((int(r), int(k), candidate, subsets[s], vertices[r, k, v].hex()))
                         digest.update(repr(record).encode())
-    return digest.hexdigest()
+    return {notion: digest.hexdigest() for notion, digest in digests.items()}
 
 
 def test_core_answers_match_their_digest():
-    assert core_digest() == CORE_SHA256
+    assert core_digests() == CORE_SHA256
