@@ -124,10 +124,10 @@ def tpr_shift_attack(
 
 
 #: Most distinct rows :func:`grid_worst_case` sends to one
-#: :func:`repair._solve` stack. The vertex search holds about 17 KB per
-#: predictive-parity row and hypothesis (three candidate precisions of 60
-#: active sets) and 2.6 KB per dp row, so a one-hypothesis block peaks near
-#: 8.7 MB (tracemalloc).
+#: :func:`repair._solve` stack. The vertex search holds about 5.6 KB per
+#: eodds row and hypothesis (60 active sets, two equalities) and 2.6 KB per
+#: dp row, and predictive parity's search on segments 0.8 KB, so a
+#: one-hypothesis block peaks near 2.9 MB (tracemalloc).
 SEARCH_BLOCK = 512
 #: Largest ``resolution`` :func:`grid_worst_case` accepts: the two-class
 #: mixtures grow with it, C(classes, 2) (resolution - 1) of them.

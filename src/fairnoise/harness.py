@@ -341,8 +341,9 @@ def certify_lower_bound(
     fractions of ints with no slack; the floor returned is that fraction
     correctly rounded to a float. For EOpp, EOdds and predictive parity the
     floor is the LP minimum of clean error, over the common precision for
-    predictive parity, proved in ints by :func:`repair.certified_floor`'s
-    dual certificate; parity calibration's is
+    predictive parity, in ints by :func:`repair.certified_floor`: a dual
+    certificate for EOpp and EOdds, and for predictive parity the closed
+    form on each group's segment; parity calibration's is
     :func:`calibration.parity_calibration_attack_certify`'s exact minimum
     over every binned predictor. No floor calls a numpy routine.
     ``grid_n`` is only checked. Claims: EOpp ->

@@ -5,16 +5,18 @@ Two kinds of object live here. The witness constructors (``dp_repair``,
 distribution and build an explicit randomized classifier whose fairness gap
 on the corrupted distribution is zero by construction. ``best_response`` is
 the learner-side procedure: it sees only the corrupted distribution and
-minimizes clean error over per-group acceptance probabilities by one LP
-for every notion, solved in floats with its equalities held to
-``_LP_TOL``; for predictive parity it is solved at a few candidate common
-precisions. The harness uses the witnesses to certify upper bounds.
-Its lower bounds are the exact LP's: ``certified_floor`` proves the
-minimum for every notion on one active set's face, with multipliers whose
-corner bound meets the face's vertex, in Python ints on the float masses,
-and calls no numpy routine. For it the float core is only a fast search,
-which may lie below the exact minimum by the slack ``_LP_TOL`` lets an
-equality miss.
+minimizes clean error over per-group acceptance probabilities by one LP.
+For dp, eopp and eodds it is solved in floats with its equalities held to
+``_LP_TOL``. For predictive parity the LP falls apart by group at each
+common precision, and one closed form in ints, ``_segments``, gives its
+minimum at a few candidate precisions. The harness uses the witnesses to
+certify upper bounds. Its lower bounds are the exact LP's:
+``certified_floor`` proves the dp, eopp and eodds minimum on one active
+set's face, with multipliers whose corner bound meets the face's vertex,
+and predictive parity's by the same closed form, in Python ints on the
+float masses, and calls no numpy routine. For it the float core is only a
+fast search, which may lie below the exact minimum by the slack
+``_LP_TOL`` lets an equality miss.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ def _repair(h_star: BaseClassifier | PQClassifier, clean: Mapping, dirty: Mappin
 
 
 # ---------------------------------------------------------------------------
-# Best response over the randomized family: one LP, at candidate precisions
-# for predictive parity
+# Best response over the randomized family: one LP, solved at its vertices,
+# or on each group's segment for predictive parity
 # ---------------------------------------------------------------------------
 
 
@@ -240,6 +242,8 @@ def _integers(*cells: Sequence[float]) -> tuple[int, list[list[int]]]:
 
 #: Orders fractions (numerator, denominator > 0) of ints by value.
 _BY_VALUE = functools.cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+#: Predictive parity's ``InfeasibleError`` message.
+_NEVER_MEET = "no classifier meets predictive_parity: the groups' precision ranges never meet"
 
 
 def _precisions(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) -> tuple | None:
@@ -293,46 +297,36 @@ def _precisions(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) 
     return lo, hi, (c << 65) / -((b << 64) + d) if b > 0 else (d - (b << 64)) / (a << 65)
 
 
-def _parity_equalities(inputs_a: np.ndarray, inputs_b: np.ndarray, clean: np.ndarray) -> tuple:
-    """Predictive parity's two equalities at three candidate common
-    precisions pi per row of both groups' :func:`statistic_inputs`, as a
-    (rows, 3, 2, 4) array; the candidates; and whether the groups'
-    precision ranges meet, per row. ``clean`` holds the rows' clean mass
-    tables, (rows, groups, 4), or (1, groups, 4) for every row alike. The
-    candidates are :func:`_precisions`' on the row's masses in ints: lo,
-    hi and the local minimum inside, or lo in its place, as the floats
-    nearest them; 0s where the ranges do not meet."""
-    pis, meet = [], []
-    rows = zip(inputs_a.tolist(), inputs_b.tolist(), np.broadcast_to(clean, (len(inputs_a), 2, 4)).tolist())
-    for dirty_a, dirty_b, (clean_a, clean_b) in rows:
-        _, cells = _integers(dirty_a, dirty_b, clean_a, clean_b)
-        found = _precisions(cells[:2], cells[2:])
-        meet.append(found is not None)
-        (p, q), (r, s), root = found or ((0, 1), (0, 1), None)
-        pis.append((p / q, r / s, p / q if root is None else root))
-    pis = np.reshape(pis, (-1, 3))
-    eq = np.zeros(pis.shape + (2, 4))
-    for i, (c1p, c1n, c0p, c0n) in enumerate(x.T[..., None] for x in (inputs_a, inputs_b)):
-        eq[..., i, 2 * i] = c1p - pis * (c1p + c1n)
-        eq[..., i, 2 * i + 1] = c0p - pis * (c0p + c0n)
-    return eq, pis, np.array(meet, dtype=bool)
+def _segments(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]], p: int, q: int) -> tuple:
+    """Predictive parity's floor at the common precision pi = p / q, from
+    both groups' corrupted and clean mass-table cells in ints, with pi in
+    the range where their precisions meet (:func:`_precisions`): the floor
+    as (numerator, denominator > 0) over the cells' scale, and per group
+    the end (1, w) of its segment, as (whether the group takes it, w as a
+    float).
 
-
-def _with_precision(xs: np.ndarray, pis: np.ndarray, inputs_a: np.ndarray, inputs_b: np.ndarray) -> np.ndarray:
-    """Predictive parity options ``xs``, one row per row of both groups'
-    :func:`statistic_inputs` and its common precision ``pis``, where a
-    group that accepts nothing takes instead the start of its segment at
-    that precision, (u, v) = t (1, w) with t = GAP_TOL / 2: its precision
-    is defined, and it errs at most GAP_TOL more. A group whose options all
-    have one precision takes w = 1, which accepts some of its mass."""
-    t = GAP_TOL / 2.0
-    for i, (c1p, c1n, c0p, c0n) in enumerate((inputs_a.T, inputs_b.T)):
-        m1, den = c1p + c1n, c0p - pis * (c0p + c0n)
-        one = (m1 == 0.0) | (den == 0.0)
-        w = np.where(one, 1.0, np.clip((pis * m1 - c1p) / np.where(one, 1.0, den), 0.0, 1.0))
-        empty = xs[:, 2 * i] <= _LP_TOL
-        xs[empty, 2 * i], xs[empty, 2 * i + 1] = t, (t * w)[empty]
-    return xs
+    At pi a group's options are the (u, v) of its triangle on its row
+    q (c1p - pi m1, c0p - pi m0) = (a, b). Where b != 0 they form the
+    segment t (1, w), 0 <= t <= 1, w = -a / b in [0, 1], along which the
+    group errs t s more than accepting nothing, s = c_u + c_v w for its
+    clean error's slopes c_u = c1n - c1p and c_v = c0n - c0p: it takes the
+    end when s < 0. Where b = 0, a = 0 too, since pi lies in the group's
+    range, and every option has precision pi: the group takes its best
+    corner, nothing, (1, 0) or (1, 1), the first on ties, with w = 1 for
+    nothing. The groups' rows share no coordinate, so the floor is the
+    clean error of accepting nothing plus each group's min(0, s)."""
+    num, den, ends = sum(e1p + e0p for e1p, _, e0p, _ in clean), 1, []
+    for (c1p, c1n, c0p, c0n), (e1p, e1n, e0p, e0n) in zip(dirty, clean):
+        a, b = q * c1p - p * (c1p + c1n), q * c0p - p * (c0p + c0n)
+        a, b = (a, b) if b >= 0 else (-a, -b)
+        c_u, c_v = e1n - e1p, e0n - e0p
+        if b:
+            s, w, d = c_u * b - c_v * a, -a / b, b
+        else:  # nothing, (1, 0) or (1, 1)
+            (s, w), d = min((0, 1.0), (c_u, 0.0), (c_u + c_v, 1.0), key=lambda corner: corner[0]), 1
+        num, den = num * d + min(s, 0) * den, den * d
+        ends.append((s < 0, w))
+    return (num, den), ends
 
 
 #: How far a vertex may miss a constraint and still count as feasible.
@@ -415,8 +409,8 @@ def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Every vertex of the LP that minimizes clean error over both groups'
     triangles subject to the equalities ``eq``, per row: (clean error,
     +inf where infeasible; x; the active sets), where the first two are
-    indexed by row and active set. ``eq`` is that of :func:`_equalities`
-    or :func:`_parity_equalities`. ``cells`` holds both groups' four clean
+    indexed by row and active set. ``eq`` is that of :func:`_equalities`.
+    ``cells`` holds both groups' four clean
     cells as (groups, 4, rows), or (groups, 4, 1) for every row alike.
 
     Clean error is linear in x, so a vertex attains the minimum: a point
@@ -531,8 +525,7 @@ def _check_search(groups: Sequence[str], hypotheses: Sequence, notion: str) -> N
 
 def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: str) -> tuple:
     """The search of :func:`best_response` for a stack of rows, on mass
-    tables: the solver core under every best response, search, sweep and
-    floor.
+    tables: the solver core under every best response, search and sweep.
 
     ``dirty[r, k, i]`` holds row r's corrupted mass-table cells under
     hypothesis k in group i of ``groups``; ``clean`` holds the clean cells
@@ -541,61 +534,78 @@ def _solve(dirty: np.ndarray, clean: np.ndarray, groups: Sequence[str], notion: 
     and denominators are built once, into arrays, for the empty check,
     which looks for the first empty row only when some denominator is not
     positive, and for the equalities, one division for the whole stack.
-    Each (row, hypothesis) is one row of one :func:`_lp_vertices` stack.
-    Returns per row, up to the first that cannot be solved, the minimum
-    clean error as (total, k, x, s): x is (u_A, v_A, u_B, v_B), the
-    acceptance probabilities of each group's base-positive and
-    base-negative points, and s the index of the winning active set among
-    those :func:`_active_sets` keeps.
-    Every notion takes the first cheapest of the LP's feasible vertices, row
-    by row: dp, eopp and eodds in active-set order, and predictive parity
-    over its three candidate precisions (:func:`_parity_equalities`) in
-    order, then in active-set order, where a group that accepts nothing
-    moves onto its segment (:func:`_with_precision`); the total stays the
-    infimum. Equal totals go to the lowest k. Also returns, without
-    raising, the error of the first row that cannot be solved, or None:
-    ``InputError`` when a group lacks the mass the notion divides by,
-    ``InfeasibleError`` when the groups' precision ranges do not meet, as
-    :func:`_precisions` decides in ints; and every vertex's total per
-    solved row and hypothesis, as (rows, hypotheses, vertices), +inf where
-    a vertex is infeasible."""
+    For dp, eopp and eodds each (row, hypothesis) is one row of one
+    :func:`_lp_vertices` stack; predictive parity's rows are solved one by
+    one by :func:`_parity_search`. Returns per row, up to the first that
+    cannot be solved, the minimum clean error as (total, k, x, s): x is
+    (u_A, v_A, u_B, v_B), the acceptance probabilities of each group's
+    base-positive and base-negative points, and s the index of the winning
+    active set among those :func:`_active_sets` keeps, None for predictive
+    parity. dp, eopp and eodds take the first cheapest of the LP's feasible
+    vertices, row by row, in active-set order. Equal totals go to the
+    lowest k. Also returns, without raising, the error of the first row
+    that cannot be solved, or None: ``InputError`` when a group lacks the
+    mass the notion divides by, ``InfeasibleError`` when the groups'
+    precision ranges do not meet; and for dp, eopp and eodds every vertex's
+    total per solved row and hypothesis, as (rows, hypotheses, vertices),
+    +inf where a vertex is infeasible, None for predictive parity."""
     inputs = statistic_inputs(dirty, notion)
     denominators = _denominators(inputs, notion)  # (rows, hypotheses, groups, entries)
     rows, error = len(dirty), None
     if not (denominators > 0.0).all():  # a group's mass does not depend on the hypothesis
         rows = int((denominators[:, 0] <= 0.0).any(axis=(1, 2)).argmax())
         error = _lacking(groups, denominators[rows, 0].tolist(), notion)
+    if notion == "predictive_parity":
+        solved, infeasible = _parity_search(dirty[:rows].tolist(), clean.tolist())
+        return solved, infeasible or error, None
     hypotheses = dirty.shape[1]
-    n = rows * hypotheses  # LP rows: each row's hypotheses in order
-    # each LP row's clean table; one shared table stays one, which broadcasts
+    # each LP row's clean table, each row's hypotheses in order; one shared table stays one, which broadcasts
     tables = (clean.repeat(rows, axis=0) if hypotheses > 1 and len(clean) < rows else clean[:rows]).reshape(-1, 2, 4)
-    if notion == "predictive_parity":
-        a, b = inputs[:rows].reshape(n, 2, 4).transpose(1, 0, 2)
-        eq, pis, meet = _parity_equalities(a, b, tables)
-        tables = np.broadcast_to(tables, (n, 2, 4)).repeat(eq.shape[1], axis=0)  # each row's for each candidate
-    else:
-        eq = _equalities(inputs[:rows], notion, denominators[:rows])
-        eq = eq.reshape(n, 1, *eq.shape[-2:])
-    candidates = eq.shape[1]
+    eq = _equalities(inputs[:rows], notion, denominators[:rows])
     totals, xs, subsets = _lp_vertices(eq.reshape(-1, *eq.shape[2:]), tables.transpose(1, 2, 0))
-    width = candidates * len(subsets)  # the vertices of an LP row's candidates, in order
-    totals = totals.reshape(rows, hypotheses, width)
-    if notion == "predictive_parity":
-        totals[~meet.reshape(rows, hypotheses)] = np.inf
     # a row's first cheapest vertex over its hypotheses in order: the lowest k on equal totals
-    flat, at = totals.reshape(rows, hypotheses * width), np.arange(rows)
+    flat, at = totals.reshape(rows, hypotheses * len(subsets)), np.arange(rows)
     pick = flat.argmin(axis=1)
-    k, s = pick // width, pick % len(subsets)
-    best, xs = flat[at, pick], xs.reshape(rows, hypotheses * candidates * len(subsets), 4)[at, pick]
-    if notion == "predictive_parity":
-        won = at * hypotheses + k  # each row's winning hypothesis, as an LP row before candidates
-        xs = _with_precision(xs, pis[won, pick % width // len(subsets)], a[won], b[won])
-        infeasible = np.isinf(best)
-        if infeasible.any():
-            rows = int(infeasible.argmax())
-            error = InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
+    k, s = pick // len(subsets), pick % len(subsets)
+    best, xs = flat[at, pick], xs.reshape(rows, hypotheses * len(subsets), 4)[at, pick]
     solved = zip(best.tolist(), k.tolist(), map(tuple, xs.tolist()), s.tolist())
-    return list(solved)[:rows], error, totals[:rows]
+    return list(solved), error, flat.reshape(rows, hypotheses, len(subsets))
+
+
+def _parity_search(dirty: Sequence, clean: Sequence) -> tuple[list, InfeasibleError | None]:
+    """:func:`_solve` for predictive parity, on its rows as nested lists,
+    ``clean`` with one row for every row alike: the solved rows, up to the
+    first row whose groups' precision ranges do not meet under every
+    hypothesis, and that row's ``InfeasibleError``, or None.
+
+    Per hypothesis, :func:`_precisions` gives the range [lo, hi] of common
+    precisions in ints and the local minimum inside, and :func:`_segments`
+    the floor at lo, at hi and at that minimum, as the float nearest it,
+    pulled into [lo, hi]. A row takes the least floor exactly, the lowest k
+    and then the first candidate on ties, as the float nearest it. Its
+    minimum is an infimum: a group that does best to accept nothing, which
+    has no precision, accepts a GAP_TOL / 2 sliver of its segment instead,
+    (t, t w), so it errs at most GAP_TOL more."""
+    solved, t = [], GAP_TOL / 2.0
+    for row, tables in zip(dirty, itertools.cycle(clean)):
+        best = None
+        for k, (cells, table) in enumerate(zip(row, tables)):
+            scale, ints = _integers(*cells, *table)
+            if (found := _precisions(ints[:2], ints[2:])) is None:
+                continue
+            *pis, root = found
+            if root is not None:  # the float nearest the minimum, pulled into [lo, hi]
+                pis.append(min(max(root.as_integer_ratio(), pis[0], key=_BY_VALUE), pis[1], key=_BY_VALUE))
+            for p, q in dict.fromkeys(pis):
+                (num, den), ends = _segments(ints[:2], ints[2:], p, q)
+                if best is None or _BY_VALUE((num, scale * den)) < _BY_VALUE(best[0]):
+                    best = (num, scale * den), k, ends
+        if best is None:
+            return solved, InfeasibleError(_NEVER_MEET)
+        (num, den), k, ends = best
+        x = [c for takes, w in ends for c in ((1.0, w) if takes else (t, t * w))]
+        solved.append((num / den, k, tuple(x), None))
+    return solved, None
 
 
 def _same_groups(dirty: Mapping, clean: Mapping) -> None:
@@ -677,11 +687,9 @@ def _face_floor(eq: Sequence[Sequence[int]], const: int, c: Sequence[int], notio
     """The least of const + c . x over x in both triangles with eq x = 0, as
     (numerator, denominator > 0) of ints, proved on the face of the first
     active set of :func:`_faces` whose vertex meets every constraint and
-    its corner bound; see :func:`certified_floor`. A row of 0s constrains
-    nothing and is dropped first, so a predictive parity group whose
-    options all have the candidate precision leaves one equality, or
-    none."""
-    eq = [e for e in eq if any(e)]
+    its corner bound; see :func:`certified_floor`. No row of ``eq`` is 0s:
+    a row of dp, eopp or eodds is 0s only where a denominator is 0, which
+    :func:`_lacking` rejects first."""
     for s, corner, free in _faces(len(eq)):
         held = [eq[i] for i in s if i < len(eq)]  # the k equalities E the set holds
         det, adj = _adjugate([[_dot(e, f) for f in free] for e in held])
@@ -699,8 +707,8 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
                     notion: str) -> tuple[int, int]:
     """The least clean error of any randomization of ``h`` that meets
     ``notion`` (dp, eopp, eodds or predictive_parity) on ``corrupted``, as
-    an exact fraction (numerator, denominator > 0) of ints, proved on the
-    face of one active set, with no float solve.
+    an exact fraction (numerator, denominator > 0) of ints, with no float
+    solve: for dp, eopp and eodds proved on the face of one active set.
 
     The float masses are exact binary rationals: times one common power of
     two they are ints, and so is each equality times d_A d_B, whose right
@@ -725,10 +733,12 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     Predictive parity is the LP at a common precision pi with each group's
     homogeneous row (c1p - pi m1, c0p - pi m0) over its (u, v), whose
     floor is an infimum over pi in [lo, hi], where the groups' precision
-    ranges meet (:func:`_precisions`). lo and hi are reduced ratios of the
-    ints, each a candidate, one when they are equal: at pi = p / q the
-    rows times q are ints, and the floor is the lesser of the proved
-    floors. A local minimum strictly inside (lo, hi) is irrational in
+    ranges meet (:func:`_precisions`). At pi the rows share no coordinate,
+    each group's options form one segment from the origin, and
+    :func:`_segments` gives the floor in closed form, exact in ints at
+    pi = p / q. lo and hi are reduced ratios of the ints, each a
+    candidate, one when they are equal, and the floor is the lesser of
+    the two. A local minimum strictly inside (lo, hi) is irrational in
     general, so it is not certified: ``ContractError`` names it whenever
     one lies there, even where a group's s_g > 0 leaves the floor, whose
     terms are min(0, s_g), no minimum at it.
@@ -749,21 +759,19 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     sums = [[sum(x[k] for k in summed) for _, summed, _ in entries] for x in inputs]
     if error := _lacking(groups, sums, notion):
         raise error
-    const = sum(m1p + m0p for m1p, _, m0p, _ in (cells_a, cells_b))
-    c = [t for m1p, m1n, m0p, m0n in (cells_a, cells_b) for t in (m1n - m1p, m0n - m0p)]
     if notion == "predictive_parity":
         if (found := _precisions(dirty, (cells_a, cells_b))) is None:
-            raise InfeasibleError(f"no classifier meets {notion}: the groups' precision ranges never meet")
+            raise InfeasibleError(_NEVER_MEET)
         *ends, root = found
         if root is not None:
             raise ContractError(f"{notion}'s floor may lie at the uncertified stationary precision {root!r}")
-        # at each candidate pi = p / q, each group's row (c1p - pi m1, c0p - pi m0), times q
-        rows = ([[q * x[0] - p * (x[0] + x[1]), q * x[2] - p * (x[2] + x[3])] for x in dirty] for p, q in {*ends})
-        systems = [[row_a + [0, 0], [0, 0] + row_b] for row_a, row_b in rows]
+        num, den = min((_segments(dirty, (cells_a, cells_b), p, q)[0] for p, q in {*ends}), key=_BY_VALUE)
     else:  # the rows of _equalities, each times d_A d_B instead of divided
         a, b = inputs
-        systems = [[[a[k] * db for k in ks] + [-b[k] * da for k in ks] for (_, _, ks), da, db in zip(entries, *sums)]]
-    num, den = min((_face_floor(eq, const, c, notion) for eq in systems), key=_BY_VALUE)
+        const = sum(m1p + m0p for m1p, _, m0p, _ in (cells_a, cells_b))
+        c = [t for m1p, m1n, m0p, m0n in (cells_a, cells_b) for t in (m1n - m1p, m0n - m0p)]
+        eq = [[a[k] * db for k in ks] + [-b[k] * da for k in ks] for (_, _, ks), da, db in zip(entries, *sums)]
+        num, den = _face_floor(eq, const, c, notion)
     return num, scale * den
 
 
@@ -782,16 +790,18 @@ def best_response(
 
     The minimum is that of an LP over each group's triangle
     0 <= v <= u <= 1 of acceptance probabilities, solved in floats by
-    vertex enumeration. A vertex counts as feasible when it misses each
+    vertex enumeration for dp, eopp and eodds. A vertex counts as feasible when it misses each
     equality by at most ``_LP_TOL`` = 1e-12, before it is clamped to the
     triangles, so the minimum may lie below the exact LP's that
     :func:`certified_floor` proves: on the EOpp needle at alpha = 1e-30 it
     is 0.0, at a vertex whose true positive rates differ by 2e-15, where
-    the exact minimum is 5e-16. For predictive parity the LP is solved at
-    three candidate common precisions, which :func:`_precisions` finds in
-    ints as it does for :func:`certified_floor`: the ends of the range
-    where the groups' precisions meet and the local minimum inside, or the
-    low end again. Its minimum is an infimum: where a group does best to
+    the exact minimum is 5e-16. For predictive parity the LP falls apart by
+    group at each common precision, and :func:`_segments` gives its exact
+    minimum there in ints, as for :func:`certified_floor`, at the ends of
+    the range where the groups' precisions meet and at the local minimum
+    inside, which :func:`_precisions` finds. The least is reported as the
+    float nearest it, so where :func:`certified_floor` proves a floor it is
+    that floor, rounded. It is an infimum: where a group does best to
     accept nothing, which has no precision, it accepts a GAP_TOL / 2 sliver
     at that precision instead, within GAP_TOL of the infimum.
     ``InfeasibleError`` when the groups' precision ranges do not meet, as

@@ -561,6 +561,24 @@ class TestSearchCost:
         assert max(blocks) == attacks.SEARCH_BLOCK < sum(blocks)
         assert peak < 64_000_000
 
+    def test_predictive_parity_stops_at_an_infeasible_clean_row(self, monkeypatch):
+        # the clean row, the search's first, has precision ranges that never
+        # meet, so no other row's range is computed: the whole first block's
+        # 261 rows were, when every row of a stack was solved before the
+        # first infeasible one was looked for
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return precisions(*args)
+
+        precisions = repair._precisions
+        monkeypatch.setattr(repair, "_precisions", counted)
+        dist, h = families.random_dp_instance(np.random.default_rng(1), max_atoms=10)
+        with pytest.raises(InfeasibleError):
+            grid_worst_case(dist, 0.1, [h], "predictive_parity")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("block", (1, 7))
     def test_blocks_move_no_bit(self, monkeypatch, block):
         # rows are independent, and a block that raises raises for its first

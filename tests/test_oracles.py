@@ -138,6 +138,25 @@ def test_certified_floors_match_the_oracle_and_the_float_core():
     assert (float(-min(gaps)), float(max(gaps))) == (FLOAT_BELOW_PROOF, FLOAT_ABOVE_PROOF)
 
 
+def test_predictive_parity_search_total_is_the_proved_floor():
+    # the search and the proof take one closed form at the same precisions,
+    # so wherever the proof certifies, the search's total is the float
+    # nearest its floor
+    certified = 0
+    for label, corrupted, clean, h, notion in floor_corpus():
+        if notion != "predictive_parity":
+            continue
+        try:
+            num, den = certified_floor(corrupted, clean, h, notion)
+        except InfeasibleError:
+            continue
+        tables = ([mass_table(h, d)] for d in (corrupted, clean))
+        total, *_ = repair._one_row(*tables, clean.groups, notion)
+        assert total == num / den, label
+        certified += 1
+    assert certified == 22
+
+
 unit = st.floats(0.0, 1.0)
 
 

@@ -370,16 +370,16 @@ def test_predictive_parity_search_and_proof_agree_where_the_ranges_meet(w, q, al
 
 
 def test_predictive_parity_floor_proves_equal_ends_once(monkeypatch):
-    # on certify's duplication instance lo and hi are both 1/2, so one face
-    # walk proves the floor
+    # on certify's duplication instance lo and hi are both 1/2, so one
+    # evaluation of the segments proves the floor
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return face_floor(*args)
+        return segments(*args)
 
-    face_floor = repair._face_floor
-    monkeypatch.setattr(repair, "_face_floor", counted)
+    segments = repair._segments
+    monkeypatch.setattr(repair, "_segments", counted)
     inst = families.eodds_duplicate(0.1, 0.09)
     floor = certified_floor(inst.corrupted, inst.dist, inst.h_star, "predictive_parity")
     assert len(calls) == 1 and abs(Fraction(*floor) - Fraction(0.91 / 2.0)) <= 1e-12
@@ -425,9 +425,8 @@ def test_certified_floor_raises_best_responses_input_errors_in_its_order(notion)
 
 def kernel_stack(rng, notion, kind, rows=200):
     """Equality rows of ``notion`` as best responses send them to
-    ``repair._lp_vertices``, for random corrupted cells of both groups (one
-    row per precision candidate for predictive parity), and a random clean
-    table. Cells are uniform floats or, for ties, multiples of 1/8 with
+    ``repair._lp_vertices``, for random corrupted cells of both groups, and
+    a random clean table. Cells are uniform floats or, for ties, multiples of 1/8 with
     both groups' positives and negatives present; in the first quarter of
     the rows both groups share one table."""
     if kind == "uniform":
@@ -437,12 +436,8 @@ def kernel_stack(rng, notion, kind, rows=200):
         cells[..., (0, 3)] += 1.0 / 8.0
     cells[1, : rows // 4] = cells[0, : rows // 4]
     clean = rng.uniform(0.0, 1.0, (2, 4))
-    if notion == "predictive_parity":
-        eq = repair._parity_equalities(*cells, clean[None])[0].reshape(-1, 2, 4)
-    else:
-        inputs = repair.statistic_inputs(cells.swapaxes(0, 1), notion)
-        eq = repair._equalities(inputs, notion, repair._denominators(inputs, notion))
-    return eq, clean[..., None]
+    inputs = repair.statistic_inputs(cells.swapaxes(0, 1), notion)
+    return repair._equalities(inputs, notion, repair._denominators(inputs, notion)), clean[..., None]
 
 
 @pytest.mark.parametrize("notion, n_eq, bound", (("eopp", 1, 3_500), ("eodds", 2, 8_000)))
@@ -464,7 +459,7 @@ def test_lp_vertices_stay_small_per_row(notion, n_eq, bound):
 
 
 @pytest.mark.parametrize("kind", ("uniform", "dyadic"))
-@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds", "predictive_parity"))
+@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds"))
 def test_closed_form_vertices_match_the_lapack_solve(notion, kind):
     # The masks differ only where one solver calls an active set singular:
     # there the closed form has no vertex, or finds the origin. LU's
@@ -691,7 +686,8 @@ def test_each_row_of_a_stack_with_its_own_clean_table_is_solved_alone(seed, noti
         alone, alone_error, alone_vertices = repair._solve(dirty[r : r + 1], clean[r : r + 1], ("A", "B"), notion)
         if r < len(solved):
             assert alone == [solved[r]] and alone_error is None
-            assert alone_vertices.tobytes() == vertices[r : r + 1].tobytes()
+            if notion != "predictive_parity":  # predictive parity has no vertices
+                assert alone_vertices.tobytes() == vertices[r : r + 1].tobytes()
         else:  # the stack stops at its first row that cannot be solved
             assert (type(alone_error), str(alone_error)) == (type(error), str(error))
             break
@@ -717,7 +713,7 @@ CORE_SHA256 = {
     "dp": "15809825b77c58a71968028ecacce34962fa63f222e40516319fbfca6967313a",
     "eopp": "759759d56840878b5baafbc1c6cdd110f9adec3c42821af350704647429c1ee5",
     "eodds": "9288aca431e24758d65706c00f75f1258d9d7fc279663d26e229a222cce20406",
-    "predictive_parity": "3d6db60401c408d723023f4c32556e780bfbd64be61ee3b36938e178385987f8",
+    "predictive_parity": "8cf5b1d3d59b4fdf30b1033ccae2b07ea182fc101e357c5a98b802d16fc20a5e",
 }
 
 
@@ -741,9 +737,10 @@ def core_digests():
     or dyadic cells; in a 100-row stack, group B of row 97 has no mass, so
     the stack stops there. Hash per notion, in float.hex, each solved row's
     total, k, x and its winning active set's rows; every finite vertex
-    total, keyed by its row, hypothesis, candidate and active set's rows;
-    and the error of the row the stack stops at. One generator draws every
-    notion's stacks in turn."""
+    total, keyed by its row, hypothesis, candidate (always 0) and active
+    set's rows; and the error of the row the stack stops at. Predictive
+    parity, solved on its segments, has no active sets and no vertices.
+    One generator draws every notion's stacks in turn."""
     digests, rng = {}, np.random.default_rng(2026)
     for notion in ("dp", "eopp", "eodds", "predictive_parity"):
         digest = digests[notion] = hashlib.sha256()
@@ -758,8 +755,8 @@ def core_digests():
                         solved, error, vertices = repair._solve(dirty, clean, ("A", "B"), notion)
                         record = [notion, rows, hypotheses, shared, kind, type(error).__name__, str(error)]
                         for total, k, x, s in solved:
-                            record.append((total.hex(), k, [c.hex() for c in x], subsets[s]))
-                        for r, k, v in zip(*np.nonzero(np.isfinite(vertices))):
+                            record.append((total.hex(), k, [c.hex() for c in x], *([] if s is None else [subsets[s]])))
+                        for r, k, v in zip(*np.nonzero(np.isfinite(vertices))) if vertices is not None else ():
                             candidate, s = divmod(int(v), len(subsets))
                             record.append((int(r), int(k), candidate, subsets[s], vertices[r, k, v].hex()))
                         digest.update(repr(record).encode())
