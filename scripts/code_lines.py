@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Count the code lines of every Python file under a directory.
+"""Count the code lines and source bytes of every Python file under a
+directory.
 
 Usage: python scripts/code_lines.py [DIR]    (default: src/fairnoise)
 
 A line counts when it holds a token other than a comment, and the lines of
 module, class and function docstrings do not count; so blank lines,
-comment-only lines and docstrings are all skipped. Prints one line per
-file, then the total. Run it on two checkouts for a net change.
+comment-only lines and docstrings are all skipped. Bytes are the whole
+file's, docstrings and comments included: a process that compiles the
+module holds memory for all of them. Prints one line per file, code lines
+then bytes, then the totals. Run it on two checkouts for a net change.
 """
 
 import argparse
@@ -55,12 +58,12 @@ def main() -> int:
     parser.add_argument("root", nargs="?", type=Path, default=PACKAGE)
     args = parser.parse_args()
 
-    total = 0
+    total = size = 0
     for path in sorted(args.root.rglob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.relative_to(args.root)}")
-    print(f"{total:6d}  total")
+        count, nbytes = code_lines(path.read_text()), path.stat().st_size
+        total, size = total + count, size + nbytes
+        print(f"{count:6d}  {nbytes:8d}  {path.relative_to(args.root)}")
+    print(f"{total:6d}  {size:8d}  total")
     return 0
 
 

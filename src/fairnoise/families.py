@@ -2,7 +2,8 @@
 
 The canonical families are the fixed constructions behind the regime
 sweeps: one per accuracy-loss regime (linear, square-root, constant) plus
-the calibration-drift family. The random generators build instances whose
+the calibration-drift family. The random generators draw from the
+``numpy.random.Generator`` they are given and build instances whose
 fairness statistics are equal across groups by construction (realizability
 is exact, not sampled), so the repair preconditions always hold.
 """
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .attacks import duplicate_flip_attack, tpr_shift_attack
 from .calibration import BinnedPredictor
@@ -135,13 +134,13 @@ def calibration_drift(alpha: float) -> tuple[Distribution, Distribution, BinnedP
 # ---------------------------------------------------------------------------
 
 
-def _split(rng: np.random.Generator, total: float, n: int) -> list[float]:
+def _split(rng, total: float, n: int) -> list[float]:
     """Split ``total`` into n random positive parts."""
-    w = rng.dirichlet(np.ones(n))
+    w = rng.dirichlet([1.0] * n)
     return [float(total * x) for x in w]
 
 
-def random_dp_instance(rng: np.random.Generator, max_atoms: int = 32) -> tuple[Distribution, BaseClassifier]:
+def random_dp_instance(rng, max_atoms: int = 32) -> tuple[Distribution, BaseClassifier]:
     """Random two-group distribution plus a base classifier whose
     positive-prediction rate is identical across groups by construction."""
     r_a = float(rng.uniform(0.2, 0.8))
@@ -165,7 +164,7 @@ def random_dp_instance(rng: np.random.Generator, max_atoms: int = 32) -> tuple[D
     return make_distribution(atoms), BaseClassifier.from_table(table)
 
 
-def random_eopp_instance(rng: np.random.Generator, max_atoms: int = 32) -> tuple[Distribution, BaseClassifier]:
+def random_eopp_instance(rng, max_atoms: int = 32) -> tuple[Distribution, BaseClassifier]:
     """Random two-group distribution plus a base classifier whose true
     positive rate is identical across groups by construction.
 

@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifiers import (GAP_TOL, BaseClassifier, PQClassifier, _table_error, _table_stats, as_pq, fairness_gap,
-                          mass_table)
+from .classifiers import (GAP_TOL, READS, STATISTICS, BaseClassifier, PQClassifier, _table_error, _table_stats, as_pq,
+                          fairness_gap, mass_table)
 from .distributions import Distribution
 from .errors import ContractError, FairnoiseError, InfeasibleError, InputError, integer
 
@@ -125,14 +125,12 @@ def _repair(h_star: BaseClassifier | PQClassifier, clean: Mapping, dirty: Mappin
         name = {"dp": "DP", "eopp": "EOpp"}[notion]
         raise InputError(f"realizability violated: base classifier has {name} gap {gap:.3e} on the clean distribution")
     _same_groups(dirty, clean)
-    if notion == "dp":
-        current, candidates = _table_stats(pq, dirty, notion).rate, [("direct", stats.rate)]
-    else:
-        empty = [g for g, (m1p, _, m0p, _) in dirty.items() if m1p + m0p <= 0.0]  # masses are >= 0
-        if empty:
-            raise InputError(f"group {empty[0]!r} has no positives in the corrupted distribution")
-        current = _table_stats(pq, dirty, notion).tpr
-        candidates = [(f"match_{i}", {g: current[i] for g in clean}) for i in clean]
+    if notion == "eopp" and (empty := [g for g, (m1p, _, m0p, _) in dirty.items() if m1p + m0p <= 0.0]):
+        raise InputError(f"group {empty[0]!r} has no positives in the corrupted distribution")
+    statistic = READS[notion][0]
+    current = getattr(_table_stats(pq, dirty, notion), statistic)
+    matches = [(f"match_{i}", dict.fromkeys(clean, current[i])) for i in clean]
+    candidates = [("direct", getattr(stats, statistic))] if notion == "dp" else matches
     reference, best = _table_error(pq, clean), None
     for label, target in candidates:
         coins = {g: _match_params(current[g], target[g]) for g in clean}
@@ -186,34 +184,23 @@ def statistic_inputs(cells: np.ndarray, notion: str) -> np.ndarray:
     return cells
 
 
-#: What each notion divides a group's option statistics by, in the order it
-#: is checked: (what a group lacks when it is zero, columns of
-#: :func:`statistic_inputs` summing to it, ...). Masses are >= 0, so a sum
-#: is zero only when every cell in it is. For dp, eopp and eodds each entry
-#: is a statistic the notion equates across groups, (u a + v b) / d for
-#: option (u, v), and ends with the columns holding a and b: the rate for
-#: dp, the true positive rate for eopp, and for eodds it and the false
-#: positive rate.
-_DENOMINATORS = {
-    "dp": (("mass", (2,), (0, 1)),),
-    "predictive_parity": (("mass", (0, 1, 2, 3), None),),
-    "eopp": (("positives", (0, 1), (0, 1)),),
-    "eodds": (("positives", (0, 2), (0, 2)), ("negatives", (1, 3), (1, 3))),
-}
-#: Per notion, the columns of :func:`statistic_inputs` each denominator
-#: sums and, where it has equalities, those each equality reads; and the
-#: sign of each group's denominator in them.
-_SUMMED = {n: np.array([s for _, s, _ in e]) for n, e in _DENOMINATORS.items()}
-_COLUMNS = {n: np.array([c for _, _, c in e]) for n, e in _DENOMINATORS.items() if n != "predictive_parity"}
+#: ``STATISTICS``, and precision's accepted mass, which some option makes
+#: positive exactly where the group has mass, as the rate's.
+_DIVIDES = {**STATISTICS, "ppv": STATISTICS["rate"]}
+#: Per notion, the columns of :func:`statistic_inputs` summing to each d
+#: of ``READS[notion]`` and holding each a and b; and the sign of each
+#: group's d in the equalities.
+_SUMMED = {"dp": [[2]], "eopp": [[0, 1]], "eodds": [[0, 2], [1, 3]], "predictive_parity": [[0, 1, 2, 3]]}
+_COLUMNS = {"dp": [[0, 1]], "eopp": [[0, 1]], "eodds": [[0, 2], [1, 3]]}
 _SIGNS = np.array([[1], [-1]])
 
 
 def _denominators(inputs: np.ndarray, notion: str) -> np.ndarray:
-    """Each denominator of ``_DENOMINATORS[notion]``, summed over its
-    columns of :func:`statistic_inputs` (the last axis of ``inputs``), on
-    the last axis in place of the columns. A sum of one or two columns is
-    the left-to-right sum to the bit, up to the sign of a zero; predictive
-    parity's sum of four is only tested for zero."""
+    """Each d of ``_SUMMED[notion]``, summed over its columns of
+    :func:`statistic_inputs`, on the last axis in place of the columns. A
+    sum of one or two columns is the left-to-right sum to the bit, up to
+    the sign of a zero; predictive parity's sum of four is only tested for
+    zero."""
     return np.add.reduce(inputs[..., _SUMMED[notion]], axis=-1)
 
 
@@ -221,7 +208,7 @@ def _equalities(inputs: np.ndarray, notion: str, denominators: np.ndarray) -> np
     """Per row of :func:`statistic_inputs` stacked over both groups, (...,
     groups, columns), the coefficients over x = (u_A, v_A, u_B, v_B) of each
     equality s_A - s_B = 0 of the notion, as an (..., equalities, 4) array,
-    from ``_DENOMINATORS``: group A's columns over d_A, then group B's over
+    from ``_COLUMNS``: group A's columns over d_A, then group B's over
     -d_B, which is -(b / d_B) to the bit, in one division.
     ``denominators`` holds :func:`_denominators` of ``inputs``."""
     columns = _COLUMNS[notion]
@@ -251,8 +238,8 @@ def _precisions(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) 
     and clean mass-table cells in ints: (lo, hi, root), the ends of the
     range of common precisions, each a reduced (numerator, denominator > 0)
     of the ints, and the local minimum of s_A + s_B strictly inside (lo,
-    hi) as a float, or None; or None when the groups' precision ranges do
-    not meet.
+    hi), where both s_g < 0, as a float, or None; or None when the groups'
+    precision ranges do not meet.
 
     An option t (1, w) of a group, 0 < t <= 1 and 0 <= w <= 1, has
     precision (c1p + w c0p) / (m1 + w m0), with m1 = c1p + c1n and
@@ -268,28 +255,38 @@ def _precisions(dirty: Sequence[Sequence[int]], clean: Sequence[Sequence[int]]) 
     linear-fractional in pi with its pole outside the range, so monotone
     on it. min(0, s) then only bends down, where s crosses 0, and no
     minimum lies at such a bend: the floor is least at lo, hi or a local
-    minimum of s_A + s_B inside. There s_A' + s_B' = k_A / D_A^2 + k_B /
-    D_B^2, D_g = m0_g pi - c0p_g, goes from negative to positive, and so
-    does the quadratic k_A D_B^2 + k_B D_A^2 with int coefficients. It is
-    monotone between lo, its turning point, when that lies between, and
-    hi, so its signs there, in ints, decide whether it does; its root there
-    is irrational in general."""
+    minimum of s_A + s_B in [low, high], where both s_g < 0: [lo, hi] cut
+    at each s_g's zero, a ratio of the ints. There s_A' + s_B' = k_A /
+    D_A^2 + k_B / D_B^2, D_g = m0_g pi - c0p_g, goes from negative to
+    positive, and so does the quadratic k_A D_B^2 + k_B D_A^2 with int
+    coefficients. It is monotone between low, its turning point, when that
+    lies between, and high, so its signs there, in ints, decide whether it
+    does; its root there is irrational in general."""
     ranges, slopes = [], []
-    for (c1p, c1n, c0p, c0n), (_, _, e0p, e0n) in zip(dirty, clean):
-        m1, m0 = c1p + c1n, c0p + c0n
+    for (c1p, c1n, c0p, c0n), (e1p, e1n, e0p, e0n) in zip(dirty, clean):
+        m1, m0, c_u, c_v = c1p + c1n, c0p + c0n, e1n - e1p, e0n - e0p
         whole = (c1p + c0p, m1 + m0)  # the precision at w = 1, and at w = 0 too when m1 = 0
         ranges.append(sorted(((c1p, m1) if m1 else whole, whole), key=_BY_VALUE))
-        slopes.append(((e0n - e0p) * (m1 * c0p - c1p * m0), m0, c0p))  # s' = k / (m0 pi - c0p)^2
+        # s = (n0 + n1 pi) / (c0p - m0 pi), and s' = k / (m0 pi - c0p)^2
+        slopes.append((c_v * (m1 * c0p - c1p * m0), m0, c0p, c_u * c0p - c_v * c1p, c_v * m1 - c_u * m0))
     lo, hi = max((r[0] for r in ranges), key=_BY_VALUE), min((r[1] for r in ranges), key=_BY_VALUE)
     if _BY_VALUE(lo) > _BY_VALUE(hi):
         return None
     lo, hi = ((p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in (lo, hi))
-    (k_a, m_a, c_a), (k_b, m_b, c_b) = slopes
+    low, high = lo, hi  # narrowed to where both s < 0
+    for _, m0, c0p, n0, n1 in slopes:
+        side = c0p * hi[1] - m0 * hi[0]  # the sign s's denominator keeps on [lo, hi], if lo < hi
+        r0, r1 = n0 * side, n1 * side  # s < 0 where r0 + r1 pi < 0; (-r0, 0) is -inf, +inf or 0 / 0 to _BY_VALUE
+        if r1 >= 0:
+            high = min(high, (-r0, r1), key=_BY_VALUE)
+        else:
+            low = max(low, (r0, -r1), key=_BY_VALUE)
+    (k_a, m_a, c_a, *_), (k_b, m_b, c_b, *_) = slopes
     a, b, c = k_a * m_b**2 + k_b * m_a**2, -2 * (k_a * m_b * c_b + k_b * m_a * c_a), k_a * c_b**2 + k_b * c_a**2
     turn = (-b, 2 * a) if a > 0 else (b, -2 * a)
-    points = [lo, turn, hi] if a and _BY_VALUE(lo) < _BY_VALUE(turn) < _BY_VALUE(hi) else [lo, hi]
+    points = [low, turn, high] if a and _BY_VALUE(low) < _BY_VALUE(turn) < _BY_VALUE(high) else [low, high]
     signs = [a * p * p + b * p * q + c * q * q for p, q in points]  # q^2 times the quadratic
-    if not any(s < 0 < t for s, t in zip(signs, signs[1:])):
+    if _BY_VALUE(low) >= _BY_VALUE(high) or not any(s < 0 < t for s, t in zip(signs, signs[1:])):
         return lo, hi, None
     # the root where it rises, (d - b) / 2a = 2c / (-b - d) with d = sqrt(b^2 - 4ac), in the form that
     # cancels nothing (b > 0 when a = 0), from d times 2^64 rounded down
@@ -504,12 +501,12 @@ def _lp_vertices(eq: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _lacking(groups: Sequence[str], denominators: Sequence[Sequence], notion: str) -> InputError | None:
     """The ``InputError`` of the first group, in order, that lacks a mass
     the notion divides by, or None when none does. ``denominators`` holds
-    each group's sums of ``_DENOMINATORS[notion]``, checked in order;
+    each group's d of each statistic of ``READS[notion]``, checked in order;
     masses are >= 0, so a sum lacks its mass when it is not positive."""
     for g, sums in zip(groups, denominators):
-        for (what, _, _), d in zip(_DENOMINATORS[notion], sums):
+        for s, d in zip(READS[notion], sums):
             if d <= 0:
-                return InputError(f"group {g!r} has no {what} on the corrupted distribution")
+                return InputError(f"group {g!r} has no {_DIVIDES[s][3]} on the corrupted distribution")
     return None
 
 
@@ -519,7 +516,7 @@ def _check_search(groups: Sequence[str], hypotheses: Sequence, notion: str) -> N
         raise InputError("best_response searches exactly two groups")
     if not hypotheses:
         raise InputError("hypothesis list is empty")
-    if notion not in _DENOMINATORS:
+    if notion not in READS:
         raise InputError(f"best_response does not support notion {notion!r}")
 
 
@@ -738,10 +735,9 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     :func:`_segments` gives the floor in closed form, exact in ints at
     pi = p / q. lo and hi are reduced ratios of the ints, each a
     candidate, one when they are equal, and the floor is the lesser of
-    the two. A local minimum strictly inside (lo, hi) is irrational in
-    general, so it is not certified: ``ContractError`` names it whenever
-    one lies there, even where a group's s_g > 0 leaves the floor, whose
-    terms are min(0, s_g), no minimum at it.
+    the two. A local minimum strictly inside (lo, hi), where both s_g < 0,
+    is irrational in general, so it is not certified: ``ContractError``
+    names it.
 
     The errors of :func:`best_response`, in its order: ``InputError`` when
     there are not two groups, when the two distributions' groups differ or
@@ -753,11 +749,9 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
     _check_search(groups, tables[:1], notion)
     _same_groups(*tables)
     scale, (*dirty, cells_a, cells_b) = _integers(*(t[g] for t in tables for g in groups))
-    # each group's statistic_inputs and its denominators, in ints
-    inputs = [{"dp": (a + b, c + d, a + b + c + d), "eopp": (a, c)}.get(notion, (a, b, c, d)) for a, b, c, d in dirty]
-    entries = _DENOMINATORS[notion]
-    sums = [[sum(x[k] for k in summed) for _, summed, _ in entries] for x in inputs]
-    if error := _lacking(groups, sums, notion):
+    # per group, each statistic's (a, b, d) in ints
+    stats = [[[sum(cells[i] for i in part) for part in _DIVIDES[s][:3]] for s in READS[notion]] for cells in dirty]
+    if error := _lacking(groups, [[d for *_, d in group] for group in stats], notion):
         raise error
     if notion == "predictive_parity":
         if (found := _precisions(dirty, (cells_a, cells_b))) is None:
@@ -767,10 +761,9 @@ def certified_floor(corrupted: Distribution, clean: Distribution, h: BaseClassif
             raise ContractError(f"{notion}'s floor may lie at the uncertified stationary precision {root!r}")
         num, den = min((_segments(dirty, (cells_a, cells_b), p, q)[0] for p, q in {*ends}), key=_BY_VALUE)
     else:  # the rows of _equalities, each times d_A d_B instead of divided
-        a, b = inputs
         const = sum(m1p + m0p for m1p, _, m0p, _ in (cells_a, cells_b))
         c = [t for m1p, m1n, m0p, m0n in (cells_a, cells_b) for t in (m1n - m1p, m0n - m0p)]
-        eq = [[a[k] * db for k in ks] + [-b[k] * da for k in ks] for (_, _, ks), da, db in zip(entries, *sums)]
+        eq = [[a * d_b, b * d_b, -a_b * d_a, -b_b * d_a] for (a, b, d_a), (a_b, b_b, d_b) in zip(*stats)]
         num, den = _face_floor(eq, const, c, notion)
     return num, scale * den
 

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from fairnoise import families, repair
 from fairnoise.classifiers import (
     GAP_TOL,
+    READS,
+    STATISTICS,
     BaseClassifier,
     PQClassifier,
+    _table_stats,
     error,
     fairness_gap,
     group_stats,
@@ -344,6 +347,28 @@ def test_predictive_parity_floor_at_an_interior_stationary_precision_is_not_cert
         certified_floor(corrupted, clean, h, "predictive_parity")
 
 
+def test_predictive_parity_floor_ignores_a_stationary_precision_where_a_group_adds_error():
+    # The precision ranges meet on [2/3, 1], and s_A + s_B has a local
+    # minimum near 0.844949 inside, but there group B's whole segment adds
+    # error (s_B > 0), so B accepts nothing and the floor, c_0 + s_A, rises
+    # with the precision: it is least at lo, and it is proved.
+    h = BaseClassifier.from_table({"aP": 1, "aN": 0, "bP": 1, "bN": 0})
+
+    def dist(cells, total):
+        points = (("aP", "A"), ("aN", "A"), ("bP", "B"), ("bN", "B"))
+        atoms = [Atom(p, y, g, m / total) for (p, g), pair in zip(points, cells) for y, m in zip((1, 0), pair) if m]
+        return make_distribution(atoms)
+
+    corrupted = dist(((2, 0), (0, 2), (1, 0), (1, 1)), 7)
+    clean = dist(((2, 0), (4, 1), (0, 0), (0, 2)), 9)
+    lo, hi = oracles.precision_range(oracles.float_cells(corrupted, h, clean.groups))
+    ends = [oracles.lp_floor(corrupted, clean, h, "predictive_parity", pi) for pi in (lo, hi)]
+    floor = Fraction(*certified_floor(corrupted, clean, h, "predictive_parity"))
+    found = best_response(corrupted, clean, [h], "predictive_parity").error_on_original
+    assert (lo, hi) == (Fraction(2, 3), 1) and floor == ends[0] < ends[1]
+    assert floor <= found <= floor + GAP_TOL
+
+
 @pytest.mark.parametrize(
     "w, q, alpha",
     (
@@ -421,6 +446,51 @@ def test_certified_floor_raises_best_responses_input_errors_in_its_order(notion)
         with pytest.raises(InputError) as found:
             certified_floor(corrupted, clean, h, notion)
         assert str(found.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("kind", ("uniform", "dyadic"))
+@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds"))
+def test_each_equality_row_is_the_difference_of_the_statistics_it_equates(notion, kind):
+    # each statistic READS[notion] names is (u a + v b) / d over the cells
+    # STATISTICS lists, and row i times x is group A's statistic i minus B's
+    rng = np.random.default_rng(34)
+    cells = core_cells(rng, kind, (40,))
+    inputs = repair.statistic_inputs(cells, notion)
+    eq = repair._equalities(inputs, notion, repair._denominators(inputs, notion))
+    base = BaseClassifier.from_table({"p": 1})
+    for table, rows in zip(cells, eq):
+        u = rng.uniform(0.0, 1.0, 2)
+        v = rng.uniform(0.0, u)
+        for x in ((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 0.0), (u[0], v[0], u[1], v[1])):
+            stats = _table_stats(PQClassifier(base, {"A": x[:2], "B": x[2:]}), dict(zip("AB", map(tuple, table))))
+            for row, statistic in zip(rows, READS[notion], strict=True):
+                values = getattr(stats, statistic)
+                a, b, d = (table[:, list(cells)].sum(axis=1) for cells in STATISTICS[statistic][:3])
+                by_table = (np.array(x[::2]) * a + np.array(x[1::2]) * b) / d  # per group
+                assert np.abs([values["A"] - by_table[0], values["B"] - by_table[1]]).max() <= 1e-12
+                assert abs(row @ x - (values["A"] - values["B"])) <= 1e-12
+
+
+#: Under the base {"p": 1, "n": 0}, the (point, label) of each mass-table cell, in order
+CELL_ATOMS = (("p", 1), ("p", 0), ("n", 1), ("n", 0))
+
+
+@pytest.mark.parametrize("notion", ("dp", "eopp", "eodds"))
+def test_a_group_lacking_a_denominator_is_named_by_the_table(notion):
+    # group B keeps only the cells outside one statistic's d, or none: the
+    # search and the proof name the first statistic, in READS order, whose
+    # d is 0, by its word in STATISTICS
+    h = BaseClassifier.from_table({"p": 1, "n": 0})
+    clean = make_distribution([Atom(p, y, g, 0.125) for g in "AB" for p, y in CELL_ATOMS])
+    for lacked, d in [(s, STATISTICS[s][2]) for s in READS[notion]] + [(READS[notion][0], range(4))]:
+        kept = {"A": CELL_ATOMS, "B": [c for i, c in enumerate(CELL_ATOMS) if i not in d]}
+        atoms = [Atom(p, y, g, 1.0 / (4 + len(kept["B"]))) for g, pairs in kept.items() for p, y in pairs]
+        corrupted = make_distribution(atoms, groups=("A", "B"))
+        message = f"^group 'B' has no {STATISTICS[lacked][3]} on the corrupted distribution$"
+        with pytest.raises(InputError, match=message):
+            best_response(corrupted, clean, [h], notion)
+        with pytest.raises(InputError, match=message):
+            certified_floor(corrupted, clean, h, notion)
 
 
 def kernel_stack(rng, notion, kind, rows=200):

@@ -125,4 +125,4 @@ def test_code_lines_counts_fixture(tmp_path, monkeypatch, capsys):
     (tmp_path / "empty.py").write_text("# only a comment\n\n")
     monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
     assert load_script("code_lines").main() == 0
-    assert capsys.readouterr().out == "     8  box.py\n     0  empty.py\n     8  total\n"
+    assert capsys.readouterr().out == "     8       349  box.py\n     0        18  empty.py\n     8       367  total\n"
